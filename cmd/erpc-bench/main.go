@@ -24,25 +24,19 @@ import (
 	"repro/internal/experiments"
 )
 
-// printf is the progress printer shared by the sweep writers.
+// printf is the progress printer of the chaos sweep.
 func printf(format string, a ...any) { fmt.Printf(format, a...) }
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "experiment id(s), comma separated (see -list)")
-		scale      = flag.Float64("scale", 1.0, "scale factor: <1 shrinks clusters and windows")
-		seed       = flag.Int64("seed", 42, "simulation seed")
-		burst      = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
-		all        = flag.Bool("all", false, "run every experiment")
-		list       = flag.Bool("list", false, "list experiment ids")
-		datapath   = flag.String("datapath", "", "measure the datapath benchmark (multicore sweep: Mrps, wall s, allocs/op) and write/update this JSON artifact")
-		udpsyscall = flag.String("udpsyscall", "", "measure the batched-syscall UDP datapath (per-packet vs mmsg loopback sweep: krps, syscalls/op) and write this JSON artifact")
-		reuseport  = flag.String("reuseport", "", "measure the sharded datapath (per-port vs SO_REUSEPORT endpoint sweep: krps, allocs/op, per-shard counters) and write this JSON artifact")
-		gso        = flag.String("gso", "", "measure the segmentation-offload datapath (mmsg vs UDP_SEGMENT/UDP_GRO loopback sweep: krps, syscalls/op, segments/syscall, zero-copy TX, aliased GRO RX) and write this JSON artifact")
-		uring      = flag.String("uring", "", "measure the io_uring datapath (gso vs io_uring loopback sweep: krps, syscalls/op, ring submits/linked SQEs/CQ batches/SQPOLL wakeups) and write this JSON artifact")
-		chaos      = flag.String("chaos", "", "measure the fault-tolerance layer under scripted chaos (loss storm, blackhole, straggler, dup burst, overload, graceful drain: per-phase goodput, recovery ms, retransmit/reject budgets, at-most-once audit) and write this JSON artifact")
-		shardsFlag = flag.Int("shards", 0, "restrict the -reuseport sweep to this endpoint/shard count (0 = full 1,2,4,8 sweep)")
-		adapt      = flag.Bool("adaptburst", false, "run the loopback sweeps with AIMD TX-flush-threshold tuning (core Config.AdaptiveBurst)")
+		exp      = flag.String("exp", "", "experiment id(s), comma separated (see -list)")
+		scale    = flag.Float64("scale", 1.0, "scale factor: <1 shrinks clusters and windows")
+		seed     = flag.Int64("seed", 42, "simulation seed")
+		burst    = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
+		all      = flag.Bool("all", false, "run every experiment")
+		list     = flag.Bool("list", false, "list experiment ids")
+		datapath = flag.String("datapath", "", "measure the datapath benchmark (multicore sweep: Mrps, wall s, allocs/op) and write/update this JSON artifact")
+		chaos    = flag.String("chaos", "", "measure the fault-tolerance layer under scripted chaos (loss storm, blackhole, straggler, dup burst, overload, graceful drain: per-phase goodput, recovery ms, retransmit/reject budgets, at-most-once audit) and write this JSON artifact")
 	)
 	flag.Parse()
 
@@ -56,45 +50,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "erpc-bench: -burst must be >= 0 (got %d)\n", *burst)
 		os.Exit(2)
 	}
-	if *shardsFlag < 0 {
-		fmt.Fprintf(os.Stderr, "erpc-bench: -shards must be >= 0 (got %d)\n", *shardsFlag)
-		os.Exit(2)
-	}
-	if *shardsFlag > 0 && *reuseport == "" {
-		fmt.Fprintln(os.Stderr, "erpc-bench: -shards only applies to the -reuseport sweep")
-		os.Exit(2)
-	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst, AdaptBurst: *adapt}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst}
 	if *datapath != "" {
 		if err := writeDatapath(*datapath, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *udpsyscall != "" {
-		if err := writeUDPSyscall(*udpsyscall, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *reuseport != "" {
-		if err := writeReusePort(*reuseport, *shardsFlag, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *gso != "" {
-		if err := writeGso(*gso, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *uring != "" {
-		if err := writeUring(*uring, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -140,119 +98,6 @@ type datapathFile struct {
 type datapathRunSection struct {
 	Note string                        `json:"note,omitempty"`
 	Rows []experiments.MulticoreResult `json:"rows"`
-}
-
-// udpSyscallFile is the BENCH_udpsyscall.json schema: the same
-// windowed loopback echo workload over both UDP syscall engines. The
-// per-packet rows are the "before" (one kernel crossing per datagram),
-// the mmsg rows the "after" (one sendmmsg/recvmmsg per burst); both
-// are measured fresh on every run since the two engines coexist in
-// one binary.
-type udpSyscallFile struct {
-	Benchmark        string                         `json:"benchmark"`
-	Scale            float64                        `json:"scale"`
-	Seed             int64                          `json:"seed"`
-	Note             string                         `json:"note,omitempty"`
-	PerPacket        []experiments.UDPSyscallResult `json:"per_packet"`
-	Mmsg             []experiments.UDPSyscallResult `json:"mmsg,omitempty"`
-	TxBlastPerPacket *experiments.UDPTxBlastResult  `json:"tx_blast_per_packet,omitempty"`
-	TxBlastMmsg      *experiments.UDPTxBlastResult  `json:"tx_blast_mmsg,omitempty"`
-}
-
-// gsoFile is the BENCH_gso.json schema: the windowed loopback echo
-// workload over the mmsg engine (syscall batching only — before) and
-// the gso engine (plus UDP_SEGMENT supersegment TX and UDP_GRO
-// coalesced RX — after), with end-to-end zero-copy accounting on both
-// (zero_copy_tx_per_op counts request AND response packet-0 aliases,
-// so 2.0/op is the full Appendix C datapath; gro_aliased_segs counts
-// RX segments delivered aliasing the refcounted supersegment buffer),
-// plus the TX blast's segments-per-syscall amortization.
-type gsoFile struct {
-	Benchmark   string                         `json:"benchmark"`
-	Scale       float64                        `json:"scale"`
-	Seed        int64                          `json:"seed"`
-	Note        string                         `json:"note,omitempty"`
-	Mmsg        []experiments.UDPSyscallResult `json:"mmsg"`
-	Gso         []experiments.UDPSyscallResult `json:"gso,omitempty"`
-	TxBlastMmsg *experiments.UDPTxBlastResult  `json:"tx_blast_mmsg,omitempty"`
-	TxBlastGso  *experiments.UDPTxBlastResult  `json:"tx_blast_gso,omitempty"`
-}
-
-// writeGso runs the segmentation-offload sweep and writes the JSON
-// artifact at path.
-func writeGso(path string, opts experiments.Options) error {
-	mmsg, gso := experiments.GsoSweep(opts, printf)
-	blastMmsg, blastGso := experiments.GsoTxBlastSweep(opts, printf)
-	f := gsoFile{
-		Benchmark: "segmentation-offload UDP datapath: windowed 32B echo RPCs over loopback plus a 16-frame TX blast; mmsg = sendmmsg/recvmmsg batching only (before), gso = + UDP_SEGMENT supersegments, UDP_GRO coalescing and refcount-aliased GRO RX (after), end-to-end zero-copy TX (request + response packet 0) on both",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op and segments_per_syscall are the controlled measures of the offload; " +
-			"windows 1-2 are omitted because their bursts are mostly single frames and cannot coalesce (engines identical there)",
-		Mmsg:        mmsg,
-		Gso:         gso,
-		TxBlastMmsg: blastMmsg,
-		TxBlastGso:  blastGso,
-	}
-	if gso == nil {
-		f.Note += "; gso engine unavailable (nogso/nommsg build, or kernel without UDP_SEGMENT/UDP_GRO), so only the mmsg baseline was measured"
-	}
-	for i, g := range gso {
-		if i < len(mmsg) && g.SyscallsPerOp >= mmsg[i].SyscallsPerOp {
-			printf("NOTE: window %d gso syscalls/op %.2f not below mmsg %.2f\n",
-				g.Window, g.SyscallsPerOp, mmsg[i].SyscallsPerOp)
-		}
-	}
-	return experiments.WriteJSONReport(path, &f)
-}
-
-// uringFile is the BENCH_uring.json schema: the windowed loopback echo
-// workload over the auto engine (gso where supported — the best
-// one-syscall-per-burst engine, before) and the io_uring engine
-// (linked-SQE TX chains and registered-buffer RX published to shared
-// rings; with SQPOLL awake a burst crosses the kernel with zero
-// syscalls — after), plus the TX blast. The uring rows' ring counters
-// (submits, linked SQEs, batched CQ reaps, SQPOLL wakeups) account for
-// where the remaining kernel crossings went.
-type uringFile struct {
-	Benchmark    string                         `json:"benchmark"`
-	Scale        float64                        `json:"scale"`
-	Seed         int64                          `json:"seed"`
-	Note         string                         `json:"note,omitempty"`
-	Gso          []experiments.UDPSyscallResult `json:"gso"`
-	Uring        []experiments.UDPSyscallResult `json:"uring,omitempty"`
-	TxBlastGso   *experiments.UDPTxBlastResult  `json:"tx_blast_gso,omitempty"`
-	TxBlastUring *experiments.UDPTxBlastResult  `json:"tx_blast_uring,omitempty"`
-}
-
-// writeUring runs the io_uring sweep and writes the JSON artifact at
-// path.
-func writeUring(path string, opts experiments.Options) error {
-	gso, uring := experiments.UringSweep(opts, printf)
-	blastGso, blastUring := experiments.UringTxBlastSweep(opts, printf)
-	f := uringFile{
-		Benchmark: "io_uring UDP datapath: windowed 32B echo RPCs over loopback plus a 16-frame TX blast; gso = the best syscall engine, one kernel crossing per burst (before), uring = linked-SQE chains and registered-buffer reads on shared rings, zero syscalls per burst while the SQPOLL thread is awake (after)",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op is the controlled measure — the uring rows must sit below the gso floor, " +
-			"and the ring counters attribute the remaining crossings (submits vs sqpoll wakeups)",
-		Gso:          gso,
-		Uring:        uring,
-		TxBlastGso:   blastGso,
-		TxBlastUring: blastUring,
-	}
-	if uring == nil {
-		f.Note += "; io_uring engine unavailable (nouring/nommsg build, or kernel without io_uring), so only the gso baseline was measured"
-	}
-	for i, u := range uring {
-		if i < len(gso) && u.SyscallsPerOp >= gso[i].SyscallsPerOp {
-			printf("NOTE: window %d uring syscalls/op %.2f not below gso %.2f\n",
-				u.Window, u.SyscallsPerOp, gso[i].SyscallsPerOp)
-		}
-	}
-	return experiments.WriteJSONReport(path, &f)
 }
 
 // chaosFile is the BENCH_chaos.json schema: the fault-tolerance layer
@@ -312,67 +157,6 @@ func writeChaos(path string, opts experiments.Options) error {
 			return err
 		}
 		return fmt.Errorf("chaos sweep violated protocol invariants: %s", strings.Join(fatal, "; "))
-	}
-	return experiments.WriteJSONReport(path, &f)
-}
-
-// writeUDPSyscall runs the batched-syscall sweep and writes the JSON
-// artifact at path.
-func writeUDPSyscall(path string, opts experiments.Options) error {
-	perPkt, mmsg := experiments.UDPSyscallSweep(opts, printf)
-	blastPP, blastMmsg := experiments.UDPTxBlastSweep(opts, printf)
-	f := udpSyscallFile{
-		Benchmark: "batched-syscall UDP datapath: windowed 32B echo RPCs over loopback (end to end) plus a 16-frame TX blast (syscall-bound); per_packet = one syscall per datagram (before), mmsg = sendmmsg/recvmmsg (after)",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"syscalls_per_op and the TX blast Mpps are the controlled measures of the batching",
-		PerPacket:        perPkt,
-		Mmsg:             mmsg,
-		TxBlastPerPacket: blastPP,
-		TxBlastMmsg:      blastMmsg,
-	}
-	if mmsg == nil {
-		f.Note += "; mmsg engine not compiled in on this platform (see transport.MmsgSupported), so only the per-packet fallback was measured"
-	}
-	return experiments.WriteJSONReport(path, &f)
-}
-
-// reusePortFile is the BENCH_reuseport.json schema: the same
-// multi-endpoint loopback echo workload over the per-port socket
-// layout (each server endpoint on its own port — before) and over
-// SO_REUSEPORT shards (one shared address, kernel flow placement —
-// after), both measured fresh per run since the layouts coexist in one
-// binary, plus the single-owner pool fast-path probe.
-type reusePortFile struct {
-	Benchmark    string                          `json:"benchmark"`
-	Scale        float64                         `json:"scale"`
-	Seed         int64                           `json:"seed"`
-	Note         string                          `json:"note,omitempty"`
-	PerPort      []experiments.ReusePortResult   `json:"per_port"`
-	ReusePort    []experiments.ReusePortResult   `json:"reuseport,omitempty"`
-	PoolFastPath *experiments.PoolFastPathResult `json:"pool_fast_path"`
-}
-
-// writeReusePort runs the sharded-datapath sweep and writes the JSON
-// artifact at path.
-func writeReusePort(path string, shards int, opts experiments.Options) error {
-	perPort, sharded := experiments.ReusePortSweep(opts, shards, printf)
-	pool := experiments.PoolFastPathMeasure()
-	printf("pool fast path: %.3f allocs/op, %d mutex refills, %d shared puts over %d ops\n",
-		pool.AllocsPerOp, pool.MutexRefills, pool.SharedPuts, pool.Ops)
-	f := reusePortFile{
-		Benchmark: "sharded UDP datapath: E-endpoint loopback echo (window 8, 32 B) per_port = one socket per endpoint port (before), reuseport = SO_REUSEPORT shards on one address (after); per-shard syscall/batch/handler counters expose kernel flow placement",
-		Scale:     opts.Scale,
-		Seed:      opts.Seed,
-		Note: "krps is wall-clock over loopback and scheduler-bound on small hosts (best-of-N kept); " +
-			"shard_handled shows the kernel's flow-to-shard placement, pool_fast_path pins the lock-free single-owner pool",
-		PerPort:      perPort,
-		ReusePort:    sharded,
-		PoolFastPath: &pool,
-	}
-	if sharded == nil {
-		f.Note += "; SO_REUSEPORT not compiled in on this platform (see transport.ReusePortSupported), so only the per-port layout was measured"
 	}
 	return experiments.WriteJSONReport(path, &f)
 }

@@ -34,9 +34,6 @@ func main() {
 		window    = flag.Int("window", 16, "requests in flight per client endpoint")
 		size      = flag.Int("size", 32, "request payload bytes")
 		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
-		gso       = flag.Bool("gso", true, "use the segmentation-offload UDP engine (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) where the kernel supports it; false forces plain sendmmsg/recvmmsg")
-		uring     = flag.Bool("uring", false, "use the io_uring UDP engine (linked-SQE TX chains, registered-buffer RX, SQPOLL zero-syscall steady state) where the kernel supports it; overrides -gso")
-		adapt     = flag.Bool("adaptburst", false, "adapt the TX flush threshold to observed RX burst fill (AIMD): deeper batching under load, immediate flushes when idle")
 	)
 	flag.Parse()
 	if *shards < 0 {
@@ -65,22 +62,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	listen := erpc.ListenUDP
-	switch {
-	case *uring:
-		listen = erpc.ListenUDPUring
-	case !*gso:
-		listen = erpc.ListenUDPMmsg
-	}
-	trs, err := listen(uint16(*node), host, basePort, *endpoints)
+	trs, err := erpc.ListenUDP(uint16(*node), host, basePort, *endpoints)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *uring && !erpc.UDPUringSupported() {
-		fmt.Println("uring requested but unavailable (build tag or kernel): using the best syscall engine")
-	}
-	if !*uring && *gso && !erpc.UDPGsoSupported() {
-		fmt.Println("gso requested but unavailable (build tag or kernel): using the best non-gso engine")
 	}
 	if *shards > 0 {
 		// Sharded server: every endpoint sits behind the one address;
@@ -109,7 +93,7 @@ func main() {
 		serverAddrs[i] = erpc.Addr{Node: 1, Port: uint16(i)}
 	}
 
-	client := erpc.NewClient(erpc.NewNexus(), erpc.AdaptConfigs(erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst), *adapt))
+	client := erpc.NewClient(erpc.NewNexus(), erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst))
 	sess := make([][]*erpc.Session, *endpoints)
 	for i := 0; i < *endpoints; i++ {
 		for k := 0; k < *sessions; k++ {
@@ -209,13 +193,5 @@ func main() {
 	segs, gro, aliased := erpc.UDPGsoStats(trs)
 	fmt.Printf("udp engine %s: %d data syscalls (%.2f/rpc), %d mmsg batches, %d gso segments, %d gro batches, %d gro segs aliased\n",
 		engine, syscalls, float64(syscalls)/float64(max(total, 1)), batches, segs, gro, aliased)
-	if submits, linked, cqeBatches, wakeups := erpc.UDPUringStats(trs); submits+linked+cqeBatches+wakeups > 0 {
-		fmt.Printf("io_uring: %d submits, %d linked sqes, %d batched cq reaps, %d sqpoll wakeups\n",
-			submits, linked, cqeBatches, wakeups)
-	}
-	fmt.Printf("zero-copy tx frames: %d", st.ZeroCopyTx)
-	if st.BurstAdapts > 0 {
-		fmt.Printf(", adaptive burst: %d threshold changes", st.BurstAdapts)
-	}
-	fmt.Println()
+	fmt.Printf("zero-copy tx frames: %d\n", st.ZeroCopyTx)
 }

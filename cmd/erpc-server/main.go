@@ -47,9 +47,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "serve N endpoints as SO_REUSEPORT shards of the single -bind address (overrides -endpoints; kernel flow hash picks the shard per client flow; falls back to N consecutive ports where SO_REUSEPORT is unavailable)")
 		workers   = flag.Int("workers", 0, "shared worker pool size for long-running handlers (0 = GOMAXPROCS)")
 		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
-		gso       = flag.Bool("gso", true, "use the segmentation-offload UDP engine (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) where the kernel supports it; false forces plain sendmmsg/recvmmsg")
-		uring     = flag.Bool("uring", false, "use the io_uring UDP engine (linked-SQE TX chains, registered-buffer RX, SQPOLL zero-syscall steady state) where the kernel supports it; overrides -gso")
-		adapt     = flag.Bool("adaptburst", false, "adapt the TX flush threshold to observed RX burst fill (AIMD): deeper batching under load, immediate flushes when idle")
 		drainTO   = flag.Duration("draintimeout", 5*time.Second, "graceful-drain deadline on SIGTERM: new work is rejected, admitted RPCs run to completion, then the process stops (SIGINT still stops immediately)")
 	)
 	flag.Parse()
@@ -88,19 +85,10 @@ func main() {
 		ctx.EnqueueResponse()
 	}})
 
-	// One place picks the engine for both socket layouts (-uring and
-	// -gso knobs).
-	listenFlat, listenShards := erpc.ListenUDP, erpc.ListenUDPShards
-	switch {
-	case *uring:
-		listenFlat, listenShards = erpc.ListenUDPUring, erpc.ListenUDPShardsUring
-	case !*gso:
-		listenFlat, listenShards = erpc.ListenUDPMmsg, erpc.ListenUDPShardsMmsg
-	}
 	var trs []*transport.UDP
 	if *shards > 0 {
 		var err error
-		trs, err = listenShards(1, *bind, *shards)
+		trs, err = erpc.ListenUDPShards(1, *bind, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,16 +102,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		trs, err = listenFlat(1, host, basePort, *endpoints)
+		trs, err = erpc.ListenUDP(1, host, basePort, *endpoints)
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *uring && !erpc.UDPUringSupported() {
-		fmt.Println("uring requested but unavailable (build tag or kernel): using the best syscall engine")
-	}
-	if !*uring && *gso && !erpc.UDPGsoSupported() {
-		fmt.Println("gso requested but unavailable (build tag or kernel): using the best non-gso engine")
 	}
 	for i, tr := range trs {
 		defer tr.Close()
@@ -149,7 +131,7 @@ func main() {
 		fmt.Printf("peer node %d: %d endpoint(s) at %s\n", 100+i, n, addr)
 	}
 
-	server := erpc.NewServer(nx, erpc.AdaptConfigs(erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst), *adapt), *workers)
+	server := erpc.NewServer(nx, erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst), *workers)
 	server.Start()
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -179,19 +161,8 @@ func main() {
 	segs, gro, aliased := erpc.UDPGsoStats(trs)
 	fmt.Printf("udp engine %s: %d data syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d gro segs aliased\n",
 		engine, syscalls, batches, segs, gro, aliased)
-	if submits, linked, cqeBatches, wakeups := erpc.UDPUringStats(trs); submits+linked+cqeBatches+wakeups > 0 {
-		fmt.Printf("io_uring: %d submits, %d linked sqes, %d batched cq reaps, %d sqpoll wakeups\n",
-			submits, linked, cqeBatches, wakeups)
-	}
 	fmt.Printf("zero-copy tx frames: %d, deferred msgbuf frees: %d\n",
 		st.ZeroCopyTx, st.DeferredFrees)
-	if *adapt {
-		var adapts uint64
-		for i := 0; i < server.NumEndpoints(); i++ {
-			adapts += server.Rpc(i).Stats.BurstAdapts
-		}
-		fmt.Printf("adaptive burst: %d threshold changes\n", adapts)
-	}
 }
 
 // splitPeer parses "host:port/m" into the base address and endpoint

@@ -17,7 +17,7 @@ import (
 // completion — including the reader goroutines, since
 // testing.AllocsPerRun counts process-wide mallocs.
 //
-// The guard runs once per compiled-in UDP syscall engine: the batched
+// The guard runs once per UDP syscall engine: the batched
 // sendmmsg/recvmmsg datapath must be exactly as allocation-free as the
 // per-packet fallback (its mmsghdr/iovec arrays and syscall closures
 // are preallocated at engine construction).
@@ -26,19 +26,7 @@ func TestSmallRPCAllocFree(t *testing.T) {
 		t.Skip("erpcdebug sanitizer bookkeeping allocates; zero-alloc contract holds in release builds only")
 	}
 	for _, engine := range udpEngines() {
-		t.Run(engine, func(t *testing.T) {
-			if engine == "uring" && transport.RaceEnabled {
-				// Not a correctness skip: the race detector's
-				// instrumentation slows the spin loops enough that the
-				// SQPOLL kernel threads and the app livelock-crawl on
-				// small hosts (minutes per run). The uring datapath
-				// itself runs under -race in the transport suite and
-				// the engine echo tests; the zero-alloc contract is
-				// asserted on the release-build legs.
-				t.Skip("io_uring SQPOLL timing pathological under the race detector; covered on non-race legs")
-			}
-			runSmallRPCAllocFree(t, engine)
-		})
+		t.Run(engine, func(t *testing.T) { runSmallRPCAllocFree(t, engine) })
 	}
 	// The sharded datapath must be exactly as allocation-free: the
 	// server side listens on SO_REUSEPORT shards (or the per-port
@@ -130,40 +118,8 @@ func runSmallRPCAllocFreeSharded(t *testing.T, shards int) {
 }
 
 func runSmallRPCAllocFree(t *testing.T, engine string) {
-	nx := erpc.NewNexus()
-	nx.Register(1, erpc.Handler{Fn: func(ctx *erpc.ReqContext) {
-		out := ctx.AllocResponse(len(ctx.Req))
-		copy(out, ctx.Req)
-		ctx.EnqueueResponse()
-	}})
-
-	srvTr, err := newUDPTransportEngine(engine, erpc.Addr{Node: 1, Port: 0}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvTr.Close()
-	cliTr, err := newUDPTransportEngine(engine, erpc.Addr{Node: 2, Port: 0}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cliTr.Close()
-	if err := srvTr.AddPeer(cliTr.LocalAddr(), cliTr.BoundAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cliTr.AddPeer(srvTr.LocalAddr(), srvTr.BoundAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both endpoints are driven manually from this goroutine, which is
-	// therefore the dispatch context of both.
-	srv := erpc.NewRpc(nx, erpc.Config{Transport: srvTr, Clock: erpc.NewWallClock()})
-	cli := erpc.NewRpc(nx, erpc.Config{Transport: cliTr, Clock: erpc.NewWallClock()})
-	sess, err := cli.CreateSession(srv.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req, resp := cli.Alloc(32), cli.Alloc(32)
+	p := newEchoPair(t, engine)
+	req, resp := p.cli.Alloc(32), p.cli.Alloc(32)
 	for i := range req.Data() {
 		req.Data()[i] = byte(i)
 	}
@@ -173,19 +129,12 @@ func runSmallRPCAllocFree(t *testing.T, engine string) {
 
 	oneRPC := func() {
 		done = false
-		cli.EnqueueRequest(sess, 1, req, resp, cont)
+		p.cli.EnqueueRequest(p.sess, 1, req, resp, cont)
 		for spins := 0; !done; spins++ {
-			prog := cli.RunEventLoopOnce()
-			prog = srv.RunEventLoopOnce() || prog
 			if spins > 1_000_000 {
 				t.Fatal("RPC did not complete")
 			}
-			if !prog {
-				// Park briefly so the runtime services the network
-				// poller (and the reader goroutines run) even on
-				// GOMAXPROCS=1; the reused timer keeps this alloc-free.
-				cli.WaitForWork(50 * time.Microsecond)
-			}
+			p.poll()
 		}
 		if rpcErr != nil {
 			t.Fatal(rpcErr)

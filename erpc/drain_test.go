@@ -29,7 +29,15 @@ import (
 //     buffer allocated by admitted work was freed (no leak on the
 //     drain path). The erpcdebug leg additionally asserts no transport
 //     frame is leaked or double-released.
+//
+// The scenario runs once per UDP syscall engine.
 func TestDrainUnderLoad(t *testing.T) {
+	for _, engine := range udpEngines() {
+		t.Run(engine, func(t *testing.T) { runDrainUnderLoad(t, engine) })
+	}
+}
+
+func runDrainUnderLoad(t *testing.T, engine string) {
 	const (
 		srvEps  = 2
 		nreqs   = 48
@@ -52,14 +60,8 @@ func TestDrainUnderLoad(t *testing.T) {
 		ctx.EnqueueResponse()
 	}})
 
-	srvTrs, err := erpc.ListenUDP(1, "127.0.0.1", 0, srvEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cliTrs, err := erpc.ListenUDP(100, "127.0.0.1", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srvTrs := listenUDPEngine(t, engine, 1, srvEps)
+	cliTrs := listenUDPEngine(t, engine, 100, 1)
 	for _, s := range srvTrs {
 		if err := erpc.AddPeerAll(cliTrs, s.LocalAddr(), s.BoundAddr().String()); err != nil {
 			t.Fatal(err)
@@ -70,12 +72,6 @@ func TestDrainUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer func() {
-		for _, tr := range append(srvTrs, cliTrs...) {
-			tr.Close()
-		}
-	}()
-
 	srvCfgs := make([]erpc.Config, srvEps)
 	for i, tr := range srvTrs {
 		srvCfgs[i] = erpc.Config{Transport: tr, Clock: erpc.NewWallClock()}

@@ -165,8 +165,8 @@ func NewUDPTransport(addr Addr, bind string) (*transport.UDP, error) {
 
 // NewUDPTransportMmsg is NewUDPTransport with the segmentation-offload
 // engine skipped: batched sendmmsg/recvmmsg where compiled in, the
-// per-packet fallback elsewhere. It is the "before" of the GSO/GRO
-// comparison and the engine behind the cmds' -gso=false knob.
+// per-packet fallback elsewhere — the engine NewUDPTransport picks by
+// itself on kernels without UDP_SEGMENT/UDP_GRO.
 func NewUDPTransportMmsg(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDPMmsg(addr, bind)
 }
@@ -178,47 +178,30 @@ func NewUDPTransportPerPacket(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDPPerPacket(addr, bind)
 }
 
-// NewUDPTransportUring is NewUDPTransport on the io_uring engine:
-// bursts are published to a shared submission ring (linked SENDMSG
-// chains on TX, a re-armed registered-buffer READ chain on RX) and,
-// with the kernel's SQPOLL thread awake, cross the kernel with zero
-// syscalls. Opt-in — NewUDPTransport's auto selection deliberately
-// excludes it, since SQPOLL trades a polling kernel thread for the
-// syscalls. Where io_uring is not compiled in or the kernel refuses
-// it (see UDPUringSupported), this falls back to exactly
-// NewUDPTransport's auto selection.
+// NewUDPTransportUring is NewUDPTransport: the io_uring engine it used
+// to select is gone (EXPERIMENTS.md, "Retired loopback sweeps").
+//
+// Deprecated: call NewUDPTransport. Kept only because the benchmark's
+// per-engine rows name it; it goes when they do.
 func NewUDPTransportUring(addr Addr, bind string) (*transport.UDP, error) {
-	return transport.NewUDPUring(addr, bind)
+	return NewUDPTransport(addr, bind)
 }
 
 // UDPMmsgSupported reports whether the batched sendmmsg/recvmmsg UDP
-// engine is compiled into this binary (Linux amd64/arm64 without the
-// `nommsg` build tag).
+// engine is compiled into this binary (Linux amd64/arm64).
 const UDPMmsgSupported = transport.MmsgSupported
 
 // UDPGsoCompiled reports whether the segmentation-offload UDP engine
 // (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) is compiled
-// into this binary (Linux amd64/arm64 without the `nommsg`/`nogso`
-// build tags).
+// into this binary (Linux amd64/arm64).
 const UDPGsoCompiled = transport.GsoSupported
 
 // UDPGsoSupported reports whether the segmentation-offload engine
 // actually runs here: compiled in (UDPGsoCompiled) and accepted by the
 // kernel (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport
-// and the listen helpers select the gso engine by default; the Mmsg
-// variants opt out. It is the runtime mirror of UDPReusePortSupported.
+// and the listen helpers select the gso engine. It is the runtime
+// mirror of UDPReusePortSupported.
 func UDPGsoSupported() bool { return transport.UDPGsoSupported() }
-
-// UDPUringCompiled reports whether the io_uring UDP engine is compiled
-// into this binary (Linux amd64/arm64 without the `nommsg`/`nouring`
-// build tags).
-const UDPUringCompiled = transport.UringSupported
-
-// UDPUringSupported reports whether the io_uring engine actually runs
-// here: compiled in (UDPUringCompiled) and accepted by the running
-// kernel (ring-setup probe, cached). When false, the Uring
-// constructors quietly select NewUDPTransport's auto engine instead.
-func UDPUringSupported() bool { return transport.UDPUringSupported() }
 
 // NewPool returns a recycling packet-buffer pool for a custom
 // Transport's burst datapath (see transport.NewPool).
@@ -259,26 +242,23 @@ func StripeAddr(local Addr, remotes []Addr, k int) Addr {
 // ephemeral ports when basePort is 0). On error, already-bound sockets
 // are closed.
 func ListenUDP(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDP)
-}
-
-// ListenUDPPerPacket is ListenUDP with the portable per-packet syscall
-// engine forced on every socket (see NewUDPTransportPerPacket).
-func ListenUDPPerPacket(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDPPerPacket)
-}
-
-// ListenUDPMmsg is ListenUDP with the segmentation-offload engine
-// skipped on every socket (see NewUDPTransportMmsg).
-func ListenUDPMmsg(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDPMmsg)
-}
-
-// ListenUDPUring is ListenUDP with the io_uring engine selected on
-// every socket (see NewUDPTransportUring; falls back to the auto
-// engine where io_uring is unavailable).
-func ListenUDPUring(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	return listenUDP(node, host, basePort, n, transport.NewUDPUring)
+	var trs []*transport.UDP
+	for i := 0; i < n; i++ {
+		port := 0
+		if basePort != 0 {
+			port = basePort + i
+		}
+		u, err := transport.NewUDP(Addr{Node: node, Port: uint16(i)},
+			net.JoinHostPort(host, strconv.Itoa(port)))
+		if err != nil {
+			for _, t := range trs {
+				t.Close()
+			}
+			return nil, err
+		}
+		trs = append(trs, u)
+	}
+	return trs, nil
 }
 
 // ListenUDPShards binds n SO_REUSEPORT shard sockets, all on one UDP
@@ -297,48 +277,10 @@ func ListenUDPShards(node uint16, bind string, n int) ([]*transport.UDP, error) 
 	return transport.ListenUDPShards(node, bind, n)
 }
 
-// ListenUDPShardsMmsg is ListenUDPShards with the segmentation-offload
-// engine skipped on every shard socket (see NewUDPTransportMmsg).
-func ListenUDPShardsMmsg(node uint16, bind string, n int) ([]*transport.UDP, error) {
-	return transport.ListenUDPShardsMmsg(node, bind, n)
-}
-
-// ListenUDPShardsUring is ListenUDPShards with the io_uring engine
-// selected on every shard socket (see NewUDPTransportUring) — each
-// shard gets its own submission/completion rings and registered RX
-// slab, so the one-queue-pair-per-thread discipline extends to the
-// ring doorbells. Falls back per-socket to the auto engine where
-// io_uring is unavailable.
-func ListenUDPShardsUring(node uint16, bind string, n int) ([]*transport.UDP, error) {
-	return transport.ListenUDPShardsUring(node, bind, n)
-}
-
 // UDPReusePortSupported reports whether ListenUDPShards binds its
 // shards to one shared UDP address via SO_REUSEPORT on this platform
-// (Linux amd64/arm64 without the `nommsg` build tag), or falls back to
-// distinct per-shard ports.
+// (Linux amd64/arm64), or falls back to distinct per-shard ports.
 const UDPReusePortSupported = transport.ReusePortSupported
-
-func listenUDP(node uint16, host string, basePort, n int,
-	newUDP func(Addr, string) (*transport.UDP, error)) ([]*transport.UDP, error) {
-	var trs []*transport.UDP
-	for i := 0; i < n; i++ {
-		port := 0
-		if basePort != 0 {
-			port = basePort + i
-		}
-		u, err := newUDP(Addr{Node: node, Port: uint16(i)},
-			net.JoinHostPort(host, strconv.Itoa(port)))
-		if err != nil {
-			for _, t := range trs {
-				t.Close()
-			}
-			return nil, err
-		}
-		trs = append(trs, u)
-	}
-	return trs, nil
-}
 
 // UDPConfigs returns one endpoint Config per transport, with a wall
 // clock — the usual real-transport process setup.
@@ -358,15 +300,6 @@ func BurstConfigs(cfgs []Config, burst int) []Config {
 		for i := range cfgs {
 			cfgs[i].BurstSize = burst
 		}
-	}
-	return cfgs
-}
-
-// AdaptConfigs sets adaptive TX-flush-threshold tuning on every Config
-// (the -adaptburst knob of the cmds; see Config.AdaptiveBurst).
-func AdaptConfigs(cfgs []Config, adapt bool) []Config {
-	for i := range cfgs {
-		cfgs[i].AdaptiveBurst = adapt
 	}
 	return cfgs
 }
@@ -469,11 +402,11 @@ func UDPShardStats(trs []*transport.UDP) []string {
 	lines := make([]string, len(trs))
 	for i, tr := range trs {
 		ps := tr.RxPoolStats()
-		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d uring submits, %d ring drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
+		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d ring drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
 			tr.LocalAddr(), tr.BoundAddr(), tr.Engine(),
 			tr.Syscalls.Load(), tr.MmsgBatches.Load(),
 			tr.GsoSegments.Load(), tr.GroBatches.Load(),
-			tr.UringSubmits.Load(), tr.Drops.Load(),
+			tr.Drops.Load(),
 			ps.News, ps.FastPuts, ps.SharedPuts, ps.Refills)
 	}
 	return lines
@@ -494,31 +427,6 @@ func UDPGsoStats(trs []*transport.UDP) (gsoSegments, groBatches, groAliasedSegs 
 		groAliasedSegs += tr.GroAliasedSegs.Load()
 	}
 	return gsoSegments, groBatches, groAliasedSegs
-}
-
-// UDPUringStats sums the io_uring counters over a process's UDP
-// transports: io_uring_enter calls that submitted SQEs, SQEs submitted
-// as part of multi-SQE linked TX chains, CQ reaps that harvested more
-// than one completion, and enters forced only to wake a parked SQPOLL
-// thread. Zero-syscall operation shows up as these growing while the
-// transports' Syscalls counter does not. All are zero unless the uring
-// engine ran (see UDPUringSupported). The erpc-server/-client commands
-// report these at exit; close the transports first for exact counts.
-func UDPUringStats(trs []*transport.UDP) (submits, sqeLinked, cqeBatches, sqpollWakeups uint64) {
-	for _, tr := range trs {
-		submits += tr.UringSubmits.Load()
-		sqeLinked += tr.UringSqeLinked.Load()
-		cqeBatches += tr.UringCqeBatches.Load()
-		sqpollWakeups += tr.UringSqpollWakeups.Load()
-	}
-	return submits, sqeLinked, cqeBatches, sqpollWakeups
-}
-
-// NewFaultyTransport wraps t with send-side fault injection (drops,
-// duplicates, reordering) for adversity testing; see
-// transport.Faulty.
-func NewFaultyTransport(t Transport, seed int64, drop, dup, reorder float64) *transport.Faulty {
-	return transport.NewFaulty(t, seed, drop, dup, reorder)
 }
 
 // ChaosPhase is one timed segment of a scripted fault scenario; see

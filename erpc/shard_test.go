@@ -13,8 +13,16 @@ import (
 // socket, and echo RPCs on a session to every server endpoint. The
 // kernel may place any client flow on any shard; lazily-created
 // server-mode sessions make every shard a complete server, so all
-// RPCs must finish regardless of placement.
+// RPCs must finish regardless of placement. The shards run on the
+// engine the host selects; the client socket runs on each engine in
+// turn.
 func TestShardedServerEcho(t *testing.T) {
+	for _, engine := range udpEngines() {
+		t.Run(engine, func(t *testing.T) { runShardedServerEcho(t, engine) })
+	}
+}
+
+func runShardedServerEcho(t *testing.T, engine string) {
 	const (
 		shards  = 3
 		perSess = 25
@@ -34,11 +42,7 @@ func TestShardedServerEcho(t *testing.T) {
 	for _, tr := range srvTrs {
 		defer tr.Close()
 	}
-	cliTrs, err := erpc.ListenUDP(2, "127.0.0.1", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cliTrs[0].Close()
+	cliTrs := listenUDPEngine(t, engine, 2, 1)
 	if err := erpc.AddPeersFrom(cliTrs, srvTrs); err != nil {
 		t.Fatal(err)
 	}

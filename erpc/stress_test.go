@@ -2,44 +2,33 @@ package erpc_test
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/erpc"
-	"repro/internal/transport"
 )
 
 // TestUDPAdversity runs the multi-endpoint runtime over real UDP with
 // fault injection on both sides of the wire: 5% drops, 5% duplicates,
-// 5% reordering, in each direction, with Faulty wrapping the burst
-// datapath (the core calls SendBurst/RecvBurst, so every RX/TX burst
-// passes through the fault lottery). A slice of the requests are
-// multi-packet, so whole data bursts — not just single frames — cross
-// the faulty wire. It asserts the two properties the paper's protocol
+// 5% reordering, in each direction, with a constant-rate Chaos script
+// wrapping the burst datapath (the core calls SendBurst/RecvBurst, so
+// every RX/TX burst passes through the fault lottery). A slice of the
+// requests are multi-packet, so whole data bursts — not just single
+// frames — cross the faulty wire. It asserts the two properties the paper's protocol
 // guarantees over an arbitrarily bad datagram network (§5.3):
 // at-most-once handler execution (no request ever executes twice,
 // despite duplicates and retransmissions) and eventual completion of
 // every RPC.
 //
-// The whole scenario runs once per compiled-in UDP syscall engine, so
-// the batched sendmmsg/recvmmsg path faces the same fault lottery as
-// the portable per-packet fallback.
+// The whole scenario runs once per UDP syscall engine, so the batched
+// sendmmsg/recvmmsg path faces the same fault lottery as the portable
+// per-packet fallback.
 func TestUDPAdversity(t *testing.T) {
 	for _, engine := range udpEngines() {
-		t.Run(engine, func(t *testing.T) {
-			if engine == "uring" && transport.RaceEnabled {
-				// Same rationale as TestSmallRPCAllocFree: race
-				// instrumentation slows the spin loops ~10x, the SQPOLL
-				// kernel threads starve on small hosts, and the 300-RPC
-				// fault lottery blows its deadline at a crawl (~300x
-				// slower than the release build). The uring engine's
-				// race coverage lives in the transport suite.
-				t.Skip("io_uring SQPOLL timing pathological under the race detector; covered on non-race legs")
-			}
-			runUDPAdversity(t, engine)
-		})
+		t.Run(engine, func(t *testing.T) { runUDPAdversity(t, engine) })
 	}
 }
 
@@ -70,14 +59,8 @@ func runUDPAdversity(t *testing.T, engine string) {
 		ctx.EnqueueResponse()
 	}})
 
-	srvTrs, err := listenUDPEngine(engine, 1, "127.0.0.1", 0, srvEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cliTrs, err := listenUDPEngine(engine, 100, "127.0.0.1", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srvTrs := listenUDPEngine(t, engine, 1, srvEps)
+	cliTrs := listenUDPEngine(t, engine, 100, 1)
 	for _, s := range srvTrs {
 		if err := erpc.AddPeerAll(cliTrs, s.LocalAddr(), s.BoundAddr().String()); err != nil {
 			t.Fatal(err)
@@ -89,15 +72,18 @@ func runUDPAdversity(t *testing.T, engine string) {
 		}
 	}
 
-	// Wrap every socket in the fault injector; both directions of the
-	// session see drops, dups and reordering.
+	// Wrap every socket in the fault injector — one unbounded phase, so
+	// the rates hold for the whole run whatever the clock says; both
+	// directions of the session see drops, dups and reordering.
+	faults := []erpc.ChaosPhase{{Dur: math.MaxInt64, Drop: 0.05, Dup: 0.05, Reorder: 0.05}}
+	noClock := func() int64 { return 0 }
 	srvCfgs := make([]erpc.Config, srvEps)
 	for i, tr := range srvTrs {
-		f := erpc.NewFaultyTransport(tr, int64(10+i), 0.05, 0.05, 0.05)
+		f := erpc.NewChaosTransport(tr, int64(10+i), noClock, faults)
 		srvCfgs[i] = erpc.Config{Transport: f, Clock: erpc.NewWallClock()}
 		defer f.Close()
 	}
-	cliFault := erpc.NewFaultyTransport(cliTrs[0], 99, 0.05, 0.05, 0.05)
+	cliFault := erpc.NewChaosTransport(cliTrs[0], 99, noClock, faults)
 	defer cliFault.Close()
 	cliCfgs := []erpc.Config{{Transport: cliFault, Clock: erpc.NewWallClock()}}
 
@@ -159,7 +145,7 @@ func runUDPAdversity(t *testing.T, engine string) {
 	}
 
 	// The run must have actually exercised the fault paths — and the
-	// burst datapath: the core's TX batches go through Faulty.SendBurst
+	// burst datapath: the core's TX batches go through Chaos.SendBurst
 	// and must have carried multi-frame bursts (multi-packet requests
 	// send several data packets per event-loop iteration).
 	if cliFault.Drops.Load() == 0 || cliFault.Dups.Load() == 0 || cliFault.Reorders.Load() == 0 {
@@ -171,7 +157,7 @@ func runUDPAdversity(t *testing.T, engine string) {
 	}
 	cs := client.Stats()
 	if cs.TxBursts == 0 || cliFault.Bursts.Load() == 0 {
-		t.Fatalf("burst path idle: client TxBursts=%d, faulty SendBursts=%d", cs.TxBursts, cliFault.Bursts.Load())
+		t.Fatalf("burst path idle: client TxBursts=%d, chaos SendBursts=%d", cs.TxBursts, cliFault.Bursts.Load())
 	}
 	if cs.PktsTx <= cs.TxBursts {
 		t.Fatalf("no multi-frame bursts: %d packets in %d bursts", cs.PktsTx, cs.TxBursts)

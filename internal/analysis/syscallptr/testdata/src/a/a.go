@@ -42,7 +42,7 @@ type sqe struct {
 }
 
 func storedInSqeWord(s *sqe) {
-	// The io_uring idiom: an address parked in a submission-queue
+	// The descriptor-ring idiom: an address parked in a submission-queue
 	// entry outlives the statement (the kernel reads it later), so the
 	// store is flagged unless the pointee's lifetime is argued with an
 	// //erpc:ignore (see the clean package).

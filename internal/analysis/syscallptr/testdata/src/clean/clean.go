@@ -32,9 +32,9 @@ type sqe struct {
 }
 
 func sqeWordIgnored(s *sqe) {
-	// The accepted shape of the io_uring idiom: the store into the SQE
-	// word is centralized and the pointee's lifetime argued in one
-	// reasoned ignore (transport's sqeSetAddr).
+	// The accepted shape of the descriptor-ring idiom: the store into
+	// the queue-entry word is centralized and the pointee's lifetime
+	// argued in one reasoned ignore.
 	//erpc:ignore the pointee is engine-owned preallocated memory that outlives the submission, and Go's GC does not move heap objects
 	s.addr = uint64(uintptr(unsafe.Pointer(&buf[0])))
 }

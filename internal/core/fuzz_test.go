@@ -37,20 +37,11 @@ func (q *queueTransport) inject(frame []byte, from transport.Addr) {
 	q.rq = append(q.rq, transport.PooledFrame(append(q.pool.Get(), frame...), from, q.pool))
 }
 
-func (q *queueTransport) MTU() int                              { return 1472 }
-func (q *queueTransport) LocalAddr() transport.Addr             { return transport.Addr{Node: 1} }
-func (q *queueTransport) Send(dst transport.Addr, frame []byte) { q.sent++ }
-func (q *queueTransport) SendBurst(frames []transport.Frame)    { q.sent += len(frames) }
-func (q *queueTransport) SetWake(func())                        {}
-func (q *queueTransport) Close() error                          { return nil }
-func (q *queueTransport) Recv() ([]byte, transport.Addr, bool) {
-	if len(q.rq) == 0 {
-		return nil, transport.Addr{}, false
-	}
-	f := q.rq[0]
-	q.rq = q.rq[1:]
-	return f.Data, f.Addr, true
-}
+func (q *queueTransport) MTU() int                           { return 1472 }
+func (q *queueTransport) LocalAddr() transport.Addr          { return transport.Addr{Node: 1} }
+func (q *queueTransport) SendBurst(frames []transport.Frame) { q.sent += len(frames) }
+func (q *queueTransport) SetWake(func())                     {}
+func (q *queueTransport) Close() error                       { return nil }
 func (q *queueTransport) RecvBurst(frames []transport.Frame) int {
 	n := copy(frames, q.rq)
 	q.rq = q.rq[:copy(q.rq, q.rq[n:])]

@@ -442,9 +442,8 @@ func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header) {
 // a msgbuf the application regains ownership of before the flush, or
 // the shared scratch assembly buffer — can be reused immediately. The
 // batch is flushed with one SendBurst per event-loop iteration
-// (§4.2.2's single DMA-queue flush), or earlier if it reaches the
-// flush threshold (BurstSize, or the AIMD-tuned value under
-// Config.AdaptiveBurst).
+// (§4.2.2's single DMA-queue flush), or earlier if it reaches
+// BurstSize.
 //
 //erpc:owner
 func (r *Rpc) rawSend(dst transport.Addr, frame []byte) {
@@ -488,7 +487,7 @@ func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool) {
 		// fetch) — recorded now, applied at flush.
 		r.txDep = append(r.txDep, r.cursor+r.cfg.TxPipeline)
 	}
-	if len(r.txBatch) >= r.txThresh {
+	if len(r.txBatch) >= r.burst {
 		r.flushTX()
 	}
 }
@@ -537,8 +536,7 @@ func (r *Rpc) flushTX() {
 		} else {
 			t = &simTx{}
 		}
-		t.dst = r.txBatch[i].Addr
-		t.buf = r.txBatch[i].Data
+		t.f[0] = r.txBatch[i]
 		r.sched.AtCall(r.txDep[i], r.simTxFn, t)
 		r.txBatch[i] = transport.Frame{}
 	}

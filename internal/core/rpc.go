@@ -123,14 +123,6 @@ type Config struct {
 	// up to 16 packets, one DMA-queue flush per batch). 0 means
 	// DefaultBurstSize.
 	BurstSize int
-	// AdaptiveBurst lets the endpoint tune its mid-iteration TX flush
-	// threshold from observed RX burst fill (AIMD): full RX bursts grow
-	// the threshold one frame at a time toward BurstSize (deeper TX
-	// batching under load), near-empty RX bursts halve it toward 1
-	// (immediate flushes, minimal added latency, when idle). The
-	// per-iteration final flush is unaffected. Counted by
-	// Stats.BurstAdapts; the cmds expose it as -adaptburst.
-	AdaptiveBurst bool
 	// LinkRateGbps is the host link rate, used by Timely; 0 means 25.
 	LinkRateGbps float64
 	// TxPipeline is a per-packet send latency that does not occupy
@@ -236,7 +228,6 @@ type Stats struct {
 	DeferredFrees uint64 // server response msgbufs whose free was deferred to the
 	// next TX flush because a zero-copy alias was still queued (slot
 	// reuse or teardown racing the unflushed batch, Appendix C)
-	BurstAdapts    uint64 // adaptive TX-flush-threshold changes (AIMD)
 	HandlersRun    uint64
 	WorkerHandlers uint64
 	PeerFailures   uint64
@@ -301,7 +292,6 @@ type Rpc struct {
 	// Burst datapath state (paper §4.2: RX/TX bursts of up to 16
 	// packets, one DMA-queue flush per batch).
 	burst    int               // configured burst size
-	txThresh int               // mid-iteration TX flush threshold (== burst unless adaptive)
 	rxFrames []transport.Frame // RecvBurst scratch, len == burst
 	rxFull   bool              // last RX burst was full: more may be queued
 	txBatch  []transport.Frame // per-iteration TX batch: pooled copies + msgbuf aliases
@@ -354,7 +344,6 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		lastHeard:   map[uint16]sim.Time{},
 		scratch:     make([]byte, cfg.Transport.MTU()),
 		burst:       cfg.BurstSize,
-		txThresh:    cfg.BurstSize,
 		rxFrames:    make([]transport.Frame, cfg.BurstSize),
 		txBatch:     make([]transport.Frame, 0, cfg.BurstSize),
 		txOwned:     make([]bool, 0, cfg.BurstSize),
@@ -366,9 +355,9 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		//erpc:owner — runs synchronously on the dispatch goroutine via the scheduler
 		r.simTxFn = func(a any) {
 			t := a.(*simTx)
-			r.tr.Send(t.dst, t.buf)
-			r.txPool.Put(t.buf)
-			t.buf = nil
+			r.tr.SendBurst(t.f[:])
+			r.txPool.Put(t.f[0].Data)
+			t.f[0] = transport.Frame{}
 			r.simTxFree = append(r.simTxFree, t)
 		}
 	}
@@ -380,8 +369,7 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 // leaves at its recorded departure time (CPU cursor at TX plus the
 // non-CPU send pipeline) regardless of when the batch is flushed.
 type simTx struct {
-	dst transport.Addr
-	buf []byte
+	f [1]transport.Frame // a burst of one
 }
 
 // Alloc returns a message buffer sized for size data bytes, drawn from
@@ -819,33 +807,11 @@ func (r *Rpc) runOnce() {
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
-	if r.cfg.AdaptiveBurst {
-		r.adaptBurst(n)
-	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]
 		r.processPkt(f.Data, f.Addr)
 	}
 	transport.ReleaseBurst(r.rxFrames[:n])
-}
-
-// adaptBurst is the AIMD controller for the mid-iteration TX flush
-// threshold (first cut of the ROADMAP "adaptive burst sizing" item,
-// mirroring how the paper's NIC drivers grow TX batches under load):
-// a full RX burst means the endpoint is ingress-bound, so the
-// threshold grows additively toward BurstSize and TX frames batch more
-// deeply per syscall; a near-empty burst means load is light, so the
-// threshold halves toward 1 and packets leave as soon as they are
-// produced instead of waiting for batch-mates that may never come.
-func (r *Rpc) adaptBurst(rxN int) {
-	switch {
-	case rxN == r.burst && r.txThresh < r.burst:
-		r.txThresh++
-		r.Stats.BurstAdapts++
-	case rxN <= r.burst/4 && r.txThresh > 1:
-		r.txThresh /= 2
-		r.Stats.BurstAdapts++
-	}
 }
 
 // drainWorkers completes handler executions returned by worker

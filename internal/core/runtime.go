@@ -202,7 +202,6 @@ func (a *Stats) add(b *Stats) {
 	a.RespDropWheel += b.RespDropWheel
 	a.ZeroCopyTx += b.ZeroCopyTx
 	a.DeferredFrees += b.DeferredFrees
-	a.BurstAdapts += b.BurstAdapts
 	a.HandlersRun += b.HandlersRun
 	a.WorkerHandlers += b.WorkerHandlers
 	a.PeerFailures += b.PeerFailures

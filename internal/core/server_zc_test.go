@@ -21,9 +21,6 @@ type snapTransport struct {
 
 func (c *snapTransport) MTU() int                  { return 1472 }
 func (c *snapTransport) LocalAddr() transport.Addr { return transport.Addr{Node: 1} }
-func (c *snapTransport) Send(dst transport.Addr, frame []byte) {
-	c.SendBurst([]transport.Frame{{Data: frame, Addr: dst}})
-}
 func (c *snapTransport) SendBurst(frames []transport.Frame) {
 	burst := make([][]byte, len(frames))
 	for i := range frames {
@@ -32,7 +29,6 @@ func (c *snapTransport) SendBurst(frames []transport.Frame) {
 	c.bursts = append(c.bursts, burst)
 }
 func (c *snapTransport) RecvBurst(frames []transport.Frame) int { return 0 }
-func (c *snapTransport) Recv() ([]byte, transport.Addr, bool)   { return nil, transport.Addr{}, false }
 func (c *snapTransport) SetWake(func())                         {}
 func (c *snapTransport) Close() error                           { return nil }
 

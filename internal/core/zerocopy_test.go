@@ -17,16 +17,12 @@ type captureTransport struct {
 
 func (c *captureTransport) MTU() int                  { return 1472 }
 func (c *captureTransport) LocalAddr() transport.Addr { return transport.Addr{Node: 1} }
-func (c *captureTransport) Send(dst transport.Addr, frame []byte) {
-	c.SendBurst([]transport.Frame{{Data: frame, Addr: dst}})
-}
 func (c *captureTransport) SendBurst(frames []transport.Frame) {
 	burst := make([]transport.Frame, len(frames))
 	copy(burst, frames)
 	c.bursts = append(c.bursts, burst)
 }
 func (c *captureTransport) RecvBurst(frames []transport.Frame) int { return 0 }
-func (c *captureTransport) Recv() ([]byte, transport.Addr, bool)   { return nil, transport.Addr{}, false }
 func (c *captureTransport) SetWake(func())                         {}
 func (c *captureTransport) Close() error                           { return nil }
 
@@ -112,51 +108,12 @@ func TestZeroCopyTxTeardownReleasesRefs(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBurstAIMD pins the adaptive flush-threshold controller:
-// full RX bursts grow the threshold additively toward BurstSize,
-// near-empty bursts halve it toward 1, and every change is counted.
-func TestAdaptiveBurstAIMD(t *testing.T) {
+// TestTXFlushesAtBurstSize checks the mid-iteration flush: the TX
+// batch goes out as one SendBurst the moment it holds BurstSize frames,
+// and a shorter remainder waits for the end-of-iteration flush.
+func TestTXFlushesAtBurstSize(t *testing.T) {
 	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{BurstSize: 16, AdaptiveBurst: true})
-	if r.txThresh != 16 {
-		t.Fatalf("initial threshold = %d, want 16", r.txThresh)
-	}
-	// Idle RX bursts: multiplicative decrease 16 -> 8 -> 4 -> 2 -> 1.
-	for i, want := range []int{8, 4, 2, 1, 1} {
-		r.adaptBurst(0)
-		if r.txThresh != want {
-			t.Fatalf("after %d empty bursts threshold = %d, want %d", i+1, r.txThresh, want)
-		}
-	}
-	if r.Stats.BurstAdapts != 4 {
-		t.Fatalf("BurstAdapts = %d, want 4 (no change at the floor)", r.Stats.BurstAdapts)
-	}
-	// Full RX bursts: additive increase back toward the burst size.
-	for i := 0; i < 20; i++ {
-		r.adaptBurst(16)
-	}
-	if r.txThresh != 16 {
-		t.Fatalf("after sustained full bursts threshold = %d, want 16", r.txThresh)
-	}
-	if r.Stats.BurstAdapts != 4+15 {
-		t.Fatalf("BurstAdapts = %d, want 19 (capped at BurstSize)", r.Stats.BurstAdapts)
-	}
-	// Mid fill (> burst/4, < burst): threshold holds.
-	r.adaptBurst(8)
-	if r.txThresh != 16 || r.Stats.BurstAdapts != 19 {
-		t.Fatalf("mid-fill burst moved the threshold: %d (%d adapts)", r.txThresh, r.Stats.BurstAdapts)
-	}
-}
-
-// TestAdaptiveBurstFlushesEarly checks the threshold is live: at
-// threshold 1 every queued packet is its own SendBurst, instead of
-// waiting for the end-of-iteration flush.
-func TestAdaptiveBurstFlushesEarly(t *testing.T) {
-	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{BurstSize: 16, AdaptiveBurst: true})
-	for i := 0; i < 4; i++ {
-		r.adaptBurst(0) // drive the threshold to 1
-	}
+	r := newZCRpc(t, ct, Config{BurstSize: 2})
 	s, err := r.CreateSession(transport.Addr{Node: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +122,12 @@ func TestAdaptiveBurstFlushesEarly(t *testing.T) {
 		req, resp := r.Alloc(8), r.Alloc(8)
 		r.EnqueueRequest(s, echoType, req, resp, func(error) {})
 	}
-	if got := len(ct.bursts); got != 3 {
-		t.Fatalf("threshold 1 produced %d SendBursts for 3 packets, want 3", got)
+	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 2 {
+		t.Fatalf("3 packets at BurstSize 2: %d SendBursts before the iteration ended, want one of 2 frames", len(ct.bursts))
 	}
-	for _, b := range ct.bursts {
-		if len(b) != 1 {
-			t.Fatalf("burst of %d frames at threshold 1, want 1", len(b))
-		}
+	r.flushTX()
+	if len(ct.bursts) != 2 || len(ct.bursts[1]) != 1 {
+		t.Fatalf("end-of-iteration flush: %d SendBursts, want a second one of 1 frame", len(ct.bursts))
 	}
 }
 

@@ -66,10 +66,6 @@ type Options struct {
 	// per event-loop iteration / DMA-queue flush); 0 means the core
 	// default (16, the paper's §4.2 batch size).
 	Burst int
-	// AdaptBurst turns on AIMD TX-flush-threshold tuning on the
-	// real-transport loopback sweeps (core.Config.AdaptiveBurst; the
-	// -adaptburst knob of erpc-bench).
-	AdaptBurst bool
 }
 
 func (o Options) norm() Options {

@@ -6,10 +6,8 @@ import (
 )
 
 // WriteJSONReport marshals v as indented JSON and writes it to path
-// with a trailing newline — the one place the benchmark artifacts
-// (BENCH_datapath.json, BENCH_udpsyscall.json, BENCH_reuseport.json,
-// BENCH_gso.json) are serialized, so every erpc-bench sweep records
-// its file the same way.
+// with a trailing newline — the one place erpc-bench's artifacts
+// (BENCH_datapath.json, BENCH_chaos.json) are serialized.
 func WriteJSONReport(path string, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -34,7 +34,7 @@ type Costs struct {
 func DefaultCosts() Costs { return Costs{PerRPC: 146, PerBatch: 153} }
 
 // Handler processes a request payload and returns the response
-// payload.
+// payload. req aliases the RX frame and is valid only during the call.
 type Handler func(req []byte) []byte
 
 const hdrSize = 12 // reqID(8) + flags(1) + srcPort... packed below
@@ -99,18 +99,17 @@ func (r *Rpc) run() {
 		return
 	}
 	r.cursor = now
-	for {
-		frame, from, ok := r.tr.Recv()
-		if !ok {
-			break
-		}
-		r.process(frame, from)
+	var rx [1]transport.Frame
+	for r.tr.RecvBurst(rx[:]) == 1 {
+		r.process(rx[0].Data, rx[0].Addr)
+		rx[0].Release()
 	}
 	r.busyUntil = r.cursor
 }
 
 // SendBatch issues a batch of requests in one doorbell: the per-batch
-// cost is charged once (FaSST's key amortization).
+// cost is charged once (FaSST's key amortization). The response slice
+// passed to cont aliases the RX frame and is valid only during the call.
 func (r *Rpc) SendBatch(dsts []transport.Addr, payload []byte, cont func([]byte)) {
 	if r.busyUntil > r.cursor {
 		r.cursor = r.busyUntil
@@ -137,7 +136,7 @@ func (r *Rpc) send(dst transport.Addr, id uint64, flags byte, payload []byte) {
 	binary.LittleEndian.PutUint64(buf, id)
 	buf[8] = flags
 	copy(buf[hdrSize:], payload)
-	r.sched.At(r.cursor, func() { r.tr.Send(dst, buf) })
+	r.sched.At(r.cursor, func() { r.tr.SendBurst([]transport.Frame{{Data: buf, Addr: dst}}) })
 }
 
 func (r *Rpc) process(frame []byte, from transport.Addr) {

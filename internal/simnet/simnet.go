@@ -431,14 +431,6 @@ func (e *Endpoint) MTU() int { return e.fab.cfg.Profile.MTU }
 // LocalAddr implements transport.Transport.
 func (e *Endpoint) LocalAddr() transport.Addr { return e.addr }
 
-// Send implements transport.Transport.
-func (e *Endpoint) Send(dst transport.Addr, frame []byte) {
-	if e.closed {
-		return
-	}
-	e.fab.send(e, dst, frame)
-}
-
 // SendBurst implements transport.Transport. The NIC egress link
 // (nic.txFree) serializes the burst's departure times back to back —
 // the simulated analogue of a DMA queue accepting a batch with one
@@ -467,27 +459,6 @@ func (e *Endpoint) RecvBurst(frames []transport.Frame) int {
 		e.rqHead = 0
 	}
 	return n
-}
-
-// Recv implements transport.Transport. The returned buffer is not
-// recycled (it stays valid until the GC collects it); hot paths use
-// RecvBurst + Release.
-func (e *Endpoint) Recv() ([]byte, transport.Addr, bool) {
-	if e.rqHead >= len(e.rq) {
-		if len(e.rq) > 0 {
-			e.rq = e.rq[:0]
-			e.rqHead = 0
-		}
-		return nil, transport.Addr{}, false
-	}
-	p := e.rq[e.rqHead]
-	e.rq[e.rqHead] = transport.Frame{}
-	e.rqHead++
-	if e.rqHead == len(e.rq) {
-		e.rq = e.rq[:0]
-		e.rqHead = 0
-	}
-	return p.Data, p.Addr, true
 }
 
 // Pending reports queued RX packets.

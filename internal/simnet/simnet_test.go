@@ -17,6 +17,20 @@ func newFabric(t *testing.T, cfg Config) (*sim.Scheduler, *Fabric) {
 	return s, f
 }
 
+// send1 and recv1 move single frames as bursts of one. recv1 does not
+// release the frame, so the payload stays valid for the test.
+func send1(e *Endpoint, dst transport.Addr, frame []byte) {
+	e.SendBurst([]transport.Frame{{Data: frame, Addr: dst}})
+}
+
+func recv1(e *Endpoint) ([]byte, transport.Addr, bool) {
+	var f [1]transport.Frame
+	if e.RecvBurst(f[:]) == 0 {
+		return nil, transport.Addr{}, false
+	}
+	return f[0].Data, f[0].Addr, true
+}
+
 func cx4Single(n int) Config {
 	return Config{Profile: CX4(), Topology: SingleSwitch(n)}
 }
@@ -28,7 +42,7 @@ func TestDeliverySameToR(t *testing.T) {
 	var gotAt sim.Time
 	var gotFrom transport.Addr
 	b.SetWake(func() {
-		buf, from, ok := b.Recv()
+		buf, from, ok := recv1(b)
 		if !ok {
 			t.Fatal("wake without packet")
 		}
@@ -38,7 +52,7 @@ func TestDeliverySameToR(t *testing.T) {
 			t.Fatalf("payload %q", buf)
 		}
 	})
-	a.Send(b.LocalAddr(), []byte("ping"))
+	send1(a, b.LocalAddr(), []byte("ping"))
 	s.Run()
 	if gotAt == 0 {
 		t.Fatal("packet not delivered")
@@ -60,10 +74,10 @@ func TestDeliveryCrossToR(t *testing.T) {
 	b := f.AttachEndpoint(3) // ToR 1
 	var sameToRAt, crossToRAt sim.Time
 	c := f.AttachEndpoint(1) // same ToR as a
-	c.SetWake(func() { c.Recv(); sameToRAt = s.Now() })
-	b.SetWake(func() { b.Recv(); crossToRAt = s.Now() })
-	a.Send(c.LocalAddr(), []byte("near"))
-	a.Send(b.LocalAddr(), []byte("far"))
+	c.SetWake(func() { recv1(c); sameToRAt = s.Now() })
+	b.SetWake(func() { recv1(b); crossToRAt = s.Now() })
+	send1(a, c.LocalAddr(), []byte("near"))
+	send1(a, b.LocalAddr(), []byte("far"))
 	s.Run()
 	if sameToRAt == 0 || crossToRAt == 0 {
 		t.Fatal("a delivery is missing")
@@ -78,8 +92,8 @@ func TestLoopbackSameNode(t *testing.T) {
 	a := f.AttachEndpoint(0)
 	b := f.AttachEndpoint(0) // second endpoint, same node
 	got := false
-	b.SetWake(func() { b.Recv(); got = true })
-	a.Send(b.LocalAddr(), []byte("self"))
+	b.SetWake(func() { recv1(b); got = true })
+	send1(a, b.LocalAddr(), []byte("self"))
 	s.Run()
 	if !got {
 		t.Fatal("loopback delivery failed")
@@ -95,19 +109,19 @@ func TestSerializationOrdersBackToBack(t *testing.T) {
 	var arrivals []sim.Time
 	b.SetWake(func() {
 		for {
-			if _, _, ok := b.Recv(); !ok {
+			if _, _, ok := recv1(b); !ok {
 				break
 			}
 			arrivals = append(arrivals, s.Now())
 		}
 	})
 	frame := make([]byte, 1024)
-	a.Send(b.LocalAddr(), frame)
-	a.Send(b.LocalAddr(), frame)
+	send1(a, b.LocalAddr(), frame)
+	send1(a, b.LocalAddr(), frame)
 	s.Run()
 	// Wake fires only on empty→nonempty; drain remaining manually.
 	for {
-		if _, _, ok := b.Recv(); !ok {
+		if _, _, ok := recv1(b); !ok {
 			break
 		}
 		arrivals = append(arrivals, s.Now())
@@ -126,11 +140,11 @@ func TestInOrderDeliveryWithinFlow(t *testing.T) {
 	a := f.AttachEndpoint(0)
 	b := f.AttachEndpoint(1)
 	for i := 0; i < 50; i++ {
-		a.Send(b.LocalAddr(), []byte{byte(i)})
+		send1(a, b.LocalAddr(), []byte{byte(i)})
 	}
 	s.Run()
 	for i := 0; i < 50; i++ {
-		buf, _, ok := b.Recv()
+		buf, _, ok := recv1(b)
 		if !ok {
 			t.Fatalf("missing packet %d", i)
 		}
@@ -148,12 +162,12 @@ func TestLossInjection(t *testing.T) {
 	b := f.AttachEndpoint(1)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a.Send(b.LocalAddr(), []byte{1})
+		send1(a, b.LocalAddr(), []byte{1})
 	}
 	s.Run()
 	got := 0
 	for {
-		if _, _, ok := b.Recv(); !ok {
+		if _, _, ok := recv1(b); !ok {
 			break
 		}
 		got++
@@ -173,7 +187,7 @@ func TestRQOverflowDrops(t *testing.T) {
 	a := f.AttachEndpoint(0)
 	b := f.AttachEndpoint(1)
 	for i := 0; i < 10; i++ {
-		a.Send(b.LocalAddr(), []byte{1})
+		send1(a, b.LocalAddr(), []byte{1})
 	}
 	s.Run()
 	if b.Pending() != 4 {
@@ -195,8 +209,8 @@ func TestSwitchBufferOverflowDropsLossy(t *testing.T) {
 	dst := f.AttachEndpoint(2)
 	frame := make([]byte, 1024)
 	for i := 0; i < 100; i++ {
-		a.Send(dst.LocalAddr(), frame)
-		c.Send(dst.LocalAddr(), frame)
+		send1(a, dst.LocalAddr(), frame)
+		send1(c, dst.LocalAddr(), frame)
 	}
 	s.Run()
 	if f.Stats.DroppedBuffer == 0 {
@@ -216,8 +230,8 @@ func TestLosslessProfileNeverDropsAtSwitch(t *testing.T) {
 	dst := f.AttachEndpoint(2)
 	frame := make([]byte, 4096)
 	for i := 0; i < 200; i++ {
-		a.Send(dst.LocalAddr(), frame)
-		c.Send(dst.LocalAddr(), frame)
+		send1(a, dst.LocalAddr(), frame)
+		send1(c, dst.LocalAddr(), frame)
 	}
 	s.Run()
 	if f.Stats.DroppedBuffer != 0 {
@@ -232,7 +246,7 @@ func TestOversizeFrameDropped(t *testing.T) {
 	s, f := newFabric(t, cx4Single(2))
 	a := f.AttachEndpoint(0)
 	b := f.AttachEndpoint(1)
-	a.Send(b.LocalAddr(), make([]byte, f.Profile().MTU+1))
+	send1(a, b.LocalAddr(), make([]byte, f.Profile().MTU+1))
 	s.Run()
 	if b.Pending() != 0 {
 		t.Fatal("oversize frame delivered")
@@ -248,7 +262,7 @@ func TestIncastQueueing(t *testing.T) {
 	count := 0
 	drain := func() {
 		for {
-			if _, _, ok := dst.Recv(); !ok {
+			if _, _, ok := recv1(dst); !ok {
 				break
 			}
 			if first == 0 {
@@ -263,7 +277,7 @@ func TestIncastQueueing(t *testing.T) {
 	for n := 0; n < 10; n++ {
 		ep := f.AttachEndpoint(n)
 		for i := 0; i < 20; i++ {
-			ep.Send(dst.LocalAddr(), frame)
+			send1(ep, dst.LocalAddr(), frame)
 		}
 	}
 	// Keep draining as packets arrive.
@@ -287,12 +301,12 @@ func TestBandwidthMatchesLineRate(t *testing.T) {
 	const pkts = 1000
 	frame := make([]byte, 1024)
 	for i := 0; i < pkts; i++ {
-		a.Send(b.LocalAddr(), frame)
+		send1(a, b.LocalAddr(), frame)
 	}
 	var last sim.Time
 	for s.Step() {
 		for {
-			if _, _, ok := b.Recv(); !ok {
+			if _, _, ok := recv1(b); !ok {
 				break
 			}
 			last = s.Now()
@@ -356,9 +370,9 @@ func TestCloseDiscardsTraffic(t *testing.T) {
 	a := f.AttachEndpoint(0)
 	b := f.AttachEndpoint(1)
 	b.Close()
-	a.Send(b.LocalAddr(), []byte("x"))
+	send1(a, b.LocalAddr(), []byte("x"))
 	s.Run()
-	if _, _, ok := b.Recv(); ok {
+	if _, _, ok := recv1(b); ok {
 		t.Fatal("closed endpoint received a frame")
 	}
 }
@@ -374,14 +388,14 @@ func TestJitterPreservesIntraFlowOrder(t *testing.T) {
 	// despite per-packet jitter (ECMP preserves intra-flow ordering,
 	// paper §5.3).
 	for i := 0; i < 100; i++ {
-		a.Send(dst.LocalAddr(), []byte{0, byte(i)})
-		c.Send(dst.LocalAddr(), []byte{1, byte(i)})
+		send1(a, dst.LocalAddr(), []byte{0, byte(i)})
+		send1(c, dst.LocalAddr(), []byte{1, byte(i)})
 	}
 	s.Run()
 	last := map[byte]int{0: -1, 1: -1}
 	n := 0
 	for {
-		buf, _, ok := dst.Recv()
+		buf, _, ok := recv1(dst)
 		if !ok {
 			break
 		}
@@ -409,11 +423,11 @@ func TestJitterSpreadsArrivals(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			av := a
 			_ = av
-			s.At(sim.Time(i)*50*sim.Microsecond, func() { a.Send(b.LocalAddr(), []byte{1}) })
+			s.At(sim.Time(i)*50*sim.Microsecond, func() { send1(a, b.LocalAddr(), []byte{1}) })
 		}
 		for s.Step() {
 			for {
-				if _, _, ok := b.Recv(); !ok {
+				if _, _, ok := recv1(b); !ok {
 					break
 				}
 				at = append(at, s.Now())

@@ -54,14 +54,6 @@ type Frame struct {
 	// these frames). Release drops one reference; the last segment
 	// released recycles the whole SegBuf.
 	seg *SegBuf
-	// ub, when non-nil, marks an RX frame whose Data aliases a
-	// kernel-registered io_uring RX buffer slot (pool is nil for these
-	// frames). Release returns the slot to the engine, which re-posts
-	// a read for it — the closest analogue in this codebase to
-	// re-posting a real NIC descriptor, since the kernel writes the
-	// slot by registered-buffer DMA-style access, not via a copy into
-	// a pooled buffer.
-	ub *uringBuf
 }
 
 // PooledFrame binds a buffer to the pool it returns to on Release.
@@ -90,10 +82,6 @@ func (f *Frame) Release() {
 	if f.seg != nil {
 		f.seg.release()
 		f.seg = nil
-	}
-	if f.ub != nil {
-		f.ub.release()
-		f.ub = nil
 	}
 	if f.pool != nil {
 		buf := f.base

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -272,67 +271,5 @@ func TestUDPRingOverflowDrops(t *testing.T) {
 	u.enqueue(b, b, Addr{0, 0})
 	if u.rxPool.News() != news {
 		t.Fatalf("overflow leaked buffers: pool News %d -> %d", news, u.rxPool.News())
-	}
-}
-
-// TestFaultyBurst pushes bursts through the fault injector at high
-// fault rates and checks frame conservation: delivered = sent - drops
-// + dups - still-held, with reordered (held) frames eventually
-// released by later traffic.
-func TestFaultyBurst(t *testing.T) {
-	sink := &countTransport{}
-	f := NewFaulty(sink, 7, 0.2, 0.2, 0.2)
-	payload := []byte("abcdefgh")
-	const bursts = 200
-	const perBurst = 8
-	for i := 0; i < bursts; i++ {
-		var fr []Frame
-		for j := 0; j < perBurst; j++ {
-			fr = append(fr, Frame{Data: payload, Addr: Addr{1, 0}})
-		}
-		f.SendBurst(fr)
-	}
-	if f.Bursts.Load() != bursts {
-		t.Fatalf("Bursts = %d, want %d", f.Bursts.Load(), bursts)
-	}
-	if f.Drops.Load() == 0 || f.Dups.Load() == 0 || f.Reorders.Load() == 0 {
-		t.Fatalf("fault injector idle: drops=%d dups=%d reorders=%d", f.Drops.Load(), f.Dups.Load(), f.Reorders.Load())
-	}
-	sent := uint64(bursts * perBurst)
-	f.mu.Lock()
-	held := uint64(len(f.held))
-	f.mu.Unlock()
-	want := sent - f.Drops.Load() + f.Dups.Load() - held
-	if sink.frames != want {
-		t.Fatalf("downstream saw %d frames, want %d (sent %d, drops %d, dups %d, held %d)",
-			sink.frames, want, sent, f.Drops.Load(), f.Dups.Load(), held)
-	}
-	for _, d := range sink.payloads {
-		if !bytes.Equal(d, payload) {
-			t.Fatalf("corrupted frame %q", d)
-		}
-	}
-}
-
-// countTransport is a sink that records frames passed to SendBurst.
-type countTransport struct {
-	frames   uint64
-	payloads [][]byte
-}
-
-func (c *countTransport) MTU() int                     { return 1472 }
-func (c *countTransport) LocalAddr() Addr              { return Addr{0, 0} }
-func (c *countTransport) Send(dst Addr, frame []byte)  { c.frames++; c.record(frame) }
-func (c *countTransport) Recv() ([]byte, Addr, bool)   { return nil, Addr{}, false }
-func (c *countTransport) RecvBurst(frames []Frame) int { return 0 }
-func (c *countTransport) SetWake(fn func())            {}
-func (c *countTransport) Close() error                 { return nil }
-func (c *countTransport) record(frame []byte) {
-	c.payloads = append(c.payloads, append([]byte(nil), frame...))
-}
-func (c *countTransport) SendBurst(frames []Frame) {
-	for i := range frames {
-		c.frames++
-		c.record(frames[i].Data)
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Chaos wraps a Transport with a phase-scripted fault engine: the
-// generalization of Faulty from constant fault rates to a deterministic
-// timeline of fault regimes — loss storms, blackhole/partition windows,
-// straggler latency, duplication bursts — the adversity sweep the
-// fault-tolerance layer (adaptive RTO, retry budgets, overload
-// shedding) is measured against. A fixed seed plus a fixed script
-// yields a reproducible fault sequence for a given packet order.
+// Chaos wraps a Transport with a phase-scripted fault engine: a
+// deterministic timeline of fault regimes — loss storms,
+// blackhole/partition windows, straggler latency, duplication bursts —
+// the adversity sweep the fault-tolerance layer (adaptive RTO, retry
+// budgets, overload shedding) is measured against. A fixed seed plus a
+// fixed script yields a reproducible fault sequence for a given packet
+// order; one phase with Dur math.MaxInt64 gives constant fault rates.
 //
 // Phase selection is driven by a caller-supplied clock (nanoseconds
 // from an arbitrary origin), so the same engine runs under the wall
@@ -23,9 +23,9 @@ import (
 // clean: packets pass untouched, which is what lets experiments measure
 // recovery after the fault clears.
 //
-// Like Faulty, faults are injected on the send side; wrap both ends to
-// subject both directions. The mutex makes Send/SendBurst safe from
-// concurrent goroutines; delayed packets are released from whichever
+// Faults are injected on the send side; wrap both ends to subject both
+// directions. The mutex makes SendBurst safe from concurrent
+// goroutines; delayed packets are released from whichever
 // transport call observes their due time first (event loops poll
 // RecvBurst constantly, bounding added release latency by the loop's
 // idle park).
@@ -200,34 +200,14 @@ func (c *Chaos) MTU() int { return c.t.MTU() }
 // LocalAddr implements Transport.
 func (c *Chaos) LocalAddr() Addr { return c.t.LocalAddr() }
 
-// Send implements Transport, subjecting the frame to the active
-// phase's fault lottery.
-func (c *Chaos) Send(dst Addr, frame []byte) {
-	now := c.now()
-	c.mu.Lock()
-	var release []Frame
-	if len(c.held) > 0 {
-		release = c.dueHeld(nil, now, true)
-	}
-	f := c.fate(dst, frame, now)
-	c.mu.Unlock()
-
-	switch f {
-	case 0:
-		c.t.Send(dst, frame)
-	case 2:
-		c.t.Send(dst, frame)
-		c.t.Send(dst, frame)
-	}
-	for _, h := range release {
-		c.t.Send(h.Addr, h.Data)
-	}
-}
-
 // SendBurst implements Transport: every frame of the burst rolls the
 // active phase's lottery independently; survivors, duplicates and
-// released held packets go downstream as one burst, outside the
-// critical section (same structure as Faulty.SendBurst).
+// released held packets go downstream as one burst. The downstream
+// flush happens outside the critical section: holding c.mu across the
+// wrapped transport's syscall would block every concurrent sender for
+// the duration of a kernel crossing. The scratch burst is detached
+// while in flight, so a concurrent SendBurst falls back to a fresh
+// slice instead of sharing it.
 func (c *Chaos) SendBurst(frames []Frame) {
 	now := c.now()
 	c.mu.Lock()
@@ -269,8 +249,8 @@ func (c *Chaos) releaseDue() {
 	}
 	release := c.dueHeld(nil, c.now(), false)
 	c.mu.Unlock()
-	for _, h := range release {
-		c.t.Send(h.Addr, h.Data)
+	if len(release) > 0 {
+		c.t.SendBurst(release)
 	}
 }
 
@@ -278,12 +258,6 @@ func (c *Chaos) releaseDue() {
 func (c *Chaos) RecvBurst(frames []Frame) int {
 	c.releaseDue()
 	return c.t.RecvBurst(frames)
-}
-
-// Recv implements Transport.
-func (c *Chaos) Recv() ([]byte, Addr, bool) {
-	c.releaseDue()
-	return c.t.Recv()
 }
 
 // SetWake implements Transport.

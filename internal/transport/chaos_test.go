@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -14,19 +18,14 @@ type sinkTransport struct {
 
 func (s *sinkTransport) MTU() int        { return 1024 }
 func (s *sinkTransport) LocalAddr() Addr { return Addr{Node: 1} }
-func (s *sinkTransport) Send(dst Addr, frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	s.sent = append(s.sent, Frame{Data: cp, Addr: dst})
-}
 func (s *sinkTransport) SendBurst(frames []Frame) {
 	s.bursts++
 	for i := range frames {
-		s.Send(frames[i].Addr, frames[i].Data)
+		cp := append([]byte(nil), frames[i].Data...)
+		s.sent = append(s.sent, Frame{Data: cp, Addr: frames[i].Addr})
 	}
 }
 func (s *sinkTransport) RecvBurst(frames []Frame) int { return 0 }
-func (s *sinkTransport) Recv() ([]byte, Addr, bool)   { return nil, Addr{}, false }
 func (s *sinkTransport) SetWake(fn func())            {}
 func (s *sinkTransport) Close() error                 { return nil }
 
@@ -56,7 +55,7 @@ func TestChaosPhaseScript(t *testing.T) {
 	if c.Phase() != 0 {
 		t.Fatalf("phase = %d, want 0", c.Phase())
 	}
-	c.Send(dst, data)
+	send1(c, dst, data)
 	if len(sink.sent) != 0 {
 		t.Fatal("blackhole phase leaked a packet")
 	}
@@ -68,7 +67,7 @@ func TestChaosPhaseScript(t *testing.T) {
 	if c.Phase() != 1 {
 		t.Fatalf("phase = %d, want 1", c.Phase())
 	}
-	c.Send(dst, data)
+	send1(c, dst, data)
 	if len(sink.sent) != 1 {
 		t.Fatalf("clean phase delivered %d packets, want 1", len(sink.sent))
 	}
@@ -77,7 +76,7 @@ func TestChaosPhaseScript(t *testing.T) {
 	if c.Phase() != 2 {
 		t.Fatalf("phase = %d, want 2 (exhausted)", c.Phase())
 	}
-	c.Send(dst, data)
+	send1(c, dst, data)
 	if len(sink.sent) != 2 {
 		t.Fatal("post-script wire not clean")
 	}
@@ -94,14 +93,14 @@ func TestChaosDataOnlyPassesHeartbeats(t *testing.T) {
 	})
 	dst := Addr{Node: 2}
 
-	c.Send(dst, mkFrame(t, wire.PktReq))
-	c.Send(dst, mkFrame(t, wire.PktResp))
-	c.Send(dst, mkFrame(t, wire.PktCR))
+	send1(c, dst, mkFrame(t, wire.PktReq))
+	send1(c, dst, mkFrame(t, wire.PktResp))
+	send1(c, dst, mkFrame(t, wire.PktCR))
 	if len(sink.sent) != 0 {
 		t.Fatal("DataOnly blackhole leaked data/protocol packets")
 	}
-	c.Send(dst, mkFrame(t, wire.PktPing))
-	c.Send(dst, mkFrame(t, wire.PktPong))
+	send1(c, dst, mkFrame(t, wire.PktPing))
+	send1(c, dst, mkFrame(t, wire.PktPong))
 	if len(sink.sent) != 2 {
 		t.Fatalf("heartbeats blocked: %d of 2 delivered", len(sink.sent))
 	}
@@ -120,7 +119,7 @@ func TestChaosDelayReleases(t *testing.T) {
 		{Dur: 1000, Delay: 100},
 	})
 	dst := Addr{Node: 2}
-	c.Send(dst, mkFrame(t, wire.PktReq))
+	send1(c, dst, mkFrame(t, wire.PktReq))
 	if len(sink.sent) != 0 {
 		t.Fatal("delayed packet delivered immediately")
 	}
@@ -176,7 +175,7 @@ func TestChaosBurstFaults(t *testing.T) {
 	}
 }
 
-// TestChaosReorderOvertake checks Faulty-style reordering: a held
+// TestChaosReorderOvertake checks reordering: a held
 // packet is released after enough later sends overtake it.
 func TestChaosReorderOvertake(t *testing.T) {
 	var now int64
@@ -188,7 +187,7 @@ func TestChaosReorderOvertake(t *testing.T) {
 	// Every send is held; each later send decrements the hold counts,
 	// so after enough sends the early packets must have been released.
 	for i := 0; i < 16; i++ {
-		c.Send(dst, mkFrame(t, wire.PktReq))
+		send1(c, dst, mkFrame(t, wire.PktReq))
 	}
 	if c.Reorders.Load() != 16 {
 		t.Fatalf("Reorders = %d, want 16", c.Reorders.Load())
@@ -196,4 +195,94 @@ func TestChaosReorderOvertake(t *testing.T) {
 	if len(sink.sent) == 0 {
 		t.Fatal("no held packet was ever released by overtaking sends")
 	}
+}
+
+// constantFaults is the script of a wrapper with fixed fault rates: one
+// phase that never ends.
+func constantFaults(drop, dup, reorder float64) []ChaosPhase {
+	return []ChaosPhase{{Dur: math.MaxInt64, Drop: drop, Dup: dup, Reorder: reorder}}
+}
+
+// TestChaosConstantPhaseBurst pushes bursts through one unbounded phase
+// at high fault rates and checks frame conservation: every frame of a
+// burst rolls the lottery on its own, SendBurst calls are counted, and
+// delivered = sent - drops + dups - still-held, with reordered (held)
+// frames eventually released by later traffic and none corrupted.
+func TestChaosConstantPhaseBurst(t *testing.T) {
+	sink := &sinkTransport{}
+	c := NewChaos(sink, 7, func() int64 { return 0 }, constantFaults(0.2, 0.2, 0.2))
+	payload := []byte("abcdefgh")
+	const bursts = 200
+	const perBurst = 8
+	for i := 0; i < bursts; i++ {
+		var fr []Frame
+		for j := 0; j < perBurst; j++ {
+			fr = append(fr, Frame{Data: payload, Addr: Addr{1, 0}})
+		}
+		c.SendBurst(fr)
+	}
+	if c.Bursts.Load() != bursts || sink.bursts != bursts {
+		t.Fatalf("Bursts = %d, downstream bursts = %d, want %d each", c.Bursts.Load(), sink.bursts, bursts)
+	}
+	if c.Drops.Load() == 0 || c.Dups.Load() == 0 || c.Reorders.Load() == 0 {
+		t.Fatalf("fault injector idle: drops=%d dups=%d reorders=%d", c.Drops.Load(), c.Dups.Load(), c.Reorders.Load())
+	}
+	sent := uint64(bursts * perBurst)
+	c.mu.Lock()
+	held := uint64(len(c.held))
+	c.mu.Unlock()
+	want := sent - c.Drops.Load() + c.Dups.Load() - held
+	if got := uint64(len(sink.sent)); got != want {
+		t.Fatalf("downstream saw %d frames, want %d (sent %d, drops %d, dups %d, held %d)",
+			got, want, sent, c.Drops.Load(), c.Dups.Load(), held)
+	}
+	for _, f := range sink.sent {
+		if !bytes.Equal(f.Data, payload) {
+			t.Fatalf("corrupted frame %q", f.Data)
+		}
+	}
+}
+
+// TestChaosSendBurstNoLockHold checks the lock scope: a SendBurst
+// racing another whose downstream transport is slow must not wait for
+// that downstream call — only for the (cheap) fault lottery — so it
+// reaches the downstream transport itself while the first is parked.
+func TestChaosSendBurstNoLockHold(t *testing.T) {
+	slow := &slowBurstTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewChaos(slow, 1, func() int64 { return 0 }, constantFaults(0, 0, 0))
+	var wg sync.WaitGroup
+	send := func(data string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.SendBurst([]Frame{{Data: []byte(data), Addr: Addr{1, 0}}})
+		}()
+	}
+	send("x")
+	<-slow.entered // downstream SendBurst is now parked holding no Chaos lock
+	send("y")
+	select {
+	case <-slow.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("SendBurst blocked behind a slow downstream SendBurst (c.mu held across the flush)")
+	}
+	close(slow.release)
+	wg.Wait()
+}
+
+// slowBurstTransport parks every SendBurst until released, announcing
+// each arrival, to expose lock scope in wrappers.
+type slowBurstTransport struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *slowBurstTransport) MTU() int                     { return 1472 }
+func (s *slowBurstTransport) LocalAddr() Addr              { return Addr{0, 0} }
+func (s *slowBurstTransport) RecvBurst(frames []Frame) int { return 0 }
+func (s *slowBurstTransport) SetWake(fn func())            {}
+func (s *slowBurstTransport) Close() error                 { return nil }
+func (s *slowBurstTransport) SendBurst(frames []Frame) {
+	s.entered <- struct{}{}
+	<-s.release
 }

@@ -25,11 +25,3 @@ func (*segDebug) onPut(*SegBuf) {}
 
 func segDebugCheckRelease(*SegBuf, int32) {}
 func segDebugCheckRecharge(*SegBuf)       {}
-
-// uringBufDebug is the registered RX buffer sanitizer state: empty in
-// release builds.
-type uringBufDebug struct{}
-
-func uringDebugOnHold(*uringBuf)            {}
-func uringDebugOnFree(*uringBuf)            {}
-func uringDebugBadRelease(*uringBuf, int32) {}

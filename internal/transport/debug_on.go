@@ -158,46 +158,3 @@ func segDebugCheckRecharge(sb *SegBuf) {
 		panic(fmt.Sprintf("erpcdebug: SegBuf recharged while %d segment reference(s) still in flight", refs))
 	}
 }
-
-// uringBufDebug tracks a registered RX buffer slot's most recent
-// lifecycle sites (where the reader handed it to a frame, where it was
-// first released). The slot itself is permanent — registered with the
-// kernel — so unlike pool buffers there is no map: the record lives in
-// the slot.
-type uringBufDebug struct {
-	mu       sync.Mutex
-	holdSite string
-	freeSite string
-}
-
-// uringDebugOnHold records where the reader handed the slot to an RX
-// frame (the acquisition site reported by later violations).
-func uringDebugOnHold(ub *uringBuf) {
-	s := site(2)
-	ub.dbg.mu.Lock()
-	ub.dbg.holdSite = s
-	ub.dbg.mu.Unlock()
-}
-
-// uringDebugOnFree records where the slot was released.
-func uringDebugOnFree(ub *uringBuf) {
-	s := site(2)
-	ub.dbg.mu.Lock()
-	ub.dbg.freeSite = s
-	ub.dbg.mu.Unlock()
-}
-
-// uringDebugBadRelease panics on an illegal registered-buffer release:
-// the slot was not held by a frame. state is the slot's observed state.
-func uringDebugBadRelease(ub *uringBuf, state int32) {
-	relSite := site(2)
-	ub.dbg.mu.Lock()
-	holdSite, freeSite := ub.dbg.holdSite, ub.dbg.freeSite
-	ub.dbg.mu.Unlock()
-	if state == uringBufPosted {
-		panic(fmt.Sprintf("erpcdebug: registered RX buffer %d released while its read SQE is in flight (kernel owns the bytes; handed out at %s, released at %s)",
-			ub.idx, holdSite, relSite))
-	}
-	panic(fmt.Sprintf("erpcdebug: registered RX buffer %d double release (handed out at %s, first released at %s, released again at %s)",
-		ub.idx, holdSite, freeSite, relSite))
-}

@@ -6,7 +6,6 @@ package transport
 // Tests whose measurement depends on real-time scheduling behavior
 // (not on correctness) consult it: the detector's instrumentation
 // slows the userspace spin loops by an order of magnitude, which on a
-// small host starves kernel-side polling threads (io_uring SQPOLL)
-// into pathological timing that the same code never exhibits in a
+// small host produces timing that the same code never exhibits in a
 // release build.
 const RaceEnabled = true

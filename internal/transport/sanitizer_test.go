@@ -106,27 +106,3 @@ func TestDebugSegPoolDoubleRecycle(t *testing.T) {
 	sb.release() // last reference: sp.put(sb)
 	expectPanic(t, "recycled twice", func() { sp.put(sb) })
 }
-
-// TestDebugUringBufDoubleRelease is the registered-buffer shape of the
-// double-put bug: the slot already went back to the repost list, so a
-// second Release would re-post a READ for a slot the reader also holds
-// — two kernel writers for one buffer. The panic names both sites.
-func TestDebugUringBufDoubleRelease(t *testing.T) {
-	rp := newUringRxPool(4, 64)
-	ub := &rp.slots[0]
-	ub.markPosted() // READ SQE queued: kernel owns the bytes
-	ub.markHeld()   // completion handed to a frame
-	ub.release()    // held -> free: legal
-	expectPanic(t, "double release", func() { ub.release() })
-}
-
-// TestDebugUringBufReleaseInFlight catches the worse variant: Release
-// on a slot whose READ SQE is still in flight. The kernel may write
-// the slot at any moment, so freeing it hands out a buffer the kernel
-// still owns.
-func TestDebugUringBufReleaseInFlight(t *testing.T) {
-	rp := newUringRxPool(4, 64)
-	ub := &rp.slots[1]
-	ub.markPosted() // kernel owns the bytes until the CQE
-	expectPanic(t, "in flight", func() { ub.release() })
-}

@@ -137,7 +137,26 @@ func TestShardFlowAffinity(t *testing.T) {
 // source (lazily-created server sessions make any shard a valid
 // server; see the core runtime).
 func TestShardEcho(t *testing.T) {
-	shards := newShards(t, 1, 2)
+	t.Run("platform", func(t *testing.T) { runShardEcho(t, newShards(t, 1, 2)) })
+	// The portable layout — one port per shard — is what ListenUDPShards
+	// returns where SO_REUSEPORT is missing; called directly so it is
+	// exercised on Linux too.
+	t.Run("per-port", func(t *testing.T) {
+		shards, err := listenShardsFallback(1, "127.0.0.1:0", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range shards {
+			t.Cleanup(func() { s.Close() })
+		}
+		if shards[0].BoundAddr().Port == shards[1].BoundAddr().Port {
+			t.Fatalf("fallback shards share port %d", shards[0].BoundAddr().Port)
+		}
+		runShardEcho(t, shards)
+	})
+}
+
+func runShardEcho(t *testing.T, shards []*UDP) {
 	cli, err := NewUDP(Addr{Node: 9, Port: 0}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,13 +170,13 @@ func TestShardEcho(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cli.Send(Addr{Node: 1, Port: 0}, []byte("ping"))
+	send1(cli, Addr{Node: 1, Port: 0}, []byte("ping"))
 
 	var served *UDP
 	deadline := time.Now().Add(2 * time.Second)
 	for served == nil && time.Now().Before(deadline) {
 		for _, s := range shards {
-			if f, from, ok := s.Recv(); ok {
+			if f, from, ok := recv1(s); ok {
 				if string(f) != "ping" || from != cli.LocalAddr() {
 					t.Fatalf("shard got %q from %v", f, from)
 				}
@@ -171,7 +190,7 @@ func TestShardEcho(t *testing.T) {
 	if served == nil {
 		t.Fatal("no shard received the ping")
 	}
-	served.Send(cli.LocalAddr(), []byte("pong"))
+	send1(served, cli.LocalAddr(), []byte("pong"))
 	f, from := recvWait(t, cli)
 	if string(f) != "pong" {
 		t.Fatalf("client got %q", f)

@@ -15,19 +15,17 @@
 // transmits a batch with one doorbell/lock acquisition, and RX buffers
 // come from a recycling Pool that the receiver re-posts to with
 // Frame.Release once a packet is processed — exactly like re-posting a
-// NIC RX descriptor. The single-frame Send/Recv methods remain for
-// cold paths and simple clients.
+// NIC RX descriptor. A caller with one frame sends or receives a burst
+// of one.
 //
 // Buffer-ownership rules (the zero-copy idiom of §4.2.3):
 //
 //   - An RX Frame's Data is valid from RecvBurst until Release; the
 //     receiver must copy anything it needs longer. Release re-posts
 //     the buffer, after which the transport may overwrite it.
-//   - A buffer returned by single-frame Recv is valid until the next
-//     Recv call.
-//   - TX buffers (Send and SendBurst) are owned by the caller and may
-//     be reused as soon as the call returns; the transport copies or
-//     completes transmission synchronously.
+//   - TX buffers are owned by the caller and may be reused as soon as
+//     SendBurst returns; the transport copies or completes
+//     transmission synchronously.
 //
 // Pools are single-owner (see Pool): Get/Put are the owning
 // goroutine's lock-free fast path, and cross-goroutine releases go
@@ -51,9 +49,7 @@
 // What the analyzers cannot prove absent, builds with -tags erpcdebug
 // catch at runtime: the sanitizer in debug_on.go panics on pool
 // double-puts (with the acquisition site), fast-path puts off the
-// owner goroutine, SegBuf refcount underflow/reuse-in-flight, and
-// io_uring registered-buffer misuse (double release, release while
-// the buffer's READ_FIXED SQE is still in flight with the kernel).
+// owner goroutine and SegBuf refcount underflow/reuse-in-flight.
 package transport
 
 import "fmt"
@@ -89,22 +85,13 @@ func FlowHash(a, b Addr) uint32 {
 	return h
 }
 
-// Transport is unreliable datagram I/O for one Rpc endpoint.
-//
-// Ownership rules (the zero-copy idiom from paper §4.2.3): the buffer
-// returned by Recv is owned by the transport and is valid only until
-// the next Recv call, mirroring a NIC RX ring whose descriptors are
-// re-posted after processing. Callers that need the data longer must
-// copy it. Send may be called with a buffer that the caller reuses
-// immediately after return.
+// Transport is unreliable datagram I/O for one Rpc endpoint. The
+// package comment gives the buffer-ownership rules.
 type Transport interface {
 	// MTU returns the maximum frame size in bytes (headers included).
 	MTU() int
 	// LocalAddr returns this endpoint's address.
 	LocalAddr() Addr
-	// Send transmits one frame to dst. It never blocks; frames may be
-	// silently dropped (by the network or full queues).
-	Send(dst Addr, frame []byte)
 	// SendBurst transmits a batch of frames (Data + destination Addr)
 	// with one doorbell: implementations acquire their TX lock and
 	// flush their DMA queue once per burst, not per packet (§4.2.2).
@@ -118,14 +105,11 @@ type Transport interface {
 	// re-posting a NIC RX descriptor). Implementations drain their RX
 	// ring under one lock acquisition per burst.
 	RecvBurst(frames []Frame) int
-	// Recv polls for one received frame. ok is false if none is
-	// pending. The returned slice is valid until the next Recv.
-	Recv() (frame []byte, from Addr, ok bool)
 	// SetWake registers fn to be invoked when a frame arrives and the
 	// receive queue was empty. Real transports call it from the
 	// receive goroutine; the simulated transport calls it at virtual
 	// delivery time. fn must be cheap and non-blocking.
 	SetWake(fn func())
-	// Close releases resources. Recv after Close returns no frames.
+	// Close releases resources. RecvBurst after Close returns no frames.
 	Close() error
 }

@@ -54,11 +54,27 @@ func newUDPPair(t *testing.T) (*UDP, *UDP) {
 	return a, b
 }
 
+// send1 and recv1 move single frames as bursts of one. recv1 copies the
+// payload out and releases the frame.
+func send1(tr Transport, dst Addr, frame []byte) {
+	tr.SendBurst([]Frame{{Data: frame, Addr: dst}})
+}
+
+func recv1(tr Transport) ([]byte, Addr, bool) {
+	var f [1]Frame
+	if tr.RecvBurst(f[:]) == 0 {
+		return nil, Addr{}, false
+	}
+	data, from := append([]byte(nil), f[0].Data...), f[0].Addr
+	f[0].Release()
+	return data, from, true
+}
+
 func recvWait(t *testing.T, u *UDP) ([]byte, Addr) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if f, from, ok := u.Recv(); ok {
+		if f, from, ok := recv1(u); ok {
 			return f, from
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -69,7 +85,7 @@ func recvWait(t *testing.T, u *UDP) ([]byte, Addr) {
 
 func TestUDPRoundtrip(t *testing.T) {
 	a, b := newUDPPair(t)
-	a.Send(Addr{1, 0}, []byte("hello erpc"))
+	send1(a, Addr{1, 0}, []byte("hello erpc"))
 	f, from := recvWait(t, b)
 	if string(f) != "hello erpc" {
 		t.Fatalf("payload = %q", f)
@@ -77,7 +93,7 @@ func TestUDPRoundtrip(t *testing.T) {
 	if from != (Addr{0, 0}) {
 		t.Fatalf("from = %v", from)
 	}
-	b.Send(Addr{0, 0}, []byte("pong"))
+	send1(b, Addr{0, 0}, []byte("pong"))
 	f, _ = recvWait(t, a)
 	if string(f) != "pong" {
 		t.Fatalf("payload = %q", f)
@@ -93,26 +109,26 @@ func TestUDPWakeFires(t *testing.T) {
 		default:
 		}
 	})
-	a.Send(Addr{1, 0}, []byte("x"))
+	send1(a, Addr{1, 0}, []byte("x"))
 	select {
 	case <-ch:
 	case <-time.After(2 * time.Second):
 		t.Fatal("wake did not fire")
 	}
-	if f, _, ok := b.Recv(); !ok || len(f) != 1 {
+	if f, _, ok := recv1(b); !ok || len(f) != 1 {
 		t.Fatal("frame not delivered after wake")
 	}
 }
 
 func TestUDPUnknownPeerDropped(t *testing.T) {
 	a, _ := newUDPPair(t)
-	a.Send(Addr{99, 99}, []byte("void")) // must not panic or block
+	send1(a, Addr{99, 99}, []byte("void")) // must not panic or block
 }
 
 func TestUDPOversizeDropped(t *testing.T) {
 	a, b := newUDPPair(t)
-	a.Send(Addr{1, 0}, make([]byte, a.MTU()+1))
-	a.Send(Addr{1, 0}, []byte("ok"))
+	send1(a, Addr{1, 0}, make([]byte, a.MTU()+1))
+	send1(a, Addr{1, 0}, []byte("ok"))
 	f, _ := recvWait(t, b)
 	if string(f) != "ok" {
 		t.Fatalf("oversize frame should be dropped, got %q", f)
@@ -127,7 +143,7 @@ func TestUDPCloseStopsRecv(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := a.Recv(); ok {
-		t.Fatal("Recv after Close returned a frame")
+	if _, _, ok := recv1(a); ok {
+		t.Fatal("RecvBurst after Close returned a frame")
 	}
 }

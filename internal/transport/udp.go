@@ -29,35 +29,26 @@ import (
 //
 // # Syscall engines
 //
-// The socket I/O itself is pluggable between four engines:
+// The socket I/O itself is pluggable between three engines, chosen at
+// run time from what the platform and the kernel offer:
 //
-//   - uring (Linux amd64/arm64, opt-in via NewUDPUring where the
-//     kernel supports io_uring — see UringSupported and
-//     UDPUringSupported): submission/completion rings shared with the
-//     kernel replace per-burst syscalls entirely. TX bursts become
-//     linked SENDMSG SQE chains published with one io_uring_enter —
-//     or zero syscalls when the SQPOLL kernel thread is awake — and
-//     RX re-posts READ_FIXED SQEs into a kernel-registered buffer
-//     slab, reaping completions from the CQ in userspace. The park/
-//     wake boundary moves from per-burst to per-idle-transition.
-//   - gso (Linux, default where the kernel supports UDP_SEGMENT/
-//     UDP_GRO — see GsoSupported and UDPGsoSupported): the mmsg engine
-//     plus segmentation offload. TX coalesces consecutive same-peer
+//   - gso (Linux amd64/arm64, the default where the kernel accepts
+//     UDP_SEGMENT/UDP_GRO — see UDPGsoSupported): the mmsg engine plus
+//     segmentation offload. TX coalesces consecutive same-peer
 //     equal-size frames of a burst into one supersegment datagram sent
 //     with a UDP_SEGMENT cmsg, so up to ~44 MTU-sized (or hundreds of
 //     small) datagrams traverse the kernel stack once; RX enables
 //     UDP_GRO and splits returned supersegments back into pooled
 //     frames at the cmsg-reported segment size. Bursts become
 //     sendmmsg/recvmmsg calls *of supersegments*.
-//   - mmsg (Linux; the default where GSO is unavailable, forced with
-//     NewUDPMmsg or the `nogso` build tag): SendBurst and the reader
-//     goroutine use sendmmsg(2)/recvmmsg(2), so a full burst of N
-//     frames costs one kernel crossing instead of N — the socket-world
-//     analogue of the paper's one-DMA-flush-per-TX-burst discipline
-//     (§4.2). TX gathers the 4-byte source prefix and the frame as a
-//     two-entry iovec, so frames go to the kernel straight from the
-//     caller's buffers.
-//   - per-packet (all platforms; forced with the `nommsg` build tag or
+//   - mmsg (Linux amd64/arm64; the default where GSO is unavailable,
+//     forced with NewUDPMmsg): SendBurst and the reader goroutine use
+//     sendmmsg(2)/recvmmsg(2), so a full burst of N frames costs one
+//     kernel crossing instead of N — the socket-world analogue of the
+//     paper's one-DMA-flush-per-TX-burst discipline (§4.2). TX gathers
+//     the 4-byte source prefix and the frame as a two-entry iovec, so
+//     frames go to the kernel straight from the caller's buffers.
+//   - per-packet (all platforms; the default elsewhere, forced with
 //     NewUDPPerPacket): one ReadFromUDPAddrPort/WriteToUDPAddrPort per
 //     datagram, the portable fallback.
 //
@@ -127,25 +118,6 @@ type UDP struct {
 	// amortize) count under neither.
 	GroAliasedSegs atomic.Uint64
 	GroCopiedSegs  atomic.Uint64
-
-	// io_uring engine counters, all zero on other engines. On the uring
-	// engine every io_uring_enter invocation also counts under Syscalls,
-	// so syscalls_per_op stays the controlled cross-engine measure.
-	//
-	// UringSubmits counts enter calls that handed SQEs to the kernel —
-	// on the SQPOLL path submission happens without a syscall, so the
-	// gap between bursts sent and UringSubmits is the syscalls the
-	// shared rings removed. UringSqeLinked counts TX SQEs submitted as
-	// members of a multi-SQE linked chain (one chain per burst).
-	// UringCqeBatches counts CQ reap passes that harvested more than
-	// one completion — the RX-side coalescing proof, the uring analogue
-	// of MmsgBatches/GroBatches. UringSqpollWakeups counts enter calls
-	// forced by IORING_SQ_NEED_WAKEUP (the SQPOLL kernel thread had
-	// parked); a busy steady state keeps it near zero.
-	UringSubmits       atomic.Uint64
-	UringSqeLinked     atomic.Uint64
-	UringCqeBatches    atomic.Uint64
-	UringSqpollWakeups atomic.Uint64
 }
 
 // udpEngine is the socket-I/O strategy: how bursts reach the kernel
@@ -176,15 +148,12 @@ type udpDest struct {
 // the 4-byte source prefix) that returns to the pool on Release; data
 // is the frame payload aliasing buf's tail. When seg is non-nil the
 // packet instead aliases one segment of a refcounted GRO supersegment
-// (buf is nil) and releasing it drops one SegBuf reference. When ub is
-// non-nil the packet aliases a kernel-registered io_uring RX slot (buf
-// is nil) and releasing it re-posts the slot's read.
+// (buf is nil) and releasing it drops one SegBuf reference.
 type udpPkt struct {
 	buf  []byte
 	data []byte
 	from Addr
 	seg  *SegBuf
-	ub   *uringBuf
 }
 
 // DefaultUDPMTU bounds frames to a safe datagram size.
@@ -203,68 +172,37 @@ const (
 
 // Engine choices for the internal constructors: the best available
 // syscall engine (gso → mmsg → per-packet), mmsg-at-best (the gso
-// engine skipped, for before/after comparisons), the portable
-// per-packet engine, or the opt-in io_uring engine (with and without
-// the SQPOLL kernel thread; both fall back gso → mmsg → per-packet
-// when io_uring is unavailable). engAuto deliberately excludes uring:
-// shared-ring submission is a different kernel interface with its own
-// resource footprint (a pinned buffer slab and, under SQPOLL, a
-// kernel polling thread), so callers choose it explicitly.
+// engine skipped), or the portable per-packet engine.
 const (
 	engAuto = iota
 	engMmsg
 	engPerPacket
-	engUring
-	engUringNoSqpoll
 )
 
 // NewUDP binds a UDP socket at bind (e.g. "127.0.0.1:0") and returns a
 // transport using the platform's best syscall engine: the
 // segmentation-offload gso engine where the kernel supports
 // UDP_SEGMENT/UDP_GRO, batched sendmmsg/recvmmsg on other Linux
-// (unless built with the `nommsg` tag), the portable per-packet engine
-// elsewhere.
+// amd64/arm64, the portable per-packet engine elsewhere.
 func NewUDP(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engAuto)
 }
 
 // NewUDPMmsg binds a UDP socket like NewUDP but without the
 // segmentation-offload engine: batched sendmmsg/recvmmsg where
-// compiled in, the per-packet fallback elsewhere. It is the "before"
-// of the gso comparison (erpc-bench -gso) and the engine behind the
-// cmds' -gso=false knob.
+// compiled in, the per-packet fallback elsewhere. This is the only
+// batched path on kernels without UDP_SEGMENT/UDP_GRO; the constructor
+// lets tests and the benchmark's per-engine rows run it anywhere.
 func NewUDPMmsg(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engMmsg)
 }
 
 // NewUDPPerPacket binds a UDP socket like NewUDP but forces the
 // portable per-packet engine (one syscall per datagram) even where the
-// batched engines are available. It exists so the engines can be
-// compared in one process — the erpc-bench -udpsyscall sweep — and so
-// the fallback path is exercised by tests on Linux.
+// batched engines are available, so the fallback path is exercised by
+// tests and measured by the benchmark on Linux.
 func NewUDPPerPacket(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engPerPacket)
-}
-
-// NewUDPUring binds a UDP socket like NewUDP but selects the io_uring
-// engine: TX bursts as linked SQE chains (one io_uring_enter per
-// burst, zero when the SQPOLL kernel thread is awake) and RX through
-// kernel-registered buffers reaped from the completion queue in
-// userspace. io_uring is opt-in rather than part of NewUDP's auto
-// selection; where the kernel lacks io_uring support (see
-// UDPUringSupported) or the build carries the `nouring` tag, the
-// transport falls back to the best syscall engine (gso → mmsg →
-// per-packet) and Engine reports which one it got.
-func NewUDPUring(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engUring)
-}
-
-// NewUDPUringNoSqpoll is NewUDPUring without the SQPOLL kernel polling
-// thread: every flush pays one io_uring_enter instead of zero. It
-// exists so the SQPOLL contribution can be measured in one process and
-// so tests can pin the exactly-one-enter-per-burst contract.
-func NewUDPUringNoSqpoll(local Addr, bind string) (*UDP, error) {
-	return newUDP(local, bind, engUringNoSqpoll)
 }
 
 func newUDP(local Addr, bind string, choice int) (*UDP, error) {
@@ -297,11 +235,6 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 	switch {
 	case choice == engPerPacket:
 		u.eng = &perPacketEngine{u: u}
-	case choice == engUring || choice == engUringNoSqpoll:
-		// newUringEngine falls back gso → mmsg → per-packet itself when
-		// io_uring is unavailable (kernel too old, nouring build, ring
-		// setup refused at runtime).
-		u.eng = newUringEngine(u, choice == engUring)
 	case choice == engAuto && GsoSupported && UDPGsoSupported():
 		// newGsoEngine falls back to the default engine itself if the
 		// socket refuses UDP_GRO (e.g. an exotic socket type).
@@ -318,12 +251,12 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 
 // ListenUDPShards opens n sockets for the endpoints (node, 0..n-1) of
 // a sharded multi-endpoint process, all bound to the same UDP address
-// via SO_REUSEPORT where supported (Linux amd64/arm64, without the
-// `nommsg` tag — see ReusePortSupported): the kernel hashes each
-// remote flow's 4-tuple to one shard, so a session's frames always
-// land on the same shard's socket and shards never touch each other's
-// RX ring, wire-buffer pool, or syscall-engine state. bind may use
-// port 0; shard 0 then picks the port and the rest join it.
+// via SO_REUSEPORT where supported (Linux amd64/arm64 — see
+// ReusePortSupported): the kernel hashes each remote flow's 4-tuple to
+// one shard, so a session's frames always land on the same shard's
+// socket and shards never touch each other's RX ring, wire-buffer pool,
+// or syscall-engine state. bind may use port 0; shard 0 then picks the
+// port and the rest join it.
 //
 // On platforms without SO_REUSEPORT support the shards fall back to n
 // distinct consecutive ports (ephemeral when bind's port is 0) behind
@@ -335,33 +268,11 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 // client-mode session's responses must reach the endpoint that issued
 // the requests — give client endpoints distinct ports instead.
 func ListenUDPShards(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engAuto)
-}
-
-// ListenUDPShardsMmsg is ListenUDPShards without the
-// segmentation-offload engine on the shard sockets (see NewUDPMmsg);
-// it backs the server cmds' -gso=false knob.
-func ListenUDPShardsMmsg(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engMmsg)
-}
-
-// ListenUDPShardsUring is ListenUDPShards with the io_uring engine on
-// the shard sockets (see NewUDPUring); it backs the server cmds'
-// -uring knob. Each shard gets its own rings, registered buffer slab
-// and — where SQPOLL is granted — a kernel polling thread shared
-// across the shards' TX/RX rings, so no datapath state crosses
-// dispatch goroutines. Falls back per shard like NewUDPUring when
-// io_uring is unavailable.
-func ListenUDPShardsUring(node uint16, bind string, n int) ([]*UDP, error) {
-	return listenUDPShards(node, bind, n, engUring)
-}
-
-func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: ListenUDPShards needs n >= 1 (got %d)", n)
 	}
 	if !ReusePortSupported {
-		return listenShardsFallback(node, bind, n, choice)
+		return listenShardsFallback(node, bind, n)
 	}
 	shards := make([]*UDP, 0, n)
 	addr := bind
@@ -378,7 +289,7 @@ func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 			// shard 0's port even when bind asked for port 0.
 			addr = conn.LocalAddr().String()
 		}
-		shards = append(shards, newUDPConn(Addr{Node: node, Port: uint16(i)}, conn, choice))
+		shards = append(shards, newUDPConn(Addr{Node: node, Port: uint16(i)}, conn, engAuto))
 	}
 	return shards, nil
 }
@@ -386,7 +297,7 @@ func listenUDPShards(node uint16, bind string, n, choice int) ([]*UDP, error) {
 // listenShardsFallback is the portable ListenUDPShards layout: n
 // distinct ports (consecutive from bind's port, or all ephemeral when
 // it is 0), one per shard.
-func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, error) {
+func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 	host, portStr, err := net.SplitHostPort(bind)
 	if err != nil {
 		return nil, fmt.Errorf("transport: bad shard bind %q: %w", bind, err)
@@ -401,8 +312,8 @@ func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, erro
 		if basePort != 0 {
 			port = basePort + i
 		}
-		u, err := newUDP(Addr{Node: node, Port: uint16(i)},
-			net.JoinHostPort(host, strconv.Itoa(port)), choice)
+		u, err := NewUDP(Addr{Node: node, Port: uint16(i)},
+			net.JoinHostPort(host, strconv.Itoa(port)))
 		if err != nil {
 			for _, s := range shards {
 				s.Close()
@@ -414,10 +325,9 @@ func listenShardsFallback(node uint16, bind string, n, choice int) ([]*UDP, erro
 	return shards, nil
 }
 
-// Engine reports which syscall engine this transport runs on: "uring"
-// (io_uring shared-ring submission), "gso" (segmentation offload over
-// sendmmsg/recvmmsg), "mmsg" (batched sendmmsg/recvmmsg) or
-// "per-packet".
+// Engine reports which syscall engine this transport runs on: "gso"
+// (segmentation offload over sendmmsg/recvmmsg), "mmsg" (batched
+// sendmmsg/recvmmsg) or "per-packet".
 func (u *UDP) Engine() string { return u.eng.name() }
 
 // BoundAddr returns the socket's actual address (useful with port 0).
@@ -459,21 +369,10 @@ func (u *UDP) MTU() int { return u.mtu }
 // LocalAddr implements Transport.
 func (u *UDP) LocalAddr() Addr { return u.local }
 
-// Send implements Transport. Frames to unknown peers are dropped, as
-// are oversized frames; both are "network" losses from the RPC layer's
-// point of view. Send is the cold path and always writes one datagram
-// per syscall; hot paths batch through SendBurst.
-func (u *UDP) Send(dst Addr, frame []byte) {
-	u.mu.Lock()
-	d := u.peers[dst]
-	u.mu.Unlock()
-	u.txMu.Lock()
-	u.sendOne(d.ap, frame)
-	u.txMu.Unlock()
-}
-
-// SendBurst implements Transport: the whole batch is transmitted under
-// one TX lock acquisition (the paper's single DMA-queue flush per
+// SendBurst implements Transport. Frames to unknown peers are dropped,
+// as are oversized frames; both are "network" losses from the RPC
+// layer's point of view. The whole batch is transmitted under one TX
+// lock acquisition (the paper's single DMA-queue flush per
 // burst), with destinations resolved under one peer-table lock — and,
 // on the mmsg engine, handed to the kernel in one sendmmsg call.
 func (u *UDP) SendBurst(frames []Frame) {
@@ -541,14 +440,6 @@ func (u *UDP) enqueueSeg(sb *SegBuf, data []byte, from Addr) {
 	u.enqueuePkt(udpPkt{seg: sb, data: data, from: from})
 }
 
-// enqueueUring pushes one completed registered-buffer read into the RX
-// ring: data aliases ub's slot past the wire prefix, and the slot is
-// held by the ring entry until the frame's Release re-posts it
-// (released immediately on overflow).
-func (u *UDP) enqueueUring(ub *uringBuf, data []byte, from Addr) {
-	u.enqueuePkt(udpPkt{ub: ub, data: data, from: from})
-}
-
 // enqueuePkt pushes one received packet into the RX ring, recycling
 // its buffer on overflow. Runs on the reader goroutine, which owns
 // u.rxPool.
@@ -560,12 +451,9 @@ func (u *UDP) enqueuePkt(p udpPkt) {
 	if u.tail-u.head >= udpRingCap {
 		u.Drops.Add(1)
 		u.mu.Unlock()
-		switch {
-		case p.seg != nil:
+		if p.seg != nil {
 			p.seg.release()
-		case p.ub != nil:
-			p.ub.release()
-		default:
+		} else {
 			u.rxPool.Put(p.buf)
 		}
 		return
@@ -592,12 +480,9 @@ func (u *UDP) RecvBurst(frames []Frame) int {
 	n := 0
 	for n < len(frames) && u.head != u.tail {
 		p := &u.ring[u.head&udpRingMask]
-		switch {
-		case p.seg != nil:
+		if p.seg != nil {
 			frames[n] = Frame{Data: p.data, Addr: p.from, seg: p.seg}
-		case p.ub != nil:
-			frames[n] = Frame{Data: p.data, Addr: p.from, ub: p.ub}
-		default:
+		} else {
 			frames[n] = Frame{Data: p.data, Addr: p.from, pool: u.rxPool, base: p.buf, shared: true}
 		}
 		*p = udpPkt{}
@@ -608,49 +493,11 @@ func (u *UDP) RecvBurst(frames []Frame) int {
 	return n
 }
 
-// Recv implements Transport. It is the slow path: the payload is
-// copied into a fresh caller-owned slice (valid indefinitely) and the
-// pooled wire buffer is recycled immediately, so sustained Recv use
-// does not drain the RX pool. Hot paths use RecvBurst + Release.
-func (u *UDP) Recv() ([]byte, Addr, bool) {
-	u.mu.Lock()
-	if u.head == u.tail {
-		u.mu.Unlock()
-		return nil, Addr{}, false
-	}
-	p := u.ring[u.head&udpRingMask]
-	u.ring[u.head&udpRingMask] = udpPkt{}
-	u.head++
-	u.mu.Unlock()
-	out := make([]byte, len(p.data))
-	copy(out, p.data)
-	switch {
-	case p.seg != nil:
-		p.seg.release() // supersegment alias: drop its reference
-	case p.ub != nil:
-		p.ub.release() // registered slot: re-post its read
-	default:
-		u.rxPool.PutShared(p.buf) // caller is not the pool-owning reader
-	}
-	return out, p.from, true
-}
-
 // SetWake implements Transport.
 func (u *UDP) SetWake(fn func()) {
 	u.mu.Lock()
 	u.wake = fn
 	u.mu.Unlock()
-}
-
-// engineShutdown is implemented by engines whose reader goroutine can
-// park somewhere a socket close does not reach (the io_uring engine's
-// reader waits on the completion queue, and registered files keep the
-// socket referenced past conn.Close). beginShutdown wakes such a
-// reader; finishShutdown, called after the reader has exited, releases
-// the engine's kernel resources.
-type engineShutdown interface {
-	beginShutdown()
-	finishShutdown()
 }
 
 // Close implements Transport. It is idempotent: closing an
@@ -662,14 +509,7 @@ func (u *UDP) Close() error {
 	u.closeOnce.Do(func() {
 		close(u.done)
 		u.closeErr = u.conn.Close()
-		s, hooked := u.eng.(engineShutdown)
-		if hooked {
-			s.beginShutdown()
-		}
 		<-u.readerDone
-		if hooked {
-			s.finishShutdown()
-		}
 	})
 	return u.closeErr
 }
@@ -691,22 +531,9 @@ func (u *UDP) closed() bool {
 	}
 }
 
-// uringFallbackEngine is the io_uring engine's graceful degradation
-// chain: the best syscall engine available — gso where the kernel
-// supports it, else the default (mmsg → per-packet) selection. Shared
-// by the runtime fallback in udp_uring_linux.go and the stub in
-// udp_uring_other.go.
-func uringFallbackEngine(u *UDP) udpEngine {
-	if GsoSupported && UDPGsoSupported() {
-		return newGsoEngine(u)
-	}
-	return newDefaultEngine(u)
-}
-
 // perPacketEngine is the portable fallback: one syscall per datagram
-// through the net package. It is compiled on every platform (the mmsg
-// engine needs it to exist for NewUDPPerPacket and the nommsg build)
-// and is the default where mmsg is unavailable.
+// through the net package. It is compiled on every platform and is the
+// default where mmsg is unavailable.
 type perPacketEngine struct{ u *UDP }
 
 func (e *perPacketEngine) name() string { return "per-packet" }

@@ -1,4 +1,4 @@
-//go:build linux && !nommsg && !nogso && (amd64 || arm64)
+//go:build linux && (amd64 || arm64)
 
 package transport
 
@@ -34,11 +34,9 @@ package transport
 //     before (nothing to amortize); either way the steady state
 //     allocates nothing.
 //
-// The engine is compiled out with the `nogso` build tag (CI runs
-// -tags=nogso and -tags=nommsg,nogso legs) and skipped at runtime when
-// the kernel rejects the socket options (UDPGsoSupported probes once),
-// falling back to the mmsg engine. A third, per-socket fallback
-// handles path-MTU limits: the kernel refuses GSO sends whose
+// The engine is skipped at runtime when the kernel rejects the socket
+// options (UDPGsoSupported probes once), falling back to the mmsg
+// engine. A second, per-socket fallback handles path-MTU limits: the kernel refuses GSO sends whose
 // segments would need IP fragmentation (full-size frames on a
 // 1500-byte link, while loopback's 64 KiB MTU takes them), so a
 // bounced supersegment is degraded to per-segment sendmsg calls and
@@ -53,9 +51,8 @@ import (
 )
 
 // GsoSupported reports whether the segmentation-offload engine is
-// compiled into this binary (Linux amd64/arm64, no `nommsg`/`nogso`
-// tags). Whether it actually runs also depends on the kernel: see
-// UDPGsoSupported.
+// compiled into this binary (Linux amd64/arm64). Whether it actually
+// runs also depends on the kernel: see UDPGsoSupported.
 const GsoSupported = true
 
 const (

@@ -1,12 +1,10 @@
-//go:build !linux || nommsg || nogso || !(amd64 || arm64)
+//go:build !linux || !(amd64 || arm64)
 
 package transport
 
 // Fallback build: no segmentation-offload engine. NewUDP selects the
-// platform default (mmsg where compiled in, else per-packet). The
-// `nogso` build tag forces this path on Linux so CI can exercise it
-// (`go test -tags=nogso ./...`, and `-tags=nommsg,nogso` for the fully
-// portable stack).
+// per-packet engine. CI cross-builds this file (GOOS=darwin, and
+// GOOS=linux GOARCH=386) so it cannot rot.
 
 // GsoSupported reports whether the segmentation-offload engine is
 // compiled into this binary.

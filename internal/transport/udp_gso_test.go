@@ -7,12 +7,12 @@ import (
 )
 
 // gsoPair binds two transports on the gso engine, or skips the test
-// when the engine is unavailable (nogso build, or a kernel without
-// UDP_SEGMENT/UDP_GRO).
+// when the engine is unavailable (unsupported platform, or a kernel
+// without UDP_SEGMENT/UDP_GRO).
 func gsoPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()
 	if !GsoSupported || !UDPGsoSupported() {
-		t.Skip("gso engine not available (nogso tag, unsupported platform, or kernel without UDP_SEGMENT/UDP_GRO)")
+		t.Skip("gso engine not available (unsupported platform, or kernel without UDP_SEGMENT/UDP_GRO)")
 	}
 	a, b := newUDPPair(t)
 	if a.Engine() != "gso" || b.Engine() != "gso" {

@@ -1,4 +1,4 @@
-//go:build linux && !nommsg && (amd64 || arm64)
+//go:build linux && (amd64 || arm64)
 
 package transport
 
@@ -21,8 +21,7 @@ package transport
 // the stdlib syscall package directly. The stdlib lacks SYS_SENDMMSG
 // on some arches — udp_sysnum_*.go carries the number — which is why
 // the engine is gated to linux/amd64 and linux/arm64; everywhere else
-// (and under the `nommsg` build tag) the portable per-packet engine
-// takes over.
+// the portable per-packet engine takes over.
 
 import (
 	"net"
@@ -32,7 +31,7 @@ import (
 )
 
 // MmsgSupported reports whether the batched sendmmsg/recvmmsg engine
-// is compiled into this binary (Linux amd64/arm64, no `nommsg` tag).
+// is compiled into this binary (Linux amd64/arm64).
 const MmsgSupported = true
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled

@@ -1,13 +1,12 @@
-//go:build !linux || nommsg || !(amd64 || arm64)
+//go:build !linux || !(amd64 || arm64)
 
 package transport
 
 // Portable fallback build: no batched-syscall engine. The per-packet
 // engine (one ReadFromUDPAddrPort/WriteToUDPAddrPort crossing per
 // datagram, see udp.go) is the default on every platform without
-// sendmmsg/recvmmsg support, and on Linux when built with the
-// `nommsg` tag — which is how CI keeps this path from rotting
-// (`go test -tags=nommsg ./...`).
+// sendmmsg/recvmmsg support. The engine itself is tested on Linux
+// through NewUDPPerPacket; CI cross-builds this file.
 
 // MmsgSupported reports whether the batched sendmmsg/recvmmsg engine
 // is compiled into this binary.

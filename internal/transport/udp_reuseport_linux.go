@@ -1,4 +1,4 @@
-//go:build linux && !nommsg && (amd64 || arm64)
+//go:build linux && (amd64 || arm64)
 
 package transport
 
@@ -23,8 +23,7 @@ import (
 )
 
 // ReusePortSupported reports whether ListenUDPShards can bind all
-// shards to one UDP address via SO_REUSEPORT (Linux amd64/arm64
-// without the `nommsg` tag).
+// shards to one UDP address via SO_REUSEPORT (Linux amd64/arm64).
 const ReusePortSupported = true
 
 // soReusePort is SO_REUSEPORT on linux/amd64 and linux/arm64 (absent

@@ -1,11 +1,11 @@
-//go:build !linux || nommsg || !(amd64 || arm64)
+//go:build !linux || !(amd64 || arm64)
 
 package transport
 
 // Portable fallback build: no SO_REUSEPORT sharding. ListenUDPShards
 // lays its shards out on n distinct ports behind the same resolver
-// instead (see listenShardsFallback); the `nommsg` CI leg exercises
-// this path on Linux so it cannot rot.
+// instead (see listenShardsFallback, which a Linux test calls
+// directly); CI cross-builds this file.
 
 import "net"
 

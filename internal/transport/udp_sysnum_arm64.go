@@ -1,4 +1,4 @@
-//go:build linux && !nommsg
+//go:build linux
 
 package transport
 

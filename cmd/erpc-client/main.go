@@ -182,7 +182,10 @@ func main() {
 	if *endpoints > 1 {
 		fmt.Printf("overall latency µs: %s\n", all.Summary())
 	}
-	fmt.Printf("retransmits: %d\n", st.Retransmits)
+	// Packets that left the common-case fast path of congestion control
+	// (§5.2.2): on an uncongested network both shares should be small.
+	fmt.Printf("retransmits: %d, paced packets: %d of %d sent, timely updates: %d of %d received\n",
+		st.Retransmits, st.PktsPaced, st.PktsTx, st.TimelyUpdates, st.PktsRx)
 	for _, tr := range trs {
 		tr.Close() // joins the reader: the per-endpoint counters below are final
 	}

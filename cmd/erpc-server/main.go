@@ -151,6 +151,9 @@ func main() {
 	st := server.Stats()
 	fmt.Printf("served %d handlers across %d endpoints, store holds %d keys\n",
 		st.HandlersRun, server.NumEndpoints(), store.Len())
+	// Client-mode traffic only (nested RPCs): a pure server paces nothing.
+	fmt.Printf("retransmits: %d, paced packets: %d of %d sent, timely updates: %d of %d received\n",
+		st.Retransmits, st.PktsPaced, st.PktsTx, st.TimelyUpdates, st.PktsRx)
 	for _, tr := range trs {
 		tr.Close() // joins the reader: the per-shard counters below are final
 	}

@@ -34,9 +34,11 @@ type Wheel[T any] struct {
 	spare [][]item[T]
 
 	// Inserted and Polled count total wheel operations for the CPU
-	// cost model and tests.
+	// cost model and tests; Steps counts the slots PollUntil visited,
+	// which is what a poll costs beyond its deliveries.
 	Inserted uint64
 	Polled   uint64
+	Steps    uint64
 }
 
 type item[T any] struct {
@@ -91,14 +93,23 @@ func (w *Wheel[T]) Insert(at sim.Time, v T) {
 
 // PollUntil advances the wheel head to now and calls fn for every item
 // whose slot start time is ≤ now, in slot order. It returns the number
-// of items delivered.
+// of items delivered. The walk visits slots only while items remain —
+// at most len(slots) of them, since every item sits within the horizon
+// of the head — and covers the rest of the distance with Anchor, so a
+// poll costs the same after an idle hour as after an idle microsecond.
 func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 	w.Polled++
 	delivered := 0
-	for w.headTime <= now {
-		slot := w.slots[w.headIdx]
-		if len(slot) > 0 {
-			w.slots[w.headIdx] = w.popSpare()
+	// The head lives in locals while it walks (fn may Insert, which
+	// reads it, so it is stored back around each delivery): the walk
+	// over empty slots is the wheel's only per-slot cost.
+	idx, t := w.headIdx, w.headTime
+	steps := uint64(0)
+	for w.size > 0 && t <= now {
+		steps++
+		if slot := w.slots[idx]; len(slot) > 0 {
+			w.headIdx, w.headTime = idx, t
+			w.slots[idx] = w.popSpare()
 			for _, it := range slot {
 				fn(it.at, it.v)
 			}
@@ -108,13 +119,34 @@ func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 		}
 		// Stop advancing once the head slot covers 'now': future
 		// inserts for the current instant must still land here.
-		if now < w.headTime+w.gran {
+		if now < t+w.gran {
 			break
 		}
-		w.headIdx = (w.headIdx + 1) % len(w.slots)
-		w.headTime += w.gran
+		t += w.gran
+		if idx++; idx == len(w.slots) {
+			idx = 0
+		}
 	}
+	w.headIdx, w.headTime = idx, t
+	w.Steps += steps
+	w.Anchor(now)
 	return delivered
+}
+
+// Anchor moves the head of an empty wheel to the slot covering now, in
+// O(1) and onto the slot boundary a slot-by-slot walk would reach. An
+// owner that skips polling an empty wheel calls it before the next
+// Insert: against a stale head every deadline looks beyond the horizon,
+// is clamped to the last slot, and leaves at the next poll instead of
+// at its time. A non-empty wheel is left alone — only PollUntil may
+// move a head past queued items, because it delivers them.
+func (w *Wheel[T]) Anchor(now sim.Time) {
+	if w.size > 0 || now < w.headTime+w.gran {
+		return
+	}
+	n := (now - w.headTime) / w.gran
+	w.headIdx = (w.headIdx + int(n%sim.Time(len(w.slots)))) % len(w.slots)
+	w.headTime += n * w.gran
 }
 
 // popSpare takes a recycled slot backing (or nil, growing on demand).

@@ -209,3 +209,77 @@ func TestInsertReusesSpareAcrossRing(t *testing.T) {
 		t.Fatalf("steady-state paced insert allocates %.3f times per op, want 0", avg)
 	}
 }
+
+// TestCatchUpAfterLongGapIsBounded pins the cost of a poll that finds
+// the head far behind: the walk stops once the wheel is empty and the
+// head jumps the rest of the way, so an hour of idleness costs at most
+// one revolution, and an empty wheel costs no step at all. Steps is a
+// count, not a wall-clock assertion.
+func TestCatchUpAfterLongGapIsBounded(t *testing.T) {
+	const slots, gran = 4096, 200 * sim.Nanosecond
+	const hour = 3600 * sim.Second
+	w := New[int](slots, gran)
+
+	// Empty wheel: Anchor covers the whole gap, nothing is visited.
+	now := sim.Time(hour)
+	w.PollUntil(now, func(sim.Time, int) { t.Fatal("empty wheel delivered an item") })
+	if w.Steps != 0 {
+		t.Fatalf("empty wheel walked %d slots", w.Steps)
+	}
+	if d := now - w.headTime; d < 0 || d >= gran {
+		t.Fatalf("empty wheel: head %v is not within one gran of now %v", w.headTime, now)
+	}
+
+	// After the re-anchor a near deadline is placed in its own slot,
+	// not clamped: it must not leave before its time.
+	w.Insert(now+50*sim.Microsecond, -1)
+	if n := w.PollUntil(now+10*sim.Microsecond, func(sim.Time, int) {}); n != 0 {
+		t.Fatal("item left 40 µs early: the head was stale at Insert")
+	}
+	if n := w.PollUntil(now+50*sim.Microsecond, func(sim.Time, int) {}); n != 1 {
+		t.Fatal("item not delivered at its deadline")
+	}
+
+	// Non-empty wheel, one-hour gap: items spread over the horizon
+	// (and one beyond it) leave exactly once, in slot order, within one
+	// revolution.
+	now += 50 * sim.Microsecond
+	offs := []sim.Time{700 * sim.Microsecond, 3 * sim.Microsecond, 90 * sim.Microsecond,
+		3 * sim.Microsecond, 5 * sim.Millisecond, 0}
+	for i, off := range offs {
+		w.Insert(now+off, i)
+	}
+	before := w.Steps
+	now += hour
+	var got []int
+	var last sim.Time
+	n := w.PollUntil(now, func(at sim.Time, v int) {
+		// Slot order: deadlines rise, except that the one beyond the
+		// horizon was clamped into the last slot.
+		if at < last {
+			t.Fatalf("item %d (at %v) delivered after a later slot (%v)", v, at, last)
+		}
+		last = at
+		got = append(got, v)
+	})
+	if n != len(offs) || w.Len() != 0 {
+		t.Fatalf("delivered %d of %d, %d left", n, len(offs), w.Len())
+	}
+	sort.Ints(got)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("not exactly-once: %v", got)
+		}
+	}
+	if steps := w.Steps - before; steps > slots {
+		t.Fatalf("catch-up walked %d slots, more than one revolution (%d)", steps, slots)
+	}
+	if d := now - w.headTime; d < 0 || d >= gran {
+		t.Fatalf("head %v is not within one gran of now %v", w.headTime, now)
+	}
+	// The jump must land where the walk would have: on a slot boundary
+	// of the original grid, so delivery times do not depend on gaps.
+	if w.headTime%gran != 0 {
+		t.Fatalf("head %v left the slot grid", w.headTime)
+	}
+}

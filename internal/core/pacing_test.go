@@ -1,0 +1,256 @@
+package core
+
+import (
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/timely"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// stampTransport is queueTransport plus a TX log: the packet type and
+// the clock reading of every frame handed to SendBurst.
+type stampTransport struct {
+	queueTransport
+	clock sim.Clock
+	kinds []wire.PktType
+	times []sim.Time
+}
+
+func newStampTransport(clock sim.Clock) *stampTransport {
+	return &stampTransport{queueTransport: *newQueueTransport(), clock: clock}
+}
+
+func (s *stampTransport) SendBurst(frames []transport.Frame) {
+	now := s.clock.Now()
+	for _, f := range frames {
+		var h wire.Header
+		if err := h.Decode(f.Data); err != nil {
+			panic(err)
+		}
+		s.kinds = append(s.kinds, h.PktType)
+		s.times = append(s.times, now)
+	}
+}
+
+// manualClock is a Clock the test sets.
+type manualClock struct{ t sim.Time }
+
+func (c *manualClock) Now() sim.Time { return c.t }
+
+// countingClock counts its reads and advances on each by one
+// nanosecond more than on the last, so two intervals are equal only if
+// they lie between the same two reads (and a whole test stays inside
+// one RTO-scan interval, whose own clock read would blur the count).
+type countingClock struct {
+	t     sim.Time
+	reads int
+}
+
+func (c *countingClock) Now() sim.Time {
+	c.reads++
+	c.t += sim.Time(c.reads)
+	return c.t
+}
+
+// pacedCfg forces every client packet through the rate limiter at a
+// fixed rate: Timely's ceiling is set below the link's line rate and,
+// with no congestion signal, Timely stays at its ceiling.
+func pacedCfg(tr transport.Transport, clock sim.Clock, rate float64) Config {
+	return Config{
+		Transport:    tr,
+		Clock:        clock,
+		TimelyParams: timely.Params{LinkRate: rate},
+		Opts:         Opts{DisableRateLimiterBypass: true},
+	}
+}
+
+// TestPacingChargesWireBytes pins what the rate limiter charges a
+// packet: a request-data packet the bytes it puts on the wire (header
+// + its payload), an RFR a full MTU because that is what it releases
+// from the server. At 10 MB/s a 32 B request is 4.8 µs of rate and an
+// MTU 147.2 µs; charging small requests an MTU spaced them 30x too far
+// apart.
+func TestPacingChargesWireBytes(t *testing.T) {
+	const (
+		rate = 10e6 // bytes/s
+		n    = DefaultNumSlots
+		step = wheelGran
+	)
+	clk := &manualClock{t: sim.Millisecond}
+	tr := newStampTransport(clk)
+	r := NewRpc(echoNexus(), pacedCfg(tr, clk, rate))
+	s, err := r.CreateSession(transport.Addr{Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run steps the clock one wheel slot at a time, so a packet's
+	// recorded departure is within one slot of its deadline.
+	run := func(d sim.Time) {
+		for end := clk.t + d; clk.t < end; clk.t += step {
+			r.RunEventLoopOnce()
+		}
+	}
+	gaps := func(kind wire.PktType) []sim.Time {
+		var g []sim.Time
+		last := sim.Time(-1)
+		for i, k := range tr.kinds {
+			if k != kind {
+				continue
+			}
+			if last >= 0 {
+				g = append(g, tr.times[i]-last)
+			}
+			last = tr.times[i]
+		}
+		return g
+	}
+	check := func(what string, got []sim.Time, wantN int, wireBytes int) {
+		t.Helper()
+		want := sim.Time(float64(wireBytes) * 1e9 / rate)
+		if len(got) != wantN {
+			t.Fatalf("%s: %d gaps, want %d", what, len(got), wantN)
+		}
+		for i, g := range got {
+			if g < want-2*step || g > want+2*step {
+				t.Fatalf("%s: gap %d is %v, want %v (%d wire bytes at %.0f MB/s)", what, i, g, want, wireBytes, rate/1e6)
+			}
+		}
+	}
+
+	r.RunEventLoopOnce() // a first iteration, so TX timestamps are non-zero
+	for i := 0; i < n; i++ {
+		r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(4*r.DataPerPkt()), func(error) {})
+	}
+	run(100 * sim.Microsecond)
+	check("32 B requests", gaps(wire.PktReq), n-1, wire.HeaderSize+32)
+	if r.Stats.PktsPaced != n {
+		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n)
+	}
+
+	// The first slot's request (reqNum NumSlots, slot 0) gets the first
+	// packet of a 4-packet response: the client asks for the other
+	// three with RFRs, one MTU of rate apart.
+	tr.inject(fuzzFrame(wire.Header{PktType: wire.PktResp, ReqType: echoType, MsgSize: uint32(4 * r.DataPerPkt()),
+		DstSession: 0, PktNum: 0, ReqNum: uint64(DefaultNumSlots)}, make([]byte, r.DataPerPkt())), transport.Addr{Node: 2})
+	run(400 * sim.Microsecond)
+	check("RFRs", gaps(wire.PktRFR), 2, tr.MTU())
+	if r.Stats.PktsPaced != n+3 {
+		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n+3)
+	}
+}
+
+// TestWaitForWorkHonoursWheelDeadline drives the loop the way
+// RunEventLoop does, on the wall clock, with one packet in the wheel
+// due in 300 µs and nothing else to do. The park must end at the
+// wheel's deadline: a loop that sleeps its fixed timer instead sends
+// the packet when the runtime delivers that timer, ~1.1 ms after it
+// was armed. Median over 51 attempts, so a spell of stolen CPU does
+// not decide the result.
+func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
+	const (
+		due      = 300 * sim.Microsecond
+		attempts = 51
+		maxLate  = 200 * sim.Microsecond
+	)
+	late := make([]sim.Time, 0, attempts)
+	for a := 0; a < attempts; a++ {
+		clk := sim.NewWallClock()
+		tr := newStampTransport(clk)
+		// Two 32 B requests at 48 B per 300 µs: the first leaves at
+		// once, the second is due one interval later.
+		r := NewRpc(echoNexus(), pacedCfg(tr, clk, float64(wire.HeaderSize+32)*1e9/float64(due)))
+		s, err := r.CreateSession(transport.Addr{Node: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := clk.Now()
+		for i := 0; i < 2; i++ {
+			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		}
+		for deadline := t0 + 100*sim.Millisecond; len(tr.times) < 2; {
+			if clk.Now() > deadline {
+				t.Fatalf("attempt %d: paced packet not sent within 100 ms", a)
+			}
+			if !r.RunEventLoopOnce() {
+				r.WaitForWork(200 * time.Microsecond)
+			}
+		}
+		if tr.times[1] < t0+due-wheelGran {
+			t.Fatalf("attempt %d: paced packet left %v early", a, t0+due-tr.times[1])
+		}
+		late = append(late, tr.times[1]-(t0+due))
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	t.Logf("lateness of a packet due in %v: min %v median %v max %v", due, late[0], late[attempts/2], late[attempts-1])
+	if med := late[attempts/2]; med >= maxLate {
+		t.Fatalf("median lateness %v, want < %v: the park slept past the wheel's deadline", med, maxLate)
+	}
+}
+
+// TestRTTOneClockReadPerRxBurst pins the RX half of batched timestamps
+// over a real transport: the RTT samples of one RX burst share one
+// clock read, so a burst of credit returns yields equal samples (the
+// per-packet reads it replaces made them climb, which Timely reads as
+// a rising gradient), and Opts.DisableBatchedTimestamps restores one
+// read per packet.
+func TestRTTOneClockReadPerRxBurst(t *testing.T) {
+	const crs = 4 // a 5-packet request draws 4 explicit credit returns
+	// burst enqueues the request, delivers n of its CRs as one RX burst
+	// and returns the RTT samples and clock reads of that iteration.
+	burst := func(opts Opts, n int) (samples []sim.Time, reads int) {
+		clk := &countingClock{t: sim.Millisecond}
+		tr := newQueueTransport()
+		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk, Opts: opts})
+		r.RTTHook = func(rtt sim.Time) { samples = append(samples, rtt) }
+		s, err := r.CreateSession(transport.Addr{Node: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.RunEventLoopOnce() // TX timestamps are taken from the iteration's clock
+		r.EnqueueRequest(s, echoType, r.Alloc((crs+1)*r.DataPerPkt()), r.Alloc(32), func(error) {})
+		r.RunEventLoopOnce()
+		if tr.sent != crs+1 {
+			t.Fatalf("sent %d request packets, want %d", tr.sent, crs+1)
+		}
+		for i := 0; i < n; i++ {
+			tr.inject(fuzzFrame(wire.Header{PktType: wire.PktCR, DstSession: 0, PktNum: uint16(i),
+				ReqNum: uint64(DefaultNumSlots)}, nil), transport.Addr{Node: 2})
+		}
+		before := clk.reads
+		r.RunEventLoopOnce()
+		if len(samples) != n {
+			t.Fatalf("%d RTT samples from a burst of %d credit returns", len(samples), n)
+		}
+		return samples, clk.reads - before
+	}
+
+	batched, batchedReads := burst(Opts{}, crs)
+	for _, rtt := range batched[1:] {
+		if rtt != batched[0] {
+			t.Fatalf("RTT samples of one RX burst differ: %v", batched)
+		}
+	}
+	perPkt, perPktReads := burst(Opts{DisableBatchedTimestamps: true}, crs)
+	for i := 1; i < len(perPkt); i++ {
+		if perPkt[i] == perPkt[i-1] {
+			t.Fatalf("DisableBatchedTimestamps: samples %v share a clock read", perPkt)
+		}
+	}
+	// Everything else the iteration reads the clock for is the same in
+	// both modes (no packet is sent), so the difference is the RTT
+	// reads: one per packet against one per burst.
+	if got := perPktReads - batchedReads; got != crs-1 {
+		t.Fatalf("a burst of %d CRs: %d clock reads per-packet, %d batched; want %d apart", crs, perPktReads, batchedReads, crs-1)
+	}
+	// A burst of one costs the same either way, which makes the one
+	// batched read the whole of the burst's RTT cost.
+	_, one := burst(Opts{}, 1)
+	_, onePerPkt := burst(Opts{DisableBatchedTimestamps: true}, 1)
+	if one != onePerPkt {
+		t.Fatalf("a burst of one CR: %d reads batched, %d per-packet; want equal", one, onePerPkt)
+	}
+}

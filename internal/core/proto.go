@@ -195,11 +195,27 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // rttSample processes one RTT measurement at the client (§5.2.2). The
 // same sample feeds both consumers of path delay: the Timely rate
 // controller and the adaptive RTO estimator.
+//
+// Both ends of the sample are batched timestamps (optimization 3). The
+// TX end is batchTS, the clock at the top of the iteration that sent
+// the packet. The RX end depends on the mode: over a real transport it
+// is rxTS, one clock read per non-empty RX burst taken as RecvBurst
+// returns — packets of one burst arrived together, and reading the
+// clock per packet instead adds each packet's processing time to the
+// next one's sample, a rising ramp that Timely takes for a queue
+// building up; in simulated time it is the CPU cursor, which costs
+// nothing to read and is the model's statement of when this packet is
+// processed. Opts.DisableBatchedTimestamps reads the clock per packet
+// on both ends.
 func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
 	if txTime == 0 {
 		return
 	}
-	rtt := r.now() - txTime
+	rxTime := r.rxTS
+	if r.sched != nil || r.opts.DisableBatchedTimestamps {
+		rxTime = r.now()
+	}
+	rtt := rxTime - txTime
 	if rtt < 0 {
 		return
 	}
@@ -216,15 +232,15 @@ func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
 	tl := s.cc.timely
 	if r.opts.DisableTimelyBypass {
 		r.charge(r.cost.TimelyNoBypass)
-		tl.Update(rtt)
-		return
+	} else {
+		// Timely bypass: skip the rate update for uncongested sessions
+		// with RTTs under the low threshold.
+		if tl.Uncongested() && rtt < tl.TLow() {
+			return
+		}
+		r.charge(r.cost.TimelyUpdate)
 	}
-	// Timely bypass: skip the rate update for uncongested sessions
-	// with RTTs under the low threshold.
-	if tl.Uncongested() && rtt < tl.TLow() {
-		return
-	}
-	r.charge(r.cost.TimelyUpdate)
+	r.Stats.TimelyUpdates++
 	tl.Update(rtt)
 }
 
@@ -332,18 +348,28 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 		return
 	}
 	// Paced path: schedule on the wheel at the session's next credit
-	// of rate. Both data packets and RFRs are paced at MTU
-	// granularity — an RFR releases one MTU-sized response packet
-	// from the server, so pacing RFRs paces the reverse flow.
+	// of rate. A request-data packet is charged the bytes it puts on
+	// the wire, so a 32 B request waits 48 B of rate, not an MTU's
+	// worth (eRPC divides the packet's own size by the rate). An RFR
+	// keeps MTU spacing although it is 16 B itself: it releases one
+	// MTU-sized response packet from the server, so pacing RFRs at MTU
+	// granularity is what paces the reverse flow.
 	now := r.now()
+	// pollWheel skips an empty wheel, so an empty wheel's head is as old
+	// as the last paced packet (Anchor leaves a non-empty one alone).
+	r.wheel.Anchor(now)
 	t := s.cc.nextTx
 	if t < now {
 		t = now
 	}
-	interval := sim.Time(float64(r.tr.MTU()) * 1e9 / tl.Rate())
-	s.cc.nextTx = t + interval
-	r.charge(r.cost.CarouselOp)
 	ss := &s.slots[idx]
+	wireBytes := r.tr.MTU()
+	if kind == kindReqData {
+		wireBytes = wire.HeaderSize + wire.PktDataLen(uint32(ss.req.MsgSize()), r.dataPerPkt, pktNum)
+	}
+	s.cc.nextTx = t + sim.Time(float64(wireBytes)*1e9/tl.Rate())
+	r.Stats.PktsPaced++
+	r.charge(r.cost.CarouselOp)
 	e := wheelEntry{sess: s, slotIdx: idx, reqNum: ss.reqNum, kind: kind, pktNum: pktNum}
 	if kind == kindReqData {
 		ss.req.RetainTX()

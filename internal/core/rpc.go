@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -60,6 +61,13 @@ const (
 	rtoScanInterval = 100 * sim.Microsecond
 	wheelSlots      = 4096
 	wheelGran       = 200 * sim.Nanosecond
+
+	// minTimerSleep is the shortest sleep a Go timer delivers on the
+	// hosts this runs on: a 200 µs timer fires after 1.09-1.13 ms
+	// (benchmark metric kernel.timer_200us_p50_us), whatever was asked
+	// for. WaitForWork does not arm a timer for a rate-limiter deadline
+	// nearer than this — the packet would leave a millisecond late.
+	minTimerSleep = sim.Millisecond
 )
 
 // Config configures an Rpc endpoint.
@@ -218,6 +226,8 @@ type Stats struct {
 	BytesTx       uint64
 	BytesRx       uint64
 	Retransmits   uint64 // go-back-N rollbacks
+	PktsPaced     uint64 // client packets that left through the rate limiter's wheel, not directly
+	TimelyUpdates uint64 // RTT samples that recomputed a Timely rate (not bypassed)
 	DMAFlushes    uint64
 	TxBursts      uint64 // SendBurst flushes (one DMA doorbell each)
 	StalePktsRx   uint64 // dropped: stale/duplicate/out-of-order
@@ -270,7 +280,8 @@ type Rpc struct {
 	wakeEv       sim.EventID
 	wakeArmed    bool
 
-	batchTS     sim.Time
+	batchTS     sim.Time // clock at the top of the iteration: TX timestamp of its packets
+	rxTS        sim.Time // real mode: clock right after the last non-empty RecvBurst
 	lastRTOScan sim.Time
 
 	workerDone []*ReqContext // sim mode: completed worker handlers
@@ -691,15 +702,48 @@ func (r *Rpc) RunEventLoopOnce() bool {
 	return r.Stats.PktsRx+r.Stats.PktsTx != before
 }
 
-// WaitForWork blocks until a packet arrival wakes the endpoint or d
-// elapses (real-transport mode only). Callers driving the loop by
-// hand use it on idle iterations: parking the goroutine lets the Go
-// runtime service the network poller immediately, which matters on
-// single-P machines where a spinning loop would otherwise wait for
-// sysmon's ~10 ms netpoll pass.
+// WaitForWork blocks until a packet arrival wakes the endpoint, d
+// elapses or the rate limiter's next deadline arrives, whichever is
+// first (real-transport mode only). Callers driving the loop by hand
+// use it on idle iterations: parking the goroutine lets the Go runtime
+// service the network poller immediately, which matters on single-P
+// machines where a spinning loop would otherwise wait for sysmon's
+// ~10 ms netpoll pass.
+//
+// d is a lower bound on a park that runs to its timer, not its length:
+// the runtime delivers a 200 µs timer after about 1.1 ms
+// (minTimerSleep). The RTO scan and the heartbeat have time constants
+// of 5 ms and more and live with that; a paced packet does not — its
+// slot is microseconds away, and a loop that napped through it sent
+// every paced packet a millisecond late. So the park is bounded by
+// wheel.NextDeadline, as armWake bounds the simulated loop's, and when
+// that deadline is nearer than any timer can honour the wait is a
+// yield loop instead: the goroutine stays runnable, gives the
+// processor to whoever wants it (the transport's reader goroutines)
+// between looks at the clock, and returns at the deadline or on a
+// wake. The loop therefore burns a processor only while a packet is
+// waiting for its slot, for less than minTimerSleep a call.
 func (r *Rpc) WaitForWork(d time.Duration) {
 	if r.sched != nil {
 		panic("erpc: WaitForWork is for real-transport mode")
+	}
+	if dl, ok := r.wheel.NextDeadline(); ok {
+		until := dl - r.clock.Now()
+		if until < minTimerSleep {
+			for until > 0 {
+				runtime.Gosched()
+				select {
+				case <-r.wakeCh:
+					return
+				default:
+				}
+				until = dl - r.clock.Now()
+			}
+			return
+		}
+		if time.Duration(until) < d {
+			d = time.Duration(until)
+		}
 	}
 	if r.waitTimer == nil {
 		r.waitTimer = time.NewTimer(d)
@@ -717,8 +761,11 @@ func (r *Rpc) WaitForWork(d time.Duration) {
 
 // RunEventLoop drives the endpoint until stop is closed (real
 // transport mode only). The loop polls hot while work arrives — the
-// paper's polling-based network I/O — and parks briefly when idle so
-// transport reader goroutines always make progress.
+// paper's polling-based network I/O — and parks when idle so transport
+// reader goroutines always make progress: until a packet arrives, for
+// about a millisecond otherwise (see WaitForWork for what the 200 µs
+// asked for here turns into, and for why a queued paced packet cuts
+// the park short).
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
 	if r.sched != nil {
 		panic("erpc: RunEventLoop is for real-transport mode; simulation is scheduler-driven")
@@ -807,6 +854,11 @@ func (r *Rpc) runOnce() {
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
+	if n > 0 && r.sched == nil && !r.opts.DisableBatchedTimestamps {
+		// One clock read stamps the whole burst (§5.2.2 optimization 3,
+		// the RX half): every RTT sample taken from it uses this time.
+		r.rxTS = r.clock.Now()
+	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]
 		r.processPkt(f.Data, f.Addr)

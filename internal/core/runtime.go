@@ -196,6 +196,8 @@ func (a *Stats) add(b *Stats) {
 	a.BytesTx += b.BytesTx
 	a.BytesRx += b.BytesRx
 	a.Retransmits += b.Retransmits
+	a.PktsPaced += b.PktsPaced
+	a.TimelyUpdates += b.TimelyUpdates
 	a.DMAFlushes += b.DMAFlushes
 	a.TxBursts += b.TxBursts
 	a.StalePktsRx += b.StalePktsRx

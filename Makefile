@@ -15,17 +15,13 @@ cross-build:
 test:
 	$(GO) test ./...
 
-# RACE_SKIP: the benchmark's TestSmoke holds a traced run's ledger to
-# 2 % unattributed wall time. Under the race detector the tracer's own
-# bookkeeping is ~1 us per top-level span, which is 2.4-3.7 % of an
-# echo_w1 round trip now that one takes ~130 us there instead of a
-# 1.2 ms park (2.4 % even with congestion control off), so the check
-# cannot pass in these two legs; `make test` runs it. To be fixed in
-# benchmark/ by a benchmark issue (see ROADMAP), then dropped here.
-RACE_SKIP = -skip '^TestSmoke$$'
-
+# The two race legs go through scripts/race-test.sh: the whole suite,
+# nothing skipped, tolerating exactly one failure — the 2 % ledger
+# sub-check of the benchmark's TestSmoke, which the tracer's own
+# bookkeeping exceeds under the race detector (the script says why and
+# where the gate belongs). `make test` holds that check.
 race:
-	$(GO) test -race $(RACE_SKIP) ./...
+	GO="$(GO)" scripts/race-test.sh
 
 # vet runs the standard vet checks plus erpcvet, the in-tree analyzer
 # suite that enforces the zero-copy ownership invariants (framerelease,
@@ -38,7 +34,7 @@ vet:
 # compiled in (double-put / foreign-put / SegBuf-refcount assertions in
 # the transport pools) under the race detector — the CI sanitizer leg.
 test-debug:
-	$(GO) test -tags erpcdebug -race $(RACE_SKIP) ./...
+	GO="$(GO)" scripts/race-test.sh -tags erpcdebug
 
 # bench runs the canonical benchmark (benchmark/README.md: results in
 # benchmark/out/), regenerates the two recorded erpc-bench artifacts —

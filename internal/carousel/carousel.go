@@ -95,8 +95,9 @@ func (w *Wheel[T]) Insert(at sim.Time, v T) {
 // whose slot start time is ≤ now, in slot order. It returns the number
 // of items delivered. The walk visits slots only while items remain —
 // at most len(slots) of them, since every item sits within the horizon
-// of the head — and covers the rest of the distance with Anchor, so a
-// poll costs the same after an idle hour as after an idle microsecond.
+// of the head — and covers the rest of the distance with anchor, so a
+// poll costs the same after an idle hour as after an idle microsecond,
+// and polling an empty wheel is one compare and a re-anchor.
 func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 	w.Polled++
 	delivered := 0
@@ -129,18 +130,19 @@ func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 	}
 	w.headIdx, w.headTime = idx, t
 	w.Steps += steps
-	w.Anchor(now)
+	w.anchor(now)
 	return delivered
 }
 
-// Anchor moves the head of an empty wheel to the slot covering now, in
-// O(1) and onto the slot boundary a slot-by-slot walk would reach. An
-// owner that skips polling an empty wheel calls it before the next
-// Insert: against a stale head every deadline looks beyond the horizon,
-// is clamped to the last slot, and leaves at the next poll instead of
-// at its time. A non-empty wheel is left alone — only PollUntil may
-// move a head past queued items, because it delivers them.
-func (w *Wheel[T]) Anchor(now sim.Time) {
+// anchor moves the head of an empty wheel to the slot covering now, in
+// O(1) and onto the slot boundary a slot-by-slot walk would reach.
+// Against a stale head every deadline looks beyond the horizon, is
+// clamped to the last slot, and leaves at the next poll instead of at
+// its time: the owner keeps the head fresh by polling every iteration,
+// empty wheel or not. A non-empty wheel is left alone — only the walk
+// in PollUntil may move a head past queued items, because it delivers
+// them.
+func (w *Wheel[T]) anchor(now sim.Time) {
 	if w.size > 0 || now < w.headTime+w.gran {
 		return
 	}

@@ -220,7 +220,7 @@ func TestCatchUpAfterLongGapIsBounded(t *testing.T) {
 	const hour = 3600 * sim.Second
 	w := New[int](slots, gran)
 
-	// Empty wheel: Anchor covers the whole gap, nothing is visited.
+	// Empty wheel: the re-anchor covers the whole gap, nothing is visited.
 	now := sim.Time(hour)
 	w.PollUntil(now, func(sim.Time, int) { t.Fatal("empty wheel delivered an item") })
 	if w.Steps != 0 {

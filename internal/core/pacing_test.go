@@ -191,6 +191,45 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 	}
 }
 
+// TestWaitForWorkYieldsNoLongerThanAsked: with a packet due in 800 µs —
+// too near for a timer, so the wait is a yield loop — WaitForWork(100 µs)
+// returns after 100 µs, not at the deadline: RunEventLoop looks at its
+// stop channel as often as it asked to. Minimum over 11 attempts, so a
+// descheduled test does not decide the result.
+func TestWaitForWorkYieldsNoLongerThanAsked(t *testing.T) {
+	const (
+		due = 800 * sim.Microsecond
+		ask = 100 * sim.Microsecond
+	)
+	best := due
+	for a := 0; a < 11; a++ {
+		clk := sim.NewWallClock()
+		tr := newStampTransport(clk)
+		r := NewRpc(echoNexus(), pacedCfg(tr, clk, float64(wire.HeaderSize+32)*1e9/float64(due)))
+		s, err := r.CreateSession(transport.Addr{Node: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		}
+		r.RunEventLoopOnce() // the first request leaves, the second waits in the wheel
+		start := clk.Now()
+		r.WaitForWork(time.Duration(ask))
+		waited := clk.Now() - start
+		if len(tr.times) != 1 {
+			t.Fatalf("attempt %d: %d packets sent before the wait, want 1", a, len(tr.times))
+		}
+		if waited < ask {
+			t.Fatalf("attempt %d: waited %v with nothing to wake it, want >= %v", a, waited, ask)
+		}
+		best = min(best, waited)
+	}
+	if best >= due/2 {
+		t.Fatalf("shortest WaitForWork(%v) took %v: the yield loop ran to the wheel's deadline (%v), not to d", ask, best, due)
+	}
+}
+
 // TestRTTOneClockReadPerRxBurst pins the RX half of batched timestamps
 // over a real transport: the RTT samples of one RX burst share one
 // clock read, so a burst of credit returns yields equal samples (the

@@ -355,9 +355,6 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 	// MTU-sized response packet from the server, so pacing RFRs at MTU
 	// granularity is what paces the reverse flow.
 	now := r.now()
-	// pollWheel skips an empty wheel, so an empty wheel's head is as old
-	// as the last paced packet (Anchor leaves a non-empty one alone).
-	r.wheel.Anchor(now)
 	t := s.cc.nextTx
 	if t < now {
 		t = now
@@ -379,11 +376,10 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 	s.cc.inWheel++
 }
 
-// pollWheel transmits rate-limited packets that are due.
+// pollWheel transmits rate-limited packets that are due. It polls an
+// empty wheel too: that is what keeps the wheel's head at the present
+// for the next Insert.
 func (r *Rpc) pollWheel() {
-	if r.wheel.Len() == 0 {
-		return
-	}
 	r.wheel.PollUntil(r.now(), func(_ sim.Time, e wheelEntry) {
 		e.sess.cc.inWheel--
 		if e.buf != nil {

@@ -62,11 +62,15 @@ const (
 	wheelSlots      = 4096
 	wheelGran       = 200 * sim.Nanosecond
 
-	// minTimerSleep is the shortest sleep a Go timer delivers on the
-	// hosts this runs on: a 200 µs timer fires after 1.09-1.13 ms
-	// (benchmark metric kernel.timer_200us_p50_us), whatever was asked
-	// for. WaitForWork does not arm a timer for a rate-limiter deadline
-	// nearer than this — the packet would leave a millisecond late.
+	// minTimerSleep is an upper bound on the shortest sleep a Go timer
+	// delivers, measured on one kind of host: a 200 µs timer fires after
+	// 1.09-1.16 ms on the 2-vCPU VMs this runs on (benchmark metric
+	// kernel.timer_200us_p50_us), whatever was asked for. WaitForWork
+	// does not arm a timer for a rate-limiter deadline nearer than this —
+	// there the packet would leave a millisecond late. A host with finer
+	// timers yields through waits it could have slept through: nothing
+	// in the loop measures a timer's lateness, so the bound is a
+	// constant and errs towards punctual packets.
 	minTimerSleep = sim.Millisecond
 )
 
@@ -720,24 +724,38 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // that deadline is nearer than any timer can honour the wait is a
 // yield loop instead: the goroutine stays runnable, gives the
 // processor to whoever wants it (the transport's reader goroutines)
-// between looks at the clock, and returns at the deadline or on a
-// wake. The loop therefore burns a processor only while a packet is
-// waiting for its slot, for less than minTimerSleep a call.
+// between looks at the clock, and returns at the deadline, on a wake
+// or after d — a yield loop keeps its time, so there d is the length,
+// and the caller gets to look at its stop flag as often as it asked to.
+//
+// The cost is a processor: while a packet waits for its slot the loop
+// goroutine is runnable, not asleep, and with Timely off line rate
+// nearly every client packet waits for one (Stats.PktsPaced): 2-15 µs
+// for a 32 B request, up to 470 µs for an MTU at Timely's floor. A
+// client occupies a core for those gaps, as the paper's polling loop
+// does all the time; an endpoint with an empty wheel (any server, a
+// client waiting for responses, an uncongested one) still sleeps.
+// NextDeadline's scan is one slot per 200 ns of distance to the
+// deadline at about 1 ns a slot, half a percent of the wait it
+// programs.
 func (r *Rpc) WaitForWork(d time.Duration) {
 	if r.sched != nil {
 		panic("erpc: WaitForWork is for real-transport mode")
 	}
 	if dl, ok := r.wheel.NextDeadline(); ok {
-		until := dl - r.clock.Now()
+		now := r.clock.Now()
+		until := dl - now
 		if until < minTimerSleep {
-			for until > 0 {
+			if end := now + sim.Time(d); end < dl {
+				dl = end
+			}
+			for r.clock.Now() < dl {
 				runtime.Gosched()
 				select {
 				case <-r.wakeCh:
 					return
 				default:
 				}
-				until = dl - r.clock.Now()
 			}
 			return
 		}

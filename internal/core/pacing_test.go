@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -69,15 +70,16 @@ func pacedCfg(tr transport.Transport, clock sim.Clock, rate float64) Config {
 }
 
 // TestPacingChargesWireBytes pins what the rate limiter charges a
-// packet: a request-data packet the bytes it puts on the wire (header
-// + its payload), an RFR a full MTU because that is what it releases
-// from the server. At 10 MB/s a 32 B request is 4.8 µs of rate and an
-// MTU 147.2 µs; charging small requests an MTU spaced them 30x too far
-// apart.
+// packet. A request-data packet that leaves an idle session is charged
+// the bytes it puts on the wire (header + its payload): at 10 MB/s a
+// 32 B request is 4.8 µs of rate, and charging it an MTU (147.2 µs) held
+// the next request back 30x too long. A request that joins others of
+// its session in flight is charged an MTU, and so is an RFR, which
+// releases an MTU-sized response packet from the server.
 func TestPacingChargesWireBytes(t *testing.T) {
 	const (
 		rate = 10e6 // bytes/s
-		n    = DefaultNumSlots
+		n    = 4    // 4.8 µs + 2 MTUs of rate stays inside the wheel's horizon
 		step = wheelGran
 	)
 	clk := &manualClock{t: sim.Millisecond}
@@ -108,16 +110,11 @@ func TestPacingChargesWireBytes(t *testing.T) {
 		}
 		return g
 	}
-	check := func(what string, got []sim.Time, wantN int, wireBytes int) {
+	check := func(what string, got sim.Time, wireBytes int) {
 		t.Helper()
 		want := sim.Time(float64(wireBytes) * 1e9 / rate)
-		if len(got) != wantN {
-			t.Fatalf("%s: %d gaps, want %d", what, len(got), wantN)
-		}
-		for i, g := range got {
-			if g < want-2*step || g > want+2*step {
-				t.Fatalf("%s: gap %d is %v, want %v (%d wire bytes at %.0f MB/s)", what, i, g, want, wireBytes, rate/1e6)
-			}
+		if got < want-2*step || got > want+2*step {
+			t.Fatalf("%s: gap is %v, want %v (%d wire bytes at %.0f MB/s)", what, got, want, wireBytes, rate/1e6)
 		}
 	}
 
@@ -125,8 +122,16 @@ func TestPacingChargesWireBytes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(4*r.DataPerPkt()), func(error) {})
 	}
-	run(100 * sim.Microsecond)
-	check("32 B requests", gaps(wire.PktReq), n-1, wire.HeaderSize+32)
+	run(400 * sim.Microsecond)
+	// The gap after a packet is what that packet was charged.
+	req := gaps(wire.PktReq)
+	if len(req) != n-1 {
+		t.Fatalf("32 B requests: %d gaps, want %d", len(req), n-1)
+	}
+	check("after the request that left an idle session", req[0], wire.HeaderSize+32)
+	for i, g := range req[1:] {
+		check(fmt.Sprintf("after request %d, sent with others in flight", i+1), g, tr.MTU())
+	}
 	if r.Stats.PktsPaced != n {
 		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n)
 	}
@@ -136,8 +141,14 @@ func TestPacingChargesWireBytes(t *testing.T) {
 	// three with RFRs, one MTU of rate apart.
 	tr.inject(fuzzFrame(wire.Header{PktType: wire.PktResp, ReqType: echoType, MsgSize: uint32(4 * r.DataPerPkt()),
 		DstSession: 0, PktNum: 0, ReqNum: uint64(DefaultNumSlots)}, make([]byte, r.DataPerPkt())), transport.Addr{Node: 2})
-	run(400 * sim.Microsecond)
-	check("RFRs", gaps(wire.PktRFR), 2, tr.MTU())
+	run(600 * sim.Microsecond)
+	rfr := gaps(wire.PktRFR)
+	if len(rfr) != 2 {
+		t.Fatalf("RFRs: %d gaps, want 2", len(rfr))
+	}
+	for _, g := range rfr {
+		check("RFRs", g, tr.MTU())
+	}
 	if r.Stats.PktsPaced != n+3 {
 		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n+3)
 	}
@@ -167,6 +178,10 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// An iteration first: it brings the wheel's head to the present,
+		// so a test descheduled since the clock was made does not find
+		// the second deadline beyond the wheel's horizon (clamped, early).
+		r.RunEventLoopOnce()
 		t0 := clk.Now()
 		for i := 0; i < 2; i++ {
 			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
@@ -227,6 +242,40 @@ func TestWaitForWorkYieldsNoLongerThanAsked(t *testing.T) {
 	}
 	if best >= due/2 {
 		t.Fatalf("shortest WaitForWork(%v) took %v: the yield loop ran to the wheel's deadline (%v), not to d", ask, best, due)
+	}
+}
+
+// TestWaitForWorkLeavesBacklogToTimer: the yield loop is for a lone
+// packet. It reads the clock until the deadline; with a second packet
+// queued behind the first, WaitForWork reads the clock once and arms
+// the timer. Counted in clock reads, not in time.
+func TestWaitForWorkLeavesBacklogToTimer(t *testing.T) {
+	waitReads := func(requests int) int {
+		clk := &countingClock{t: sim.Millisecond}
+		tr := newQueueTransport()
+		// 48 B per 10 µs: further than the clock's few reads carry it.
+		r := NewRpc(echoNexus(), pacedCfg(tr, clk, float64(wire.HeaderSize+32)*1e9/float64(10*sim.Microsecond)))
+		s, err := r.CreateSession(transport.Addr{Node: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.RunEventLoopOnce() // brings the wheel's head to the clock
+		for i := 0; i < requests; i++ {
+			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		}
+		r.RunEventLoopOnce() // the first request leaves, the rest wait in the wheel
+		if got := r.wheel.Len(); got != requests-1 {
+			t.Fatalf("%d requests: %d packets in the wheel, want %d", requests, got, requests-1)
+		}
+		before := clk.reads
+		r.WaitForWork(time.Microsecond)
+		return clk.reads - before
+	}
+	if lone := waitReads(2); lone < 3 {
+		t.Fatalf("a lone packet: WaitForWork read the clock %d times, want a yield loop watching it", lone)
+	}
+	if backlog := waitReads(3); backlog != 1 {
+		t.Fatalf("a backlog of two: WaitForWork read the clock %d times, want 1 (straight to the timer)", backlog)
 	}
 }
 

@@ -348,12 +348,21 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 		return
 	}
 	// Paced path: schedule on the wheel at the session's next credit
-	// of rate. A request-data packet is charged the bytes it puts on
-	// the wire, so a 32 B request waits 48 B of rate, not an MTU's
-	// worth (eRPC divides the packet's own size by the rate). An RFR
-	// keeps MTU spacing although it is 16 B itself: it releases one
-	// MTU-sized response packet from the server, so pacing RFRs at MTU
-	// granularity is what paces the reverse flow.
+	// of rate. A request-data packet that leaves an idle session (every
+	// credit at home: nothing of the session is in flight or queued) is
+	// charged the bytes it puts on the wire, so a serial 32 B request
+	// waits 48 B of rate, not an MTU's worth (eRPC divides the packet's
+	// own size by the rate); at the rates Timely idles at on loopback
+	// that is less than a round trip, and the request never waits in
+	// the wheel. A packet that joins others of its session in flight
+	// keeps the per-packet (MTU) charge. Charging those by size too
+	// works and is measured (EXPERIMENTS.md, "What is held back"): it
+	// takes every concurrent workload from timer-bound to CPU-bound,
+	// which this repository's benchmark cannot hold to its bound on a
+	// shared 2-vCPU host, so it waits for the issue that claims it. An
+	// RFR keeps MTU spacing in any case although it is 16 B itself: it
+	// releases one MTU-sized response packet from the server, so pacing
+	// RFRs at MTU granularity is what paces the reverse flow.
 	now := r.now()
 	t := s.cc.nextTx
 	if t < now {
@@ -361,7 +370,7 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 	}
 	ss := &s.slots[idx]
 	wireBytes := r.tr.MTU()
-	if kind == kindReqData {
+	if kind == kindReqData && s.credits == r.cfg.Credits {
 		wireBytes = wire.HeaderSize + wire.PktDataLen(uint32(ss.req.MsgSize()), r.dataPerPkt, pktNum)
 	}
 	s.cc.nextTx = t + sim.Time(float64(wireBytes)*1e9/tl.Rate())

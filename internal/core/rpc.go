@@ -62,15 +62,18 @@ const (
 	wheelSlots      = 4096
 	wheelGran       = 200 * sim.Nanosecond
 
-	// minTimerSleep is an upper bound on the shortest sleep a Go timer
-	// delivers, measured on one kind of host: a 200 µs timer fires after
-	// 1.09-1.16 ms on the 2-vCPU VMs this runs on (benchmark metric
-	// kernel.timer_200us_p50_us), whatever was asked for. WaitForWork
-	// does not arm a timer for a rate-limiter deadline nearer than this —
-	// there the packet would leave a millisecond late. A host with finer
-	// timers yields through waits it could have slept through: nothing
-	// in the loop measures a timer's lateness, so the bound is a
-	// constant and errs towards punctual packets.
+	// minTimerSleep is the shortest sleep a Go timer delivers once the
+	// process is idle: the runtime's last idle thread waits for timers
+	// in epoll_wait, whose timeout is whole milliseconds and rounds up
+	// (runtime/netpoll_epoll.go), so a 200 µs timer fires after
+	// 1.09-1.16 ms (benchmark metric kernel.timer_200us_p50_us) although
+	// the same kernel returns from a 50 µs nanosleep in 104 µs.
+	// WaitForWork does not arm a timer for a lone packet whose
+	// rate-limiter deadline is nearer than this — it would leave a
+	// millisecond late. A runtime with finer timers yields through
+	// waits it could have slept through: nothing in the loop measures a
+	// timer's lateness, so the bound is a constant and errs towards
+	// punctual packets.
 	minTimerSleep = sim.Millisecond
 )
 
@@ -718,25 +721,26 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // the runtime delivers a 200 µs timer after about 1.1 ms
 // (minTimerSleep). The RTO scan and the heartbeat have time constants
 // of 5 ms and more and live with that; a paced packet does not — its
-// slot is microseconds away, and a loop that napped through it sent
-// every paced packet a millisecond late. So the park is bounded by
-// wheel.NextDeadline, as armWake bounds the simulated loop's, and when
-// that deadline is nearer than any timer can honour the wait is a
-// yield loop instead: the goroutine stays runnable, gives the
+// slot is microseconds away, and a loop that napped through it sent it
+// a millisecond late. So the park is bounded by wheel.NextDeadline, as
+// armWake bounds the simulated loop's, and when the wheel holds one
+// packet whose deadline is nearer than any timer can honour the wait is
+// a yield loop instead: the goroutine stays runnable, gives the
 // processor to whoever wants it (the transport's reader goroutines)
 // between looks at the clock, and returns at the deadline, on a wake
 // or after d — a yield loop keeps its time, so there d is the length,
 // and the caller gets to look at its stop flag as often as it asked to.
 //
-// The cost is a processor: while a packet waits for its slot the loop
-// goroutine is runnable, not asleep, and with Timely off line rate
-// nearly every client packet waits for one (Stats.PktsPaced): 2-15 µs
-// for a 32 B request, up to 470 µs for an MTU at Timely's floor. A
-// client occupies a core for those gaps, as the paper's polling loop
-// does all the time; an endpoint with an empty wheel (any server, a
-// client waiting for responses, an uncongested one) still sleeps.
-// NextDeadline's scan is one slot per 200 ns of distance to the
-// deadline at about 1 ns a slot, half a percent of the wait it
+// A yield loop costs a processor for as long as it waits, which is why
+// it is for a lone packet only: that wait is one packet's charge of
+// rate (up to 470 µs for an MTU at Timely's floor) and then the wheel
+// is empty and the loop sleeps. Behind a backlog the next deadline is
+// always near, the loop would stay runnable for as long as traffic
+// flows (on bulk_64k that was most of the process's CPU time), and so
+// a backlog is left to the timer and leaves up to a millisecond late,
+// all of it together, as it always did (EXPERIMENTS.md, "What is held
+// back"). NextDeadline's scan is one slot per 200 ns of distance to
+// the deadline at about 1 ns a slot, half a percent of the wait it
 // programs.
 func (r *Rpc) WaitForWork(d time.Duration) {
 	if r.sched != nil {
@@ -745,7 +749,7 @@ func (r *Rpc) WaitForWork(d time.Duration) {
 	if dl, ok := r.wheel.NextDeadline(); ok {
 		now := r.clock.Now()
 		until := dl - now
-		if until < minTimerSleep {
+		if until < minTimerSleep && r.wheel.Len() == 1 {
 			if end := now + sim.Time(d); end < dl {
 				dl = end
 			}

@@ -52,13 +52,18 @@ bench:
 bench-quick:
 	$(GO) test -bench . -benchtime 1x -run XXX .
 
-# bench-smoke keeps the park-bound mode from coming back unseen: a
-# serial 32 B echo whose paced request waits for a ~1.1 ms timer runs
+# bench-smoke keeps the two park-bound modes from coming back unseen.
+# A serial 32 B echo whose paced request waits for a ~1.1 ms timer runs
 # at ~1.6 krps on any host, one that leaves at its wheel slot is
-# CPU-bound far above 8.
+# CPU-bound far above 8. 128 echoes outstanding whose requests are each
+# charged an MTU of rate queue in the wheel behind a timer and run at
+# ~86 krps on any host; charged their own bytes they are CPU-bound far
+# above 250 (362 at worst, with 20 % of the guest's CPU withheld).
 bench-smoke:
 	$(GO) run ./benchmark -workload echo_w1 -trace 0 -seconds 7 | tail -n 1 | \
 		jq -e '.correct and .metrics.rate_krps.value >= 8'
+	$(GO) run ./benchmark -workload echo_w128 -trace 0 -seconds 7 | tail -n 1 | \
+		jq -e '.correct and .metrics.rate_krps.value >= 250'
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -15,11 +15,21 @@ import (
 	"fmt"
 	"log"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/erpc"
 	"repro/internal/stats"
 )
+
+// cpuTime returns the user+system CPU time this process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		log.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
 
 func main() {
 	var (
@@ -109,7 +119,7 @@ func main() {
 	recs := make([]*stats.Recorder, *endpoints)
 	var done, failed atomic.Int64
 	finished := make(chan struct{})
-	start := time.Now()
+	start, cpuStart := time.Now(), cpuTime()
 	for i := 0; i < *endpoints; i++ {
 		r := client.Rpc(i)
 		// Split -n exactly: the first n%endpoints endpoints issue one
@@ -163,7 +173,7 @@ func main() {
 		})
 	}
 	<-finished
-	elapsed := time.Since(start)
+	elapsed, cpu := time.Since(start), cpuTime()-cpuStart
 	client.Stop()
 
 	total := int(done.Load())
@@ -186,6 +196,11 @@ func main() {
 	// (§5.2.2): on an uncongested network both shares should be small.
 	fmt.Printf("retransmits: %d, paced packets: %d of %d sent, timely updates: %d of %d received\n",
 		st.Retransmits, st.PktsPaced, st.PktsTx, st.TimelyUpdates, st.PktsRx)
+	// Whether the loops were CPU-bound or waiting (for a timer, for the
+	// server): a client that occupies a fraction of a core at a low rate
+	// spent the run parked.
+	fmt.Printf("process cpu: %.2f µs/rpc, %.2f cores occupied (user+sys over wall)\n",
+		float64(cpu.Microseconds())/float64(max(total, 1)), cpu.Seconds()/elapsed.Seconds())
 	for _, tr := range trs {
 		tr.Close() // joins the reader: the per-endpoint counters below are final
 	}

@@ -70,16 +70,18 @@ func pacedCfg(tr transport.Transport, clock sim.Clock, rate float64) Config {
 }
 
 // TestPacingChargesWireBytes pins what the rate limiter charges a
-// packet. A request-data packet that leaves an idle session is charged
-// the bytes it puts on the wire (header + its payload): at 10 MB/s a
-// 32 B request is 4.8 µs of rate, and charging it an MTU (147.2 µs) held
-// the next request back 30x too long. A request that joins others of
-// its session in flight is charged an MTU, and so is an RFR, which
-// releases an MTU-sized response packet from the server.
+// packet, one rule whatever else its session has in flight. A
+// request-data packet is charged the bytes it puts on the wire (header
+// + its payload): at 10 MB/s a 32 B request is 4.8 µs of rate (charging
+// it an MTU, 147.2 µs, held the next request back 30x too long), a full
+// packet of a multi-packet request an MTU and its short last packet its
+// own length. An RFR is charged an MTU: it releases an MTU-sized
+// response packet from the server.
 func TestPacingChargesWireBytes(t *testing.T) {
 	const (
 		rate = 10e6 // bytes/s
-		n    = 4    // 4.8 µs + 2 MTUs of rate stays inside the wheel's horizon
+		n    = 4    // 32 B requests ahead of the two-packet one
+		tail = 100  // payload of the two-packet request's last packet
 		step = wheelGran
 	)
 	clk := &manualClock{t: sim.Millisecond}
@@ -118,22 +120,29 @@ func TestPacingChargesWireBytes(t *testing.T) {
 		}
 	}
 
-	r.RunEventLoopOnce() // a first iteration, so TX timestamps are non-zero
+	r.RunEventLoopOnce() // brings the wheel's head to the clock
+	// All on one session, so every packet but the first joins others of
+	// its session in flight: n 32 B requests, a request of one full
+	// packet and one of tail bytes, and a last 32 B request whose
+	// departure shows what the short packet was charged.
 	for i := 0; i < n; i++ {
 		r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(4*r.DataPerPkt()), func(error) {})
 	}
+	r.EnqueueRequest(s, echoType, r.Alloc(r.DataPerPkt()+tail), r.Alloc(32), func(error) {})
+	r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
 	run(400 * sim.Microsecond)
 	// The gap after a packet is what that packet was charged.
 	req := gaps(wire.PktReq)
-	if len(req) != n-1 {
-		t.Fatalf("32 B requests: %d gaps, want %d", len(req), n-1)
+	for i, g := range req[:min(n, len(req))] {
+		check(fmt.Sprintf("after 32 B request %d", i), g, wire.HeaderSize+32)
 	}
-	check("after the request that left an idle session", req[0], wire.HeaderSize+32)
-	for i, g := range req[1:] {
-		check(fmt.Sprintf("after request %d, sent with others in flight", i+1), g, tr.MTU())
+	if len(req) != n+2 {
+		t.Fatalf("request packets: %d gaps, want %d", len(req), n+2)
 	}
-	if r.Stats.PktsPaced != n {
-		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n)
+	check("after the full first packet of the two-packet request", req[n], tr.MTU())
+	check("after its short last packet", req[n+1], wire.HeaderSize+tail)
+	if r.Stats.PktsPaced != n+3 {
+		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n+3)
 	}
 
 	// The first slot's request (reqNum NumSlots, slot 0) gets the first
@@ -149,8 +158,8 @@ func TestPacingChargesWireBytes(t *testing.T) {
 	for _, g := range rfr {
 		check("RFRs", g, tr.MTU())
 	}
-	if r.Stats.PktsPaced != n+3 {
-		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n+3)
+	if r.Stats.PktsPaced != n+3+3 {
+		t.Fatalf("PktsPaced = %d, want %d", r.Stats.PktsPaced, n+3+3)
 	}
 }
 
@@ -281,10 +290,12 @@ func TestWaitForWorkLeavesBacklogToTimer(t *testing.T) {
 
 // TestRTTOneClockReadPerRxBurst pins the RX half of batched timestamps
 // over a real transport: the RTT samples of one RX burst share one
-// clock read, so a burst of credit returns yields equal samples (the
-// per-packet reads it replaces made them climb, which Timely reads as
-// a rising gradient), and Opts.DisableBatchedTimestamps restores one
-// read per packet.
+// clock read — the loop clock's, taken as RecvBurst returns — so a burst
+// of credit returns yields equal samples (the per-packet reads it
+// replaces made them climb, which Timely reads as a rising gradient)
+// and a pass costs two reads whatever the burst's size;
+// Opts.DisableBatchedTimestamps restores a read per sample and per
+// progress stamp.
 func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 	const crs = 4 // a 5-packet request draws 4 explicit credit returns
 	// burst enqueues the request, delivers n of its CRs as one RX burst
@@ -298,8 +309,11 @@ func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.RunEventLoopOnce() // TX timestamps are taken from the iteration's clock
-		r.EnqueueRequest(s, echoType, r.Alloc((crs+1)*r.DataPerPkt()), r.Alloc(32), func(error) {})
+		// Enqueued from inside a pass, where the request's packets share
+		// the loop clock as their TX timestamp.
+		r.Post(func() {
+			r.EnqueueRequest(s, echoType, r.Alloc((crs+1)*r.DataPerPkt()), r.Alloc(32), func(error) {})
+		})
 		r.RunEventLoopOnce()
 		if tr.sent != crs+1 {
 			t.Fatalf("sent %d request packets, want %d", tr.sent, crs+1)
@@ -322,23 +336,115 @@ func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 			t.Fatalf("RTT samples of one RX burst differ: %v", batched)
 		}
 	}
+	// The top of the pass and the return of RecvBurst, for a burst of
+	// four as for a burst of one.
+	_, one := burst(Opts{}, 1)
+	if batchedReads != 2 || one != 2 {
+		t.Fatalf("a pass with a burst of %d CRs read the clock %d times, with a burst of one %d times; want 2 and 2", crs, batchedReads, one)
+	}
 	perPkt, perPktReads := burst(Opts{DisableBatchedTimestamps: true}, crs)
 	for i := 1; i < len(perPkt); i++ {
 		if perPkt[i] == perPkt[i-1] {
 			t.Fatalf("DisableBatchedTimestamps: samples %v share a clock read", perPkt)
 		}
 	}
-	// Everything else the iteration reads the clock for is the same in
-	// both modes (no packet is sent), so the difference is the RTT
-	// reads: one per packet against one per burst.
-	if got := perPktReads - batchedReads; got != crs-1 {
-		t.Fatalf("a burst of %d CRs: %d clock reads per-packet, %d batched; want %d apart", crs, perPktReads, batchedReads, crs-1)
-	}
-	// A burst of one costs the same either way, which makes the one
-	// batched read the whole of the burst's RTT cost.
-	_, one := burst(Opts{}, 1)
+	// Unbatched, every CR reads the clock for its RTT sample and for its
+	// progress stamp (no packet is sent: the request's are all out).
 	_, onePerPkt := burst(Opts{DisableBatchedTimestamps: true}, 1)
-	if one != onePerPkt {
-		t.Fatalf("a burst of one CR: %d reads batched, %d per-packet; want equal", one, onePerPkt)
+	if got := perPktReads - onePerPkt; got != 2*(crs-1) {
+		t.Fatalf("DisableBatchedTimestamps: %d clock reads for a burst of %d CRs, %d for a burst of one; want %d apart", perPktReads, crs, onePerPkt, 2*(crs-1))
+	}
+}
+
+// TestLoopClockReadsPerPass counts what a busy pass costs in clock
+// reads: 16 responses arrive as one RX burst and every continuation
+// issues the next request, so the pass stamps progress, takes RTT
+// samples and TX timestamps for 16 RPCs ending and 16 starting — on the
+// loop clock's two reads (the top of the pass, the return of RecvBurst).
+// Opts.DisableBatchedTimestamps goes back to a read per call: four or
+// more per RPC.
+func TestLoopClockReadsPerPass(t *testing.T) {
+	const sessions = 2
+	pass := func(opts Opts) (reads int) {
+		clk := &countingClock{t: sim.Millisecond}
+		tr := newQueueTransport()
+		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk, Opts: opts})
+		n := sessions * DefaultNumSlots
+		completed := 0
+		for i := 0; i < sessions; i++ {
+			s, err := r.CreateSession(transport.Addr{Node: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < DefaultNumSlots; k++ {
+				req, resp := r.Alloc(32), r.Alloc(32)
+				var issue func()
+				issue = func() {
+					r.EnqueueRequest(s, echoType, req, resp, func(err error) {
+						if err != nil {
+							t.Error(err)
+						}
+						completed++
+						if completed <= n {
+							issue()
+						}
+					})
+				}
+				issue()
+			}
+		}
+		r.RunEventLoopOnce()
+		if tr.sent != n {
+			t.Fatalf("sent %d requests, want %d", tr.sent, n)
+		}
+		for i := 0; i < sessions; i++ {
+			for k := 0; k < DefaultNumSlots; k++ {
+				tr.inject(fuzzFrame(wire.Header{PktType: wire.PktResp, ReqType: echoType, MsgSize: 32,
+					DstSession: uint16(i), PktNum: 0, ReqNum: uint64(DefaultNumSlots + k)}, make([]byte, 32)), transport.Addr{Node: 2})
+			}
+		}
+		before := clk.reads
+		r.RunEventLoopOnce()
+		if completed != n || tr.sent != 2*n {
+			t.Fatalf("the pass completed %d RPCs and sent %d requests in all, want %d and %d", completed, tr.sent, n, 2*n)
+		}
+		return clk.reads - before
+	}
+	if got := pass(Opts{}); got > 3 {
+		t.Fatalf("a pass that ends 16 RPCs and starts 16 read the clock %d times, want <= 3", got)
+	}
+	if got, want := pass(Opts{DisableBatchedTimestamps: true}), 4*sessions*DefaultNumSlots; got < want {
+		t.Fatalf("DisableBatchedTimestamps: the same pass read the clock %d times, want >= %d (a read per call)", got, want)
+	}
+}
+
+// TestEnqueueOutsideLoopSeesFreshClock: the loop clock is a pass's
+// timestamp and must not outlive it. 20 ms after the last pass a request
+// enqueued from outside the loop is stamped and paced at the time of the
+// call: stamped with the last pass's time it would be four RTOs old at
+// the next RTO scan, and its rate-limiter deadline 20 ms in the past.
+func TestEnqueueOutsideLoopSeesFreshClock(t *testing.T) {
+	clk := &manualClock{t: sim.Millisecond}
+	tr := newQueueTransport()
+	r := NewRpc(echoNexus(), pacedCfg(tr, clk, 10e6))
+	s, err := r.CreateSession(transport.Addr{Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunEventLoopOnce()
+	clk.t += 20 * sim.Millisecond // no pass meanwhile
+	r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+	if dl, ok := r.wheel.NextDeadline(); !ok || dl < clk.t {
+		t.Fatalf("paced at %v (queued: %v), want no earlier than the call at %v", dl, ok, clk.t)
+	}
+	if s.cc.nextTx < clk.t {
+		t.Fatalf("the session's next credit of rate is at %v, %v before the call", s.cc.nextTx, clk.t-s.cc.nextTx)
+	}
+	for i := 0; i < 3; i++ { // the request leaves, an RTO scan runs
+		clk.t += rtoScanInterval
+		r.RunEventLoopOnce()
+	}
+	if tr.sent != 1 || r.Stats.Retransmits != 0 {
+		t.Fatalf("sent %d packets, %d retransmits; want 1 and 0: the request was stamped before the call", tr.sent, r.Stats.Retransmits)
 	}
 }

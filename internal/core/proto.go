@@ -196,26 +196,22 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // same sample feeds both consumers of path delay: the Timely rate
 // controller and the adaptive RTO estimator.
 //
-// Both ends of the sample are batched timestamps (optimization 3). The
-// TX end is batchTS, the clock at the top of the iteration that sent
-// the packet. The RX end depends on the mode: over a real transport it
-// is rxTS, one clock read per non-empty RX burst taken as RecvBurst
-// returns — packets of one burst arrived together, and reading the
-// clock per packet instead adds each packet's processing time to the
-// next one's sample, a rising ramp that Timely takes for a queue
-// building up; in simulated time it is the CPU cursor, which costs
-// nothing to read and is the model's statement of when this packet is
-// processed. Opts.DisableBatchedTimestamps reads the clock per packet
-// on both ends.
+// Both ends of the sample are batched timestamps (optimization 3). Over
+// a real transport both are the loop clock (now()): the TX end is the
+// read that preceded the send, the RX end the one read taken as
+// RecvBurst returned — packets of one burst arrived together, and
+// reading the clock per packet instead adds each packet's processing
+// time to the next one's sample, a rising ramp that Timely takes for a
+// queue building up. In simulated time the TX end is batchTS, the CPU
+// cursor at the top of the pass that sent the packet, and the RX end is
+// the cursor itself, which costs nothing to read and is the model's
+// statement of when this packet is processed.
+// Opts.DisableBatchedTimestamps reads the clock per packet on both ends.
 func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
 	if txTime == 0 {
 		return
 	}
-	rxTime := r.rxTS
-	if r.sched != nil || r.opts.DisableBatchedTimestamps {
-		rxTime = r.now()
-	}
-	rtt := rxTime - txTime
+	rtt := r.now() - txTime
 	if rtt < 0 {
 		return
 	}
@@ -348,21 +344,12 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 		return
 	}
 	// Paced path: schedule on the wheel at the session's next credit
-	// of rate. A request-data packet that leaves an idle session (every
-	// credit at home: nothing of the session is in flight or queued) is
-	// charged the bytes it puts on the wire, so a serial 32 B request
-	// waits 48 B of rate, not an MTU's worth (eRPC divides the packet's
-	// own size by the rate); at the rates Timely idles at on loopback
-	// that is less than a round trip, and the request never waits in
-	// the wheel. A packet that joins others of its session in flight
-	// keeps the per-packet (MTU) charge. Charging those by size too
-	// works and is measured (EXPERIMENTS.md, "What is held back"): it
-	// takes every concurrent workload from timer-bound to CPU-bound,
-	// which this repository's benchmark cannot hold to its bound on a
-	// shared 2-vCPU host, so it waits for the issue that claims it. An
-	// RFR keeps MTU spacing in any case although it is 16 B itself: it
-	// releases one MTU-sized response packet from the server, so pacing
-	// RFRs at MTU granularity is what paces the reverse flow.
+	// of rate. A request-data packet is charged the bytes it puts on the
+	// wire (eRPC divides the packet's own size by the rate), so a 32 B
+	// request waits 48 B of rate, not an MTU's worth. An RFR is charged
+	// an MTU although it is 16 B itself: it releases one MTU-sized
+	// response packet from the server, so pacing RFRs at MTU granularity
+	// is what paces the reverse flow.
 	now := r.now()
 	t := s.cc.nextTx
 	if t < now {
@@ -370,7 +357,7 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 	}
 	ss := &s.slots[idx]
 	wireBytes := r.tr.MTU()
-	if kind == kindReqData && s.credits == r.cfg.Credits {
+	if kind == kindReqData {
 		wireBytes = wire.HeaderSize + wire.PktDataLen(uint32(ss.req.MsgSize()), r.dataPerPkt, pktNum)
 	}
 	s.cc.nextTx = t + sim.Time(float64(wireBytes)*1e9/tl.Rate())
@@ -407,9 +394,9 @@ func (r *Rpc) pollWheel() {
 // records its timestamp for RTT measurement.
 func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 	ss := &s.slots[idx]
-	ts := r.batchTS
-	if r.opts.DisableBatchedTimestamps {
-		ts = r.now()
+	ts := r.now()
+	if r.sched != nil && !r.opts.DisableBatchedTimestamps {
+		ts = r.batchTS
 	}
 	switch kind {
 	case kindReqData:

@@ -70,7 +70,9 @@ const (
 	// the same kernel returns from a 50 µs nanosleep in 104 µs.
 	// WaitForWork does not arm a timer for a lone packet whose
 	// rate-limiter deadline is nearer than this — it would leave a
-	// millisecond late. A runtime with finer timers yields through
+	// millisecond late. A backlog of paced packets still goes to the
+	// timer (bulk_64k's credit bursts are the one benchmark workload
+	// that holds back). A runtime with finer timers yields through
 	// waits it could have slept through: nothing in the loop measures a
 	// timer's lateness, so the bound is a constant and errs towards
 	// punctual packets.
@@ -287,8 +289,14 @@ type Rpc struct {
 	wakeEv       sim.EventID
 	wakeArmed    bool
 
-	batchTS     sim.Time // clock at the top of the iteration: TX timestamp of its packets
-	rxTS        sim.Time // real mode: clock right after the last non-empty RecvBurst
+	// batchTS is the one timestamp a loop pass caches (§5.2.2
+	// optimization 3). Simulated time: the CPU cursor at the top of the
+	// pass, read by txClientPkt as the TX timestamp of the pass's
+	// packets. Real time: the loop clock — the Clock read at the top of
+	// the pass and again right after a non-empty RecvBurst — which now()
+	// returns while loopClock is set.
+	batchTS     sim.Time
+	loopClock   bool // real mode, inside a pass, batched timestamps on: now() is batchTS
 	lastRTOScan sim.Time
 
 	workerDone []*ReqContext // sim mode: completed worker handlers
@@ -404,11 +412,27 @@ func (r *Rpc) DataPerPkt() int { return r.dataPerPkt }
 // LocalAddr returns the endpoint's transport address.
 func (r *Rpc) LocalAddr() transport.Addr { return r.tr.LocalAddr() }
 
-// now returns the current time: the CPU cursor in simulation mode
-// (time advances as work is charged), or the wall clock.
+// now returns the current time. In simulation mode that is the CPU
+// cursor (time advances as work is charged). Over a real transport it
+// is the loop clock inside an event-loop pass — batchTS, read from the
+// Clock at the top of the pass and once more after a non-empty RX burst,
+// so progress stamps, the pacing clock, the wheel poll, the RTO scan and
+// the heartbeat cost a pass two reads however many packets it moves
+// (§5.2.2 optimization 3; eRPC's event-loop TSC) — and a read of the
+// Clock for a call that arrives between passes (set-up code, a loop
+// driven by hand): a stamp left over from the last pass would be as old
+// as the wait since, and the 5 ms RTO would fire that much early.
+// Opts.DisableBatchedTimestamps reads the Clock on every call.
+//
+// A dispatch-mode handler or continuation that runs for T makes every
+// stamp taken after it in the same pass T old, as in eRPC; handlers that
+// long belong on worker threads (§3.2).
 func (r *Rpc) now() sim.Time {
 	if r.sched != nil {
 		return r.cursor
+	}
+	if r.loopClock {
+		return r.batchTS
 	}
 	return r.clock.Now()
 }
@@ -736,12 +760,18 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // rate (up to 470 µs for an MTU at Timely's floor) and then the wheel
 // is empty and the loop sleeps. Behind a backlog the next deadline is
 // always near, the loop would stay runnable for as long as traffic
-// flows (on bulk_64k that was most of the process's CPU time), and so
-// a backlog is left to the timer and leaves up to a millisecond late,
-// all of it together, as it always did (EXPERIMENTS.md, "What is held
-// back"). NextDeadline's scan is one slot per 200 ns of distance to
-// the deadline at about 1 ns a slot, half a percent of the wait it
-// programs.
+// flows, and so a backlog is left to the timer and leaves up to a
+// millisecond late, all of it together. A window of small requests
+// does not get there: each is charged microseconds of rate and has left
+// by the time the loop next runs out of packets to poll. bulk_64k,
+// whose 32-credit bursts of MTU-sized packets queue tens of
+// microseconds apart, is the one benchmark workload this rule still
+// holds back (EXPERIMENTS.md, "What is still held back: the backlog
+// wait"). NextDeadline's scan is one slot per 200 ns of distance to the
+// deadline at about 1 ns a slot, half a percent of the wait it programs.
+//
+// WaitForWork reads the Clock itself, not the loop clock: it waits
+// between passes, where no cached timestamp is current.
 func (r *Rpc) WaitForWork(d time.Duration) {
 	if r.sched != nil {
 		panic("erpc: WaitForWork is for real-transport mode")
@@ -786,8 +816,8 @@ func (r *Rpc) WaitForWork(d time.Duration) {
 // paper's polling-based network I/O — and parks when idle so transport
 // reader goroutines always make progress: until a packet arrives, for
 // about a millisecond otherwise (see WaitForWork for what the 200 µs
-// asked for here turns into, and for why a queued paced packet cuts
-// the park short).
+// asked for here turns into, why a lone paced packet cuts the park
+// short and why a backlog of them — bulk_64k — does not).
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
 	if r.sched != nil {
 		panic("erpc: RunEventLoop is for real-transport mode; simulation is scheduler-driven")
@@ -850,9 +880,12 @@ func (r *Rpc) drainPosted() {
 // rate limiter, one RX burst and worker completions, then run the RTO
 // scan and management timers, and finally flush the accumulated TX
 // batch with one SendBurst (paper §3.1: "the event loop performs the
-// bulk of eRPC's work"; §4.2.2: one DMA-queue flush per batch).
+// bulk of eRPC's work"; §4.2.2: one DMA-queue flush per batch). The
+// pass reads the clock here and pollRX reads it once more after a
+// non-empty burst; everything in between takes its time from now().
 func (r *Rpc) runOnce() {
 	r.batchTS = r.now()
+	r.loopClock = r.sched == nil && !r.opts.DisableBatchedTimestamps
 	r.drainPosted()
 	r.pollWheel()
 	r.pollRX()
@@ -864,6 +897,7 @@ func (r *Rpc) runOnce() {
 	}
 	r.heartbeat()
 	r.flushTX()
+	r.loopClock = false
 }
 
 // pollRX pulls one burst of up to BurstSize frames from the transport
@@ -876,10 +910,11 @@ func (r *Rpc) runOnce() {
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
-	if n > 0 && r.sched == nil && !r.opts.DisableBatchedTimestamps {
+	if n > 0 && r.loopClock {
 		// One clock read stamps the whole burst (§5.2.2 optimization 3,
-		// the RX half): every RTT sample taken from it uses this time.
-		r.rxTS = r.clock.Now()
+		// the RX half): every RTT sample taken from it uses this time,
+		// and so does everything the burst's packets set off.
+		r.batchTS = r.clock.Now()
 	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]

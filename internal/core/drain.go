@@ -34,8 +34,9 @@ func (r *Rpc) AllocBalance() (allocs, frees uint64) {
 // Drained reports whether the endpoint is draining and has no admitted
 // work left: no busy client slot or backlogged request, no server
 // request being received or executed, no packet waiting in the rate
-// limiter, and no zero-copy TX alias or deferred free outstanding.
-// Dispatch context only.
+// limiter, no zero-copy TX alias or deferred free outstanding, and no
+// closure waiting in the Post queue (where a worker handler's response
+// sits until a pass runs it). Dispatch context only.
 func (r *Rpc) Drained() bool {
 	if !r.draining {
 		return false
@@ -56,8 +57,10 @@ func (r *Rpc) Drained() bool {
 	if r.srvInFlight != 0 || r.wheel.Len() != 0 {
 		return false
 	}
-	if len(r.txBatch) != 0 || len(r.txRefs) != 0 || len(r.txFree) != 0 || len(r.workerDone) != 0 {
+	if len(r.txBatch) != 0 || len(r.txRefs) != 0 || len(r.txFree) != 0 {
 		return false
 	}
-	return true
+	r.posted.Lock()
+	defer r.posted.Unlock()
+	return len(r.posted.fns) == 0
 }

@@ -1,0 +1,141 @@
+package core
+
+import (
+	"runtime"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// driver is what differs between an endpoint a goroutine runs over a
+// real transport (loopDriver) and one the discrete-event scheduler runs
+// in simulated time (simDriver). Nothing here is called per packet.
+type driver interface {
+	// wake has a pass run soon: a packet reached an empty RX queue or
+	// Post queued a closure. Callable from any goroutine.
+	wake()
+	// park is WaitForWork, run is RunEventLoop; call runs fn on the
+	// dispatch context of a running loop and returns when it has.
+	park(d time.Duration)
+	run(stop <-chan struct{})
+	call(fn func())
+	// transmit puts r.txBatch on the wire and disposes of the pooled
+	// copies in it (txOwned); flushTX then resets the batch and releases
+	// the msgbufs it aliased.
+	transmit()
+	// offload runs a RunInWorker handler off the dispatch context; cost
+	// is the execution time the CostModel gives it.
+	offload(handler func(), cost sim.Time)
+}
+
+// minTimerSleep is the shortest sleep a Go timer delivers once the
+// process is idle: the runtime's last idle thread waits for timers in
+// epoll_wait, whose timeout is whole milliseconds and rounds up
+// (runtime/netpoll_epoll.go), so a 200 µs timer fires after
+// 1.09-1.16 ms (benchmark metric kernel.timer_200us_p50_us) although
+// the same kernel returns from a 50 µs nanosleep in 104 µs. WaitForWork
+// has what park does about it. A runtime with finer timers yields
+// through waits it could have slept through: nothing in the loop
+// measures a timer's lateness, so the bound is a constant and errs
+// towards punctual packets.
+const minTimerSleep = sim.Millisecond
+
+// loopDriver runs an endpoint over a real transport: a goroutine calls
+// runOnce while there is work and parks on wakeCh when there is none.
+type loopDriver struct {
+	r         *Rpc
+	wakeCh    chan struct{}
+	waitTimer *time.Timer // reused by park (alloc-free idle parks)
+}
+
+func (d *loopDriver) wake() {
+	select {
+	case d.wakeCh <- struct{}{}:
+	default:
+	}
+}
+
+func (d *loopDriver) park(dur time.Duration) {
+	r := d.r
+	if dl, ok := r.wheel.NextDeadline(); ok {
+		now := r.clock.Now()
+		until := dl - now
+		if until < minTimerSleep && r.wheel.Len() == 1 {
+			if end := now + sim.Time(dur); end < dl {
+				dl = end
+			}
+			for r.clock.Now() < dl {
+				runtime.Gosched()
+				select {
+				case <-d.wakeCh:
+					return
+				default:
+				}
+			}
+			return
+		}
+		if time.Duration(until) < dur {
+			dur = time.Duration(until)
+		}
+	}
+	if d.waitTimer == nil {
+		d.waitTimer = time.NewTimer(dur)
+	} else {
+		// Reusing one timer keeps idle parking allocation-free (safe
+		// without draining since Go 1.23's timer semantics).
+		d.waitTimer.Reset(dur)
+	}
+	select {
+	case <-d.wakeCh:
+		d.waitTimer.Stop()
+	case <-d.waitTimer.C:
+	}
+}
+
+func (d *loopDriver) run(stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			// One final iteration: deliver work posted while stopping
+			// (e.g. worker completions published during Server.Stop),
+			// so drained handlers get their responses out.
+			d.r.runOnce()
+			return
+		default:
+		}
+		if !d.r.RunEventLoopOnce() {
+			d.park(200 * time.Microsecond)
+		}
+	}
+}
+
+func (d *loopDriver) call(fn func()) {
+	done := make(chan struct{})
+	d.r.Post(func() { fn(); close(done) })
+	<-done
+}
+
+// transmit is one SendBurst (one doorbell), which completes
+// transmission synchronously: the batch's buffers are free on return.
+//
+//erpc:owner
+func (d *loopDriver) transmit() {
+	r := d.r
+	r.groupTXByPeer()
+	r.tr.SendBurst(r.txBatch)
+	for i := range r.txBatch {
+		if r.txOwned[i] {
+			r.txPool.Put(r.txBatch[i].Data)
+		}
+	}
+}
+
+// offload hands the handler to the process's worker pool (§3.2), or to
+// a goroutine of its own on an endpoint without one.
+func (d *loopDriver) offload(handler func(), _ sim.Time) {
+	if p := d.r.cfg.Pool; p != nil {
+		p.Submit(handler)
+		return
+	}
+	go handler()
+}

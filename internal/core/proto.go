@@ -202,8 +202,8 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // RecvBurst returned — packets of one burst arrived together, and
 // reading the clock per packet instead adds each packet's processing
 // time to the next one's sample, a rising ramp that Timely takes for a
-// queue building up. In simulated time the TX end is batchTS, the CPU
-// cursor at the top of the pass that sent the packet, and the RX end is
+// queue building up. In simulated time the TX end is the CPU cursor at
+// the top of the pass that sent the packet (txStamp), and the RX end is
 // the cursor itself, which costs nothing to read and is the model's
 // statement of when this packet is processed.
 // Opts.DisableBatchedTimestamps reads the clock per packet on both ends.
@@ -394,10 +394,7 @@ func (r *Rpc) pollWheel() {
 // records its timestamp for RTT measurement.
 func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 	ss := &s.slots[idx]
-	ts := r.now()
-	if r.sched != nil && !r.opts.DisableBatchedTimestamps {
-		ts = r.batchTS
-	}
+	ts := r.txStamp(r.now())
 	switch kind {
 	case kindReqData:
 		if pktNum < len(ss.reqTxTimes) {
@@ -478,13 +475,7 @@ func (r *Rpc) rawSend(dst transport.Addr, frame []byte) {
 // (the client then retransmits), server slot reuse defers the response
 // buffer's free until the references drain (resetSrvSlot/drainTXFree),
 // and session teardown flushes the batch before failing continuations.
-// Simulation mode keeps the pooled-copy path: a simulated frame
-// departs at a later scheduler event, beyond the flush's reach.
 func (r *Rpc) rawSendZC(dst transport.Addr, frame []byte, buf *msgbuf.Buf) {
-	if r.sched != nil {
-		r.rawSend(dst, frame)
-		return
-	}
 	r.Stats.ZeroCopyTx++
 	buf.RetainTX()
 	r.txRefs = append(r.txRefs, buf)
@@ -499,25 +490,18 @@ func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool) {
 	r.Stats.BytesTx += uint64(len(data))
 	r.txBatch = append(r.txBatch, transport.Frame{Data: data, Addr: dst})
 	r.txOwned = append(r.txOwned, owned)
-	if r.sched != nil {
-		// The packet leaves when the CPU reaches this point in its
-		// work (cursor) plus the non-CPU send pipeline (doorbell, DMA
-		// fetch) — recorded now, applied at flush.
-		r.txDep = append(r.txDep, r.cursor+r.cfg.TxPipeline)
-	}
+	r.txQueued()
 	if len(r.txBatch) >= r.burst {
 		r.flushTX()
 	}
 }
 
-// flushTX transmits the accumulated TX batch: one SendBurst (one
-// doorbell) in real-transport mode, then recycles pooled copies and
-// releases the zero-copy msgbuf references the batch held (SendBurst
-// completes transmission synchronously, so the buffers are free). In
-// simulation mode each frame is scheduled to depart at its recorded
-// per-packet time, preserving the TxPipeline timing model.
+// flushTX transmits the accumulated TX batch — how is the driver's
+// business: one SendBurst (one doorbell) over a real transport, a
+// departure event per frame in simulated time — then releases the
+// zero-copy msgbuf references the batch held and frees the buffers that
+// waited for them.
 //
-//erpc:owner
 //erpc:flush
 func (r *Rpc) flushTX() {
 	if len(r.txBatch) == 0 {
@@ -527,40 +511,16 @@ func (r *Rpc) flushTX() {
 		return
 	}
 	r.Stats.TxBursts++
-	if r.sched == nil {
-		r.groupTXByPeer()
-		r.tr.SendBurst(r.txBatch)
-		for i := range r.txBatch {
-			if r.txOwned[i] {
-				r.txPool.Put(r.txBatch[i].Data)
-			}
-			r.txBatch[i] = transport.Frame{}
-		}
-		r.txBatch = r.txBatch[:0]
-		r.txOwned = r.txOwned[:0]
-		for i, b := range r.txRefs {
-			b.ReleaseTX()
-			r.txRefs[i] = nil
-		}
-		r.txRefs = r.txRefs[:0]
-		r.drainTXFree()
-		return
-	}
-	for i := range r.txBatch {
-		var t *simTx
-		if n := len(r.simTxFree); n > 0 {
-			t = r.simTxFree[n-1]
-			r.simTxFree = r.simTxFree[:n-1]
-		} else {
-			t = &simTx{}
-		}
-		t.f[0] = r.txBatch[i]
-		r.sched.AtCall(r.txDep[i], r.simTxFn, t)
-		r.txBatch[i] = transport.Frame{}
-	}
+	r.drv.transmit()
+	clear(r.txBatch)
 	r.txBatch = r.txBatch[:0]
 	r.txOwned = r.txOwned[:0]
-	r.txDep = r.txDep[:0]
+	for i, b := range r.txRefs {
+		b.ReleaseTX()
+		r.txRefs[i] = nil
+	}
+	r.txRefs = r.txRefs[:0]
+	r.drainTXFree()
 }
 
 // drainTXFree frees the deferred-release msgbufs whose transmission

@@ -6,16 +6,24 @@
 // go-back-N loss recovery, Timely congestion control with a Carousel
 // rate limiter, and the common-case optimizations of §5.2.2.
 //
-// An Rpc endpoint is owned by exactly one dispatch context: a
-// goroutine in real-transport mode, or the discrete-event scheduler in
-// simulation mode. In simulation mode every operation charges CPU time
-// from a calibrated CostModel, reproducing the paper's CPU-bound
-// behavior (see costmodel.go).
+// An Rpc endpoint is one event loop that owns everything it touches
+// (§3.1, §4.2): a pass (runOnce) polls the rate limiter, takes one RX
+// burst, runs what Post and worker threads handed it, scans for
+// timeouts and flushes one TX batch. That loop is the same code in real
+// and in simulated time; who runs it is a driver (driver.go), picked
+// once in NewRpc from Config.Sched. Over a real transport a goroutine
+// runs passes and parks between them, a batch leaves in one SendBurst
+// and a RunInWorker handler gets a worker goroutine. Under the
+// discrete-event scheduler an event runs a pass when the simulated CPU
+// is free, each frame departs when that CPU got to it, and a worker
+// handler is an event one handler's cost later. The driver is asked
+// once per pass or less. What is asked per packet — the time (now) and
+// the CostModel's price of an operation (charge, chargeBytes; see
+// costmodel.go) — reads Rpc.cpu, the simulated CPU's cursor, a plain
+// field that is nil over a real transport: a test and an add, inlined.
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -61,22 +69,6 @@ const (
 	rtoScanInterval = 100 * sim.Microsecond
 	wheelSlots      = 4096
 	wheelGran       = 200 * sim.Nanosecond
-
-	// minTimerSleep is the shortest sleep a Go timer delivers once the
-	// process is idle: the runtime's last idle thread waits for timers
-	// in epoll_wait, whose timeout is whole milliseconds and rounds up
-	// (runtime/netpoll_epoll.go), so a 200 µs timer fires after
-	// 1.09-1.16 ms (benchmark metric kernel.timer_200us_p50_us) although
-	// the same kernel returns from a 50 µs nanosleep in 104 µs.
-	// WaitForWork does not arm a timer for a lone packet whose
-	// rate-limiter deadline is nearer than this — it would leave a
-	// millisecond late. A backlog of paced packets still goes to the
-	// timer (bulk_64k's credit bursts are the one benchmark workload
-	// that holds back). A runtime with finer timers yields through
-	// waits it could have slept through: nothing in the loop measures a
-	// timer's lateness, so the bound is a constant and errs towards
-	// punctual packets.
-	minTimerSleep = sim.Millisecond
 )
 
 // Config configures an Rpc endpoint.
@@ -267,10 +259,10 @@ type Rpc struct {
 	nexus *Nexus
 	tr    transport.Transport
 	clock sim.Clock
-	sched *sim.Scheduler // nil in real-transport mode
+	drv   driver     // who runs the loop: a goroutine or the scheduler
+	cpu   *simDriver // drv when it is the scheduler, whose CPU cursor is the time; nil over a real transport
 	cfg   Config
 	cost  CostModel
-	scale float64
 	opts  Opts
 
 	dataPerPkt int
@@ -281,30 +273,19 @@ type Rpc struct {
 
 	wheel *carousel.Wheel[wheelEntry]
 
-	// Simulated CPU state.
-	cursor       sim.Time
-	busyUntil    sim.Time
-	runScheduled bool
-	wakeAt       sim.Time
-	wakeEv       sim.EventID
-	wakeArmed    bool
-
-	// batchTS is the one timestamp a loop pass caches (§5.2.2
-	// optimization 3). Simulated time: the CPU cursor at the top of the
-	// pass, read by txClientPkt as the TX timestamp of the pass's
-	// packets. Real time: the loop clock — the Clock read at the top of
-	// the pass and again right after a non-empty RecvBurst — which now()
-	// returns while loopClock is set.
-	batchTS     sim.Time
-	loopClock   bool // real mode, inside a pass, batched timestamps on: now() is batchTS
+	// loopTS is the loop clock: the Clock as this pass last read it (at
+	// its top and again after a non-empty RX burst), which is what now()
+	// returns over a real transport while it is set. Zero between
+	// passes, with Opts.DisableBatchedTimestamps and in simulated time.
+	loopTS      sim.Time
 	lastRTOScan sim.Time
 
-	workerDone []*ReqContext // sim mode: completed worker handlers
-	wakeCh     chan struct{}
-	waitTimer  *time.Timer // reused by WaitForWork (alloc-free idle parks)
-
-	postedMu sync.Mutex
-	posted   []func() // closures injected via Post, drained by the loop
+	// posted is how other goroutines reach the loop: Post's closures,
+	// among them the responses of handlers that ran on worker threads.
+	posted struct {
+		sync.Mutex
+		fns []func()
+	}
 
 	lastHeard map[uint16]sim.Time // per-node liveness (Appendix B)
 	lastHB    sim.Time
@@ -324,11 +305,7 @@ type Rpc struct {
 	txOwned  []bool            // txBatch[i].Data is a txPool copy (recycle at flush)
 	txRefs   []*msgbuf.Buf     // msgbufs aliased by zero-copy frames; released at flush
 	txFree   []*msgbuf.Buf     // pooled msgbufs awaiting free once their TX refs drain
-	txDep    []sim.Time        // sim mode: per-frame departure times
 	txPool   *transport.Pool   // recycled TX frame buffers
-
-	simTxFree []*simTx  // recycled simulated-send descriptors
-	simTxFn   func(any) // predeclared AtCall callback for simulated sends
 
 	ctxFree []*ReqContext // recycled server-side request contexts
 
@@ -357,16 +334,13 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		nexus:       nexus,
 		tr:          cfg.Transport,
 		clock:       cfg.Clock,
-		sched:       cfg.Sched,
 		cfg:         cfg,
 		cost:        cfg.Cost,
-		scale:       cfg.CPUScale,
 		opts:        cfg.Opts,
 		dataPerPkt:  dataPerPkt,
 		alloc:       msgbuf.NewAllocator(dataPerPkt),
 		srvSessions: map[sessKey]*Session{},
 		wheel:       carousel.New[wheelEntry](wheelSlots, wheelGran),
-		wakeCh:      make(chan struct{}, 1),
 		lastHeard:   map[uint16]sim.Time{},
 		scratch:     make([]byte, cfg.Transport.MTU()),
 		burst:       cfg.BurstSize,
@@ -376,26 +350,14 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		txRefs:      make([]*msgbuf.Buf, 0, cfg.BurstSize),
 		txPool:      transport.NewPool(cfg.Transport.MTU(), 0),
 	}
-	if r.sched != nil {
-		r.txDep = make([]sim.Time, 0, cfg.BurstSize)
-		//erpc:owner — runs synchronously on the dispatch goroutine via the scheduler
-		r.simTxFn = func(a any) {
-			t := a.(*simTx)
-			r.tr.SendBurst(t.f[:])
-			r.txPool.Put(t.f[0].Data)
-			t.f[0] = transport.Frame{}
-			r.simTxFree = append(r.simTxFree, t)
-		}
+	if cfg.Sched != nil {
+		r.cpu = newSimDriver(r, cfg.Sched)
+		r.drv = r.cpu
+	} else {
+		r.drv = &loopDriver{r: r, wakeCh: make(chan struct{}, 1)}
 	}
-	cfg.Transport.SetWake(r.onTransportWake)
+	cfg.Transport.SetWake(r.drv.wake)
 	return r
-}
-
-// simTx is a pooled descriptor for one simulated send: the frame
-// leaves at its recorded departure time (CPU cursor at TX plus the
-// non-CPU send pipeline) regardless of when the batch is flushed.
-type simTx struct {
-	f [1]transport.Frame // a burst of one
 }
 
 // Alloc returns a message buffer sized for size data bytes, drawn from
@@ -412,9 +374,9 @@ func (r *Rpc) DataPerPkt() int { return r.dataPerPkt }
 // LocalAddr returns the endpoint's transport address.
 func (r *Rpc) LocalAddr() transport.Addr { return r.tr.LocalAddr() }
 
-// now returns the current time. In simulation mode that is the CPU
+// now returns the current time. In simulated time that is the CPU
 // cursor (time advances as work is charged). Over a real transport it
-// is the loop clock inside an event-loop pass — batchTS, read from the
+// is the loop clock inside an event-loop pass — loopTS, read from the
 // Clock at the top of the pass and once more after a non-empty RX burst,
 // so progress stamps, the pacing clock, the wheel poll, the RTO scan and
 // the heartbeat cost a pass two reads however many packets it moves
@@ -428,57 +390,38 @@ func (r *Rpc) LocalAddr() transport.Addr { return r.tr.LocalAddr() }
 // stamp taken after it in the same pass T old, as in eRPC; handlers that
 // long belong on worker threads (§3.2).
 func (r *Rpc) now() sim.Time {
-	if r.sched != nil {
-		return r.cursor
+	if r.cpu != nil {
+		return r.cpu.cursor
 	}
-	if r.loopClock {
-		return r.batchTS
+	if r.loopTS != 0 {
+		return r.loopTS
 	}
 	return r.clock.Now()
 }
 
-// apiEnter synchronizes the simulated CPU cursor when a public API
-// method is invoked from outside the event loop (e.g. application code
-// scheduled directly on the simulator). Safe to call re-entrantly from
-// continuations: the cursor never moves backwards.
-func (r *Rpc) apiEnter() {
-	if r.sched == nil {
-		return
+// txStamp turns now() into a client packet's TX timestamp. Over a real
+// transport now() is a batched timestamp already; in simulated time,
+// where it is exact, the stamp is the cursor at the top of the pass
+// (§5.2.2 optimization 3) unless Opts.DisableBatchedTimestamps.
+func (r *Rpc) txStamp(now sim.Time) sim.Time {
+	if r.cpu != nil && !r.opts.DisableBatchedTimestamps {
+		return r.cpu.passStart
 	}
-	if r.busyUntil > r.cursor {
-		r.cursor = r.busyUntil
-	}
-	if n := r.sched.Now(); n > r.cursor {
-		r.cursor = n
-	}
+	return now
 }
 
-// apiExit commits charged time after a public API call, flushes any
-// packets the call produced (an API call from outside the event loop
-// is its own TX batch) and arms the timer wake-ups the call may need
-// (rate limiter, RTO).
-func (r *Rpc) apiExit() {
-	if r.sched == nil {
-		return
-	}
-	r.flushTX()
-	if r.cursor > r.busyUntil {
-		r.busyUntil = r.cursor
-	}
-	r.armWake()
-}
-
-// charge advances the simulated CPU by d (scaled); no-op in real mode.
+// charge advances the simulated CPU by d (scaled); no-op over a real
+// transport, where costs are real.
 func (r *Rpc) charge(d sim.Time) {
-	if r.sched != nil && d > 0 {
-		r.cursor += sim.Time(float64(d) * r.scale)
+	if c := r.cpu; c != nil && d > 0 {
+		c.cursor += sim.Time(float64(d) * c.scale)
 	}
 }
 
 // chargeBytes charges a per-byte memcpy cost.
 func (r *Rpc) chargeBytes(n int) {
-	if r.sched != nil && n > 0 {
-		r.cursor += sim.Time(float64(n) * r.cost.MemcpyPerByte * r.scale)
+	if c := r.cpu; c != nil && n > 0 {
+		c.cursor += sim.Time(float64(n) * r.cost.MemcpyPerByte * c.scale)
 	}
 }
 
@@ -624,108 +567,9 @@ func (r *Rpc) complete(cont func(error), err error) {
 	}
 }
 
-// onTransportWake runs when a packet arrives while the RX queue was
-// empty. In simulation mode it schedules an event-loop run; in real
-// mode it nudges the loop goroutine.
-func (r *Rpc) onTransportWake() {
-	if r.sched != nil {
-		r.scheduleRun()
-		return
-	}
-	select {
-	case r.wakeCh <- struct{}{}:
-	default:
-	}
-}
-
-// scheduleRun arranges for the event loop to run as soon as the
-// simulated CPU is free.
-func (r *Rpc) scheduleRun() {
-	if r.runScheduled {
-		return
-	}
-	r.runScheduled = true
-	at := r.sched.Now()
-	if r.busyUntil > at {
-		at = r.busyUntil
-	}
-	r.sched.At(at, r.runSim)
-}
-
-func (r *Rpc) runSim() {
-	r.runScheduled = false
-	now := r.sched.Now()
-	if now < r.busyUntil {
-		// The CPU is still busy with earlier work; try again when free.
-		r.scheduleRun()
-		return
-	}
-	r.cursor = now
-	r.runOnce()
-	r.busyUntil = r.cursor
-	if r.rxFull {
-		// The RX burst filled: more packets may be queued beyond this
-		// iteration's budget of BurstSize. Run again once the CPU is
-		// free (packet arrivals only wake an *empty* queue).
-		r.scheduleRun()
-	}
-	r.armWake()
-}
-
-// armWake schedules the next timer-driven loop run (rate limiter
-// deadline, RTO scan, heartbeats). Packet arrivals wake the loop
-// independently via onTransportWake.
-func (r *Rpc) armWake() {
-	next := sim.Time(-1)
-	if d, ok := r.wheel.NextDeadline(); ok {
-		next = d
-	}
-	if r.anyBusySlot() {
-		t := r.cursor + rtoScanInterval
-		if next < 0 || t < next {
-			next = t
-		}
-	}
-	if r.cfg.HeartbeatInterval > 0 {
-		t := r.lastHB + r.cfg.HeartbeatInterval
-		if next < 0 || t < next {
-			next = t
-		}
-	}
-	if next < 0 {
-		return
-	}
-	if next < r.busyUntil {
-		next = r.busyUntil
-	}
-	if r.wakeArmed && r.wakeAt <= next {
-		return
-	}
-	if r.wakeArmed {
-		r.sched.Cancel(r.wakeEv)
-	}
-	r.wakeArmed = true
-	r.wakeAt = next
-	r.wakeEv = r.sched.At(next, func() {
-		r.wakeArmed = false
-		r.scheduleRun()
-	})
-}
-
-func (r *Rpc) anyBusySlot() bool {
-	for _, s := range r.sessions {
-		for i := range s.slots {
-			if s.slots[i].busy {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// RunEventLoopOnce performs one event-loop iteration (real mode or
-// manual driving in tests). It reports whether any work was done;
-// idle callers should yield the processor (runtime.Gosched) so
+// RunEventLoopOnce performs one event-loop iteration (a loop driven by
+// hand, in real or simulated time). It reports whether any work was
+// done; idle callers should yield the processor (runtime.Gosched) so
 // transport reader goroutines are not starved on small machines.
 func (r *Rpc) RunEventLoopOnce() bool {
 	before := r.Stats.PktsRx + r.Stats.PktsTx
@@ -733,13 +577,13 @@ func (r *Rpc) RunEventLoopOnce() bool {
 	return r.Stats.PktsRx+r.Stats.PktsTx != before
 }
 
-// WaitForWork blocks until a packet arrival wakes the endpoint, d
-// elapses or the rate limiter's next deadline arrives, whichever is
-// first (real-transport mode only). Callers driving the loop by hand
-// use it on idle iterations: parking the goroutine lets the Go runtime
-// service the network poller immediately, which matters on single-P
-// machines where a spinning loop would otherwise wait for sysmon's
-// ~10 ms netpoll pass.
+// WaitForWork blocks until a packet arrival or a Post wakes the
+// endpoint, d elapses or the rate limiter's next deadline arrives,
+// whichever is first. Callers driving the loop by hand use it on idle
+// iterations: parking the goroutine lets the Go runtime service the
+// network poller immediately, which matters on single-P machines where
+// a spinning loop would otherwise wait for sysmon's ~10 ms netpoll
+// pass. It panics on an endpoint the scheduler drives.
 //
 // d is a lower bound on a park that runs to its timer, not its length:
 // the runtime delivers a 200 µs timer after about 1.1 ms
@@ -772,71 +616,17 @@ func (r *Rpc) RunEventLoopOnce() bool {
 //
 // WaitForWork reads the Clock itself, not the loop clock: it waits
 // between passes, where no cached timestamp is current.
-func (r *Rpc) WaitForWork(d time.Duration) {
-	if r.sched != nil {
-		panic("erpc: WaitForWork is for real-transport mode")
-	}
-	if dl, ok := r.wheel.NextDeadline(); ok {
-		now := r.clock.Now()
-		until := dl - now
-		if until < minTimerSleep && r.wheel.Len() == 1 {
-			if end := now + sim.Time(d); end < dl {
-				dl = end
-			}
-			for r.clock.Now() < dl {
-				runtime.Gosched()
-				select {
-				case <-r.wakeCh:
-					return
-				default:
-				}
-			}
-			return
-		}
-		if time.Duration(until) < d {
-			d = time.Duration(until)
-		}
-	}
-	if r.waitTimer == nil {
-		r.waitTimer = time.NewTimer(d)
-	} else {
-		// Reusing one timer keeps idle parking allocation-free (safe
-		// without draining since Go 1.23's timer semantics).
-		r.waitTimer.Reset(d)
-	}
-	select {
-	case <-r.wakeCh:
-		r.waitTimer.Stop()
-	case <-r.waitTimer.C:
-	}
-}
+func (r *Rpc) WaitForWork(d time.Duration) { r.drv.park(d) }
 
-// RunEventLoop drives the endpoint until stop is closed (real
-// transport mode only). The loop polls hot while work arrives — the
-// paper's polling-based network I/O — and parks when idle so transport
-// reader goroutines always make progress: until a packet arrives, for
-// about a millisecond otherwise (see WaitForWork for what the 200 µs
-// asked for here turns into, why a lone paced packet cuts the park
-// short and why a backlog of them — bulk_64k — does not).
-func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
-	if r.sched != nil {
-		panic("erpc: RunEventLoop is for real-transport mode; simulation is scheduler-driven")
-	}
-	for {
-		select {
-		case <-stop:
-			// One final iteration: deliver work posted while stopping
-			// (e.g. worker completions published during Server.Stop),
-			// so drained handlers get their responses out.
-			r.runOnce()
-			return
-		default:
-		}
-		if !r.RunEventLoopOnce() {
-			r.WaitForWork(200 * time.Microsecond)
-		}
-	}
-}
+// RunEventLoop drives the endpoint until stop is closed. The loop polls
+// hot while work arrives — the paper's polling-based network I/O — and
+// parks when idle so transport reader goroutines always make progress:
+// until a packet arrives, for about a millisecond otherwise (see
+// WaitForWork for what the 200 µs asked for here turns into, why a lone
+// paced packet cuts the park short and why a backlog of them —
+// bulk_64k — does not). On an endpoint the scheduler drives it returns
+// at once: events run that loop.
+func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.drv.run(stop) }
 
 // Post schedules fn to run on the endpoint's dispatch context during
 // the next event-loop iteration. It is the only Rpc method that may be
@@ -844,52 +634,40 @@ func (r *Rpc) RunEventLoop(stop <-chan struct{}) {
 // CreateSession, ...) must run on the dispatch context, so application
 // code outside the loop goroutine injects work through Post.
 func (r *Rpc) Post(fn func()) {
-	if r.sched != nil {
-		// Simulation mode is single-goroutine: callers are already on
-		// the scheduler context.
-		r.posted = append(r.posted, fn)
-		r.scheduleRun()
-		return
-	}
-	r.postedMu.Lock()
-	r.posted = append(r.posted, fn)
-	r.postedMu.Unlock()
-	r.onTransportWake()
+	r.posted.Lock()
+	r.posted.fns = append(r.posted.fns, fn)
+	r.posted.Unlock()
+	r.drv.wake()
 }
 
-// drainPosted runs closures injected via Post.
+// drainPosted runs the closures Post queued: what applications inject
+// and the responses of handlers that ran on worker threads (§3.2).
 func (r *Rpc) drainPosted() {
-	if r.sched != nil {
-		for len(r.posted) > 0 {
-			fn := r.posted[0]
-			r.posted = r.posted[:copy(r.posted, r.posted[1:])]
-			fn()
-		}
-		return
-	}
-	r.postedMu.Lock()
-	fns := r.posted
-	r.posted = nil
-	r.postedMu.Unlock()
+	r.posted.Lock()
+	fns := r.posted.fns
+	r.posted.fns = nil
+	r.posted.Unlock()
 	for _, fn := range fns {
 		fn()
 	}
 }
 
-// runOnce is one event-loop iteration: drain injected closures, the
-// rate limiter, one RX burst and worker completions, then run the RTO
-// scan and management timers, and finally flush the accumulated TX
-// batch with one SendBurst (paper §3.1: "the event loop performs the
-// bulk of eRPC's work"; §4.2.2: one DMA-queue flush per batch). The
-// pass reads the clock here and pollRX reads it once more after a
-// non-empty burst; everything in between takes its time from now().
+// runOnce is one event-loop iteration: drain the rate limiter, one RX
+// burst and what Post queued, then run the RTO scan and management
+// timers, and finally flush the accumulated TX batch (paper §3.1: "the
+// event loop performs the bulk of eRPC's work"; §4.2.2: one DMA-queue
+// flush per batch). Over a real transport the pass reads the clock here
+// and pollRX reads it once more after a non-empty burst; everything in
+// between takes its time from now().
 func (r *Rpc) runOnce() {
-	r.batchTS = r.now()
-	r.loopClock = r.sched == nil && !r.opts.DisableBatchedTimestamps
-	r.drainPosted()
+	if c := r.cpu; c != nil {
+		c.passStart = c.cursor
+	} else if !r.opts.DisableBatchedTimestamps {
+		r.loopTS = r.clock.Now()
+	}
 	r.pollWheel()
 	r.pollRX()
-	r.drainWorkers()
+	r.drainPosted()
 	now := r.now()
 	if now-r.lastRTOScan >= rtoScanInterval {
 		r.lastRTOScan = now
@@ -897,7 +675,7 @@ func (r *Rpc) runOnce() {
 	}
 	r.heartbeat()
 	r.flushTX()
-	r.loopClock = false
+	r.loopTS = 0
 }
 
 // pollRX pulls one burst of up to BurstSize frames from the transport
@@ -910,11 +688,11 @@ func (r *Rpc) runOnce() {
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
-	if n > 0 && r.loopClock {
+	if n > 0 && r.loopTS != 0 {
 		// One clock read stamps the whole burst (§5.2.2 optimization 3,
 		// the RX half): every RTT sample taken from it uses this time,
 		// and so does everything the burst's packets set off.
-		r.batchTS = r.clock.Now()
+		r.loopTS = r.clock.Now()
 	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]
@@ -922,17 +700,3 @@ func (r *Rpc) pollRX() {
 	}
 	transport.ReleaseBurst(r.rxFrames[:n])
 }
-
-// drainWorkers completes handler executions returned by worker
-// threads (§3.2). In real-transport mode workers publish completions
-// through Post, so only the simulation-mode queue is drained here.
-func (r *Rpc) drainWorkers() {
-	for len(r.workerDone) > 0 {
-		ctx := r.workerDone[0]
-		r.workerDone = r.workerDone[:copy(r.workerDone, r.workerDone[1:])]
-		r.charge(r.cost.WorkerReturn)
-		r.sendQueuedResponse(ctx)
-	}
-}
-
-func fmtAddr(a transport.Addr) string { return fmt.Sprintf("%d:%d", a.Node, a.Port) }

@@ -100,13 +100,11 @@ func (p *WorkerPool) Close() {
 }
 
 // endpointGroup is the machinery common to Server and Client: a set of
-// Rpc endpoints plus the dispatch goroutines that own them in
-// real-transport mode. In simulation mode (Config.Sched set) the
-// discrete-event scheduler owns every endpoint and Start/Stop are
-// no-ops.
+// Rpc endpoints plus the dispatch goroutines that own them over real
+// transports. With Config.Sched set the discrete-event scheduler owns
+// every endpoint and Start has nothing to start.
 type endpointGroup struct {
 	rpcs     []*Rpc
-	sim      bool
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -116,14 +114,13 @@ func (g *endpointGroup) init(nexus *Nexus, cfgs []Config, pool *WorkerPool) {
 	if len(cfgs) == 0 {
 		panic("erpc: endpoint group needs at least one Config")
 	}
-	g.sim = cfgs[0].Sched != nil
 	g.stop = make(chan struct{})
 	for i := range cfgs {
 		cfg := cfgs[i]
-		if (cfg.Sched != nil) != g.sim {
+		if (cfg.Sched != nil) != (cfgs[0].Sched != nil) {
 			panic("erpc: endpoint group mixes simulation and real-transport configs")
 		}
-		if !g.sim && cfg.Pool == nil {
+		if cfg.Pool == nil {
 			// A caller-supplied per-endpoint pool wins over the
 			// group's shared one.
 			cfg.Pool = pool
@@ -149,15 +146,10 @@ func (g *endpointGroup) Addrs() []transport.Addr {
 	return addrs
 }
 
-// Start launches one dispatch goroutine per endpoint (real-transport
-// mode; a no-op in simulation mode, where the scheduler drives every
-// endpoint).
+// Start launches one dispatch goroutine per endpoint (it returns at
+// once on an endpoint the scheduler drives).
 func (g *endpointGroup) Start() {
-	if g.sim {
-		return
-	}
 	for _, r := range g.rpcs {
-		r := r
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
@@ -169,9 +161,6 @@ func (g *endpointGroup) Start() {
 // stopLoops halts the dispatch goroutines and waits for them to exit.
 // Idempotent: deferred cleanup Stops may overlap explicit ones.
 func (g *endpointGroup) stopLoops() {
-	if g.sim {
-		return
-	}
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 }
@@ -237,8 +226,8 @@ type Server struct {
 // NewServer builds one Rpc endpoint per Config. Every Config must carry
 // its own Transport (one UDP socket or simnet port per endpoint);
 // workers sizes the shared pool for RunInWorker handlers (<= 0 means
-// GOMAXPROCS). In simulation mode no pool or goroutines are created —
-// the scheduler models workers.
+// GOMAXPROCS). With Config.Sched set no pool is created: the scheduler
+// models workers.
 func NewServer(nexus *Nexus, cfgs []Config, workers int) *Server {
 	s := &Server{}
 	if len(cfgs) > 0 && cfgs[0].Sched == nil {
@@ -261,13 +250,14 @@ func (s *Server) Stop() {
 	s.stopLoops()
 }
 
-// Drain gracefully drains the serving process (real-transport mode):
-// every endpoint stops admitting new sessions and requests (arrivals
-// draw PktReject), admitted work — in-flight RPCs, queued zero-copy TX
-// aliases, worker handlers — runs to completion, and then the process
-// stops. It returns true if every endpoint fully drained before
-// timeout elapsed; on false, Stop has still been called (a deadline
-// overrun must not leave the process half-alive).
+// Drain gracefully drains the serving process: every endpoint stops
+// admitting new sessions and requests (arrivals draw PktReject),
+// admitted work — in-flight RPCs, queued zero-copy TX aliases, worker
+// handlers — runs to completion, and then the process stops. It
+// returns true if every endpoint fully drained before timeout elapsed;
+// on false, Stop has still been called (a deadline overrun must not
+// leave the process half-alive). It needs the dispatch goroutines
+// running; simulations call Rpc.Drain on the scheduler.
 func (s *Server) Drain(timeout time.Duration) bool {
 	ok := s.endpointGroup.drain(timeout)
 	s.Stop()
@@ -277,24 +267,14 @@ func (s *Server) Drain(timeout time.Duration) bool {
 // drain flips every endpoint into draining mode and polls Drained on
 // each dispatch context until all report empty or the deadline passes.
 func (g *endpointGroup) drain(timeout time.Duration) bool {
-	if g.sim {
-		panic("erpc: Drain is for real-transport mode; simulations call Rpc.Drain on the scheduler")
-	}
 	for _, r := range g.rpcs {
-		r.Post(r.Drain)
+		r.drv.call(r.Drain)
 	}
 	deadline := time.Now().Add(timeout)
-	results := make(chan bool, len(g.rpcs))
 	for {
-		for _, r := range g.rpcs {
-			r := r
-			r.Post(func() { results <- r.Drained() })
-		}
 		all := true
-		for range g.rpcs {
-			if !<-results {
-				all = false
-			}
+		for _, r := range g.rpcs {
+			r.drv.call(func() { all = all && r.Drained() })
 		}
 		if all {
 			return true

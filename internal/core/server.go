@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/msgbuf"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -225,21 +224,8 @@ func (r *Rpc) invokeHandler(s *Session, ss *srvSlot, idx int, lastPayload []byte
 	r.Stats.WorkerHandlers++
 	ctx.inWorker = true
 	r.charge(r.cost.WorkerDispatch)
-	if r.sched != nil {
-		// The worker runs in parallel with the dispatch thread: model
-		// it as completing after its execution time.
-		r.sched.At(r.cursor+scaled(cost, r.scale), func() { h.Fn(ctx) })
-		return
-	}
-	if r.cfg.Pool != nil {
-		r.cfg.Pool.Submit(func() { h.Fn(ctx) })
-		return
-	}
-	go h.Fn(ctx)
+	r.drv.offload(func() { h.Fn(ctx) }, cost)
 }
-
-// scaled applies the cluster CPU-speed factor to a duration.
-func scaled(d sim.Time, s float64) sim.Time { return sim.Time(float64(d) * s) }
 
 // getReqCtx takes a recycled request context (EnqueueResponse is its
 // end of life; see putReqCtx).
@@ -478,16 +464,14 @@ func (c *ReqContext) EnqueueResponse() {
 		r.sendQueuedResponse(c)
 		return
 	}
-	if r.sched != nil {
-		r.workerDone = append(r.workerDone, c)
-		r.scheduleRun()
-		return
-	}
 	// Publish through the unbounded Post queue so a worker (or a
 	// handler running inline on a dispatch goroutine during pool
 	// shutdown) never blocks on a full channel — a blocked worker
 	// would stall the shared pool for every endpoint. Outstanding
 	// completions are bounded by the protocol anyway: at most one
 	// per server-side slot.
-	r.Post(func() { r.sendQueuedResponse(c) })
+	r.Post(func() {
+		r.charge(r.cost.WorkerReturn)
+		r.sendQueuedResponse(c)
+	})
 }

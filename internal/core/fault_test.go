@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Fault-tolerance plane tests: adaptive RTO, retransmit and reject
@@ -222,6 +223,46 @@ func TestDrainCompletesAdmittedWork(t *testing.T) {
 	}
 	if !srv.Drained() {
 		t.Fatal("server did not report Drained after admitted work finished")
+	}
+}
+
+// TestDrainedSeesWorkerResponses: a handler that returned on a worker
+// thread has left its response in the Post queue, and until a pass runs
+// it the endpoint is not drained — over a real transport too, where the
+// queue used to be out of Drained's sight. The stale case is the one
+// srvInFlight does not cover for: the peer failed while the handler
+// ran, its slot is reset, nothing is in flight, and the queued response
+// still holds a request context and a buffer.
+func TestDrainedSeesWorkerResponses(t *testing.T) {
+	for _, stale := range []bool{false, true} {
+		returned := make(chan struct{})
+		nx := NewNexus()
+		nx.Register(echoType, Handler{RunInWorker: true, Fn: func(ctx *ReqContext) {
+			copy(ctx.AllocResponse(len(ctx.Req)), ctx.Req)
+			ctx.EnqueueResponse()
+			close(returned)
+		}})
+		tr := newQueueTransport()
+		r := NewRpc(nx, Config{Transport: tr, Clock: sim.NewWallClock()})
+		peer := transport.Addr{Node: 2}
+		tr.inject(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: 4,
+			ReqNum: DefaultNumSlots}, []byte("ping")), peer)
+		r.RunEventLoopOnce() // the request arrives, its handler goes to a worker
+		<-returned
+		if stale {
+			r.FailPeer(peer.Node)
+		}
+		r.Drain()
+		if r.Drained() {
+			t.Fatalf("stale=%v: Drained with a worker's response waiting for the loop", stale)
+		}
+		r.RunEventLoopOnce()
+		if !r.Drained() {
+			t.Fatalf("stale=%v: not Drained one pass after the handler returned", stale)
+		}
+		if want := map[bool]int{false: 1, true: 0}[stale]; tr.sent != want {
+			t.Fatalf("stale=%v: %d packets sent, want %d", stale, tr.sent, want)
+		}
 	}
 }
 

@@ -22,26 +22,36 @@ func fuzzFrame(h wire.Header, payload []byte) []byte {
 // queueTransport is an in-memory Transport whose RX queue is filled by
 // the test: frames pushed with inject are handed to the endpoint via
 // RecvBurst, so fuzz inputs travel the real burst RX path (pollRX →
-// RecvBurst → processPkt → Release). TX is counted and discarded.
+// RecvBurst → processPkt → Release). TX is counted and, unless the
+// transport has a peer to inject it into, discarded.
 type queueTransport struct {
 	rq   []transport.Frame
 	pool *transport.Pool
 	sent int
+	addr transport.Addr
+	peer *queueTransport
 }
 
 func newQueueTransport() *queueTransport {
-	return &queueTransport{pool: transport.NewPool(1472, 0)}
+	return &queueTransport{pool: transport.NewPool(1472, 0), addr: transport.Addr{Node: 1}}
 }
 
 func (q *queueTransport) inject(frame []byte, from transport.Addr) {
 	q.rq = append(q.rq, transport.PooledFrame(append(q.pool.Get(), frame...), from, q.pool))
 }
 
-func (q *queueTransport) MTU() int                           { return 1472 }
-func (q *queueTransport) LocalAddr() transport.Addr          { return transport.Addr{Node: 1} }
-func (q *queueTransport) SendBurst(frames []transport.Frame) { q.sent += len(frames) }
-func (q *queueTransport) SetWake(func())                     {}
-func (q *queueTransport) Close() error                       { return nil }
+func (q *queueTransport) MTU() int                  { return 1472 }
+func (q *queueTransport) LocalAddr() transport.Addr { return q.addr }
+func (q *queueTransport) SetWake(func())            {}
+func (q *queueTransport) Close() error              { return nil }
+func (q *queueTransport) SendBurst(frames []transport.Frame) {
+	q.sent += len(frames)
+	for _, f := range frames {
+		if q.peer != nil {
+			q.peer.inject(f.Data, q.addr)
+		}
+	}
+}
 func (q *queueTransport) RecvBurst(frames []transport.Frame) int {
 	n := copy(frames, q.rq)
 	q.rq = q.rq[:copy(q.rq, q.rq[n:])]

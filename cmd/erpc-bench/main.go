@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,14 +28,13 @@ func printf(format string, a ...any) { fmt.Printf(format, a...) }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id(s), comma separated (see -list)")
-		scale    = flag.Float64("scale", 1.0, "scale factor: <1 shrinks clusters and windows")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		burst    = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiment ids")
-		datapath = flag.String("datapath", "", "measure the datapath benchmark (multicore sweep: Mrps, wall s, allocs/op) and write/update this JSON artifact")
-		chaos    = flag.String("chaos", "", "measure the fault-tolerance layer under scripted chaos (loss storm, blackhole, straggler, dup burst, overload, graceful drain: per-phase goodput, recovery ms, retransmit/reject budgets, at-most-once audit) and write this JSON artifact")
+		exp   = flag.String("exp", "", "experiment id(s), comma separated (see -list)")
+		scale = flag.Float64("scale", 1.0, "scale factor: <1 shrinks clusters and windows")
+		seed  = flag.Int64("seed", 42, "simulation seed")
+		burst = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
+		all   = flag.Bool("all", false, "run every experiment")
+		list  = flag.Bool("list", false, "list experiment ids")
+		chaos = flag.String("chaos", "", "measure the fault-tolerance layer under scripted chaos (loss storm, blackhole, straggler, dup burst, overload, graceful drain: per-phase goodput, recovery ms, retransmit/reject budgets, at-most-once audit) and write this JSON artifact")
 	)
 	flag.Parse()
 
@@ -51,13 +49,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst}
-	if *datapath != "" {
-		if err := writeDatapath(*datapath, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *chaos != "" {
 		if err := writeChaos(*chaos, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "erpc-bench: %v\n", err)
@@ -82,22 +73,6 @@ func main() {
 		}
 		fn(opts).Print(os.Stdout)
 	}
-}
-
-// datapathFile is the BENCH_datapath.json schema: the multicore sweep
-// measured pre-refactor (baseline, frozen once recorded) and at HEAD
-// (current, regenerated by `make bench`).
-type datapathFile struct {
-	Benchmark string              `json:"benchmark"`
-	Scale     float64             `json:"scale"`
-	Seed      int64               `json:"seed"`
-	Baseline  *datapathRunSection `json:"baseline,omitempty"`
-	Current   *datapathRunSection `json:"current,omitempty"`
-}
-
-type datapathRunSection struct {
-	Note string                        `json:"note,omitempty"`
-	Rows []experiments.MulticoreResult `json:"rows"`
 }
 
 // chaosFile is the BENCH_chaos.json schema: the fault-tolerance layer
@@ -159,34 +134,4 @@ func writeChaos(path string, opts experiments.Options) error {
 		return fmt.Errorf("chaos sweep violated protocol invariants: %s", strings.Join(fatal, "; "))
 	}
 	return experiments.WriteJSONReport(path, &f)
-}
-
-// writeDatapath runs the datapath benchmark (the multicore endpoint
-// sweep, measuring simulated Mrps plus host-side wall seconds and heap
-// allocations per RPC) and updates the JSON artifact at path. An
-// existing baseline section is preserved (a corrupt file is an error,
-// so the frozen baseline can't be silently replaced); if the file is
-// new, the run is recorded as both baseline and current.
-func writeDatapath(path string, opts experiments.Options) error {
-	var df datapathFile
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &df); err != nil {
-			return fmt.Errorf("existing %s is not valid JSON (fix or delete it to re-baseline): %w", path, err)
-		}
-	}
-	df.Benchmark = "multicore endpoint sweep (see BenchmarkMulticore); Mrps is simulated, wall_sec and allocs_per_op are host-side datapath cost"
-	df.Scale = opts.Scale
-	df.Seed = opts.Seed
-	rows := make([]experiments.MulticoreResult, 0, len(experiments.MulticoreEndpoints))
-	for _, eps := range experiments.MulticoreEndpoints {
-		m := experiments.MulticoreMeasure(eps, opts)
-		rows = append(rows, m)
-		fmt.Printf("endpoints=%d  %.2f Mrps  %.3f wall s  %.1f allocs/op\n",
-			m.Endpoints, m.Mrps, m.WallSec, m.AllocsPerOp)
-	}
-	df.Current = &datapathRunSection{Note: "HEAD (regenerate with `make bench`)", Rows: rows}
-	if df.Baseline == nil {
-		df.Baseline = &datapathRunSection{Note: "first recorded run", Rows: rows}
-	}
-	return experiments.WriteJSONReport(path, &df)
 }

@@ -142,9 +142,6 @@ func NewNexus() *Nexus { return core.NewNexus() }
 // NewRpc creates an endpoint using the handlers registered with nexus.
 func NewRpc(nexus *Nexus, cfg Config) *Rpc { return core.NewRpc(nexus, cfg) }
 
-// DefaultCostModel returns the calibrated simulation cost model.
-func DefaultCostModel() CostModel { return core.DefaultCostModel() }
-
 // NewWallClock returns a Clock backed by the monotonic system clock,
 // for real-transport deployments.
 func NewWallClock() Clock { return sim.NewWallClock() }
@@ -191,14 +188,10 @@ func NewUDPTransportUring(addr Addr, bind string) (*transport.UDP, error) {
 // engine is compiled into this binary (Linux amd64/arm64).
 const UDPMmsgSupported = transport.MmsgSupported
 
-// UDPGsoCompiled reports whether the segmentation-offload UDP engine
-// (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) is compiled
-// into this binary (Linux amd64/arm64).
-const UDPGsoCompiled = transport.GsoSupported
-
 // UDPGsoSupported reports whether the segmentation-offload engine
-// actually runs here: compiled in (UDPGsoCompiled) and accepted by the
-// kernel (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport
+// (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) actually runs
+// here: compiled in (Linux amd64/arm64) and accepted by the kernel
+// (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport
 // and the listen helpers select the gso engine. It is the runtime
 // mirror of UDPReusePortSupported.
 func UDPGsoSupported() bool { return transport.UDPGsoSupported() }
@@ -225,16 +218,6 @@ func NewServer(nexus *Nexus, cfgs []Config, workers int) *Server {
 // Client.CreateSession to stripe sessions across a server's endpoints.
 func NewClient(nexus *Nexus, cfgs []Config) *Client {
 	return core.NewClient(nexus, cfgs)
-}
-
-// NewWorkerPool starts a standalone pool of n worker goroutines
-// (<= 0 means GOMAXPROCS) for Config.Pool.
-func NewWorkerPool(n int) *WorkerPool { return core.NewWorkerPool(n) }
-
-// StripeAddr picks the remote endpoint for the k-th session from
-// local, striping by flow hash (see core.StripeAddr).
-func StripeAddr(local Addr, remotes []Addr, k int) Addr {
-	return core.StripeAddr(local, remotes, k)
 }
 
 // ListenUDP binds n UDP sockets for the endpoints (node, 0..n-1) of a

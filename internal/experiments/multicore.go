@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -39,7 +37,7 @@ func Multicore(opts Options) *Report {
 	paper := map[int]string{1: "~10", 2: "~20", 4: "~40", 8: "~54 (NIC-limited)"}
 	var base float64
 	for _, eps := range MulticoreEndpoints {
-		rate := MulticoreRate(eps, opts)
+		rate := multicoreRun(eps, opts)
 		meas := fmt.Sprintf("%.1f Mrps", rate)
 		if base == 0 {
 			base = rate
@@ -53,53 +51,9 @@ func Multicore(opts Options) *Report {
 	return rep
 }
 
-// MulticoreRate runs the sweep's E-endpoint configuration and returns
-// the server's total request rate in Mrps.
-func MulticoreRate(eps int, opts Options) float64 {
-	m := MulticoreMeasure(eps, opts)
-	return m.Mrps
-}
-
-// MulticoreResult is one datapath-benchmark sweep point: the simulated
-// request rate plus the *host-side* cost of simulating it (wall-clock
-// seconds and heap allocations per completed RPC). The host-side
-// columns are what the burst/zero-alloc datapath work moves; they are
-// recorded in BENCH_datapath.json.
-type MulticoreResult struct {
-	Endpoints   int     `json:"endpoints"`
-	Mrps        float64 `json:"mrps"`
-	WallSec     float64 `json:"wall_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Completed   uint64  `json:"completed"`
-}
-
-// MulticoreMeasure runs one sweep point of the multicore experiment and
-// measures it: simulated Mrps plus wall-clock time and heap allocations
-// per completed RPC (runtime.MemStats deltas around the run).
-func MulticoreMeasure(eps int, opts Options) MulticoreResult {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	rate, completed := multicoreRun(eps, opts)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	res := MulticoreResult{
-		Endpoints: eps,
-		Mrps:      rate,
-		WallSec:   wall.Seconds(),
-		Completed: completed,
-	}
-	if completed > 0 {
-		res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(completed)
-	}
-	return res
-}
-
 // multicoreRun runs the sweep's E-endpoint configuration and returns
-// the server's total request rate in Mrps and the number of completed
-// requests.
-func multicoreRun(eps int, opts Options) (float64, uint64) {
+// the server's total request rate in Mrps.
+func multicoreRun(eps int, opts Options) float64 {
 	opts = opts.norm()
 	prof := simnet.CX5()
 	// Enough client nodes (one dispatch core each) to saturate the
@@ -167,5 +121,5 @@ func multicoreRun(eps int, opts Options) (float64, uint64) {
 	for _, l := range loads {
 		total += l.Completed
 	}
-	return float64(total) / (float64(dur) / 1e9) / 1e6, total
+	return float64(total) / (float64(dur) / 1e9) / 1e6
 }

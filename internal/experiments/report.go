@@ -6,8 +6,8 @@ import (
 )
 
 // WriteJSONReport marshals v as indented JSON and writes it to path
-// with a trailing newline — the one place erpc-bench's artifacts
-// (BENCH_datapath.json, BENCH_chaos.json) are serialized.
+// with a trailing newline — where erpc-bench's artifact
+// (BENCH_chaos.json) is serialized.
 func WriteJSONReport(path string, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -235,9 +235,10 @@ func TestDrainCompletesAdmittedWork(t *testing.T) {
 // still holds a request context and a buffer.
 func TestDrainedSeesWorkerResponses(t *testing.T) {
 	for _, stale := range []bool{false, true} {
-		returned := make(chan struct{})
+		passOver, returned := make(chan struct{}), make(chan struct{})
 		nx := NewNexus()
 		nx.Register(echoType, Handler{RunInWorker: true, Fn: func(ctx *ReqContext) {
+			<-passOver // or the pass that handed the request out may run the response too
 			copy(ctx.AllocResponse(len(ctx.Req)), ctx.Req)
 			ctx.EnqueueResponse()
 			close(returned)
@@ -248,6 +249,7 @@ func TestDrainedSeesWorkerResponses(t *testing.T) {
 		tr.inject(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: 4,
 			ReqNum: DefaultNumSlots}, []byte("ping")), peer)
 		r.RunEventLoopOnce() // the request arrives, its handler goes to a worker
+		close(passOver)
 		<-returned
 		if stale {
 			r.FailPeer(peer.Node)

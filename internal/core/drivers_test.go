@@ -32,6 +32,10 @@ func agreeSizes() []int {
 	return []int{0, 1, dpp - 1, dpp, dpp + 1, 2*dpp + 7, 64 << 10}
 }
 
+// agreeRequests is how many requests the script issues: each size twice
+// on every session.
+func agreeRequests() uint64 { return uint64(agreeSessions * 2 * len(agreeSizes())) }
+
 // agreeNexus answers a request with its bytes inverted. returned, if
 // set, runs on the handler's goroutine after a worker handler's
 // EnqueueResponse.
@@ -108,8 +112,8 @@ func (o *agreeOutcome) finish(t *testing.T, who string, cli, srv *Rpc) {
 	if n := cli.Stats.Retransmits + srv.Stats.Retransmits; n != 0 {
 		t.Errorf("%s: %d retransmits on a lossless wire", who, n)
 	}
-	if want := uint64(agreeSessions * 2 * len(agreeSizes())); o.Completed != want {
-		t.Fatalf("%s: %d requests completed, want %d", who, o.Completed, want)
+	if o.Completed != agreeRequests() {
+		t.Fatalf("%s: %d requests completed, want %d", who, o.Completed, agreeRequests())
 	}
 }
 
@@ -152,10 +156,9 @@ func TestDriversAgree(t *testing.T) {
 		ss = append(ss, s)
 	}
 	realOut := agreeEnqueue(t, cli, ss)
-	want := uint64(agreeSessions * 2 * len(agreeSizes()))
-	for pass, waited := 0, uint64(0); cli.Stats.ReqsCompleted+cli.Stats.ReqsFailed < want; pass++ {
+	for pass, waited := 0, uint64(0); cli.Stats.ReqsCompleted+cli.Stats.ReqsFailed < agreeRequests(); pass++ {
 		if pass == 10000 {
-			t.Fatalf("goroutine-driven: %d of %d requests after %d passes", cli.Stats.ReqsCompleted, want, pass)
+			t.Fatalf("goroutine-driven: %d of %d requests after %d passes", cli.Stats.ReqsCompleted, agreeRequests(), pass)
 		}
 		clk.t += sim.Microsecond
 		cli.RunEventLoopOnce()

@@ -46,8 +46,8 @@ func (q *queueTransport) SetWake(func())            {}
 func (q *queueTransport) Close() error              { return nil }
 func (q *queueTransport) SendBurst(frames []transport.Frame) {
 	q.sent += len(frames)
-	for _, f := range frames {
-		if q.peer != nil {
+	if q.peer != nil {
+		for _, f := range frames {
 			q.peer.inject(f.Data, q.addr)
 		}
 	}

@@ -177,7 +177,7 @@ func (d *simDriver) run(<-chan struct{}) {}
 //erpc:owner
 func (d *simDriver) transmit() {
 	r := d.r
-	for i, f := range r.txBatch {
+	for i := range r.txBatch {
 		var t *simTx
 		if n := len(d.txFree); n > 0 {
 			t = d.txFree[n-1]
@@ -185,10 +185,10 @@ func (d *simDriver) transmit() {
 		} else {
 			t = &simTx{}
 		}
+		t.f[0] = r.txBatch[i]
 		if !r.txOwned[i] {
-			f.Data = append(r.txPool.Get(), f.Data...)
+			t.f[0].Data = append(r.txPool.Get(), t.f[0].Data...)
 		}
-		t.f[0] = f
 		d.sched.AtCall(d.txDep[i], d.txFn, t)
 	}
 	d.txDep = d.txDep[:0]

@@ -14,11 +14,6 @@ type driver interface {
 	// wake has a pass run soon: a packet reached an empty RX queue or
 	// Post queued a closure. Callable from any goroutine.
 	wake()
-	// park is WaitForWork, run is RunEventLoop; call runs fn on the
-	// dispatch context of a running loop and returns when it has.
-	park(d time.Duration)
-	run(stop <-chan struct{})
-	call(fn func())
 	// transmit puts r.txBatch on the wire and disposes of the pooled
 	// copies in it (txOwned); flushTX then resets the batch and releases
 	// the msgbufs it aliased.
@@ -46,6 +41,17 @@ type loopDriver struct {
 	r         *Rpc
 	wakeCh    chan struct{}
 	waitTimer *time.Timer // reused by park (alloc-free idle parks)
+}
+
+// goroutine is the driver of an endpoint a goroutine runs, for
+// WaitForWork, RunEventLoop and Server.Drain: under the scheduler they
+// would block on progress that only comes when the caller runs it.
+func (r *Rpc) goroutine() *loopDriver {
+	d, ok := r.drv.(*loopDriver)
+	if !ok {
+		panic("erpc: WaitForWork, RunEventLoop and Server.Drain are for endpoints a goroutine drives; scheduler events run this one (Config.Sched)")
+	}
+	return d
 }
 
 func (d *loopDriver) wake() {
@@ -109,6 +115,8 @@ func (d *loopDriver) run(stop <-chan struct{}) {
 	}
 }
 
+// call runs fn on the dispatch context of a running loop and returns
+// when it has.
 func (d *loopDriver) call(fn func()) {
 	done := make(chan struct{})
 	d.r.Post(func() { fn(); close(done) })

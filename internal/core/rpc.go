@@ -616,7 +616,7 @@ func (r *Rpc) RunEventLoopOnce() bool {
 //
 // WaitForWork reads the Clock itself, not the loop clock: it waits
 // between passes, where no cached timestamp is current.
-func (r *Rpc) WaitForWork(d time.Duration) { r.drv.park(d) }
+func (r *Rpc) WaitForWork(d time.Duration) { r.goroutine().park(d) }
 
 // RunEventLoop drives the endpoint until stop is closed. The loop polls
 // hot while work arrives — the paper's polling-based network I/O — and
@@ -624,9 +624,8 @@ func (r *Rpc) WaitForWork(d time.Duration) { r.drv.park(d) }
 // until a packet arrives, for about a millisecond otherwise (see
 // WaitForWork for what the 200 µs asked for here turns into, why a lone
 // paced packet cuts the park short and why a backlog of them —
-// bulk_64k — does not). On an endpoint the scheduler drives it returns
-// at once: events run that loop.
-func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.drv.run(stop) }
+// bulk_64k — does not).
+func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.goroutine().run(stop) }
 
 // Post schedules fn to run on the endpoint's dispatch context during
 // the next event-loop iteration. It is the only Rpc method that may be

@@ -681,3 +681,24 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("handlers run = %d", e.rpcs[1].Stats.HandlersRun)
 	}
 }
+
+// TestGoroutineAPIsPanicUnderScheduler: the three calls that block a
+// goroutine on the loop's progress refuse an endpoint whose loop only
+// scheduler events run, all three alike.
+func TestGoroutineAPIsPanicUnderScheduler(t *testing.T) {
+	r := newEnv(t, 1, echoNexus(), nil, nil).rpcs[0]
+	for name, fn := range map[string]func(){
+		"WaitForWork":  func() { r.WaitForWork(0) },
+		"RunEventLoop": func() { r.RunEventLoop(make(chan struct{})) },
+		"drain":        func() { (&endpointGroup{rpcs: []*Rpc{r}}).drain(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a scheduler-driven endpoint should panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -146,10 +146,13 @@ func (g *endpointGroup) Addrs() []transport.Addr {
 	return addrs
 }
 
-// Start launches one dispatch goroutine per endpoint (it returns at
-// once on an endpoint the scheduler drives).
+// Start launches one dispatch goroutine per endpoint, and none for an
+// endpoint the scheduler drives: its events run that loop.
 func (g *endpointGroup) Start() {
 	for _, r := range g.rpcs {
+		if r.cpu != nil {
+			continue
+		}
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
@@ -268,13 +271,13 @@ func (s *Server) Drain(timeout time.Duration) bool {
 // each dispatch context until all report empty or the deadline passes.
 func (g *endpointGroup) drain(timeout time.Duration) bool {
 	for _, r := range g.rpcs {
-		r.drv.call(r.Drain)
+		r.goroutine().call(r.Drain)
 	}
 	deadline := time.Now().Add(timeout)
 	for {
 		all := true
 		for _, r := range g.rpcs {
-			r.drv.call(func() { all = all && r.Drained() })
+			r.goroutine().call(func() { all = all && r.Drained() })
 		}
 		if all {
 			return true

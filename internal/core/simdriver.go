@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -161,14 +159,6 @@ func (r *Rpc) anyBusySlot() bool {
 	}
 	return false
 }
-
-// park and call would block a goroutine on progress that only comes
-// when the caller runs the scheduler; run has nothing to run.
-func (d *simDriver) park(time.Duration) {
-	panic("erpc: WaitForWork and Server.Drain are for endpoints a goroutine drives; scheduler events run this one (Config.Sched)")
-}
-func (d *simDriver) call(func())         { d.park(0) }
-func (d *simDriver) run(<-chan struct{}) {}
 
 // transmit schedules each frame to depart at its recorded time (the
 // TxPipeline timing model). A frame that aliases a msgbuf leaves as a

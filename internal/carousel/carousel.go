@@ -194,13 +194,20 @@ func (w *Wheel[T]) Drain(fn func(at sim.Time, v T)) int {
 	return n
 }
 
-// NextDeadline returns the earliest scheduled item time and true, or
-// zero and false if the wheel is empty. It scans slots from the head;
-// O(numSlots) worst case, used only for idle-timer programming.
+// NextDeadline returns the time the next PollUntil must reach to
+// deliver something and true, or zero and false if the wheel is empty.
+// That is the earliest time in the first occupied slot when it lies in
+// the slot, and the slot's start when it does not: an item clamped into
+// the last slot leaves with that slot, however far beyond the horizon
+// its own time is, and one inserted for a time the head had passed
+// waits in the head slot. Behind a stale head the answer is in the
+// past: the next poll delivers. It scans slots from the head;
+// O(numSlots) worst case, used only to programme an idle wait.
 func (w *Wheel[T]) NextDeadline() (sim.Time, bool) {
 	if w.size == 0 {
 		return 0, false
 	}
+	start := w.headTime
 	for i := 0; i < len(w.slots); i++ {
 		idx := (w.headIdx + i) % len(w.slots)
 		if len(w.slots[idx]) > 0 {
@@ -210,8 +217,12 @@ func (w *Wheel[T]) NextDeadline() (sim.Time, bool) {
 					min = it.at
 				}
 			}
+			if min < start || min >= start+w.gran {
+				return start, true
+			}
 			return min, true
 		}
+		start += w.gran
 	}
 	return 0, false
 }

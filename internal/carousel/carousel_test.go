@@ -1,6 +1,7 @@
 package carousel
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,84 @@ func TestNextDeadline(t *testing.T) {
 	w.Insert(300, 2)
 	if d, ok := w.NextDeadline(); !ok || d != 300 {
 		t.Fatalf("deadline = %v,%v want 300,true", d, ok)
+	}
+	// An item beyond the horizon (3200) leaves with the last slot, which
+	// starts at 3100: that, not its own time, is when the wheel delivers.
+	w = New[int](32, 100)
+	w.Insert(1_000_000, 3)
+	if d, ok := w.NextDeadline(); !ok || d != 3100 {
+		t.Fatalf("deadline of a clamped item = %v,%v want 3100,true", d, ok)
+	}
+	if n := w.PollUntil(3100, func(sim.Time, int) {}); n != 1 {
+		t.Fatalf("PollUntil(NextDeadline()) delivered %d items, want 1", n)
+	}
+}
+
+// clone copies the wheel so a test can poll one state twice.
+func (w *Wheel[T]) clone() *Wheel[T] {
+	c := *w
+	c.slots = make([][]item[T], len(w.slots))
+	for i, s := range w.slots {
+		c.slots[i] = append([]item[T](nil), s...)
+	}
+	c.spare = nil
+	return &c
+}
+
+// Property: NextDeadline is when the wheel delivers. Over random
+// inserts — for times the head has passed, inside the horizon and
+// beyond it, against a head that is current or up to two horizons
+// stale — PollUntil(NextDeadline()) delivers at least one item and no
+// poll short of that deadline's slot delivers any. Where the deadline
+// is a slot's start (a clamped item, one behind the head) that is
+// PollUntil(NextDeadline()-1); an item inside its slot leaves with the
+// slot, up to one slot width before its own time
+// (TestNoLossNoEarlyProperty), and NextDeadline keeps its time.
+func TestNextDeadlineIsDeliverable(t *testing.T) {
+	const slots, gran = 16, 100
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := New[int](slots, gran)
+		now := sim.Time(0)
+		for op := 0; op < 200; op++ {
+			now += sim.Time(rng.Intn(2 * gran))
+			switch rng.Intn(8) {
+			case 0: // the owner was away: the head goes stale
+				now += sim.Time(rng.Intn(2 * slots * gran))
+				continue
+			case 1, 2:
+				w.PollUntil(now, func(sim.Time, int) {})
+				continue
+			}
+			var at sim.Time
+			switch rng.Intn(3) {
+			case 0:
+				at = now - sim.Time(rng.Intn(5*gran))
+			case 1:
+				at = now + sim.Time(rng.Intn(slots*gran))
+			case 2:
+				at = now + sim.Time(slots*gran+rng.Intn(20*slots*gran))
+			}
+			w.Insert(at, op)
+			dl, ok := w.NextDeadline()
+			if !ok {
+				t.Logf("seed %d op %d: no deadline with %d items queued", seed, op, w.Len())
+				return false
+			}
+			slot := dl - (dl-w.headTime)%gran
+			if n := w.clone().PollUntil(slot-1, func(sim.Time, int) {}); n != 0 {
+				t.Logf("seed %d op %d: deadline %v (slot %v) but PollUntil(%v) delivered %d", seed, op, dl, slot, slot-1, n)
+				return false
+			}
+			if n := w.clone().PollUntil(dl, func(sim.Time, int) {}); n == 0 {
+				t.Logf("seed %d op %d: PollUntil(NextDeadline() = %v) delivered nothing, %d queued", seed, op, dl, w.Len())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -434,11 +434,12 @@ func TestEnqueueOutsideLoopSeesFreshClock(t *testing.T) {
 	r.RunEventLoopOnce()
 	clk.t += 20 * sim.Millisecond // no pass meanwhile
 	r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
-	if dl, ok := r.wheel.NextDeadline(); !ok || dl < clk.t {
-		t.Fatalf("paced at %v (queued: %v), want no earlier than the call at %v", dl, ok, clk.t)
-	}
-	if s.cc.nextTx < clk.t {
-		t.Fatalf("the session's next credit of rate is at %v, %v before the call", s.cc.nextTx, clk.t-s.cc.nextTx)
+	// The packet's time is the session's next credit of rate less the
+	// packet's own charge. (The wheel cannot be asked: its head is 20 ms
+	// stale, the entry is clamped and NextDeadline is its slot's start.)
+	charge := sim.Time(float64(wire.HeaderSize+32) * 1e9 / s.cc.timely.Rate())
+	if at := s.cc.nextTx - charge; r.wheel.Len() != 1 || at < clk.t {
+		t.Fatalf("paced at %v (%d queued), want no earlier than the call at %v", at, r.wheel.Len(), clk.t)
 	}
 	for i := 0; i < 3; i++ { // the request leaves, an RTO scan runs
 		clk.t += rtoScanInterval

@@ -35,10 +35,13 @@ type Wheel[T any] struct {
 
 	// Inserted and Polled count total wheel operations for the CPU
 	// cost model and tests; Steps counts the slots PollUntil visited,
-	// which is what a poll costs beyond its deliveries.
+	// which is what a poll costs beyond its deliveries. Clamped counts
+	// the inserts beyond the horizon: items that leave with the last
+	// slot, before their time.
 	Inserted uint64
 	Polled   uint64
 	Steps    uint64
+	Clamped  uint64
 }
 
 type item[T any] struct {
@@ -77,6 +80,7 @@ func (w *Wheel[T]) Insert(at sim.Time, v T) {
 	}
 	if off >= w.horizon {
 		off = w.horizon - 1
+		w.Clamped++
 	}
 	idx := (w.headIdx + int(off/w.gran)) % len(w.slots)
 	if w.slots[idx] == nil {

@@ -194,8 +194,16 @@ func TestCounters(t *testing.T) {
 	w.Insert(1, 1)
 	w.Insert(2, 2)
 	w.PollUntil(1000, func(sim.Time, int) {})
-	if w.Inserted != 2 || w.Polled != 1 {
-		t.Fatalf("counters: inserted=%d polled=%d", w.Inserted, w.Polled)
+	if w.Inserted != 2 || w.Polled != 1 || w.Clamped != 0 {
+		t.Fatalf("counters: inserted=%d polled=%d clamped=%d", w.Inserted, w.Polled, w.Clamped)
+	}
+	// Head at 1000, horizon 800: 1799 is the last time with a slot of
+	// its own, 1800 and beyond are clamped into it.
+	w.Insert(1799, 3)
+	w.Insert(1800, 4)
+	w.Insert(50_000, 5)
+	if w.Inserted != 5 || w.Clamped != 2 {
+		t.Fatalf("counters: inserted=%d clamped=%d, want 5 and 2", w.Inserted, w.Clamped)
 	}
 }
 

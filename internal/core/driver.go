@@ -23,18 +23,6 @@ type driver interface {
 	offload(handler func(), cost sim.Time)
 }
 
-// minTimerSleep is the shortest sleep a Go timer delivers once the
-// process is idle: the runtime's last idle thread waits for timers in
-// epoll_wait, whose timeout is whole milliseconds and rounds up
-// (runtime/netpoll_epoll.go), so a 200 µs timer fires after
-// 1.09-1.16 ms (benchmark metric kernel.timer_200us_p50_us) although
-// the same kernel returns from a 50 µs nanosleep in 104 µs. WaitForWork
-// has what park does about it. A runtime with finer timers yields
-// through waits it could have slept through: nothing in the loop
-// measures a timer's lateness, so the bound is a constant and errs
-// towards punctual packets.
-const minTimerSleep = sim.Millisecond
-
 // loopDriver runs an endpoint over a real transport: a goroutine calls
 // runOnce while there is work and parks on wakeCh when there is none.
 type loopDriver struct {
@@ -64,25 +52,18 @@ func (d *loopDriver) wake() {
 func (d *loopDriver) park(dur time.Duration) {
 	r := d.r
 	if dl, ok := r.wheel.NextDeadline(); ok {
-		now := r.clock.Now()
-		until := dl - now
-		if until < minTimerSleep && r.wheel.Len() == 1 {
-			if end := now + sim.Time(dur); end < dl {
-				dl = end
-			}
-			for r.clock.Now() < dl {
-				runtime.Gosched()
-				select {
-				case <-d.wakeCh:
-					return
-				default:
-				}
-			}
-			return
+		if end := r.clock.Now() + sim.Time(dur); end < dl {
+			dl = end
 		}
-		if time.Duration(until) < dur {
-			dur = time.Duration(until)
+		for r.clock.Now() < dl {
+			runtime.Gosched()
+			select {
+			case <-d.wakeCh:
+				return
+			default:
+			}
 		}
+		return
 	}
 	if d.waitTimer == nil {
 		d.waitTimer = time.NewTimer(dur)

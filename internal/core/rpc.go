@@ -67,8 +67,16 @@ const (
 	rtoBackoffCap = 6
 
 	rtoScanInterval = 100 * sim.Microsecond
-	wheelSlots      = 4096
-	wheelGran       = 200 * sim.Nanosecond
+	// The wheel's horizon (819.2 µs) stays under a millisecond, the
+	// shortest sleep a Go timer delivers: the runtime's idle thread waits
+	// for timers in epoll_wait, whose timeout is whole milliseconds and
+	// rounds up (a 200 µs timer fires after 1.09-1.16 ms, benchmark metric
+	// kernel.timer_200us_p50_us). No wheel deadline is ever far enough
+	// away for a timer to keep, so park never arms one for a wheel that
+	// holds anything.
+	wheelSlots = 4096
+	wheelGran  = 200 * sim.Nanosecond
+	_          = uint(sim.Millisecond - 1 - wheelSlots*wheelGran)
 )
 
 // Config configures an Rpc endpoint.
@@ -585,34 +593,15 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // a spinning loop would otherwise wait for sysmon's ~10 ms netpoll
 // pass. It panics on an endpoint the scheduler drives.
 //
-// d is a lower bound on a park that runs to its timer, not its length:
-// the runtime delivers a 200 µs timer after about 1.1 ms
-// (minTimerSleep). The RTO scan and the heartbeat have time constants
-// of 5 ms and more and live with that; a paced packet does not — its
-// slot is microseconds away, and a loop that napped through it sent it
-// a millisecond late. So the park is bounded by wheel.NextDeadline, as
-// armWake bounds the simulated loop's, and when the wheel holds one
-// packet whose deadline is nearer than any timer can honour the wait is
-// a yield loop instead: the goroutine stays runnable, gives the
-// processor to whoever wants it (the transport's reader goroutines)
-// between looks at the clock, and returns at the deadline, on a wake
-// or after d — a yield loop keeps its time, so there d is the length,
-// and the caller gets to look at its stop flag as often as it asked to.
-//
-// A yield loop costs a processor for as long as it waits, which is why
-// it is for a lone packet only: that wait is one packet's charge of
-// rate (up to 470 µs for an MTU at Timely's floor) and then the wheel
-// is empty and the loop sleeps. Behind a backlog the next deadline is
-// always near, the loop would stay runnable for as long as traffic
-// flows, and so a backlog is left to the timer and leaves up to a
-// millisecond late, all of it together. A window of small requests
-// does not get there: each is charged microseconds of rate and has left
-// by the time the loop next runs out of packets to poll. bulk_64k,
-// whose 32-credit bursts of MTU-sized packets queue tens of
-// microseconds apart, is the one benchmark workload this rule still
-// holds back (EXPERIMENTS.md, "What is still held back: the backlog
-// wait"). NextDeadline's scan is one slot per 200 ns of distance to the
-// deadline at about 1 ns a slot, half a percent of the wait it programs.
+// While the wheel holds anything the wait is awake: the goroutine stays
+// runnable, yields the processor (to the transport's reader goroutines)
+// between looks at the clock, and returns at wheel.NextDeadline, on a
+// wake or after d. Only an empty wheel is left to a timer. Go timers
+// take whole milliseconds (see wheelSlots) and the wheel's horizon is
+// under one, so a timer would send every paced packet late; with an
+// empty wheel only the RTO scan and the heartbeat are waiting, whose
+// time constants are 5 ms and more, and d is then a lower bound on the
+// park, not its length.
 //
 // WaitForWork reads the Clock itself, not the loop clock: it waits
 // between passes, where no cached timestamp is current.
@@ -621,10 +610,9 @@ func (r *Rpc) WaitForWork(d time.Duration) { r.goroutine().park(d) }
 // RunEventLoop drives the endpoint until stop is closed. The loop polls
 // hot while work arrives — the paper's polling-based network I/O — and
 // parks when idle so transport reader goroutines always make progress:
-// until a packet arrives, for about a millisecond otherwise (see
-// WaitForWork for what the 200 µs asked for here turns into, why a lone
-// paced packet cuts the park short and why a backlog of them —
-// bulk_64k — does not).
+// until a packet arrives or the rate limiter's next packet is due, for
+// about a millisecond otherwise (see WaitForWork for what the 200 µs
+// asked for here turns into).
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.goroutine().run(stop) }
 
 // Post schedules fn to run on the endpoint's dispatch context during

@@ -42,34 +42,39 @@ type manualClock struct{ t sim.Time }
 
 func (c *manualClock) Now() sim.Time { return c.t }
 
-// gapClock is the wall clock plus the longest time between two adjacent
-// reads since reset. An awake wait reads the clock between yields, a
-// microsecond apart or less, and so does everything else these tests
-// time: a longer gap is time the test goroutine spent off the processor
-// (a busy host, a hypervisor withholding the vCPU) or asleep. The park
-// tests discard an attempt whose gap exceeds maxReadGap — nothing the
-// loop did decided its timing — and fail when too few are left to
-// judge, which is also what a park that sleeps where it should watch
-// the clock comes to.
+// gapClock is the wall clock and a record of every read. An awake wait
+// reads the clock between yields, a microsecond apart or less, and so
+// does everything else the park tests time. Where a wait should end, two
+// adjacent reads further apart than maxReadGap mean the test goroutine
+// was off the processor (a busy host, a hypervisor withholding the vCPU)
+// or asleep when it mattered, and nothing the loop did decided the
+// timing: the tests discard such a sample, count the discards, and fail
+// when too few samples are left — which is also what a park that sleeps
+// where it should watch the clock comes to, since it sleeps through the
+// end of every wait.
 type gapClock struct {
 	sim.Clock
-	last, gap sim.Time
+	reads []sim.Time
 }
 
 const maxReadGap = 100 * sim.Microsecond
 
-func newGapClock() *gapClock { return &gapClock{Clock: sim.NewWallClock()} }
+func newGapClock() *gapClock {
+	return &gapClock{Clock: sim.NewWallClock(), reads: make([]sim.Time, 0, 8192)}
+}
 
 func (c *gapClock) Now() sim.Time {
 	now := c.Clock.Now()
-	if c.last != 0 && now-c.last > c.gap {
-		c.gap = now - c.last
-	}
-	c.last = now
+	c.reads = append(c.reads, now)
 	return now
 }
 
-func (c *gapClock) reset() { c.last, c.gap = 0, 0 }
+// descheduledAt reports whether the two adjacent reads either side of t
+// were more than maxReadGap apart.
+func (c *gapClock) descheduledAt(t sim.Time) bool {
+	i := sort.Search(len(c.reads), func(i int) bool { return c.reads[i] >= t })
+	return i > 0 && i < len(c.reads) && c.reads[i]-c.reads[i-1] > maxReadGap
+}
 
 // countingClock counts its reads and advances on each by one
 // nanosecond more than on the last, so two intervals are equal only if
@@ -198,12 +203,13 @@ func TestPacingChargesWireBytes(t *testing.T) {
 // wheel's deadline: a loop that sleeps its fixed timer instead sends
 // the packet when the runtime delivers that timer, ~1.1 ms after it
 // was armed. Median over the attempts, of 51, in which the test
-// goroutine kept the processor (gapClock); at least 26 must.
+// goroutine had the processor at the deadline (gapClock); at least 13
+// must be left.
 func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 	const (
 		due      = 300 * sim.Microsecond
 		attempts = 51
-		floor    = 26
+		floor    = 13
 		maxLate  = 200 * sim.Microsecond
 	)
 	late := make([]sim.Time, 0, attempts)
@@ -221,10 +227,15 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 		// so a test descheduled since the clock was made does not find
 		// the second deadline beyond the wheel's horizon (clamped, early).
 		r.RunEventLoopOnce()
-		clk.reset()
 		t0 := clk.Now()
 		for i := 0; i < 2; i++ {
 			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		}
+		if clk.Now()-t0 > maxReadGap {
+			// Descheduled since the wheel's head was set: from there the
+			// second packet may be beyond the horizon and leave early,
+			// clamped.
+			continue
 		}
 		for deadline := t0 + 100*sim.Millisecond; len(tr.times) < 2; {
 			if clk.Now() > deadline {
@@ -237,14 +248,13 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 		if tr.times[1] < t0+due-wheelGran {
 			t.Fatalf("attempt %d: paced packet left %v early", a, t0+due-tr.times[1])
 		}
-		if clk.gap > maxReadGap {
-			continue
+		if !clk.descheduledAt(t0 + due) {
+			late = append(late, tr.times[1]-(t0+due))
 		}
-		late = append(late, tr.times[1]-(t0+due))
 	}
 	if len(late) < floor {
-		t.Fatalf("%d of %d attempts went %v or more between two clock reads, %d must not: the host is too busy to time a park, or the park sleeps",
-			attempts-len(late), attempts, maxReadGap, floor)
+		t.Fatalf("in %d of %d attempts the clock reads either side of the deadline were over %v apart, at most %d may be: the host is too busy to time a park, or the park sleeps",
+			attempts-len(late), attempts, maxReadGap, attempts-floor)
 	}
 	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
 	t.Logf("lateness of a packet due in %v: min %v median %v max %v (%d attempts discarded)",
@@ -255,19 +265,21 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 }
 
 // TestWaitForWorkKeepsTimeForBacklog is the same drive with a backlog:
-// a 9-packet request at one MTU per 100 µs, so the first packet leaves
-// at once and eight wait in the wheel, 100 µs apart. Each must leave at
-// its own slot — no earlier than a wheel slot before it, and in the
-// median of the attempts the test goroutine kept the processor for
-// (gapClock; 11 of 31 must be) less than TestWaitForWorkHonoursWheelDeadline's
-// bound after it. A park that leaves a backlog to a timer sends them
-// all together when the runtime delivers it, ~1.1 ms after it was armed.
+// an 8-packet request at one MTU per 100 µs, eight packets in the wheel
+// 100 µs apart, the first due at once and the last 119 µs inside the
+// wheel's horizon. Each must leave at its own slot: no earlier than a
+// wheel slot before it, and less than
+// TestWaitForWorkHonoursWheelDeadline's bound after it in the median of
+// the attempts, of 31, in which the test goroutine had the processor
+// when the packet was due (gapClock; at least 8 must be left for each).
+// A park that leaves a backlog to a timer sends them all together when
+// the runtime delivers it, ~1.1 ms after it was armed.
 func TestWaitForWorkKeepsTimeForBacklog(t *testing.T) {
 	const (
-		pkts     = 9
+		pkts     = 8
 		step     = 100 * sim.Microsecond
 		attempts = 31
-		floor    = 11
+		floor    = 8
 		maxLate  = 200 * sim.Microsecond
 	)
 	var late [pkts][]sim.Time
@@ -280,9 +292,13 @@ func TestWaitForWorkKeepsTimeForBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.RunEventLoopOnce() // brings the wheel's head to the present
-		clk.reset()
 		t0 := clk.Now()
 		r.EnqueueRequest(s, echoType, r.Alloc(pkts*r.DataPerPkt()), r.Alloc(32), func(error) {})
+		if clk.Now()-t0 > maxReadGap {
+			// Descheduled since the wheel's head was set: from there the
+			// last packet is beyond the horizon and leaves early, clamped.
+			continue
+		}
 		for deadline := t0 + 100*sim.Millisecond; len(tr.times) < pkts; {
 			if clk.Now() > deadline {
 				t.Fatalf("attempt %d: %d of %d packets sent within 100 ms", a, len(tr.times), pkts)
@@ -292,47 +308,46 @@ func TestWaitForWorkKeepsTimeForBacklog(t *testing.T) {
 			}
 		}
 		for k, at := range tr.times {
-			if due := t0 + sim.Time(k)*step; at < due-wheelGran {
+			due := t0 + sim.Time(k)*step
+			if at < due-wheelGran {
 				t.Fatalf("attempt %d: packet %d left %v early", a, k, due-at)
 			}
-		}
-		if clk.gap > maxReadGap {
-			continue
-		}
-		for k, at := range tr.times {
-			late[k] = append(late[k], at-(t0+sim.Time(k)*step))
+			if !clk.descheduledAt(due) {
+				late[k] = append(late[k], at-due)
+			}
 		}
 	}
-	if kept := len(late[0]); kept < floor {
-		t.Fatalf("%d of %d attempts went %v or more between two clock reads, %d must not: the host is too busy to time a park, or the park sleeps",
-			attempts-kept, attempts, maxReadGap, floor)
-	}
-	for k := 1; k < pkts; k++ {
+	for k := 0; k < pkts; k++ {
 		l := late[k]
+		if len(l) < floor {
+			t.Fatalf("packet %d: in %d of %d attempts the clock reads either side of its time were over %v apart, at most %d may be: the host is too busy to time a park, or the park sleeps",
+				k, attempts-len(l), attempts, maxReadGap, attempts-floor)
+		}
 		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
 		if med := l[len(l)/2]; med >= maxLate {
 			t.Fatalf("packet %d, due %v after the first: median lateness %v over %d attempts, want < %v: the park did not keep the wheel's time for a backlog",
 				k, sim.Time(k)*step, med, len(l), maxLate)
 		}
 	}
+	last := late[pkts-1]
 	t.Logf("median lateness of the last of %d packets %v apart: %v (%d attempts discarded)",
-		pkts, step, late[pkts-1][len(late[pkts-1])/2], attempts-len(late[0]))
+		pkts, step, last[len(last)/2], attempts-len(last))
 }
 
 // TestWaitForWorkYieldsNoLongerThanAsked: with a packet due in 800 µs
-// the wait is awake, and WaitForWork(100 µs) returns after 100 µs, not
-// at the deadline: RunEventLoop looks at its stop channel as often as it
-// asked to. Minimum over 11 attempts, so a test descheduled during the
-// wait does not decide the result. One descheduled between queueing the
-// packets and the wait (gapClock) finds the second packet due before it
-// has waited at all: such an attempt is discarded, and 6 of 11 must not
-// be.
+// the wait is awake, and WaitForWork(100 µs) returns 100 µs after it
+// first looks at the clock, not at the deadline: RunEventLoop looks at
+// its stop channel as often as it asked to. Minimum over the attempts,
+// of 11, that the test goroutine was not descheduled in (gapClock):
+// between queueing the packets and the wait (the second packet would be
+// due before the wait began) or when the wait was to end. At least 3
+// must be left.
 func TestWaitForWorkYieldsNoLongerThanAsked(t *testing.T) {
 	const (
 		due      = 800 * sim.Microsecond
 		ask      = 100 * sim.Microsecond
 		attempts = 11
-		floor    = 6
+		floor    = 3
 	)
 	best, kept := due, 0
 	for a := 0; a < attempts; a++ {
@@ -344,29 +359,37 @@ func TestWaitForWorkYieldsNoLongerThanAsked(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.RunEventLoopOnce() // brings the wheel's head to the present
-		clk.reset()
+		t0 := clk.Now()
 		for i := 0; i < 2; i++ {
 			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
 		}
 		r.RunEventLoopOnce() // the first request leaves, the second waits in the wheel
-		start := clk.Now()
-		if clk.gap > maxReadGap {
+		ready := clk.Now()
+		r.WaitForWork(time.Duration(ask))
+		end := clk.Now()
+		// The wait is timed from its own first read: finding the deadline
+		// comes before it, a scan of 4000 wheel slots that the race
+		// detector slows to hundreds of microseconds.
+		start := clk.reads[sort.Search(len(clk.reads), func(i int) bool { return clk.reads[i] > ready })]
+		waited := end - start
+		if ready-t0 > due/4 || start-t0 > due/2 {
 			continue
 		}
-		kept++
-		r.WaitForWork(time.Duration(ask))
-		waited := clk.Now() - start
 		if len(tr.times) != 1 {
 			t.Fatalf("attempt %d: %d packets sent before the wait, want 1", a, len(tr.times))
 		}
 		if waited < ask {
 			t.Fatalf("attempt %d: waited %v with nothing to wake it, want >= %v", a, waited, ask)
 		}
+		if clk.descheduledAt(start + ask) {
+			continue
+		}
+		kept++
 		best = min(best, waited)
 	}
 	if kept < floor {
-		t.Fatalf("%d of %d attempts went %v or more between two clock reads before the wait, %d must not: the host is too busy to time a park",
-			attempts-kept, attempts, maxReadGap, floor)
+		t.Fatalf("in %d of %d attempts the test was off the processor before the wait or when it was to end, at most %d may be: the host is too busy to time a park",
+			attempts-kept, attempts, attempts-floor)
 	}
 	if best >= due/2 {
 		t.Fatalf("shortest WaitForWork(%v) took %v: the yield loop ran to the wheel's deadline (%v), not to d", ask, best, due)

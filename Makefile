@@ -5,9 +5,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The engines are chosen from GOOS/GOARCH and a kernel probe, so the
-# portable stubs (udp_*_other.go) never compile on the Linux amd64 test
-# host: build them for a non-Linux and a non-amd64/arm64 target.
+# The engine is chosen from GOOS/GOARCH and a kernel probe, so the
+# portable stubs (udp_batch_other.go, udp_reuseport_other.go) never
+# compile on the Linux amd64 test host: build them for a non-Linux and
+# a non-amd64/arm64 target.
 cross-build:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
@@ -37,14 +38,12 @@ test-debug:
 	GO="$(GO)" scripts/race-test.sh -tags erpcdebug
 
 # bench runs the canonical benchmark (benchmark/README.md: results in
-# benchmark/out/) and regenerates BENCH_chaos.json, the fault-tolerance
-# chaos sweep (full scale, so the retransmit and reject budgets exhaust
-# inside the fault windows). The simulator's experiments are not
-# benchmarks of this host: `make test` holds their output to a recorded
-# file (internal/experiments.TestSimulatorGolden).
+# benchmark/out/). The simulator's experiments and the chaos sweep are
+# not benchmarks of this host: `make test` holds the first to a recorded
+# file and the second to its invariants (internal/experiments:
+# TestSimulatorGolden, TestChaosSweepInvariants).
 bench:
 	$(GO) run ./benchmark
-	$(GO) run ./cmd/erpc-bench -chaos BENCH_chaos.json
 
 # bench-smoke keeps the two park-bound modes from coming back unseen.
 # A serial 32 B echo whose paced request waits for a ~1.1 ms timer runs

@@ -8,11 +8,12 @@ import (
 	"repro/internal/transport"
 )
 
-// udpEngines lists the UDP syscall engines that run on this host, so
+// udpEngines lists what UDP.Engine can report on this host, so
 // real-transport suites (adversity stress, alloc guard, drain, sharded
-// echo, loopback bench) run over each: the segmentation-offload gso
-// engine where the kernel supports it, the batched mmsg engine where
-// compiled in, and the portable per-packet fallback always.
+// echo, loopback bench) run over each: the batched engine with
+// segmentation offload ("gso") where the kernel supports it, without
+// ("mmsg") where compiled in, and the portable per-packet fallback
+// always.
 func udpEngines() []string {
 	switch {
 	case erpc.UDPGsoSupported():

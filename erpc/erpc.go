@@ -149,21 +149,22 @@ func NewWallClock() Clock { return sim.NewWallClock() }
 // NewUDPTransport binds a real UDP socket for endpoint addr at the
 // given bind address (e.g. "127.0.0.1:0"). Use AddPeer on the returned
 // transport to map remote endpoint addresses to UDP addresses. The
-// socket uses the platform's best syscall engine: segmentation offload
-// (UDP_SEGMENT supersegment TX, UDP_GRO coalesced RX — one kernel
-// stack traversal per same-peer run of a burst) where the kernel
-// supports it, batched sendmmsg/recvmmsg on other Linux (one kernel
-// crossing per RX/TX burst), the portable per-packet engine elsewhere;
-// the transport's Engine, Syscalls, MmsgBatches, GsoSegments and
-// GroBatches report which one ran and what it cost.
+// socket uses the platform's best syscall engine: batched
+// sendmmsg/recvmmsg on Linux amd64/arm64 (one kernel crossing per RX/TX
+// burst), with segmentation offload (UDP_SEGMENT supersegment TX,
+// UDP_GRO coalesced RX — one kernel stack traversal per same-peer run
+// of a burst) where the kernel and the socket accept it, and the
+// portable per-packet engine elsewhere; the transport's Engine,
+// Syscalls, MmsgBatches, GsoSegments and GroBatches report which one
+// ran and what it cost.
 func NewUDPTransport(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDP(addr, bind)
 }
 
-// NewUDPTransportMmsg is NewUDPTransport with the segmentation-offload
-// engine skipped: batched sendmmsg/recvmmsg where compiled in, the
-// per-packet fallback elsewhere — the engine NewUDPTransport picks by
-// itself on kernels without UDP_SEGMENT/UDP_GRO.
+// NewUDPTransportMmsg is NewUDPTransport with segmentation offload
+// forced off: batched sendmmsg/recvmmsg where compiled in, the
+// per-packet fallback elsewhere — what NewUDPTransport runs by itself
+// on kernels without UDP_SEGMENT/UDP_GRO.
 func NewUDPTransportMmsg(addr Addr, bind string) (*transport.UDP, error) {
 	return transport.NewUDPMmsg(addr, bind)
 }
@@ -188,12 +189,12 @@ func NewUDPTransportUring(addr Addr, bind string) (*transport.UDP, error) {
 // engine is compiled into this binary (Linux amd64/arm64).
 const UDPMmsgSupported = transport.MmsgSupported
 
-// UDPGsoSupported reports whether the segmentation-offload engine
-// (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX) actually runs
+// UDPGsoSupported reports whether the batched engine can offload
+// segmentation (UDP_SEGMENT supersegment TX + UDP_GRO coalesced RX)
 // here: compiled in (Linux amd64/arm64) and accepted by the kernel
-// (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport
-// and the listen helpers select the gso engine. It is the runtime
-// mirror of UDPReusePortSupported.
+// (UDP_SEGMENT/UDP_GRO probe, cached). When true, NewUDPTransport and
+// the listen helpers report engine "gso". It is the runtime mirror of
+// UDPReusePortSupported.
 func UDPGsoSupported() bool { return transport.UDPGsoSupported() }
 
 // NewPool returns a recycling packet-buffer pool for a custom
@@ -400,7 +401,7 @@ func UDPShardStats(trs []*transport.UDP) []string {
 // supersegments, received supersegments that arrived UDP_GRO-
 // coalesced, and coalesced segments delivered as zero-copy frames
 // aliasing the refcounted supersegment buffer (rather than copied to
-// a pooled buffer). All are zero unless the gso engine ran (see
+// a pooled buffer). All are zero unless segmentation offload ran (see
 // UDPGsoSupported). The erpc-server/-client commands report these at
 // exit; close the transports first for exact counts.
 func UDPGsoStats(trs []*transport.UDP) (gsoSegments, groBatches, groAliasedSegs uint64) {

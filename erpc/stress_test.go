@@ -163,7 +163,7 @@ func runUDPAdversity(t *testing.T, engine string) {
 		t.Fatalf("no multi-frame bursts: %d packets in %d bursts", cs.PktsTx, cs.TxBursts)
 	}
 
-	// The requested syscall engine really ran, and on the mmsg engine
+	// The requested syscall engine really ran, and on the batched engine
 	// the run must have crossed the kernel in multi-message batches.
 	eng, syscalls, batches := erpc.UDPSyscallStats(append(srvTrs, cliTrs...))
 	if eng != engine {

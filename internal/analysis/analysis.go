@@ -3,7 +3,7 @@
 // the golang.org/x/tools/go/analysis API (Analyzer, Pass, Diagnostic)
 // on the standard library alone — the build environment is hermetic
 // (no module downloads), the same constraint that put the transport's
-// mmsg engine on raw syscall numbers instead of x/sys.
+// batched engine on raw syscall numbers instead of x/sys.
 //
 // The analyzers it hosts (framerelease, aliasflush, owner, syscallptr;
 // driven by cmd/erpcvet) machine-check conventions the compiler cannot

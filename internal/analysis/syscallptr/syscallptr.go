@@ -1,5 +1,5 @@
 // Package syscallptr checks the unsafe.Pointer/uintptr discipline the
-// mmsg and gso engines depend on: a uintptr made from an unsafe.Pointer
+// batched UDP engine depends on: a uintptr made from an unsafe.Pointer
 // is not a reference — the GC can move or free the object the moment
 // the statement ends — so such conversions must stay inline in the
 // consuming call (in practice a Syscall6 argument) or in uintptr

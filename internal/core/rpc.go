@@ -125,10 +125,6 @@ type Config struct {
 	// executing) across all server-mode sessions; past it new requests
 	// are rejected with PktReject. 0 means unlimited.
 	SrvInFlightLimit int
-	// SrvSessionBacklog caps requests admitted per server-mode session;
-	// past it new requests on that session are rejected. 0 means
-	// unlimited (bounded anyway by NumSlots).
-	SrvSessionBacklog int
 	// RQSize is the receive queue size used for the session budget
 	// |RQ|/C; 0 means DefaultRQSize.
 	RQSize int

@@ -7,8 +7,8 @@ import (
 )
 
 // srvSession finds or lazily creates the server-mode session for a
-// client endpoint (see DESIGN.md: lazy creation stands in for eRPC's
-// sockets-based session handshake).
+// client endpoint (lazy creation stands in for eRPC's sockets-based
+// session handshake, see sessKey).
 func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
 	key := sessKey{addr: from, num: num}
 	if s, ok := r.srvSessions[key]; ok {
@@ -57,7 +57,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 			r.Stats.StalePktsRx++
 			return
 		}
-		if r.draining || r.overloaded(s) {
+		if r.draining || r.overloaded() {
 			// Admission point for overload shedding and drain: every
 			// packet of an unadmitted request draws an explicit reject,
 			// and the client backs off instead of RTO-storming (§4.3's
@@ -106,25 +106,12 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 	}
 }
 
-// overloaded reports whether admitting one more request on session s
-// would exceed the configured shedding limits: the server-wide
-// in-flight ceiling or the per-session admitted bound.
-func (r *Rpc) overloaded(s *Session) bool {
-	if lim := r.cfg.SrvInFlightLimit; lim > 0 && r.srvInFlight >= lim {
-		return true
-	}
-	if lim := r.cfg.SrvSessionBacklog; lim > 0 {
-		n := 0
-		for i := range s.srvSlots {
-			if st := s.srvSlots[i].state; st == srvReceiving || st == srvProcessing {
-				n++
-			}
-		}
-		if n >= lim {
-			return true
-		}
-	}
-	return false
+// overloaded reports whether admitting one more request would exceed
+// the server-wide in-flight ceiling (a session is bounded by NumSlots
+// on its own).
+func (r *Rpc) overloaded() bool {
+	lim := r.cfg.SrvInFlightLimit
+	return lim > 0 && r.srvInFlight >= lim
 }
 
 // sendReject transmits an explicit rejection for the request h

@@ -10,7 +10,8 @@ import (
 // sessKey identifies a server-mode session: the client endpoint's
 // address plus the client's session number. Server-mode sessions are
 // created lazily on the first packet of a new session, standing in for
-// eRPC's sockets-based session handshake (see DESIGN.md §6).
+// eRPC's sockets-based session handshake (the transport's static peer
+// table stands in for its address exchange).
 type sessKey struct {
 	addr transport.Addr
 	num  uint16

@@ -30,50 +30,50 @@ import (
 
 // ChaosResult is one scenario of the chaos sweep.
 type ChaosResult struct {
-	Scenario string `json:"scenario"`
-	Fault    string `json:"fault"`
-	Window   int    `json:"window"`
+	Scenario string
+	Fault    string
+	Window   int
 
-	PreMs   float64 `json:"pre_ms"`
-	FaultMs float64 `json:"fault_ms"`
-	PostMs  float64 `json:"post_ms"`
+	PreMs   float64
+	FaultMs float64
+	PostMs  float64
 
-	Issued      int `json:"issued"`
-	Completed   int `json:"completed"`
-	TimedOut    int `json:"timed_out"`
-	Overloaded  int `json:"overloaded"`
-	OtherErrors int `json:"other_errors"`
+	Issued      int
+	Completed   int
+	TimedOut    int
+	Overloaded  int
+	OtherErrors int
 
 	// Executions counts distinct requests the server ran;
 	// AtMostOnceViolations counts requests it ran more than once (must
 	// be zero: the retransmit/dup/reject churn may never double-execute).
-	Executions           int `json:"executions"`
-	AtMostOnceViolations int `json:"at_most_once_violations"`
+	Executions           int
+	AtMostOnceViolations int
 
-	Retransmits     uint64 `json:"retransmits"`
-	RejectsRx       uint64 `json:"rejects_rx"`
-	RejectsTx       uint64 `json:"rejects_tx"`
-	BudgetExhausted uint64 `json:"budget_exhausted"`
+	Retransmits     uint64
+	RejectsRx       uint64
+	RejectsTx       uint64
+	BudgetExhausted uint64
 	// RTOCurMs is the adaptive RTO gauge after the run (largest across
 	// sessions): stragglers should have pushed it up, clean wires held
 	// it at the floor.
-	RTOCurMs float64 `json:"rto_cur_ms"`
+	RTOCurMs float64
 
 	// Injected fault counts from the chaos engine (send side,
 	// client→server direction).
-	InjDrops      uint64 `json:"inj_drops"`
-	InjDups       uint64 `json:"inj_dups"`
-	InjReorders   uint64 `json:"inj_reorders"`
-	InjDelayed    uint64 `json:"inj_delayed"`
-	InjBlackholed uint64 `json:"inj_blackholed"`
+	InjDrops      uint64
+	InjDups       uint64
+	InjReorders   uint64
+	InjDelayed    uint64
+	InjBlackholed uint64
 
-	PreKrps   float64 `json:"pre_krps"`
-	FaultKrps float64 `json:"fault_krps"`
-	PostKrps  float64 `json:"post_krps"`
+	PreKrps   float64
+	FaultKrps float64
+	PostKrps  float64
 	// RecoveryMs is the time from the end of the fault window to the
 	// first successful completion after it — how fast goodput returns
 	// once the wire heals. -1 means no completion in the post window.
-	RecoveryMs float64 `json:"recovery_ms"`
+	RecoveryMs float64
 }
 
 // ChaosDrainResult is the graceful-drain scenario: Server.Drain fires
@@ -81,15 +81,15 @@ type ChaosResult struct {
 // must complete, every caught-by-the-drain request must resolve with
 // an explicit error, and the server's pooled msgbufs must balance.
 type ChaosDrainResult struct {
-	Issued               int    `json:"issued"`
-	Completed            int    `json:"completed"`
-	Overloaded           int    `json:"overloaded"`
-	TimedOut             int    `json:"timed_out"`
-	Drained              bool   `json:"drained"`
-	Executions           int    `json:"executions"`
-	AtMostOnceViolations int    `json:"at_most_once_violations"`
-	MsgbufAllocs         uint64 `json:"msgbuf_allocs"`
-	MsgbufFrees          uint64 `json:"msgbuf_frees"`
+	Issued               int
+	Completed            int
+	Overloaded           int
+	TimedOut             int
+	Drained              bool
+	Executions           int
+	AtMostOnceViolations int
+	MsgbufAllocs         uint64
+	MsgbufFrees          uint64
 }
 
 // chaosScenario parameterizes one run of chaosMeasure.

@@ -11,7 +11,7 @@ func quick() Options { return Options{Scale: 0.15, Seed: 42} }
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper's evaluation must be
-	// registered (the DESIGN.md per-experiment index).
+	// registered (EXPERIMENTS.md, "Experiment index").
 	want := []string{"fig1", "fig4", "fig5", "fig6", "multicore", "sec65", "sec72", "tab2", "tab3", "tab4", "tab5", "tab6"}
 	got := IDs()
 	if len(got) != len(want) {

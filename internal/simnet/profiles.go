@@ -10,7 +10,8 @@ import (
 // Profile holds the physical parameters of one measurement cluster
 // from the paper's Table 1. Values are calibrated so the simulated
 // baseline (RDMA read latency, link rates, switch buffering) matches
-// the paper's reported hardware numbers; see DESIGN.md §5.
+// the paper's reported hardware numbers (EXPERIMENTS.md prints each
+// experiment's measured value beside the paper's).
 type Profile struct {
 	Name string
 

@@ -62,7 +62,7 @@ type Config struct {
 	// (NIC batching, PCIe and scheduling jitter). Timely's gradient
 	// detector requires this noise to regulate a saturated queue; the
 	// congestion-control experiments enable it, latency-calibration
-	// experiments leave it at 0. See DESIGN.md §6.
+	// experiments leave it at 0.
 	Jitter sim.Time
 }
 

@@ -162,10 +162,11 @@ func TestUDPBurstRoundtrip(t *testing.T) {
 			t.Fatalf("frame %d = %q, want %q", i, data, want)
 		}
 	}
-	// The reader keeps a posted window of RX buffers (the software RQ:
-	// up to 32 on the mmsg engine, 1 on the per-packet engine) beyond
-	// the packets actually moved; past that, the pool must recycle.
-	if b.rxPool.News() > n+33 {
+	// The per-packet reader keeps one RX buffer posted beyond the
+	// packets actually moved (the batched engine posts SegBufs and
+	// copies into pool buffers only on arrival); past that, the pool
+	// must recycle.
+	if b.rxPool.News() > n+1 {
 		t.Fatalf("RX pool allocated %d buffers for %d packets", b.rxPool.News(), n)
 	}
 }
@@ -198,20 +199,24 @@ func TestUDPRingBounded(t *testing.T) {
 	}
 	// Close joins the reader goroutine, making this test goroutine the
 	// rxPool's sole owner; the ring and pool outlive the socket, so the
-	// injection below still exercises the real enqueue/drain path.
+	// injection below still exercises the real publish/drain path.
 	u.Close()
 	// Sustained load, injected deterministically at the reader
-	// goroutine's ring-push point: many fill-and-drain rounds, far
-	// more packets than udpRingCap in total.
+	// goroutine's ring-push point in bursts of 16: many fill-and-drain
+	// rounds, far more packets than udpRingCap in total.
 	const rounds = 32
 	const perRound = udpRingCap / 2
 	buf := make([]Frame, 64)
 	seq := uint32(0)
 	for r := 0; r < rounds; r++ {
-		for i := 0; i < perRound; i++ {
-			b := append(u.rxPool.Get(), byte(seq), byte(seq>>8), byte(seq>>16))
-			u.enqueue(b, b, Addr{0, 0})
-			seq++
+		for i := 0; i < perRound; i += 16 {
+			var burst [16]Frame
+			for j := range burst {
+				b := append(u.rxPool.Get(), byte(seq), byte(seq>>8), byte(seq>>16))
+				burst[j] = SharedFrame(b, Addr{0, 0}, u.rxPool)
+				seq++
+			}
+			u.publish(burst[:])
 		}
 		got := 0
 		for got < perRound {
@@ -220,6 +225,10 @@ func TestUDPRingBounded(t *testing.T) {
 				t.Fatalf("round %d: ring empty after %d of %d", r, got, perRound)
 			}
 			for i := 0; i < k; i++ {
+				want := uint32(r*perRound + got + i)
+				if d := buf[i].Data; uint32(d[0])|uint32(d[1])<<8|uint32(d[2])<<16 != want {
+					t.Fatalf("round %d: frame %d out of order: % x, want seq %d", r, got+i, d, want)
+				}
 				buf[i].Release()
 			}
 			got += k
@@ -250,10 +259,17 @@ func TestUDPRingOverflowDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.Close() // join the reader: this goroutine now owns the rxPool
+	// Bursts of 24 do not divide the capacity: the burst that meets the
+	// end of the ring is cut, part published and part dropped.
 	const extra = 100
-	for i := 0; i < udpRingCap+extra; i++ {
-		b := append(u.rxPool.Get(), 1)
-		u.enqueue(b, b, Addr{0, 0})
+	for i := 0; i < udpRingCap+extra; {
+		var burst [24]Frame
+		k := min(len(burst), udpRingCap+extra-i)
+		for j := range burst[:k] {
+			burst[j] = SharedFrame(append(u.rxPool.Get(), 1), Addr{0, 0}, u.rxPool)
+		}
+		u.publish(burst[:k])
+		i += k
 	}
 	if pending := u.tail - u.head; pending != udpRingCap {
 		t.Fatalf("ring holds %d, want exactly capacity %d", pending, udpRingCap)
@@ -267,8 +283,7 @@ func TestUDPRingOverflowDrops(t *testing.T) {
 	fr := make([]Frame, 1)
 	u.RecvBurst(fr)
 	fr[0].Release()
-	b := u.rxPool.Get()
-	u.enqueue(b, b, Addr{0, 0})
+	u.publish([]Frame{SharedFrame(u.rxPool.Get(), Addr{0, 0}, u.rxPool)})
 	if u.rxPool.News() != news {
 		t.Fatalf("overflow leaked buffers: pool News %d -> %d", news, u.rxPool.News())
 	}

@@ -7,15 +7,15 @@ import (
 
 // This file is the refcounted half of the GRO receive path (paper
 // Appendix C, completing zero-copy on RX): a SegBuf is one engine-owned
-// supersegment buffer whose segments are handed to the RX ring as
-// frames *aliasing* the buffer at the cmsg stride, instead of being
-// copied into per-packet pooled buffers. The buffer recycles when the
+// receive buffer whose segments are handed to the RX ring as frames
+// *aliasing* the buffer at the cmsg stride, instead of being copied
+// into per-packet pooled buffers. The buffer recycles when the
 // last segment frame is released — the descriptor-refcount idiom NICs
 // use for header/data split receives.
 //
 // The types are portable (no build tags) so the split logic and its
 // lifetime rules are exercised by tests and fuzzing on every platform,
-// even though only the Linux gso engine produces SegBufs today.
+// even though only the Linux batched engine produces SegBufs today.
 
 // SegBuf is a refcounted supersegment receive buffer. The reader
 // goroutine fills buf with one (possibly GRO-coalesced) datagram, then
@@ -116,16 +116,17 @@ func (sp *segPool) put(sb *SegBuf) {
 }
 
 // splitRxSegs splits one received wire buffer — a GRO-coalesced
-// supersegment, or a plain datagram — into RX ring entries at the
-// given segment stride and reports how many segments it saw and
-// whether the SegBuf was handed out aliased (the caller must then stop
-// touching it and post a fresh one to the kernel).
+// supersegment, or a plain datagram — into RX frames at the given
+// segment stride, stages them on the reader's batch (the caller
+// publishes it with flushRx; a batch that fills on the way publishes
+// itself) and reports how many segments it saw and whether the SegBuf
+// was handed out aliased (the caller must then stop touching it and
+// post a fresh one to the kernel).
 //
 // A coalesced receive (two or more segments) is handed out zero-copy:
 // the SegBuf's refcount is charged with the number of valid segments
-// *before* any frame is published to the ring, so a dispatch-side
-// Release racing the rest of the split can never drop the count to
-// zero early. Uncoalesced datagrams keep the pooled-copy path — there
+// *before* any frame is staged, so a dispatch-side Release racing the
+// rest of the split can never drop the count to zero early. Uncoalesced datagrams keep the pooled-copy path — there
 // is no per-datagram stack traversal to amortize, and aliasing would
 // pin a whole supersegment buffer per small packet — as does alias-
 // budget overflow (see segPool.limit).
@@ -162,7 +163,7 @@ func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int) (nseg int, aliased bool) {
 				if len(pkt) < udpHdrLen {
 					continue
 				}
-				u.enqueueSeg(sb, pkt[udpHdrLen:], parseHdr(pkt))
+				u.stage(Frame{Data: pkt[udpHdrLen:], Addr: parseHdr(pkt), seg: sb})
 			}
 			return total, true
 		}
@@ -183,7 +184,7 @@ func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int) (nseg int, aliased bool) {
 		}
 		pb = pb[:len(pkt)]
 		copy(pb, pkt)
-		u.enqueue(pb, pb[udpHdrLen:], parseHdr(pb))
+		u.stage(u.rxFrame(pb))
 	}
 	return total, false
 }

@@ -35,6 +35,7 @@ func newSplitUDP() *UDP {
 		done:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 		rxPool:     NewPool(udpHdrLen+DefaultUDPMTU, udpRingCap+64),
+		rxBatch:    make([]Frame, 0, udpRxBatch),
 		txScratch:  make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
 	u.eng = &perPacketEngine{u: u}
@@ -42,7 +43,10 @@ func newSplitUDP() *UDP {
 	return u
 }
 
+// drainRing publishes whatever the last split left staged, as the
+// reader does after each receive, and empties the ring.
 func drainRing(u *UDP) []Frame {
+	u.flushRx()
 	var out []Frame
 	var fr [64]Frame
 	for {
@@ -231,6 +235,124 @@ func TestSplitRxSegsAliasBudget(t *testing.T) {
 	ReleaseBurst(drainRing(u))
 }
 
+// TestSplitRxSegsBatchBoundary splits receives that yield exactly as
+// many segments as the reader's batch holds, one more, and several
+// batches' worth: the batch publishes itself when full, so every
+// segment arrives once, in order, and the SegBuf recycles after the
+// last release whichever publish a segment travelled in.
+func TestSplitRxSegsBatchBoundary(t *testing.T) {
+	for _, n := range []int{udpRxBatch - 1, udpRxBatch, udpRxBatch + 1, 3*udpRxBatch + 7} {
+		u := newSplitUDP()
+		sp := newSegPool(1<<16, 4)
+		sb := sp.get()
+		const stride = 6
+		for i := 0; i < n; i++ {
+			pkt := sb.buf[i*stride:]
+			pkt[0], pkt[1], pkt[2], pkt[3] = byte(i>>8), byte(i), 0, 1
+		}
+		nseg, aliased := u.splitRxSegs(sb, n*stride, stride)
+		if nseg != n || !aliased {
+			t.Fatalf("n=%d: splitRxSegs = (%d, %v), want (%d, true)", n, nseg, aliased, n)
+		}
+		if staged := len(u.rxBatch); staged != (n-1)%udpRxBatch+1 {
+			t.Fatalf("n=%d: %d frames left staged, want %d", n, staged, (n-1)%udpRxBatch+1)
+		}
+		frames := drainRing(u)
+		if len(frames) != n {
+			t.Fatalf("n=%d: ring delivered %d frames", n, len(frames))
+		}
+		for i, f := range frames {
+			if int(f.Addr.Node) != i || len(f.Data) != stride-udpHdrLen {
+				t.Fatalf("n=%d: frame %d is from node %d with %d bytes", n, i, f.Addr.Node, len(f.Data))
+			}
+		}
+		ReleaseBurst(frames)
+		if sp.outstanding.Load() != 0 || sp.recycles.Load() != 1 {
+			t.Fatalf("n=%d: outstanding %d, recycles %d after full release", n, sp.outstanding.Load(), sp.recycles.Load())
+		}
+	}
+}
+
+// TestUDPRingOverflowReleasesSegs publishes more SegBuf-aliased
+// segments than the ring has room for: the overflow is counted in
+// Drops and every dropped segment gives its reference back, so the
+// SegBuf returns to its pool once the segments that did fit are
+// drained and released.
+func TestUDPRingOverflowReleasesSegs(t *testing.T) {
+	u := newSplitUDP()
+	sp := newSegPool(1<<16, 4)
+	const room, segs, stride = 5, 16, 20
+	fill := make([]Frame, udpRingCap-room)
+	for i := range fill {
+		fill[i] = SharedFrame(append(u.rxPool.Get(), 1), Addr{}, u.rxPool)
+	}
+	u.publish(fill)
+
+	sb := sp.get()
+	if nseg, aliased := u.splitRxSegs(sb, mkSegs(sb, segs, stride), stride); nseg != segs || !aliased {
+		t.Fatalf("splitRxSegs = (%d, %v), want (%d, true)", nseg, aliased, segs)
+	}
+	u.flushRx()
+	if got := u.Drops.Load(); got != segs-room {
+		t.Fatalf("Drops = %d, want %d", got, segs-room)
+	}
+	if got := sb.refs.Load(); got != room {
+		t.Fatalf("SegBuf holds %d references after the overflow, want %d (the published segments)", got, room)
+	}
+	if pending := u.tail - u.head; pending != udpRingCap {
+		t.Fatalf("ring holds %d, want exactly capacity %d", pending, udpRingCap)
+	}
+	frames := drainRing(u)
+	for i, f := range frames[len(frames)-room:] {
+		if f.seg != sb || f.Addr != (Addr{Node: uint16(10 + i), Port: 1}) {
+			t.Fatalf("published segment %d is %v from %v", i, f.seg, f.Addr)
+		}
+	}
+	ReleaseBurst(frames)
+	if sp.outstanding.Load() != 0 || sp.recycles.Load() != 1 {
+		t.Fatalf("outstanding %d, recycles %d after drain and release", sp.outstanding.Load(), sp.recycles.Load())
+	}
+	if got := sp.get(); got != sb {
+		t.Fatal("SegBuf did not return to its pool")
+	}
+}
+
+// TestUDPPublishWakesOnce pins the hand-off's wake rule: one publish of
+// many frames into an empty ring invokes the wake callback exactly
+// once, a publish into a ring that already holds frames not at all.
+func TestUDPPublishWakesOnce(t *testing.T) {
+	u := newSplitUDP()
+	wakes := 0
+	u.SetWake(func() { wakes++ })
+	burst := func(n int) []Frame {
+		fr := make([]Frame, n)
+		for i := range fr {
+			fr[i] = SharedFrame(append(u.rxPool.Get(), byte(i)), Addr{}, u.rxPool)
+		}
+		return fr
+	}
+	u.publish(burst(16))
+	if wakes != 1 {
+		t.Fatalf("publish of 16 frames into an empty ring woke %d times, want 1", wakes)
+	}
+	u.publish(burst(16))
+	u.publish(burst(1))
+	if wakes != 1 {
+		t.Fatalf("publishes into a non-empty ring woke: %d wakes, want 1", wakes)
+	}
+	if got := len(drainRing(u)); got != 33 {
+		t.Fatalf("ring delivered %d frames, want 33", got)
+	}
+	u.publish(nil)
+	if wakes != 1 {
+		t.Fatalf("an empty publish woke: %d wakes", wakes)
+	}
+	u.publish(burst(2))
+	if wakes != 2 {
+		t.Fatalf("publish into the drained ring: %d wakes, want 2", wakes)
+	}
+}
+
 // TestSegBufConcurrentRelease interleaves segment-frame releases from
 // two goroutines (the pool-owner/dispatch split of a real datapath)
 // under the race detector and asserts the supersegment recycles
@@ -270,7 +392,8 @@ func TestSegBufConcurrentRelease(t *testing.T) {
 // bytes and strides — the gso-reader analogue of FuzzRxBurst. The
 // invariants: no panic, no mis-sliced frame, and after draining and
 // releasing every delivered frame no SegBuf reference remains
-// outstanding (even when ring overflow drops segments mid-split).
+// outstanding (even when the split outgrows the reader's batch and
+// publishes in pieces, or ring overflow drops segments mid-split).
 func FuzzSplitRxSegs(f *testing.F) {
 	u := newSplitUDP()
 	sp := newSegPool(1<<16, 8)
@@ -287,6 +410,13 @@ func FuzzSplitRxSegs(f *testing.F) {
 	f.Add(seed, 3)
 	f.Add(seed[:7], 1<<30)
 	f.Add([]byte{}, 16)
+	// Strides that yield more segments than the reader's batch holds
+	// (the batch publishes itself mid-split) and than the ring holds
+	// (the tail of the split is dropped and its references released).
+	big := make([]byte, 40000)
+	f.Add(big[:4*(2*udpRxBatch+3)], 4)
+	f.Add(big, 4)
+	f.Add(big, 1)
 
 	f.Fuzz(func(t *testing.T, data []byte, stride int) {
 		if sb == nil {

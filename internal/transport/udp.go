@@ -16,58 +16,36 @@ import (
 // (documented substitution: same unreliable-datagram semantics, higher
 // latency).
 //
-// A reader goroutine moves datagrams from the socket into a bounded
-// ring of pooled buffers; the Rpc event loop drains the ring in bursts
-// with RecvBurst and re-posts each buffer with Frame.Release after
-// processing. The ring models the NIC RX queue: a fixed-capacity array
-// indexed by head/tail (never resliced, so its memory footprint is
+// A reader goroutine (the engine's readLoop) turns what the socket
+// delivers into Frames and hands them to the dispatch goroutine through
+// the RX ring, the RQ the core's session budget divides: a fixed array
+// of Frames indexed by head/tail (never resliced, so its footprint is
 // constant), whose overflow drops packets exactly like an empty RQ.
-// The datapath is allocation-free in steady state: RX buffers recycle
-// through a Pool and datagrams are received straight into them (no
-// per-packet copy), TX runs under one lock acquisition per burst, and
-// all socket I/O avoids per-datagram address allocations.
+// The hand-off is a burst each way under the one lock u.mu: the reader
+// publishes the frames of one receive (one recvmmsg on the batched
+// engine, one datagram on the per-packet engine) and wakes the loop if
+// the ring was empty, RecvBurst copies a burst out, and the loop
+// re-posts the buffers with ReleaseBurst after processing. TX has its
+// own lock (txMu: the peer table and the engine's TX arrays), so a send
+// burst and the reader never wait on each other. Steady state allocates
+// nothing: RX buffers recycle through a Pool (and, for GRO-coalesced
+// receives, a pool of refcounted SegBufs), and socket I/O avoids
+// per-datagram address allocations.
 //
-// # Syscall engines
-//
-// The socket I/O itself is pluggable between three engines, chosen at
-// run time from what the platform and the kernel offer:
-//
-//   - gso (Linux amd64/arm64, the default where the kernel accepts
-//     UDP_SEGMENT/UDP_GRO — see UDPGsoSupported): the mmsg engine plus
-//     segmentation offload. TX coalesces consecutive same-peer
-//     equal-size frames of a burst into one supersegment datagram sent
-//     with a UDP_SEGMENT cmsg, so up to ~44 MTU-sized (or hundreds of
-//     small) datagrams traverse the kernel stack once; RX enables
-//     UDP_GRO and splits returned supersegments back into pooled
-//     frames at the cmsg-reported segment size. Bursts become
-//     sendmmsg/recvmmsg calls *of supersegments*.
-//   - mmsg (Linux amd64/arm64; the default where GSO is unavailable,
-//     forced with NewUDPMmsg): SendBurst and the reader goroutine use
-//     sendmmsg(2)/recvmmsg(2), so a full burst of N frames costs one
-//     kernel crossing instead of N — the socket-world analogue of the
-//     paper's one-DMA-flush-per-TX-burst discipline (§4.2). TX gathers
-//     the 4-byte source prefix and the frame as a two-entry iovec, so
-//     frames go to the kernel straight from the caller's buffers.
-//   - per-packet (all platforms; the default elsewhere, forced with
-//     NewUDPPerPacket): one ReadFromUDPAddrPort/WriteToUDPAddrPort per
-//     datagram, the portable fallback.
-//
-// The Syscalls and MmsgBatches counters expose the difference: a
-// loopback benchmark under the mmsg engine completes bursts with
-// Syscalls ≈ bursts, while the per-packet engine pays Syscalls ≈
-// packets. GsoSegments and GroBatches count datagrams moved inside TX
-// supersegments and RX supersegments received coalesced — the gso
-// engine's measure of per-datagram kernel stack traversals saved.
+// The socket I/O is one of two engines, picked at construction: the
+// batched engine (Linux amd64/arm64: sendmmsg/recvmmsg, plus
+// UDP_SEGMENT/UDP_GRO where the kernel and the socket accept them; see
+// udp_batch_linux.go) or the portable per-packet engine below.
 type UDP struct {
 	conn  *net.UDPConn
 	local Addr
 	mtu   int
 	eng   udpEngine
 
-	mu    sync.Mutex
-	peers map[Addr]udpDest
-	wake  func()
-	done  chan struct{}
+	// mu guards the RX ring and wake, nothing else.
+	mu   sync.Mutex
+	wake func()
+	done chan struct{}
 
 	readerDone chan struct{} // closed when the reader goroutine exits
 	closeOnce  sync.Once
@@ -75,15 +53,19 @@ type UDP struct {
 
 	// RX ring: fixed storage, head/tail indices. count = tail - head;
 	// slot i lives at ring[i & udpRingMask].
-	ring [udpRingCap]udpPkt
+	ring [udpRingCap]Frame
 	head uint64
 	tail uint64
 
-	rxPool *Pool
+	// Reader-goroutine state: the wire-buffer pool it owns and the
+	// frames of the receive in hand (see stage).
+	rxPool  *Pool
+	rxBatch []Frame
 
 	// TX state, serialized independently of the RX ring so a send
 	// burst never delays the reader goroutine.
 	txMu      sync.Mutex
+	peers     map[Addr]udpDest
 	txScratch []byte    // one frame being prefixed for the wire (per-packet engine)
 	apScratch []udpDest // per-burst resolved destinations
 
@@ -96,16 +78,17 @@ type UDP struct {
 	// at least one datagram). MmsgBatches counts the subset that moved
 	// more than one datagram in a single syscall — always zero on the
 	// per-packet engine. Together they verify the batched datapath:
-	// a burst of N frames on the mmsg engine is one syscall, one batch.
+	// a burst of N frames on the batched engine is one syscall, one
+	// batch.
 	Syscalls    atomic.Uint64
 	MmsgBatches atomic.Uint64
 
 	// GsoSegments counts datagrams transmitted inside multi-segment
 	// UDP_SEGMENT supersegments, and GroBatches counts received
 	// supersegments that carried more than one datagram (UDP_GRO
-	// coalescing observed). Both are zero except on the gso engine;
-	// each supersegment is one kernel stack traversal for all its
-	// segments, which is the cost the engine exists to amortize.
+	// coalescing observed). Both are zero unless the batched engine has
+	// its offload capability ("gso"); each supersegment is one kernel
+	// stack traversal for all its segments.
 	GsoSegments atomic.Uint64
 	GroBatches  atomic.Uint64
 
@@ -124,7 +107,8 @@ type UDP struct {
 // and how the reader goroutine pulls datagrams out of it. Both engines
 // share the UDP core (peer table, RX ring, pool, wake).
 type udpEngine interface {
-	// name identifies the engine ("gso", "mmsg" or "per-packet").
+	// name is what Engine reports: "per-packet", or for the batched
+	// engine "gso" or "mmsg" with its offload capability on or off.
 	name() string
 	// sendBurst transmits resolved frames. Called with u.txMu held;
 	// dsts[i] is the resolved destination of frames[i] (invalid =>
@@ -144,18 +128,6 @@ type udpDest struct {
 	scope uint32
 }
 
-// udpPkt is one RX ring slot. buf is the pooled wire buffer (including
-// the 4-byte source prefix) that returns to the pool on Release; data
-// is the frame payload aliasing buf's tail. When seg is non-nil the
-// packet instead aliases one segment of a refcounted GRO supersegment
-// (buf is nil) and releasing it drops one SegBuf reference.
-type udpPkt struct {
-	buf  []byte
-	data []byte
-	from Addr
-	seg  *SegBuf
-}
-
 // DefaultUDPMTU bounds frames to a safe datagram size.
 const DefaultUDPMTU = 1472
 
@@ -170,9 +142,15 @@ const (
 	udpRingMask = udpRingCap - 1
 )
 
-// Engine choices for the internal constructors: the best available
-// syscall engine (gso → mmsg → per-packet), mmsg-at-best (the gso
-// engine skipped), or the portable per-packet engine.
+// udpRxBatch is the reader's staging capacity: a full receive window of
+// full GRO supersegments (8 × 64). A receive that splits into more
+// publishes in pieces.
+const udpRxBatch = 512
+
+// Engine choices for the internal constructors: the batched engine with
+// whatever it can offload, the batched engine with offload forced off,
+// or the per-packet engine. The first two are the per-packet engine
+// where the batched one is not compiled in.
 const (
 	engAuto = iota
 	engMmsg
@@ -180,26 +158,24 @@ const (
 )
 
 // NewUDP binds a UDP socket at bind (e.g. "127.0.0.1:0") and returns a
-// transport using the platform's best syscall engine: the
-// segmentation-offload gso engine where the kernel supports
-// UDP_SEGMENT/UDP_GRO, batched sendmmsg/recvmmsg on other Linux
-// amd64/arm64, the portable per-packet engine elsewhere.
+// transport on the platform's best engine: batched on Linux
+// amd64/arm64 (with UDP_SEGMENT/UDP_GRO where the kernel and the socket
+// accept them), per-packet elsewhere.
 func NewUDP(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engAuto)
 }
 
-// NewUDPMmsg binds a UDP socket like NewUDP but without the
-// segmentation-offload engine: batched sendmmsg/recvmmsg where
-// compiled in, the per-packet fallback elsewhere. This is the only
-// batched path on kernels without UDP_SEGMENT/UDP_GRO; the constructor
-// lets tests and the benchmark's per-engine rows run it anywhere.
+// NewUDPMmsg binds a UDP socket like NewUDP but with the batched
+// engine's segmentation offload forced off: what NewUDP runs on a
+// kernel without UDP_SEGMENT/UDP_GRO. The constructor lets tests and
+// the benchmark's per-engine rows run that path anywhere.
 func NewUDPMmsg(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engMmsg)
 }
 
 // NewUDPPerPacket binds a UDP socket like NewUDP but forces the
 // portable per-packet engine (one syscall per datagram) even where the
-// batched engines are available, so the fallback path is exercised by
+// batched engine is available, so the fallback path is exercised by
 // tests and measured by the benchmark on Linux.
 func NewUDPPerPacket(local Addr, bind string) (*UDP, error) {
 	return newUDP(local, bind, engPerPacket)
@@ -228,19 +204,15 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 		done:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 		// Pool buffers hold a whole wire datagram (prefix + frame) so
-		// the engines can receive into them in place.
+		// the per-packet engine can receive into them in place.
 		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRingCap+64),
+		rxBatch:   make([]Frame, 0, udpRxBatch),
 		txScratch: make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
-	switch {
-	case choice == engPerPacket:
+	if choice == engPerPacket {
 		u.eng = &perPacketEngine{u: u}
-	case choice == engAuto && GsoSupported && UDPGsoSupported():
-		// newGsoEngine falls back to the default engine itself if the
-		// socket refuses UDP_GRO (e.g. an exotic socket type).
-		u.eng = newGsoEngine(u)
-	default:
-		u.eng = newDefaultEngine(u)
+	} else {
+		u.eng = newBatchEngine(u, choice == engAuto)
 	}
 	go func() {
 		defer close(u.readerDone)
@@ -325,9 +297,9 @@ func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 	return shards, nil
 }
 
-// Engine reports which syscall engine this transport runs on: "gso"
-// (segmentation offload over sendmmsg/recvmmsg), "mmsg" (batched
-// sendmmsg/recvmmsg) or "per-packet".
+// Engine reports which syscall engine this transport runs on:
+// "per-packet", or the batched engine as "gso" (with segmentation
+// offload) or "mmsg" (without).
 func (u *UDP) Engine() string { return u.eng.name() }
 
 // BoundAddr returns the socket's actual address (useful with port 0).
@@ -347,7 +319,7 @@ func (u *UDP) AddPeer(a Addr, udpAddr string) error {
 		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	}
 	// Resolve a link-local zone to its interface index once, here: the
-	// mmsg engine writes raw sockaddr_in6 structs, whose Scope_id is
+	// batched engine writes raw sockaddr_in6 structs, whose Scope_id is
 	// numeric (netip only carries the zone name).
 	var scope uint32
 	if zone := ap.Addr().Zone(); zone != "" {
@@ -357,9 +329,9 @@ func (u *UDP) AddPeer(a Addr, udpAddr string) error {
 			scope = uint32(n)
 		}
 	}
-	u.mu.Lock()
+	u.txMu.Lock()
 	u.peers[a] = udpDest{ap: ap, scope: scope}
-	u.mu.Unlock()
+	u.txMu.Unlock()
 	return nil
 }
 
@@ -371,10 +343,10 @@ func (u *UDP) LocalAddr() Addr { return u.local }
 
 // SendBurst implements Transport. Frames to unknown peers are dropped,
 // as are oversized frames; both are "network" losses from the RPC
-// layer's point of view. The whole batch is transmitted under one TX
-// lock acquisition (the paper's single DMA-queue flush per
-// burst), with destinations resolved under one peer-table lock — and,
-// on the mmsg engine, handed to the kernel in one sendmmsg call.
+// layer's point of view. The whole batch is resolved and transmitted
+// under one acquisition of the TX lock (the paper's single DMA-queue
+// flush per burst) and, on the batched engine, handed to the kernel in
+// one sendmmsg call.
 func (u *UDP) SendBurst(frames []Frame) {
 	if len(frames) == 0 {
 		return
@@ -384,11 +356,9 @@ func (u *UDP) SendBurst(frames []Frame) {
 		u.apScratch = make([]udpDest, len(frames))
 	}
 	dsts := u.apScratch[:len(frames)]
-	u.mu.Lock()
 	for i := range frames {
 		dsts[i] = u.peers[frames[i].Addr]
 	}
-	u.mu.Unlock()
 	u.eng.sendBurst(dsts, frames)
 	u.txMu.Unlock()
 }
@@ -424,68 +394,75 @@ func parseHdr(buf []byte) Addr {
 	}
 }
 
-// enqueue pushes one received packet into the RX ring, dropping (and
-// re-posting the buffer) on overflow, and wakes the event loop on the
-// empty→non-empty transition. buf is the pooled wire buffer that
-// Release re-posts; data is the frame payload aliasing it.
-func (u *UDP) enqueue(buf, data []byte, from Addr) {
-	u.enqueuePkt(udpPkt{buf: buf, data: data, from: from})
+// rxFrame is the RX frame of one wire buffer of u.rxPool: the payload
+// past the source prefix, released from the dispatch goroutine (shared).
+func (u *UDP) rxFrame(buf []byte) Frame {
+	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), pool: u.rxPool, base: buf, shared: true}
 }
 
-// enqueueSeg pushes one segment of a refcounted GRO supersegment into
-// the RX ring: data aliases sb's buffer past the wire prefix, and the
-// slot carries one of sb's pre-charged references (dropped on overflow,
-// released with the frame otherwise).
-func (u *UDP) enqueueSeg(sb *SegBuf, data []byte, from Addr) {
-	u.enqueuePkt(udpPkt{seg: sb, data: data, from: from})
+// stage adds one frame to the receive in hand. Reader goroutine only.
+// A full batch publishes itself first: a hostile GRO stride can split
+// one 64 KiB receive into thousands of segments.
+func (u *UDP) stage(f Frame) {
+	if len(u.rxBatch) == cap(u.rxBatch) {
+		u.flushRx()
+	}
+	u.rxBatch = append(u.rxBatch, f)
 }
 
-// enqueuePkt pushes one received packet into the RX ring, recycling
-// its buffer on overflow. Runs on the reader goroutine, which owns
-// u.rxPool.
+// flushRx publishes the staged frames. Reader goroutine only.
+func (u *UDP) flushRx() {
+	u.publish(u.rxBatch)
+	u.rxBatch = u.rxBatch[:0]
+}
+
+// publish hands a burst of received frames to the RX ring under one
+// lock acquisition and wakes the event loop once if the ring was empty.
+// What does not fit is dropped like packets at a full RQ: counted in
+// Drops and released after the unlock. Runs on the reader goroutine,
+// which owns u.rxPool, so dropped buffers go back on its lock-free
+// path.
 //
 //erpc:owner
-func (u *UDP) enqueuePkt(p udpPkt) {
-	u.mu.Lock()
-	var wake func()
-	if u.tail-u.head >= udpRingCap {
-		u.Drops.Add(1)
-		u.mu.Unlock()
-		if p.seg != nil {
-			p.seg.release()
-		} else {
-			u.rxPool.Put(p.buf)
-		}
+func (u *UDP) publish(frames []Frame) {
+	if len(frames) == 0 {
 		return
 	}
-	if u.tail == u.head {
+	u.mu.Lock()
+	n := min(len(frames), int(udpRingCap-(u.tail-u.head)))
+	var wake func()
+	if n > 0 && u.tail == u.head {
 		wake = u.wake
 	}
-	u.ring[u.tail&udpRingMask] = p
-	u.tail++
+	at := int(u.tail & udpRingMask)
+	k := copy(u.ring[at:], frames[:n])
+	copy(u.ring[:], frames[k:n]) // the part that wrapped
+	u.tail += uint64(n)
 	u.mu.Unlock()
 	if wake != nil {
 		wake()
 	}
+	if n < len(frames) {
+		u.Drops.Add(uint64(len(frames) - n))
+		for i := n; i < len(frames); i++ {
+			frames[i].shared = false
+			frames[i].Release()
+		}
+	}
 }
 
-// RecvBurst implements Transport: the ring is drained under a single
-// lock acquisition per burst. Each frame's buffer returns to the RX
-// pool via Release — frames are marked for the shared release path,
-// since the dispatch goroutine that drains the ring is not the reader
-// goroutine that owns the pool; releasing a whole burst through
-// ReleaseBurst costs one pool lock per burst.
+// RecvBurst implements Transport: a burst of frames is copied out of
+// the ring under a single lock acquisition. Pooled frames are marked
+// for the shared release path, since the dispatch goroutine that drains
+// the ring is not the reader goroutine that owns the pool; releasing a
+// whole burst through ReleaseBurst costs one pool lock per burst.
 func (u *UDP) RecvBurst(frames []Frame) int {
 	u.mu.Lock()
 	n := 0
 	for n < len(frames) && u.head != u.tail {
 		p := &u.ring[u.head&udpRingMask]
-		if p.seg != nil {
-			frames[n] = Frame{Data: p.data, Addr: p.from, seg: p.seg}
-		} else {
-			frames[n] = Frame{Data: p.data, Addr: p.from, pool: u.rxPool, base: p.buf, shared: true}
-		}
-		*p = udpPkt{}
+		frames[n] = *p
+		*p = Frame{} // the slot must not pin a buffer it no longer owns
 		u.head++
 		n++
 	}
@@ -533,7 +510,7 @@ func (u *UDP) closed() bool {
 
 // perPacketEngine is the portable fallback: one syscall per datagram
 // through the net package. It is compiled on every platform and is the
-// default where mmsg is unavailable.
+// default where the batched engine is not.
 type perPacketEngine struct{ u *UDP }
 
 func (e *perPacketEngine) name() string { return "per-packet" }
@@ -545,7 +522,7 @@ func (e *perPacketEngine) sendBurst(dsts []udpDest, frames []Frame) {
 }
 
 // readLoop is the reader-goroutine body: one pooled buffer per
-// ReadFromUDPAddrPort, handed to the RX ring or recycled.
+// ReadFromUDPAddrPort, published to the RX ring or recycled.
 //
 //erpc:owner
 func (e *perPacketEngine) readLoop() {
@@ -568,7 +545,8 @@ func (e *perPacketEngine) readLoop() {
 			u.rxPool.Put(buf)
 			continue
 		}
-		u.enqueue(buf[:n], buf[udpHdrLen:n], parseHdr(buf))
+		u.stage(u.rxFrame(buf[:n]))
+		u.flushRx()
 	}
 }
 

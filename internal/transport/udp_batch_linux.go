@@ -2,45 +2,40 @@
 
 package transport
 
-// The segmentation-offload engine: UDP generic segmentation offload
-// (UDP_SEGMENT, Linux 4.18+) and generic receive offload (UDP_GRO,
-// 5.0+) on top of the mmsg engine's sendmmsg/recvmmsg plumbing. The
-// mmsg engine amortizes the *syscall* over a burst, but every datagram
-// of the batch still traverses the kernel's UDP/IP stack individually;
-// GSO/GRO amortize that remaining per-datagram cost — the half of the
-// kernel budget syscall batching cannot touch, and the socket-world
-// analogue of the paper pushing batching below the doorbell into the
-// NIC's own DMA engine (§4.2).
+// The batched engine: one sendmmsg(2) per TX burst and one recvmmsg(2)
+// per RX window, the socket-world analogue of the paper's one doorbell
+// per burst (§4.2). Where the kernel and the socket accept them (the
+// engine's one capability, offload), UDP_SEGMENT (Linux 4.18+) and
+// UDP_GRO (5.0+) also take the per-datagram trip through the UDP/IP
+// stack out of the burst: the engine then reports itself as "gso",
+// without them as "mmsg". The syscalls are the same either way.
 //
-//   - TX: consecutive frames of a burst bound for the same peer with
-//     the same wire size are gathered into ONE supersegment message —
-//     a single iovec chain of [prefix, frame, prefix, frame, ...] with
-//     a UDP_SEGMENT cmsg carrying the segment size — which the kernel
-//     segments after one stack traversal. A burst therefore becomes a
-//     sendmmsg of supersegments: one syscall, and one stack traversal
-//     per *peer run* rather than per datagram. The iovec gather means
-//     coalescing copies nothing: frames (including core.Rpc's
-//     zero-copy msgbuf aliases) go to the kernel from the caller's
-//     buffers, exactly like the mmsg engine.
-//   - RX: UDP_GRO is enabled on the socket, so bursts of small
-//     datagrams (in particular whole TX supersegments crossing
-//     loopback, which are never segmented at all) arrive as one
-//     coalesced buffer plus a cmsg segment size. The reader splits the
-//     supersegment at that stride into RX frames that *alias* the
-//     refcounted supersegment buffer (SegBuf) — zero-copy all the way
-//     to the dispatch loop, completing Appendix C on RX — and the
-//     buffer recycles when the last segment frame is released.
-//     Uncoalesced datagrams are copied into pooled wire buffers as
-//     before (nothing to amortize); either way the steady state
-//     allocates nothing.
+//   - TX: every datagram is an iovec pair [prefix, frame], gathered by
+//     the kernel from the caller's buffers (core.Rpc's zero-copy msgbuf
+//     aliases included), never copied. With offload, consecutive frames
+//     for one peer with one wire size extend a single message's iovec
+//     chain under a UDP_SEGMENT cmsg carrying the segment size, and the
+//     kernel segments it after one stack traversal; without, every
+//     frame is its own message of the same sendmmsg.
+//   - RX: recvmmsg fills a window of refcounted 64 KiB buffers
+//     (SegBuf). With UDP_GRO on, a run of equal-size datagrams (a whole
+//     TX supersegment crossing loopback is never segmented at all)
+//     arrives as one buffer plus a cmsg segment size, and splitRxSegs
+//     hands its segments to the ring as frames aliasing the buffer. An
+//     uncoalesced datagram (every datagram, with UDP_GRO off) is copied
+//     into a pooled wire buffer and its SegBuf stays posted.
 //
-// The engine is skipped at runtime when the kernel rejects the socket
-// options (UDPGsoSupported probes once), falling back to the mmsg
-// engine. A second, per-socket fallback handles path-MTU limits: the kernel refuses GSO sends whose
-// segments would need IP fragmentation (full-size frames on a
-// 1500-byte link, while loopback's 64 KiB MTU takes them), so a
-// bounced supersegment is degraded to per-segment sendmsg calls and
-// its segment size becomes the socket's coalescing ceiling (wireCap).
+// The kernel refuses a UDP_SEGMENT send whose segments would need IP
+// fragmentation (full-size frames on a 1500-byte link; loopback's
+// 64 KiB MTU takes them): a bounced supersegment goes out as one
+// sendmsg per segment and its segment size becomes the socket's
+// coalescing ceiling (wireCap).
+//
+// This would normally sit on golang.org/x/sys/unix; the build is
+// hermetic, so the engine uses the stdlib syscall package, which lacks
+// SYS_SENDMMSG on some arches (udp_sysnum_*.go carries the number).
+// Hence the gate to linux/amd64 and linux/arm64; everywhere else the
+// per-packet engine of udp.go takes over.
 
 import (
 	"net"
@@ -50,10 +45,18 @@ import (
 	"unsafe"
 )
 
-// GsoSupported reports whether the segmentation-offload engine is
-// compiled into this binary (Linux amd64/arm64). Whether it actually
-// runs also depends on the kernel: see UDPGsoSupported.
-const GsoSupported = true
+// MmsgSupported reports whether the batched engine is compiled into
+// this binary (Linux amd64/arm64). Whether it also offloads
+// segmentation depends on the kernel: see UDPGsoSupported.
+const MmsgSupported = true
+
+// mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-filled
+// per-message byte count. Trailing padding matches the kernel layout
+// through Go's natural struct alignment on both supported arches.
+type mmsghdr struct {
+	hdr    syscall.Msghdr
+	msgLen uint32
+}
 
 const (
 	solUDP     = 17  // SOL_UDP (absent from the stdlib syscall package)
@@ -95,10 +98,9 @@ var (
 
 // UDPGsoSupported reports whether this kernel accepts the UDP_SEGMENT
 // and UDP_GRO socket options (probed once on a throwaway socket and
-// cached). It is the runtime half of the gso gate, playing the role
-// ReusePortSupported plays for the sharded listener: NewUDP selects
-// the gso engine only when the build (GsoSupported) and the kernel
-// both agree.
+// cached). It is the kernel's half of the batched engine's offload
+// capability; the other half is the socket itself accepting UDP_GRO
+// (see newBatchEngine).
 func UDPGsoSupported() bool {
 	gsoProbeOnce.Do(func() {
 		fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, 0)
@@ -117,10 +119,18 @@ func UDPGsoSupported() bool {
 	return gsoProbeOK
 }
 
-type gsoEngine struct {
+// enableGRO turns UDP_GRO on for one socket. A variable so a test can
+// have the socket refuse it.
+var enableGRO = func(fd int) error { return syscall.SetsockoptInt(fd, solUDP, udpGRO, 1) }
+
+type batchEngine struct {
 	u   *UDP
 	rc  syscall.RawConn
 	is4 bool // AF_INET socket: sockaddrs must be sockaddr_in
+
+	// offload is the engine's one capability: UDP_SEGMENT supersegments
+	// on TX and UDP_GRO coalescing on RX. Decided once at construction.
+	offload bool
 
 	// TX state, guarded by u.txMu. prefix is the 4-byte source
 	// address shared by every segment's first iovec entry.
@@ -153,11 +163,8 @@ type gsoEngine struct {
 	segFn    func(fd uintptr) bool // preallocated: rc.Write closure
 
 	// RX state, owned by the reader goroutine. rsegs are the posted
-	// refcounted supersegment buffers: a coalesced receive is handed
-	// to the RX ring as zero-copy segment aliases of its SegBuf (the
-	// slot then posts a fresh one from segs), while an uncoalesced
-	// datagram is copied into a pooled wire buffer and the slot's
-	// SegBuf recycles in place.
+	// receive buffers; a slot whose SegBuf went out as aliases posts a
+	// fresh one from segs.
 	rhdrs   []mmsghdr
 	riovs   []syscall.Iovec
 	rsegs   []*SegBuf
@@ -168,25 +175,27 @@ type gsoEngine struct {
 	rxFn    func(fd uintptr) bool // preallocated: rc.Read closure
 }
 
-// newGsoEngine returns the segmentation-offload engine for u's socket,
-// falling back to the platform default (mmsg) when the raw connection
-// is unavailable or the socket refuses UDP_GRO.
-func newGsoEngine(u *UDP) udpEngine {
+// newBatchEngine returns the batched engine for u's socket, or the
+// per-packet engine when the raw connection is unavailable. offload
+// asks for UDP_SEGMENT/UDP_GRO; the engine has them only if the kernel
+// (UDPGsoSupported) and this socket (UDP_GRO accepted) agree.
+func newBatchEngine(u *UDP, offload bool) udpEngine {
 	rc, err := u.conn.SyscallConn()
 	if err != nil {
-		return newDefaultEngine(u)
+		return &perPacketEngine{u: u}
 	}
-	var soErr error
-	if err := rc.Control(func(fd uintptr) {
-		soErr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
-	}); err != nil || soErr != nil {
-		return newDefaultEngine(u)
+	offload = offload && UDPGsoSupported()
+	if offload {
+		var soErr error
+		err := rc.Control(func(fd uintptr) { soErr = enableGRO(int(fd)) })
+		offload = err == nil && soErr == nil
 	}
 	la, _ := u.conn.LocalAddr().(*net.UDPAddr)
-	e := &gsoEngine{
+	e := &batchEngine{
 		u:        u,
 		rc:       rc,
 		is4:      la != nil && la.IP.To4() != nil,
+		offload:  offload,
 		thdrs:    make([]mmsghdr, gsoTxWindow),
 		tiovs:    make([]syscall.Iovec, 2*gsoTxFrames),
 		tnames:   make([]syscall.RawSockaddrInet6, gsoTxWindow),
@@ -204,11 +213,15 @@ func newGsoEngine(u *UDP) udpEngine {
 	for i := range e.rsegs {
 		e.postSeg(i)
 	}
-	// Closures built once, like the mmsg engine: rc.Read/rc.Write take
-	// func values and a per-burst closure would heap-allocate on the
-	// hot path. Syscall6 (not RawSyscall6) keeps the scheduler's
-	// preemption points — see the mmsg engine's note on GOMAXPROCS=1
-	// loopback stalls.
+	// The syscall closures are built once: rc.Read/rc.Write take a func
+	// value, and one per burst would be a heap allocation per syscall.
+	// MSG_DONTWAIT keeps the calls non-blocking; the netpoller provides
+	// the blocking (false from the closure parks the goroutine until
+	// the socket is ready again). Syscall6, not RawSyscall6: the
+	// enter/exitsyscall bracket is the scheduler's preemption point, so
+	// the peer's reader goroutine gets the CPU right after a flush
+	// (without it a GOMAXPROCS=1 loopback measured 25x slower, every
+	// exchange stalled into a timer park).
 	e.txFn = func(fd uintptr) bool {
 		n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&e.thdrs[e.txLo])), uintptr(e.txHi-e.txLo),
@@ -232,17 +245,23 @@ func newGsoEngine(u *UDP) udpEngine {
 	return e
 }
 
-func (e *gsoEngine) name() string { return "gso" }
+func (e *batchEngine) name() string {
+	if e.offload {
+		return "gso"
+	}
+	return "mmsg"
+}
 
-// sendBurst transmits the resolved burst as sendmmsg calls of
-// supersegments: consecutive frames with the same destination and the
-// same wire size extend one message's iovec chain under a UDP_SEGMENT
-// cmsg (GSO requires every segment but the last to be exactly
-// gso_size, which equal-size runs satisfy); a frame with a new
-// destination or size opens a new message. Callers hold u.txMu.
-// Unknown peers, oversized frames and address-family mismatches are
-// dropped, like the other engines.
-func (e *gsoEngine) sendBurst(dsts []udpDest, frames []Frame) {
+// sendBurst transmits the resolved burst as one sendmmsg per
+// gsoTxWindow messages (one, for the core's bursts of 16). With
+// offload, consecutive frames with the same destination and the same
+// wire size extend one message's iovec chain under a UDP_SEGMENT cmsg
+// (GSO requires every segment but the last to be exactly gso_size,
+// which equal-size runs satisfy); a frame with a new destination or
+// size, and without offload every frame, opens a new message. Callers
+// hold u.txMu. Unknown peers, oversized frames and address-family
+// mismatches are dropped, like the per-packet engine.
+func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 	m := 0      // messages filled
 	iov := 0    // iovec cursor
 	run := -1   // message index of the open run (-1: none)
@@ -265,7 +284,7 @@ func (e *gsoEngine) sendBurst(dsts []udpDest, frames []Frame) {
 		}
 		wire := udpHdrLen + len(data)
 
-		if run == m-1 && run >= 0 && dsts[i] == runDest && wire == runSeg &&
+		if e.offload && run == m-1 && run >= 0 && dsts[i] == runDest && wire == runSeg &&
 			wire < e.wireCap && e.tsegs[run] < gsoMaxSegs &&
 			runBytes+wire <= gsoMaxBytes && iov+entries <= len(e.tiovs) {
 			// Extend the open supersegment.
@@ -318,7 +337,7 @@ func (e *gsoEngine) sendBurst(dsts []udpDest, frames []Frame) {
 
 // appendSeg writes one segment's iovec entries at cursor iov: the
 // shared source prefix, plus the frame payload when non-empty.
-func (e *gsoEngine) appendSeg(iov, entries int, data []byte) {
+func (e *batchEngine) appendSeg(iov, entries int, data []byte) {
 	e.tiovs[iov].Base = &e.prefix[0]
 	e.tiovs[iov].SetLen(udpHdrLen)
 	if entries == 2 {
@@ -328,11 +347,15 @@ func (e *gsoEngine) appendSeg(iov, entries int, data []byte) {
 }
 
 // flush hands thdrs[:n] to the kernel, retrying the unsent tail after
-// short writes — the mmsg engine's discipline, with counter accounting
-// per supersegment: each successful sendmmsg is one syscall, a call
-// that moved more than one datagram is an mmsg batch, and every
-// multi-segment message adds its segment count to GsoSegments.
-func (e *gsoEngine) flush(n int) {
+// short writes. Transient whole-call failures (EINTR, exhausted
+// buffers) are retried so the engine is no lossier than the per-packet
+// path; anything else is a per-datagram error (e.g. ECONNREFUSED
+// surfaced by a previous send's ICMP error) and skips one message,
+// best-effort like the transport's contract. Each successful sendmmsg
+// is one syscall, a call that moved more than one datagram is an mmsg
+// batch, and every multi-segment message adds its segment count to
+// GsoSegments.
+func (e *batchEngine) flush(n int) {
 	retries := 0
 	for lo := 0; lo < n; {
 		e.txLo, e.txHi = lo, n
@@ -393,7 +416,7 @@ func (e *gsoEngine) flush(n int) {
 // a fixed-stride window into it; the sockaddr is shared. Per-segment
 // errors are ignored like every other best-effort send. Callers hold
 // u.txMu.
-func (e *gsoEngine) sendSegmented(m int) {
+func (e *batchEngine) sendSegmented(m int) {
 	h := &e.thdrs[m].hdr
 	segs := e.tsegs[m]
 	entries := int(h.Iovlen) / segs
@@ -421,7 +444,7 @@ func (e *gsoEngine) sendSegmented(m int) {
 // groSegSize parses message i's control data for the UDP_GRO cmsg and
 // returns the segment stride of a coalesced receive, or 0 when the
 // datagram arrived un-coalesced.
-func (e *gsoEngine) groSegSize(i int) int {
+func (e *batchEngine) groSegSize(i int) int {
 	clen := int(e.rhdrs[i].hdr.Controllen)
 	if clen < syscall.CmsgLen(4) {
 		return 0
@@ -436,22 +459,20 @@ func (e *gsoEngine) groSegSize(i int) int {
 
 // postSeg posts a fresh supersegment buffer on RX window slot i.
 // Reader goroutine only (and engine construction).
-func (e *gsoEngine) postSeg(i int) {
+func (e *batchEngine) postSeg(i int) {
 	sb := e.segs.get()
 	e.rsegs[i] = sb
 	e.riovs[i].Base = &sb.buf[0]
 	e.riovs[i].SetLen(len(sb.buf))
 }
 
-// readLoop is the reader-goroutine body: post the supersegment window,
-// pull as many (possibly GRO-coalesced) messages as one recvmmsg
-// yields, split each back into RX frames at the cmsg stride (see
-// splitRxSegs: coalesced receives become zero-copy aliases of the
-// refcounted supersegment, uncoalesced datagrams are copied into
-// pooled wire buffers), repeat. A slot whose SegBuf was handed out
+// readLoop is the reader-goroutine body: post the window, pull as many
+// (possibly GRO-coalesced) messages as one recvmmsg yields, split each
+// into RX frames at its cmsg stride (splitRxSegs) and publish the lot
+// to the ring at once, repeat. A slot whose SegBuf was handed out
 // aliased posts a replacement from the seg pool; the original returns
 // there when its last segment frame is released.
-func (e *gsoEngine) readLoop() {
+func (e *batchEngine) readLoop() {
 	u := e.u
 	for {
 		for i := range e.rhdrs {
@@ -493,8 +514,34 @@ func (e *gsoEngine) readLoop() {
 				u.GroBatches.Add(1)
 			}
 		}
+		u.flushRx()
 		if datagrams > 1 {
 			u.MmsgBatches.Add(1)
 		}
 	}
 }
+
+// putSockaddr fills the sockaddr storage for one destination and
+// returns its length: sockaddr_in on an AF_INET socket (is4),
+// sockaddr_in6 (with IPv4 destinations v4-mapped, and the zone
+// resolved by AddPeer as the numeric scope for link-local peers) on a
+// dual-stack socket.
+func putSockaddr(sa6 *syscall.RawSockaddrInet6, d udpDest, is4 bool) uint32 {
+	ap := d.ap
+	if is4 {
+		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa6))
+		sa.Family = syscall.AF_INET
+		putSockPort((*[2]byte)(unsafe.Pointer(&sa.Port)), ap.Port())
+		sa.Addr = ap.Addr().Unmap().As4()
+		return syscall.SizeofSockaddrInet4
+	}
+	sa6.Family = syscall.AF_INET6
+	putSockPort((*[2]byte)(unsafe.Pointer(&sa6.Port)), ap.Port())
+	sa6.Addr = ap.Addr().As16() // IPv4 becomes the v4-mapped form
+	sa6.Scope_id = d.scope
+	return syscall.SizeofSockaddrInet6
+}
+
+// putSockPort stores a port in network byte order regardless of host
+// endianness (the sockaddr port field is wire-format bytes).
+func putSockPort(b *[2]byte, p uint16) { b[0], b[1] = byte(p>>8), byte(p) }

@@ -39,7 +39,7 @@ func TestUDPEngineReported(t *testing.T) {
 	defer u.Close()
 	want := "per-packet"
 	switch {
-	case GsoSupported && UDPGsoSupported():
+	case UDPGsoSupported():
 		want = "gso"
 	case MmsgSupported:
 		want = "mmsg"
@@ -98,12 +98,12 @@ func sendRecvBurst(t *testing.T, a, b *UDP, n int) [][]byte {
 }
 
 // TestUDPSendBurstOneSyscall is the acceptance check of the batched
-// datapath: on the mmsg engine, a SendBurst of N>1 frames must issue
+// datapath: on the batched engine, a SendBurst of N>1 frames must issue
 // exactly one sendmmsg — one kernel crossing, one multi-message batch
 // — while delivering every frame.
 func TestUDPSendBurstOneSyscall(t *testing.T) {
 	if !MmsgSupported {
-		t.Skip("mmsg engine not compiled in (unsupported platform)")
+		t.Skip("batched engine not compiled in (unsupported platform)")
 	}
 	a, b := newUDPPair(t)
 	const n = 8
@@ -130,7 +130,7 @@ func TestUDPSendBurstOneSyscall(t *testing.T) {
 // within a few attempts proves the path.
 func TestUDPRecvBurstBatched(t *testing.T) {
 	if !MmsgSupported {
-		t.Skip("mmsg engine not compiled in (unsupported platform)")
+		t.Skip("batched engine not compiled in (unsupported platform)")
 	}
 	a, b := newUDPPair(t)
 	const n = 16

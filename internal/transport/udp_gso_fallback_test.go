@@ -2,10 +2,12 @@
 
 package transport
 
-// Fallback-path tests that poke gsoEngine internals; gated to the gso
-// build like the engine itself.
+// Tests that poke batchEngine internals (the path-MTU fallback, the
+// refused-UDP_GRO seam); gated like the engine itself.
 
 import (
+	"fmt"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
@@ -20,9 +22,9 @@ import (
 // fallback exists for real networks.
 func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 	a, b := gsoPair(t)
-	eng, ok := a.eng.(*gsoEngine)
+	eng, ok := a.eng.(*batchEngine)
 	if !ok {
-		t.Fatalf("engine is %T, want *gsoEngine", a.eng)
+		t.Fatalf("engine is %T, want *batchEngine", a.eng)
 	}
 	const n = 5
 	var frames []Frame
@@ -35,11 +37,9 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 	// the per-segment fallback instead of flushing the supersegment.
 	a.txMu.Lock()
 	dsts := make([]udpDest, n)
-	a.mu.Lock()
 	for i := range frames {
 		dsts[i] = a.peers[frames[i].Addr]
 	}
-	a.mu.Unlock()
 	m, iov := 0, 0
 	for i := range frames {
 		h := &eng.thdrs[m]
@@ -92,7 +92,7 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 // while smaller frames keep coalescing.
 func TestUDPGsoWireCapStopsCoalescing(t *testing.T) {
 	a, b := gsoPair(t)
-	eng := a.eng.(*gsoEngine)
+	eng := a.eng.(*batchEngine)
 	a.txMu.Lock()
 	eng.wireCap = udpHdrLen + 100 // pretend a 100-byte-frame supersegment bounced
 	a.txMu.Unlock()
@@ -130,5 +130,36 @@ func TestUDPGsoWireCapStopsCoalescing(t *testing.T) {
 	}
 	if len(seen) != 6 {
 		t.Fatalf("received %d of 6 frames", len(seen))
+	}
+}
+
+// TestUDPGroRefusedRunsWithoutOffload has the socket refuse UDP_GRO: the
+// batched engine then runs with its offload capability off, reports
+// itself as "mmsg" and still moves a burst in one sendmmsg, with no
+// supersegment on either side.
+func TestUDPGroRefusedRunsWithoutOffload(t *testing.T) {
+	if !UDPGsoSupported() {
+		t.Skip("kernel without UDP_SEGMENT/UDP_GRO: NewUDP never asks for offload")
+	}
+	accept := enableGRO
+	enableGRO = func(int) error { return syscall.ENOPROTOOPT }
+	a, b := newUDPPair(t)
+	enableGRO = accept
+	if a.Engine() != "mmsg" || b.Engine() != "mmsg" {
+		t.Fatalf("engines = %q/%q with UDP_GRO refused, want mmsg/mmsg", a.Engine(), b.Engine())
+	}
+	const n = 8
+	sys0 := a.Syscalls.Load()
+	rcvd := sendRecvBurst(t, a, b, n)
+	for i, data := range rcvd {
+		if want := fmt.Sprintf("burst-%02d", i); string(data) != want {
+			t.Fatalf("frame %d = %q, want %q", i, data, want)
+		}
+	}
+	if got := a.Syscalls.Load() - sys0; got != 1 {
+		t.Fatalf("SendBurst of %d frames took %d syscalls, want 1", n, got)
+	}
+	if tx, rx := a.GsoSegments.Load(), b.GroBatches.Load(); tx != 0 || rx != 0 {
+		t.Fatalf("offload ran with UDP_GRO refused: %d gso segments, %d gro batches", tx, rx)
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// gsoPair binds two transports on the gso engine, or skips the test
-// when the engine is unavailable (unsupported platform, or a kernel
-// without UDP_SEGMENT/UDP_GRO).
+// gsoPair binds two transports on the batched engine with segmentation
+// offload ("gso"), or skips the test where that is unavailable
+// (unsupported platform, or a kernel without UDP_SEGMENT/UDP_GRO).
 func gsoPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()
-	if !GsoSupported || !UDPGsoSupported() {
-		t.Skip("gso engine not available (unsupported platform, or kernel without UDP_SEGMENT/UDP_GRO)")
+	if !UDPGsoSupported() {
+		t.Skip("no segmentation offload (unsupported platform, or kernel without UDP_SEGMENT/UDP_GRO)")
 	}
 	a, b := newUDPPair(t)
 	if a.Engine() != "gso" || b.Engine() != "gso" {

@@ -7,11 +7,11 @@ package transport
 // them, exactly like a NIC's RSS indirection spreading flows across
 // hardware RX queues (paper §4.1: each dispatch thread exclusively
 // owns its queue pair). The option is set through the stdlib raw
-// syscall plumbing for the same reason the mmsg engine uses it: the
+// syscall plumbing for the same reason the batched engine uses it: the
 // build environment is hermetic, so golang.org/x/sys is unavailable
 // and syscall.SetsockoptInt carries the setsockopt(2) call. The
 // constant itself (15 on amd64/arm64) is missing from the stdlib
-// syscall package, which is why this file shares the mmsg engine's
+// syscall package, which is why this file shares the batched engine's
 // build gate; everywhere else ListenUDPShards lays shards out on
 // distinct ports instead.
 

@@ -75,5 +75,6 @@ fuzz:
 	$(GO) test -fuzz FuzzPktMath -fuzztime 15s ./internal/wire/
 	$(GO) test -fuzz FuzzProcessPkt -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRxBurst -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzParseRxCmsgs -fuzztime 15s ./internal/transport/
 
 ci: fmt-check build cross-build vet race test-debug test bench-smoke

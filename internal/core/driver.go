@@ -90,7 +90,8 @@ func (d *loopDriver) run(stop <-chan struct{}) {
 			return
 		default:
 		}
-		if !d.r.RunEventLoopOnce() {
+		d.r.backToBack = d.r.RunEventLoopOnce()
+		if !d.r.backToBack {
 			d.park(200 * time.Microsecond)
 		}
 	}

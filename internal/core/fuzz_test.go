@@ -132,6 +132,10 @@ func FuzzProcessPkt(f *testing.F) {
 		fuzzFrame(wire.Header{PktType: wire.PktRFR, ReqType: echoType, MsgSize: 16, PktNum: 1, ReqNum: 8}, nil),
 		fuzzFrame(wire.Header{PktType: wire.PktPing}, nil),
 		fuzzFrame(wire.Header{PktType: wire.PktResp, ReqType: echoType, MsgSize: 1 << 23, PktNum: 0, ReqNum: 8}, payload),
+		// Replies reporting the server's endpoint delay: a small one, and
+		// one past any round trip (its fabric sample clamps to 0).
+		fuzzFrame(wire.Header{PktType: wire.PktCR, MsgSize: 5000, PktNum: 0, ReqNum: 8, EndpointDelay: 3}, nil),
+		fuzzFrame(wire.Header{PktType: wire.PktResp, MsgSize: 16, PktNum: 0, ReqNum: 8, EndpointDelay: wire.MaxEndpointDelay}, payload),
 		{0xE5, 0xFF},
 		nil,
 	}

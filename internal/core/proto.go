@@ -88,7 +88,7 @@ func (r *Rpc) onCR(h *wire.Header) {
 	ss.lastProgress = r.now()
 	ss.consecRTO = 0
 	ss.rejects = 0
-	r.rttSample(s, ss.reqTxTimes[n])
+	r.rttSample(s, ss.reqTxTimes[n], h)
 	r.trySendSlot(s, idx)
 	r.kickSession(s)
 }
@@ -124,7 +124,7 @@ func (r *Rpc) onResp(h *wire.Header, payload []byte) {
 		ss.inFlight -= delta
 		s.credits += delta
 		ss.reqAcked = ss.numReqPkts
-		r.rttSample(s, ss.reqTxTimes[ss.numReqPkts-1])
+		r.rttSample(s, ss.reqTxTimes[ss.numReqPkts-1], h)
 		if int(h.MsgSize) > ss.resp.MaxData() {
 			r.failSlot(s, idx, ErrRespTooBig)
 			return
@@ -136,7 +136,7 @@ func (r *Rpc) onResp(h *wire.Header, payload []byte) {
 			ss.inFlight--
 			s.credits++
 		}
-		r.rttSample(s, ss.respTxTimes[k])
+		r.rttSample(s, ss.respTxTimes[k], h)
 	}
 	ss.lastProgress = r.now()
 	ss.consecRTO = 0
@@ -207,7 +207,18 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // the cursor itself, which costs nothing to read and is the model's
 // statement of when this packet is processed.
 // Opts.DisableBatchedTimestamps reads the clock per packet on both ends.
-func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
+//
+// Timely takes the fabric's share of the sample that the CR or
+// response h ends: rtt less the time the packets spent inside either
+// host — hostDelay on the receive sides, txDwell on this host's send
+// side — clamped to [0, rtt] (Swift's endpoint/fabric split). On
+// loopback the rest is nearly all of it — the two hosts' reader
+// wake-ups and rings — and fed whole it keeps every session off line
+// rate. A queue before the receiving kernel still counts as fabric, as
+// does the server's time between encoding its reply and handing it to
+// the kernel. The RTO estimator and RTTHook keep the whole rtt: a
+// retransmission must wait out the round trip, however it was spent.
+func (r *Rpc) rttSample(s *Session, txTime sim.Time, h *wire.Header) {
 	if txTime == 0 {
 		return
 	}
@@ -222,6 +233,7 @@ func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
 	if r.opts.DisableCC || s.cc.timely == nil {
 		return
 	}
+	fabric := max(rtt-r.hostDelay(h)-r.txDwell(txTime), 0)
 	if r.opts.DisableBatchedTimestamps {
 		r.charge(r.cost.TSExtraPerRPC)
 	}
@@ -231,13 +243,38 @@ func (r *Rpc) rttSample(s *Session, txTime sim.Time) {
 	} else {
 		// Timely bypass: skip the rate update for uncongested sessions
 		// with RTTs under the low threshold.
-		if tl.Uncongested() && rtt < tl.TLow() {
+		if tl.Uncongested() && fabric < tl.TLow() {
 			return
 		}
 		r.charge(r.cost.TimelyUpdate)
 	}
 	r.Stats.TimelyUpdates++
-	tl.Update(rtt)
+	tl.Update(fabric)
+}
+
+// hostDelay is the part of the RTT sample that the CR or response h
+// ends which both hosts spent holding packets: the server's report
+// (h.EndpointDelay, from its kernel's receive stamp of the packet h
+// answers to h's encoding) plus this host's, from its kernel's receive
+// stamp of h to now(). Either is 0 where it is unknown: simulated and
+// in-memory transports, the per-packet engine, a virtual Clock.
+func (r *Rpc) hostDelay(h *wire.Header) sim.Time {
+	d := sim.Time(h.EndpointDelay) * sim.Microsecond
+	if r.rxAt != 0 {
+		d += r.now() - r.rxAt
+	}
+	return d
+}
+
+// endpointDelay is what a CR or response reports of the time this
+// server held the packet that asked for it: from the kernel's receive
+// stamp (rxAt, on the loop clock) to now, in whole µs, saturating at
+// the header field. 0 when the stamp is unknown.
+func (r *Rpc) endpointDelay(rxAt sim.Time) uint16 {
+	if rxAt == 0 {
+		return 0
+	}
+	return uint16(min(max(r.now()-rxAt, 0)/sim.Microsecond, wire.MaxEndpointDelay))
 }
 
 // updateRTO folds one RTT sample into the session's Jacobson/Karels

@@ -263,8 +263,9 @@ type Rpc struct {
 	nexus *Nexus
 	tr    transport.Transport
 	clock sim.Clock
-	drv   driver     // who runs the loop: a goroutine or the scheduler
-	cpu   *simDriver // drv when it is the scheduler, whose CPU cursor is the time; nil over a real transport
+	unix  sim.UnixClock // clock, when it can place its readings on CLOCK_REALTIME; nil otherwise
+	drv   driver        // who runs the loop: a goroutine or the scheduler
+	cpu   *simDriver    // drv when it is the scheduler, whose CPU cursor is the time; nil over a real transport
 	cfg   Config
 	cost  CostModel
 	opts  Opts
@@ -283,6 +284,20 @@ type Rpc struct {
 	// passes, with Opts.DisableBatchedTimestamps and in simulated time.
 	loopTS      sim.Time
 	lastRTOScan sim.Time
+	// loopUnix is loopTS on CLOCK_REALTIME (Unix ns), from the same read,
+	// where the Clock can say (sim.UnixClock); 0 otherwise. It relates
+	// the kernel's receive stamps (Frame.RxStamp) to the loop clock.
+	loopUnix int64
+	// rxAt is the loop-clock time the kernel received the packet being
+	// processed: the start of the host delay that the server reports in
+	// its replies and the client subtracts from its RTT samples
+	// (hostDelay). 0 when unknown — no stamp, or no loopUnix.
+	rxAt sim.Time
+	// passes logs the top-of-pass reads where loopUnix is known, for
+	// txDwell; backToBack is set by a loop goroutine that runs this pass
+	// straight after one that did work (and so may have sent packets).
+	passes     passLog
+	backToBack bool
 
 	// posted is how other goroutines reach the loop: Post's closures,
 	// among them the responses of handlers that ran on worker threads.
@@ -334,10 +349,12 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 	if dataPerPkt <= 0 {
 		panic("erpc: transport MTU too small for header")
 	}
+	unix, _ := cfg.Clock.(sim.UnixClock)
 	r := &Rpc{
 		nexus:       nexus,
 		tr:          cfg.Transport,
 		clock:       cfg.Clock,
+		unix:        unix,
 		cfg:         cfg,
 		cost:        cfg.Cost,
 		opts:        cfg.Opts,
@@ -646,7 +663,10 @@ func (r *Rpc) runOnce() {
 	if c := r.cpu; c != nil {
 		c.passStart = c.cursor
 	} else if !r.opts.DisableBatchedTimestamps {
-		r.loopTS = r.clock.Now()
+		r.readLoopClock()
+		if r.unix != nil {
+			r.passes.record(r.loopTS, r.backToBack)
+		}
 	}
 	r.pollWheel()
 	r.pollRX()
@@ -658,7 +678,17 @@ func (r *Rpc) runOnce() {
 	}
 	r.heartbeat()
 	r.flushTX()
-	r.loopTS = 0
+	r.loopTS, r.loopUnix = 0, 0
+}
+
+// readLoopClock sets the loop clock, and where the Clock can say,
+// where that reading falls on CLOCK_REALTIME: one read either way.
+func (r *Rpc) readLoopClock() {
+	if r.unix != nil {
+		r.loopTS, r.loopUnix = r.unix.NowUnix()
+		return
+	}
+	r.loopTS = r.clock.Now()
 }
 
 // pollRX pulls one burst of up to BurstSize frames from the transport
@@ -667,7 +697,8 @@ func (r *Rpc) runOnce() {
 // descriptor re-post, amortized like its one-doorbell-per-burst TX:
 // cross-goroutine pools are locked once per burst, not per frame). A
 // full burst sets rxFull so the loop runs again immediately: packet
-// arrivals only wake an empty queue.
+// arrivals only wake an empty queue. Each packet is processed with rxAt
+// set to when its host's kernel received it.
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
@@ -675,11 +706,25 @@ func (r *Rpc) pollRX() {
 		// One clock read stamps the whole burst (§5.2.2 optimization 3,
 		// the RX half): every RTT sample taken from it uses this time,
 		// and so does everything the burst's packets set off.
-		r.loopTS = r.clock.Now()
+		r.readLoopClock()
 	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]
+		r.rxAt = r.kernelRxAt(f.RxStamp)
 		r.processPkt(f.Data, f.Addr)
 	}
+	r.rxAt = 0
 	transport.ReleaseBurst(r.rxFrames[:n])
+}
+
+// kernelRxAt places a frame's kernel receive stamp on the loop clock,
+// or returns 0 when either end is unknown. A stamp later than the loop
+// clock's read (the wall clock stepped between them) counts as no delay,
+// one before the clock's origin as the origin: either under-reports.
+func (r *Rpc) kernelRxAt(stamp int64) sim.Time {
+	if stamp == 0 || r.loopUnix == 0 {
+		return 0
+	}
+	held := max(sim.Time(r.loopUnix-stamp), 0)
+	return max(r.loopTS-held, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/msgbuf"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -97,7 +98,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 		// Retransmission after we responded: re-send the ack the
 		// client is missing.
 		if n == ss.numReqPkts-1 {
-			r.sendRespPkt(s, ss, 0)
+			r.sendRespPkt(s, ss, 0, r.rxAt)
 		} else {
 			r.sendCR(s, ss, n)
 		}
@@ -148,6 +149,9 @@ func (r *Rpc) acceptReqPkt(s *Session, ss *srvSlot, idx, n int, payload []byte) 
 		r.sendCR(s, ss, n)
 	}
 	if ss.reqPktsRcvd == ss.numReqPkts {
+		// Response packet 0 reports its delay from this packet's arrival:
+		// the handler's own time counts as endpoint delay, as in Swift.
+		ss.rxAt = r.rxAt
 		r.invokeHandler(s, ss, idx, payload)
 	}
 }
@@ -261,19 +265,22 @@ func (r *Rpc) sendQueuedResponse(ctx *ReqContext) {
 	ss.state = srvResponded
 	r.srvInFlight-- // the request left the admitted (receiving/executing) set
 	r.putReqCtx(ctx)
-	r.sendRespPkt(s, ss, 0)
+	r.sendRespPkt(s, ss, 0, ss.rxAt)
 }
 
-// sendRespPkt transmits response packet k. Packets after the first are
-// sent only in reply to RFRs (client-driven protocol, §5.1).
-func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int) {
+// sendRespPkt transmits response packet k, answering the packet the
+// kernel received at rxAt (its endpoint delay's start). Packets after
+// the first are sent only in reply to RFRs (client-driven protocol,
+// §5.1).
+func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 	h := wire.Header{
-		PktType:    wire.PktResp,
-		ReqType:    ss.reqType,
-		MsgSize:    uint32(ss.respBuf.MsgSize()),
-		DstSession: s.num,
-		PktNum:     uint16(k),
-		ReqNum:     ss.curReqNum,
+		PktType:       wire.PktResp,
+		ReqType:       ss.reqType,
+		MsgSize:       uint32(ss.respBuf.MsgSize()),
+		DstSession:    s.num,
+		PktNum:        uint16(k),
+		ReqNum:        ss.curReqNum,
+		EndpointDelay: r.endpointDelay(rxAt),
 	}
 	if err := h.Encode(ss.respBuf.PktHeader(k)); err != nil {
 		panic("erpc: header encode: " + err.Error())
@@ -294,16 +301,18 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int) {
 	r.rawSend(s.remote, frame)
 }
 
-// sendCR transmits an explicit credit return for request packet n.
+// sendCR transmits an explicit credit return for request packet n, the
+// packet being processed.
 func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 	r.charge(r.cost.PktTx)
 	r.sendCtrl(s.remote, wire.Header{
-		PktType:    wire.PktCR,
-		ReqType:    ss.reqType,
-		MsgSize:    ss.msgSize,
-		DstSession: s.num,
-		PktNum:     uint16(n),
-		ReqNum:     ss.curReqNum,
+		PktType:       wire.PktCR,
+		ReqType:       ss.reqType,
+		MsgSize:       ss.msgSize,
+		DstSession:    s.num,
+		PktNum:        uint16(n),
+		ReqNum:        ss.curReqNum,
+		EndpointDelay: r.endpointDelay(r.rxAt),
 	})
 }
 
@@ -321,7 +330,7 @@ func (r *Rpc) onRFR(h *wire.Header, from transport.Addr) {
 		r.Stats.StalePktsRx++
 		return
 	}
-	r.sendRespPkt(s, ss, k)
+	r.sendRespPkt(s, ss, k, r.rxAt)
 }
 
 // resetSrvSlot releases a slot's buffers before reuse. A pooled

@@ -173,6 +173,7 @@ type srvSlot struct {
 	numReqPkts  int
 	reqPktsRcvd int
 	reqBuf      *msgbuf.Buf // nil for zero-copy single-packet requests
+	rxAt        sim.Time    // kernel receive time of the request's last packet (see Rpc.rxAt)
 
 	respBuf        *msgbuf.Buf
 	respIsPrealloc bool

@@ -35,6 +35,16 @@ type Clock interface {
 	Now() Time
 }
 
+// UnixClock is a Clock that can also say where a reading falls on the
+// kernel's CLOCK_REALTIME, the clock that stamps received packets
+// (SO_TIMESTAMPNS). NowUnix reads the clock once and returns the reading
+// and the same instant in Unix nanoseconds. Virtual clocks cannot
+// answer and do not implement it.
+type UnixClock interface {
+	Clock
+	NowUnix() (Time, int64)
+}
+
 // WallClock is a Clock backed by the real monotonic clock.
 type WallClock struct{ start time.Time }
 
@@ -43,6 +53,15 @@ func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
 
 // Now implements Clock.
 func (w *WallClock) Now() Time { return Time(time.Since(w.start)) }
+
+// NowUnix implements UnixClock. time.Now reads the wall and the
+// monotonic clock together, so this costs what Now does; relating each
+// reading afresh keeps a slewed or stepped wall clock from drifting
+// away from the monotonic one over a long run.
+func (w *WallClock) NowUnix() (Time, int64) {
+	now := time.Now()
+	return Time(now.Sub(w.start)), now.UnixNano()
+}
 
 // Event is a scheduled callback. Events are pooled: the scheduler
 // recycles them after they fire or are cancelled, so the simulation's

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
@@ -203,6 +204,25 @@ func TestWallClockMonotonic(t *testing.T) {
 	b := c.Now()
 	if b < a {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
+	}
+}
+
+// TestWallClockNowUnix: a NowUnix reading lies between the clock's
+// Now readings taken around it, and its Unix time between the wall
+// clock's readings around it.
+func TestWallClockNowUnix(t *testing.T) {
+	var c UnixClock = NewWallClock()
+	before, wallBefore := c.Now(), time.Now().UnixNano()
+	got, unix := c.NowUnix()
+	after, wallAfter := c.Now(), time.Now().UnixNano()
+	if got < before || got > after {
+		t.Fatalf("NowUnix reading %v outside [%v, %v]", got, before, after)
+	}
+	if unix < wallBefore || unix > wallAfter {
+		t.Fatalf("NowUnix Unix time %d outside [%d, %d]", unix, wallBefore, wallAfter)
+	}
+	if _, ok := Clock(NewScheduler(1)).(UnixClock); ok {
+		t.Fatal("the virtual clock claims a place on CLOCK_REALTIME")
 	}
 }
 

@@ -35,6 +35,12 @@ type Frame struct {
 	Data []byte
 	// Addr is the peer endpoint: destination on TX, source on RX.
 	Addr Addr
+	// RxStamp is an RX frame's kernel receive time in Unix nanoseconds
+	// (CLOCK_REALTIME, SO_TIMESTAMPNS): when the packet reached the
+	// receiving host, before any reader or ring held it. 0 means
+	// unknown — the per-packet engine, non-Linux builds, simulated and
+	// in-memory transports. Unused on TX.
+	RxStamp int64
 	// pool receives the backing buffer on Release; nil for unpooled
 	// frames.
 	pool *Pool

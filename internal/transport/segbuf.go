@@ -117,9 +117,9 @@ func (sp *segPool) put(sb *SegBuf) {
 
 // splitRxSegs splits one received wire buffer — a GRO-coalesced
 // supersegment, or a plain datagram — into RX frames at the given
-// segment stride, stages them on the reader's batch (the caller
-// publishes it with flushRx; a batch that fills on the way publishes
-// itself) and reports how many segments it saw and whether the SegBuf
+// segment stride, each carrying the receive's kernel stamp, stages them
+// on the reader's batch (the caller publishes it with flushRx; a batch
+// that fills on the way publishes itself) and reports how many segments it saw and whether the SegBuf
 // was handed out aliased (the caller must then stop touching it and
 // post a fresh one to the kernel).
 //
@@ -139,7 +139,7 @@ func (sp *segPool) put(sb *SegBuf) {
 // beyond the buffer drops the receive outright.
 //
 //erpc:owner
-func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int) (nseg int, aliased bool) {
+func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int, stamp int64) (nseg int, aliased bool) {
 	if sb == nil || ln <= 0 || ln > len(sb.buf) {
 		return 0, false
 	}
@@ -163,7 +163,7 @@ func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int) (nseg int, aliased bool) {
 				if len(pkt) < udpHdrLen {
 					continue
 				}
-				u.stage(Frame{Data: pkt[udpHdrLen:], Addr: parseHdr(pkt), seg: sb})
+				u.stage(Frame{Data: pkt[udpHdrLen:], Addr: parseHdr(pkt), RxStamp: stamp, seg: sb})
 			}
 			return total, true
 		}
@@ -184,7 +184,7 @@ func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int) (nseg int, aliased bool) {
 		}
 		pb = pb[:len(pkt)]
 		copy(pb, pkt)
-		u.stage(u.rxFrame(pb))
+		u.stage(u.rxFrame(pb, stamp))
 	}
 	return total, false
 }

@@ -70,7 +70,8 @@ func TestSplitRxSegsAliasesSupersegment(t *testing.T) {
 	const stride = 20
 	ln := mkSegs(sb, 3, stride)
 
-	nseg, aliased := u.splitRxSegs(sb, ln, stride)
+	const stamp = 1_700_000_000_123_456_789
+	nseg, aliased := u.splitRxSegs(sb, ln, stride, stamp)
 	if nseg != 3 || !aliased {
 		t.Fatalf("splitRxSegs = (%d, %v), want (3, true)", nseg, aliased)
 	}
@@ -92,6 +93,9 @@ func TestSplitRxSegsAliasesSupersegment(t *testing.T) {
 		}
 		if f.Addr != (Addr{Node: uint16(10 + i), Port: 1}) {
 			t.Fatalf("segment %d from %v", i, f.Addr)
+		}
+		if f.RxStamp != stamp {
+			t.Fatalf("segment %d carries kernel stamp %d, want the receive's %d", i, f.RxStamp, stamp)
 		}
 		if !bytes.Equal(f.Data, bytes.Repeat([]byte{byte(i)}, stride-udpHdrLen)) {
 			t.Fatalf("segment %d payload mismatch", i)
@@ -127,18 +131,18 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 	t.Run("zero-stride", func(t *testing.T) {
 		sb := sp.get()
 		ln := mkSegs(sb, 1, 24)
-		nseg, aliased := u.splitRxSegs(sb, ln, 0)
+		nseg, aliased := u.splitRxSegs(sb, ln, 0, 42)
 		if nseg != 1 || aliased {
 			t.Fatalf("splitRxSegs = (%d, %v), want one copied whole-buffer segment", nseg, aliased)
 		}
-		if frames := drainRing(u); len(frames) != 1 || len(frames[0].Data) != 20 {
-			t.Fatalf("bad frames: %d", len(frames))
+		if frames := drainRing(u); len(frames) != 1 || len(frames[0].Data) != 20 || frames[0].RxStamp != 42 {
+			t.Fatalf("bad frames: %+v", frames)
 		}
 	})
 	t.Run("negative-stride", func(t *testing.T) {
 		sb := sp.get()
 		ln := mkSegs(sb, 1, 24)
-		if nseg, aliased := u.splitRxSegs(sb, ln, -7); nseg != 1 || aliased {
+		if nseg, aliased := u.splitRxSegs(sb, ln, -7, 0); nseg != 1 || aliased {
 			t.Fatalf("negative stride mishandled: (%d, %v)", nseg, aliased)
 		}
 		drainRing(u)
@@ -146,7 +150,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 	t.Run("oversized-stride", func(t *testing.T) {
 		sb := sp.get()
 		ln := mkSegs(sb, 1, 24)
-		if nseg, aliased := u.splitRxSegs(sb, ln, 4096); nseg != 1 || aliased {
+		if nseg, aliased := u.splitRxSegs(sb, ln, 4096, 0); nseg != 1 || aliased {
 			t.Fatalf("oversized stride mishandled: (%d, %v)", nseg, aliased)
 		}
 		drainRing(u)
@@ -156,7 +160,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		ln := mkSegs(sb, 2, 16)
 		// Trailing runt: 6 bytes, a valid (sub-stride) wire segment.
 		copy(sb.buf[ln:ln+6], []byte{0, 99, 0, 1, 0xEE, 0xEE})
-		nseg, aliased := u.splitRxSegs(sb, ln+6, 16)
+		nseg, aliased := u.splitRxSegs(sb, ln+6, 16, 0)
 		if nseg != 3 || !aliased {
 			t.Fatalf("splitRxSegs = (%d, %v), want (3, true)", nseg, aliased)
 		}
@@ -173,7 +177,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		sb := sp.get()
 		ln := mkSegs(sb, 2, 16)
 		sb.buf[ln], sb.buf[ln+1] = 0xAA, 0xBB // 2-byte runt: no full prefix
-		nseg, aliased := u.splitRxSegs(sb, ln+2, 16)
+		nseg, aliased := u.splitRxSegs(sb, ln+2, 16, 0)
 		if nseg != 3 || !aliased {
 			t.Fatalf("splitRxSegs = (%d, %v), want (3, true)", nseg, aliased)
 		}
@@ -190,13 +194,13 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 	})
 	t.Run("length-beyond-buffer", func(t *testing.T) {
 		sb := sp.get()
-		if nseg, aliased := u.splitRxSegs(sb, len(sb.buf)+1, 16); nseg != 0 || aliased {
+		if nseg, aliased := u.splitRxSegs(sb, len(sb.buf)+1, 16, 0); nseg != 0 || aliased {
 			t.Fatalf("out-of-range length mishandled: (%d, %v)", nseg, aliased)
 		}
-		if nseg, aliased := u.splitRxSegs(sb, 0, 16); nseg != 0 || aliased {
+		if nseg, aliased := u.splitRxSegs(sb, 0, 16, 0); nseg != 0 || aliased {
 			t.Fatalf("zero length mishandled: (%d, %v)", nseg, aliased)
 		}
-		if nseg, aliased := u.splitRxSegs(nil, 16, 16); nseg != 0 || aliased {
+		if nseg, aliased := u.splitRxSegs(nil, 16, 16, 0); nseg != 0 || aliased {
 			t.Fatalf("nil SegBuf mishandled: (%d, %v)", nseg, aliased)
 		}
 		if frames := drainRing(u); len(frames) != 0 {
@@ -215,11 +219,11 @@ func TestSplitRxSegsAliasBudget(t *testing.T) {
 	sp := newSegPool(1024, 1)
 
 	sb1 := sp.get()
-	if _, aliased := u.splitRxSegs(sb1, mkSegs(sb1, 2, 16), 16); !aliased {
+	if _, aliased := u.splitRxSegs(sb1, mkSegs(sb1, 2, 16), 16, 0); !aliased {
 		t.Fatal("first supersegment not aliased")
 	}
 	sb2 := sp.get()
-	if _, aliased := u.splitRxSegs(sb2, mkSegs(sb2, 2, 16), 16); aliased {
+	if _, aliased := u.splitRxSegs(sb2, mkSegs(sb2, 2, 16), 16, 0); aliased {
 		t.Fatal("second supersegment aliased beyond the budget")
 	}
 	if got := u.GroCopiedSegs.Load(); got != 2 {
@@ -229,7 +233,7 @@ func TestSplitRxSegsAliasBudget(t *testing.T) {
 	if sp.outstanding.Load() != 0 {
 		t.Fatal("budget not returned on release")
 	}
-	if _, aliased := u.splitRxSegs(sb2, mkSegs(sb2, 2, 16), 16); !aliased {
+	if _, aliased := u.splitRxSegs(sb2, mkSegs(sb2, 2, 16), 16, 0); !aliased {
 		t.Fatal("aliasing did not resume after the budget freed up")
 	}
 	ReleaseBurst(drainRing(u))
@@ -250,7 +254,7 @@ func TestSplitRxSegsBatchBoundary(t *testing.T) {
 			pkt := sb.buf[i*stride:]
 			pkt[0], pkt[1], pkt[2], pkt[3] = byte(i>>8), byte(i), 0, 1
 		}
-		nseg, aliased := u.splitRxSegs(sb, n*stride, stride)
+		nseg, aliased := u.splitRxSegs(sb, n*stride, stride, 0)
 		if nseg != n || !aliased {
 			t.Fatalf("n=%d: splitRxSegs = (%d, %v), want (%d, true)", n, nseg, aliased, n)
 		}
@@ -289,7 +293,7 @@ func TestUDPRingOverflowReleasesSegs(t *testing.T) {
 	u.publish(fill)
 
 	sb := sp.get()
-	if nseg, aliased := u.splitRxSegs(sb, mkSegs(sb, segs, stride), stride); nseg != segs || !aliased {
+	if nseg, aliased := u.splitRxSegs(sb, mkSegs(sb, segs, stride), stride, 0); nseg != segs || !aliased {
 		t.Fatalf("splitRxSegs = (%d, %v), want (%d, true)", nseg, aliased, segs)
 	}
 	u.flushRx()
@@ -423,7 +427,7 @@ func FuzzSplitRxSegs(f *testing.F) {
 			sb = sp.get()
 		}
 		ln := copy(sb.buf, data)
-		_, aliased := u.splitRxSegs(sb, ln, stride)
+		_, aliased := u.splitRxSegs(sb, ln, stride, 0)
 		if aliased {
 			sb = nil // engine posts a fresh buffer; this one is out as aliases
 		}

@@ -42,6 +42,10 @@ type UDP struct {
 	mtu   int
 	eng   udpEngine
 
+	// stamped is set when the engine's socket delivers kernel receive
+	// times (Frame.RxStamp); see RxStamps.
+	stamped bool
+
 	// mu guards the RX ring and wake, nothing else.
 	mu   sync.Mutex
 	wake func()
@@ -302,6 +306,11 @@ func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 // offload) or "mmsg" (without).
 func (u *UDP) Engine() string { return u.eng.name() }
 
+// RxStamps reports whether received frames carry the kernel's receive
+// time (Frame.RxStamp): true on the batched engine where the socket
+// accepted SO_TIMESTAMPNS, false on the per-packet engine.
+func (u *UDP) RxStamps() bool { return u.stamped }
+
 // BoundAddr returns the socket's actual address (useful with port 0).
 func (u *UDP) BoundAddr() *net.UDPAddr { return u.conn.LocalAddr().(*net.UDPAddr) }
 
@@ -395,9 +404,10 @@ func parseHdr(buf []byte) Addr {
 }
 
 // rxFrame is the RX frame of one wire buffer of u.rxPool: the payload
-// past the source prefix, released from the dispatch goroutine (shared).
-func (u *UDP) rxFrame(buf []byte) Frame {
-	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), pool: u.rxPool, base: buf, shared: true}
+// past the source prefix, released from the dispatch goroutine (shared),
+// received by the kernel at stamp (0: unknown).
+func (u *UDP) rxFrame(buf []byte, stamp int64) Frame {
+	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), RxStamp: stamp, pool: u.rxPool, base: buf, shared: true}
 }
 
 // stage adds one frame to the receive in hand. Reader goroutine only.
@@ -545,7 +555,7 @@ func (e *perPacketEngine) readLoop() {
 			u.rxPool.Put(buf)
 			continue
 		}
-		u.stage(u.rxFrame(buf[:n]))
+		u.stage(u.rxFrame(buf[:n], 0))
 		u.flushRx()
 	}
 }

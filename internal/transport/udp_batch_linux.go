@@ -24,6 +24,11 @@ package transport
 //     hands its segments to the ring as frames aliasing the buffer. An
 //     uncoalesced datagram (every datagram, with UDP_GRO off) is copied
 //     into a pooled wire buffer and its SegBuf stays posted.
+//   - Every receive carries the kernel's receive time (SO_TIMESTAMPNS),
+//     which every frame split from it takes as Frame.RxStamp: the core
+//     subtracts the time a packet then spends in this host's reader and
+//     ring from its RTT samples. The stamp rides in the control data
+//     recvmmsg already returns, so it costs no syscall.
 //
 // The kernel refuses a UDP_SEGMENT send whose segments would need IP
 // fragmentation (full-size frames on a 1500-byte link; loopback's
@@ -38,6 +43,7 @@ package transport
 // per-packet engine of udp.go takes over.
 
 import (
+	"encoding/binary"
 	"net"
 	"runtime"
 	"sync"
@@ -86,9 +92,15 @@ const (
 	// before the split degrades to copying.
 	gsoAliasLimit = 64
 
-	// gsoCtrlSpace is the per-message control-buffer stride, 8-aligned
-	// and large enough for one UDP_SEGMENT/UDP_GRO cmsg.
+	// gsoCtrlSpace is the TX per-message control-buffer stride, 8-aligned
+	// and large enough for one UDP_SEGMENT cmsg.
 	gsoCtrlSpace = 32
+
+	// rxCtrlSpace is the RX per-message control-buffer stride: room for
+	// a UDP_GRO cmsg (CmsgSpace(4) = 24) and an SCM_TIMESTAMPNS one
+	// (CmsgSpace(16), a struct timespec, = 32), which the kernel may
+	// write in either order.
+	rxCtrlSpace = 24 + 32
 )
 
 var (
@@ -207,8 +219,13 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		riovs:    make([]syscall.Iovec, gsoRxWindow),
 		rsegs:    make([]*SegBuf, gsoRxWindow),
 		segs:     newSegPool(gsoRxBufCap, gsoAliasLimit),
-		rctrl:    make([]byte, gsoCtrlSpace*gsoRxWindow),
+		rctrl:    make([]byte, rxCtrlSpace*gsoRxWindow),
 	}
+	var soErr error
+	err = rc.Control(func(fd uintptr) {
+		soErr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_TIMESTAMPNS, 1)
+	})
+	u.stamped = err == nil && soErr == nil
 	u.putHdr(e.prefix[:])
 	for i := range e.rsegs {
 		e.postSeg(i)
@@ -441,20 +458,37 @@ func (e *batchEngine) sendSegmented(m int) {
 	}
 }
 
-// groSegSize parses message i's control data for the UDP_GRO cmsg and
-// returns the segment stride of a coalesced receive, or 0 when the
-// datagram arrived un-coalesced.
-func (e *batchEngine) groSegSize(i int) int {
-	clen := int(e.rhdrs[i].hdr.Controllen)
-	if clen < syscall.CmsgLen(4) {
-		return 0
+// parseRxCmsgs walks one received message's control data — the first
+// Controllen bytes of its slot, as the kernel reported them — and
+// returns the UDP_GRO segment stride (0: the datagram arrived
+// uncoalesced) and the SCM_TIMESTAMPNS receive time in Unix nanoseconds
+// (0: none). Headers may come in any order. The walk reads the bytes
+// through bounds-checked slices, never past len(b): a header shorter
+// than its own size, or whose Len runs past the buffer, ends it.
+func parseRxCmsgs(b []byte) (stride int, stamp int64) {
+	for len(b) >= syscall.SizeofCmsghdr {
+		ln := binary.NativeEndian.Uint64(b[0:8])
+		level := int32(binary.NativeEndian.Uint32(b[8:12]))
+		typ := int32(binary.NativeEndian.Uint32(b[12:16]))
+		if ln < syscall.SizeofCmsghdr || ln > uint64(len(b)) {
+			return stride, stamp
+		}
+		data := b[syscall.SizeofCmsghdr:ln]
+		switch {
+		case level == solUDP && typ == udpGRO && len(data) >= 4:
+			stride = int(int32(binary.NativeEndian.Uint32(data)))
+		case level == syscall.SOL_SOCKET && typ == syscall.SCM_TIMESTAMPNS && len(data) >= 16:
+			sec := int64(binary.NativeEndian.Uint64(data[0:8]))
+			nsec := int64(binary.NativeEndian.Uint64(data[8:16]))
+			stamp = sec*1e9 + nsec
+		}
+		next := (ln + 7) &^ 7 // CMSG_ALIGN on a 64-bit kernel
+		if next >= uint64(len(b)) {
+			return stride, stamp
+		}
+		b = b[next:]
 	}
-	cb := e.rctrl[i*gsoCtrlSpace:]
-	ch := (*syscall.Cmsghdr)(unsafe.Pointer(&cb[0]))
-	if ch.Level != solUDP || ch.Type != udpGRO || int(ch.Len) < syscall.CmsgLen(4) {
-		return 0
-	}
-	return int(*(*int32)(unsafe.Pointer(&cb[syscall.CmsgLen(0)])))
+	return stride, stamp
 }
 
 // postSeg posts a fresh supersegment buffer on RX window slot i.
@@ -468,7 +502,8 @@ func (e *batchEngine) postSeg(i int) {
 
 // readLoop is the reader-goroutine body: post the window, pull as many
 // (possibly GRO-coalesced) messages as one recvmmsg yields, split each
-// into RX frames at its cmsg stride (splitRxSegs) and publish the lot
+// into RX frames at its cmsg stride, stamped with its kernel receive
+// time (parseRxCmsgs, splitRxSegs), and publish the lot
 // to the ring at once, repeat. A slot whose SegBuf was handed out
 // aliased posts a replacement from the seg pool; the original returns
 // there when its last segment frame is released.
@@ -484,8 +519,8 @@ func (e *batchEngine) readLoop() {
 			h.hdr.Iovlen = 1
 			h.hdr.Name = nil
 			h.hdr.Namelen = 0
-			h.hdr.Control = &e.rctrl[i*gsoCtrlSpace]
-			h.hdr.Controllen = gsoCtrlSpace
+			h.hdr.Control = &e.rctrl[i*rxCtrlSpace]
+			h.hdr.Controllen = rxCtrlSpace
 			h.hdr.Flags = 0
 			h.msgLen = 0
 		}
@@ -505,7 +540,9 @@ func (e *batchEngine) readLoop() {
 		u.Syscalls.Add(1)
 		datagrams := 0
 		for i := 0; i < n; i++ {
-			nseg, aliased := u.splitRxSegs(e.rsegs[i], int(e.rhdrs[i].msgLen), e.groSegSize(i))
+			ctrl := e.rctrl[i*rxCtrlSpace:][:min(e.rhdrs[i].hdr.Controllen, rxCtrlSpace)]
+			stride, stamp := parseRxCmsgs(ctrl)
+			nseg, aliased := u.splitRxSegs(e.rsegs[i], int(e.rhdrs[i].msgLen), stride, stamp)
 			if aliased {
 				e.rsegs[i] = nil
 			}

@@ -151,6 +151,59 @@ func TestUDPRecvBurstBatched(t *testing.T) {
 		n, syscalls, pkts)
 }
 
+// TestUDPRxStamps: a frame received on the batched engine carries the
+// kernel's receive time, which lies between the send and the receive
+// on the wall clock; the per-packet engine reports no stamps and leaves
+// RxStamp 0.
+func TestUDPRxStamps(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		newUDP func(Addr, string) (*UDP, error)
+		want   bool
+	}{
+		{"default", NewUDP, MmsgSupported},
+		{"mmsg", NewUDPMmsg, MmsgSupported},
+		{"per-packet", NewUDPPerPacket, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := c.newUDP(Addr{0, 0}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := c.newUDP(Addr{1, 0}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if err := a.AddPeer(Addr{1, 0}, b.BoundAddr().String()); err != nil {
+				t.Fatal(err)
+			}
+			if b.RxStamps() != c.want {
+				t.Fatalf("RxStamps() = %v on engine %s, want %v", b.RxStamps(), b.Engine(), c.want)
+			}
+			before := time.Now().UnixNano()
+			a.SendBurst([]Frame{{Data: []byte("stamp"), Addr: Addr{1, 0}}})
+			var fr [1]Frame
+			for deadline := time.Now().Add(2 * time.Second); b.RecvBurst(fr[:]) == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("frame not received")
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			after := time.Now().UnixNano()
+			got := fr[0].RxStamp
+			fr[0].Release()
+			switch {
+			case !c.want && got != 0:
+				t.Fatalf("engine %s without stamps set RxStamp %d", b.Engine(), got)
+			case c.want && (got < before || got > after):
+				t.Fatalf("RxStamp %d outside [send %d, receive %d]", got, before, after)
+			}
+		})
+	}
+}
+
 // TestUDPPerPacketCounters pins the fallback engine's cost model: one
 // syscall per datagram on each side, and never an mmsg batch — the
 // "before" column of the batched-syscall comparison.

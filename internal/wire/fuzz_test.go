@@ -15,6 +15,8 @@ func seedFrames() [][]byte {
 		{PktType: PktRFR, ReqType: 255, MsgSize: MaxMsgSize, DstSession: 1, PktNum: MaxPktNum, ReqNum: 1},
 		{PktType: PktPing},
 		{PktType: PktPong},
+		{PktType: PktCR, MsgSize: 3000, PktNum: 0, ReqNum: 9, EndpointDelay: 1},
+		{PktType: PktResp, MsgSize: 32, ReqNum: MaxReqNum, EndpointDelay: MaxEndpointDelay},
 	}
 	for _, h := range hdrs {
 		buf := make([]byte, HeaderSize)

@@ -7,8 +7,21 @@
 //
 // The header packs into two 64-bit words:
 //
-//	word0: magic(8) | pktType(3) | reqType(8) | msgSize(24) | dstSession(16) | reserved(5)
-//	word1: pktNum(16) | reqNum(48)
+//	word0: magic(8) | pktType(3) | reqType(8) | msgSize(24) | dstSession(16) | delayLo(5)
+//	word1: pktNum(16) | reqNum(41) | delayHi(7)
+//
+// delayLo and delayHi are the 12-bit endpoint delay (µs) that CR and
+// response packets carry: how long the server held the packet that
+// triggered the reply, from its kernel receive stamp to the reply's
+// encoding. The client subtracts it from its RTT sample so Timely sees
+// the fabric, not the server's scheduling (Swift's endpoint/fabric
+// split). Its low five bits are word0's formerly reserved bits; the
+// other seven are the top of what was a 48-bit request number. They
+// come from reqNum rather than from the reqType byte, which server→
+// client packets echo unread, so that every field keeps one meaning on
+// every packet type: a 41-bit request number still lasts a session
+// 2.2·10¹² requests (25 days at 1 Mrps). Packets of other types carry
+// no delay; their delay bits are zero.
 //
 // Encoding and decoding are zero-copy in the gopacket DecodingLayer
 // style: Decode fills a caller-owned Header from the packet prefix
@@ -32,7 +45,13 @@ const Magic = 0xE5
 const (
 	MaxMsgSize = 1<<24 - 1 // 24-bit message size: up to 16 MB - 1 (paper supports 8 MB)
 	MaxPktNum  = 1<<16 - 1
-	MaxReqNum  = 1<<48 - 1
+	MaxReqNum  = 1<<41 - 1
+
+	// MaxEndpointDelay is the largest endpoint delay the header carries,
+	// in microseconds; Encode saturates larger values. Under-reporting
+	// the delay only makes the client's congestion control more
+	// cautious.
+	MaxEndpointDelay = 1<<12 - 1
 )
 
 // PktType distinguishes the four packet kinds of the client-driven
@@ -88,6 +107,10 @@ func (t PktType) IsServerToClient() bool { return t == PktCR || t == PktResp || 
 // HasData reports whether packets of this type carry payload bytes.
 func (t PktType) HasData() bool { return t == PktReq || t == PktResp }
 
+// HasDelay reports whether packets of this type carry the server's
+// endpoint delay: the replies a client takes RTT samples from.
+func (t PktType) HasDelay() bool { return t == PktCR || t == PktResp }
+
 // Header is the decoded form of an eRPC packet header.
 type Header struct {
 	PktType    PktType
@@ -96,6 +119,10 @@ type Header struct {
 	DstSession uint16 // session number at the destination endpoint
 	PktNum     uint16 // packet index within the message (or within the response, for RFR)
 	ReqNum     uint64 // monotonically increasing per-slot request number
+	// EndpointDelay is the time in µs the server held the packet this
+	// CR or response answers, from its kernel receive stamp to the
+	// reply's encoding (0: unknown). Only HasDelay types carry it.
+	EndpointDelay uint16
 }
 
 // Errors returned by Decode and Encode.
@@ -115,12 +142,17 @@ func (h *Header) Encode(buf []byte) error {
 	if h.MsgSize > MaxMsgSize || h.ReqNum > MaxReqNum || h.PktType > PktReject {
 		return ErrFieldRange
 	}
+	var d uint64
+	if h.PktType.HasDelay() {
+		d = uint64(min(h.EndpointDelay, MaxEndpointDelay))
+	}
 	w0 := uint64(Magic) |
 		uint64(h.PktType)<<8 |
 		uint64(h.ReqType)<<11 |
 		uint64(h.MsgSize)<<19 |
-		uint64(h.DstSession)<<43
-	w1 := uint64(h.PktNum) | h.ReqNum<<16
+		uint64(h.DstSession)<<43 |
+		(d&0x1f)<<59
+	w1 := uint64(h.PktNum) | h.ReqNum<<16 | (d>>5)<<57
 	binary.LittleEndian.PutUint64(buf[0:8], w0)
 	binary.LittleEndian.PutUint64(buf[8:16], w1)
 	return nil
@@ -142,13 +174,17 @@ func (h *Header) Decode(buf []byte) error {
 	h.MsgSize = uint32(w0 >> 19 & (1<<24 - 1))
 	h.DstSession = uint16(w0 >> 43)
 	h.PktNum = uint16(w1)
-	h.ReqNum = w1 >> 16
+	h.ReqNum = w1 >> 16 & MaxReqNum
+	h.EndpointDelay = 0
+	if h.PktType.HasDelay() {
+		h.EndpointDelay = uint16(w0>>59 | w1>>57<<5)
+	}
 	return nil
 }
 
 func (h *Header) String() string {
-	return fmt.Sprintf("%s req#%d pkt%d type=%d size=%d sess=%d",
-		h.PktType, h.ReqNum, h.PktNum, h.ReqType, h.MsgSize, h.DstSession)
+	return fmt.Sprintf("%s req#%d pkt%d type=%d size=%d sess=%d delay=%dus",
+		h.PktType, h.ReqNum, h.PktNum, h.ReqType, h.MsgSize, h.DstSession, h.EndpointDelay)
 }
 
 // NumPkts returns the number of data packets needed for a message of

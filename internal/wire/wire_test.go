@@ -12,7 +12,9 @@ func TestHeaderRoundtrip(t *testing.T) {
 		MsgSize:    8 << 20,
 		DstSession: 65535,
 		PktNum:     8191,
-		ReqNum:     1<<48 - 1,
+		ReqNum:     MaxReqNum,
+
+		EndpointDelay: MaxEndpointDelay,
 	}
 	var buf [HeaderSize]byte
 	if err := h.Encode(buf[:]); err != nil {
@@ -49,6 +51,40 @@ func TestHeaderRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeaderEndpointDelay round-trips the endpoint delay at 0, 1 and
+// its maximum on the two packet types that carry it, checks that Encode
+// saturates a larger value, that it never disturbs the request number
+// sharing word1 with it, and that a packet type without the field
+// encodes and decodes it as 0.
+func TestHeaderEndpointDelay(t *testing.T) {
+	cases := []struct {
+		in, want uint16
+	}{{0, 0}, {1, 1}, {MaxEndpointDelay, MaxEndpointDelay}, {MaxEndpointDelay + 1, MaxEndpointDelay}, {1<<16 - 1, MaxEndpointDelay}}
+	for _, pt := range []PktType{PktCR, PktResp, PktReq, PktRFR, PktReject} {
+		for _, c := range cases {
+			for _, reqNum := range []uint64{0, 8, MaxReqNum} {
+				h := Header{PktType: pt, ReqType: 3, MsgSize: 5000, DstSession: 9, PktNum: 2, ReqNum: reqNum, EndpointDelay: c.in}
+				var buf [HeaderSize]byte
+				if err := h.Encode(buf[:]); err != nil {
+					t.Fatalf("%v delay %d: %v", pt, c.in, err)
+				}
+				var got Header
+				if err := got.Decode(buf[:]); err != nil {
+					t.Fatal(err)
+				}
+				want := h
+				want.EndpointDelay = c.want
+				if !pt.HasDelay() {
+					want.EndpointDelay = 0
+				}
+				if got != want {
+					t.Fatalf("%v delay %d reqNum %d: decoded %+v, want %+v", pt, c.in, reqNum, got, want)
+				}
+			}
+		}
 	}
 }
 

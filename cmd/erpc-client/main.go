@@ -43,7 +43,7 @@ func main() {
 		n         = flag.Int("n", 100_000, "total requests to issue")
 		window    = flag.Int("window", 16, "requests in flight per client endpoint")
 		size      = flag.Int("size", 32, "request payload bytes")
-		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
+		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 64, what one sendmmsg takes)")
 	)
 	flag.Parse()
 	if *shards < 0 {

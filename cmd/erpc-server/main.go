@@ -46,7 +46,7 @@ func main() {
 		endpoints = flag.Int("endpoints", 1, "dispatch endpoints (one UDP socket + goroutine each)")
 		shards    = flag.Int("shards", 0, "serve N endpoints as SO_REUSEPORT shards of the single -bind address (overrides -endpoints; kernel flow hash picks the shard per client flow; falls back to N consecutive ports where SO_REUSEPORT is unavailable)")
 		workers   = flag.Int("workers", 0, "shared worker pool size for long-running handlers (0 = GOMAXPROCS)")
-		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 16)")
+		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 64, what one sendmmsg takes)")
 		drainTO   = flag.Duration("draintimeout", 5*time.Second, "graceful-drain deadline on SIGTERM: new work is rejected, admitted RPCs run to completion, then the process stops (SIGINT still stops immediately)")
 	)
 	flag.Parse()

@@ -122,8 +122,11 @@ const (
 	DefaultCredits  = core.DefaultCredits
 	DefaultNumSlots = core.DefaultNumSlots
 	DefaultRTO      = core.DefaultRTO
-	// DefaultBurstSize is the RX/TX burst: frames moved per event-loop
-	// iteration and per DMA-queue flush (Config.BurstSize overrides).
+	// DefaultBurstSize is the paper's RX/TX burst: frames moved per
+	// event-loop iteration and per DMA-queue flush of an endpoint the
+	// simulator drives (Config.Sched). An endpoint a goroutine drives
+	// over a real transport moves 64, what one sendmmsg of the batched
+	// UDP engine takes. Config.BurstSize overrides both.
 	DefaultBurstSize = core.DefaultBurstSize
 	// DefaultRTOMin floors the adaptive per-session RTO estimate
 	// (Config.RTOMin overrides; Config.RTOMax defaults to 4x RTO).

@@ -111,7 +111,6 @@ func (d *loopDriver) call(fn func()) {
 //erpc:owner
 func (d *loopDriver) transmit() {
 	r := d.r
-	r.groupTXByPeer()
 	r.tr.SendBurst(r.txBatch)
 	for i := range r.txBatch {
 		if r.txOwned[i] {

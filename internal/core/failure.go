@@ -27,7 +27,7 @@ func (r *Rpc) heartbeat() {
 			r.lastHeard[s.remote.Node] = now // grace period for new peers
 		}
 		r.charge(r.cost.PktTx)
-		r.sendCtrl(s.remote, wire.Header{PktType: wire.PktPing})
+		r.sendCtrl(s.remote, wire.Header{PktType: wire.PktPing}, 0)
 	}
 	for node := range pinged {
 		if now-r.lastHeard[node] > r.cfg.FailureTimeout {

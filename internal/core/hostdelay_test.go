@@ -260,7 +260,7 @@ func TestPassLogFlushEnd(t *testing.T) {
 }
 
 // TestServerReportsEndpointDelay: each reply reports the time from the
-// kernel stamp of the packet it answers to its encoding. A CR answers
+// kernel stamp of the packet it answers to its flush. A CR answers
 // its request packet, response packet 0 the request's last packet (so
 // a worker handler's time counts), response packet k >= 1 the RFR that
 // asked for it. An unstamped packet reports 0; a delay past the header
@@ -365,6 +365,49 @@ func TestServerReportsEndpointDelay(t *testing.T) {
 		t.Fatalf("sent %d packets for the worker's response", len(hs))
 	}
 	check("worker response", hs[0], wire.PktResp, 0, 520)
+}
+
+// TestEndpointDelayStampedAtFlush: a reply reports the server's delay up
+// to the flush that carries it, not to its encoding. A dispatch-mode
+// handler that works on for 200 µs after enqueueing its response, as a
+// loop preempted mid-pass would, adds 200 µs to that response's report
+// and to the CR encoded before it in the same pass: CR 0's request
+// packet reached the kernel 30 µs before the pass read the clock, the
+// last packet 20 µs.
+func TestEndpointDelayStampedAtFlush(t *testing.T) {
+	clk := &unixClock{t: sim.Second}
+	tr, out := newQueueTransport(), newQueueTransport()
+	tr.peer = out
+	nx := NewNexus()
+	const slowType = 3
+	nx.Register(slowType, Handler{Fn: func(ctx *ReqContext) {
+		ctx.AllocResponse(8)
+		ctx.EnqueueResponse()
+		clk.t += 200 * sim.Microsecond
+	}})
+	srv := NewRpc(nx, Config{Transport: tr, Clock: clk})
+	size := srv.DataPerPkt() + 32
+	for k, held := range []sim.Time{30, 20} {
+		tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: slowType, MsgSize: uint32(size),
+			PktNum: uint16(k), ReqNum: 8}, make([]byte, min(srv.DataPerPkt(), size-k*srv.DataPerPkt()))),
+			transport.Addr{Node: 7}, unixAt(clk.t-held*sim.Microsecond))
+	}
+	srv.RunEventLoopOnce()
+	var got []wire.Header
+	for _, f := range out.rq {
+		var h wire.Header
+		if err := h.Decode(f.Data); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, h)
+	}
+	if len(got) != 2 || got[0].PktType != wire.PktCR || got[1].PktType != wire.PktResp {
+		t.Fatalf("sent %v, want a CR and a response", got)
+	}
+	if got[0].EndpointDelay != 230 || got[1].EndpointDelay != 220 {
+		t.Fatalf("CR reports %d µs, response %d µs; want 230 and 220: the time after encoding went unreported",
+			got[0].EndpointDelay, got[1].EndpointDelay)
+	}
 }
 
 // countingUnixClock is countingClock on CLOCK_REALTIME: a NowUnix is one

@@ -467,7 +467,11 @@ func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 // samples and TX timestamps for 16 RPCs ending and 16 starting — on the
 // loop clock's two reads (the top of the pass, the return of RecvBurst).
 // Opts.DisableBatchedTimestamps goes back to a read per call: four or
-// more per RPC.
+// more per RPC. A server's pass reads once more per TX flush that
+// carries a reply to a kernel-stamped packet, to stamp the replies'
+// endpoint delay, and no more where no reply answers a stamped packet:
+// four stamped echo requests at a burst of 4, behind two requests of
+// the endpoint's own, go out in two flushes and four reads.
 func TestLoopClockReadsPerPass(t *testing.T) {
 	const sessions = 2
 	pass := func(opts Opts) (reads int) {
@@ -520,6 +524,40 @@ func TestLoopClockReadsPerPass(t *testing.T) {
 	}
 	if got, want := pass(Opts{DisableBatchedTimestamps: true}), 4*sessions*DefaultNumSlots; got < want {
 		t.Fatalf("DisableBatchedTimestamps: the same pass read the clock %d times, want >= %d (a read per call)", got, want)
+	}
+
+	const burst = 4
+	serve := func(stamped bool) (reads, flushes int) {
+		clk := &countingUnixClock{countingClock{t: sim.Second}}
+		tr := newQueueTransport()
+		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk, BurstSize: burst})
+		s, err := r.CreateSession(transport.Addr{Node: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		}
+		for k := 0; k < burst; k++ {
+			var stamp int64
+			if stamped {
+				stamp = unixAt(clk.t)
+			}
+			tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: 32,
+				ReqNum: uint64(DefaultNumSlots + k)}, make([]byte, 32)), transport.Addr{Node: 2}, stamp)
+		}
+		before, bursts := clk.reads, r.Stats.TxBursts
+		r.RunEventLoopOnce()
+		if tr.sent != 2+burst {
+			t.Fatalf("sent %d packets, want %d", tr.sent, 2+burst)
+		}
+		return clk.reads - before, int(r.Stats.TxBursts - bursts)
+	}
+	if reads, flushes := serve(true); flushes != 2 || reads != 2+flushes {
+		t.Fatalf("a server pass with stamped requests read the clock %d times in %d flushes, want 2 flushes and 4 reads", reads, flushes)
+	}
+	if reads, flushes := serve(false); flushes != 2 || reads != 2 {
+		t.Fatalf("a server pass with unstamped requests read the clock %d times in %d flushes, want 2 flushes and 2 reads", reads, flushes)
 	}
 }
 

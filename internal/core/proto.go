@@ -37,7 +37,7 @@ func (r *Rpc) processPkt(frame []byte, from transport.Addr) {
 	case wire.PktRFR:
 		r.onRFR(h, from)
 	case wire.PktPing:
-		r.sendCtrl(from, wire.Header{PktType: wire.PktPong})
+		r.sendCtrl(from, wire.Header{PktType: wire.PktPong}, 0)
 	case wire.PktPong:
 		// lastHeard already updated.
 	case wire.PktReject:
@@ -214,10 +214,13 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // side — clamped to [0, rtt] (Swift's endpoint/fabric split). On
 // loopback the rest is nearly all of it — the two hosts' reader
 // wake-ups and rings — and fed whole it keeps every session off line
-// rate. A queue before the receiving kernel still counts as fabric, as
-// does the server's time between encoding its reply and handing it to
-// the kernel. The RTO estimator and RTTHook keep the whole rtt: a
-// retransmission must wait out the round trip, however it was spent.
+// rate. The server's report runs to the clock read of the flush that
+// carried its reply, so its time between encoding the reply and
+// flushing it is host delay too. A queue before the receiving kernel
+// still counts as fabric, as does the time the server's send syscall
+// takes to hand the reply to the kernel. The RTO estimator and RTTHook
+// keep the whole rtt: a retransmission must wait out the round trip,
+// however it was spent.
 func (r *Rpc) rttSample(s *Session, txTime sim.Time, h *wire.Header) {
 	if txTime == 0 {
 		return
@@ -255,26 +258,16 @@ func (r *Rpc) rttSample(s *Session, txTime sim.Time, h *wire.Header) {
 // hostDelay is the part of the RTT sample that the CR or response h
 // ends which both hosts spent holding packets: the server's report
 // (h.EndpointDelay, from its kernel's receive stamp of the packet h
-// answers to h's encoding) plus this host's, from its kernel's receive
-// stamp of h to now(). Either is 0 where it is unknown: simulated and
-// in-memory transports, the per-packet engine, a virtual Clock.
+// answers to the clock read of the flush that carried h) plus this
+// host's, from its kernel's receive stamp of h to now(). Either is 0
+// where it is unknown: simulated and in-memory transports, the
+// per-packet engine, a virtual Clock.
 func (r *Rpc) hostDelay(h *wire.Header) sim.Time {
 	d := sim.Time(h.EndpointDelay) * sim.Microsecond
 	if r.rxAt != 0 {
 		d += r.now() - r.rxAt
 	}
 	return d
-}
-
-// endpointDelay is what a CR or response reports of the time this
-// server held the packet that asked for it: from the kernel's receive
-// stamp (rxAt, on the loop clock) to now, in whole µs, saturating at
-// the header field. 0 when the stamp is unknown.
-func (r *Rpc) endpointDelay(rxAt sim.Time) uint16 {
-	if rxAt == 0 {
-		return 0
-	}
-	return uint16(min(max(r.now()-rxAt, 0)/sim.Microsecond, wire.MaxEndpointDelay))
 }
 
 // updateRTO folds one RTT sample into the session's Jacobson/Karels
@@ -459,9 +452,9 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 			// application until the flush. Non-first packets are
 			// assembled in the shared scratch buffer, which the next
 			// assembly overwrites, so they take the pooled-copy path.
-			r.rawSendZC(s.remote, frame, ss.req)
+			r.rawSendZC(s.remote, frame, ss.req, 0)
 		} else {
-			r.rawSend(s.remote, frame)
+			r.rawSend(s.remote, frame, 0)
 		}
 	case kindRFR:
 		if pktNum < len(ss.respTxTimes) {
@@ -475,18 +468,18 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 			DstSession: s.num,
 			PktNum:     uint16(pktNum),
 			ReqNum:     ss.reqNum,
-		})
+		}, 0)
 	}
 }
 
 // sendCtrl transmits a header-only packet (CR, RFR, ping, pong —
-// the paper's "tiny 16 B packets").
-func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header) {
+// the paper's "tiny 16 B packets"). rxAt is as for appendTX.
+func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header, rxAt sim.Time) {
 	var buf [wire.HeaderSize]byte
 	if err := h.Encode(buf[:]); err != nil {
 		panic("erpc: header encode: " + err.Error())
 	}
-	r.rawSend(dst, buf[:])
+	r.rawSend(dst, buf[:], rxAt)
 }
 
 // rawSend appends a frame to the per-iteration TX batch (the paper's
@@ -495,12 +488,12 @@ func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header) {
 // the shared scratch assembly buffer — can be reused immediately. The
 // batch is flushed with one SendBurst per event-loop iteration
 // (§4.2.2's single DMA-queue flush), or earlier if it reaches
-// BurstSize.
+// BurstSize. rxAt is as for appendTX.
 //
 //erpc:owner
-func (r *Rpc) rawSend(dst transport.Addr, frame []byte) {
+func (r *Rpc) rawSend(dst transport.Addr, frame []byte, rxAt sim.Time) {
 	buf := append(r.txPool.Get(), frame...)
-	r.appendTX(dst, buf, true)
+	r.appendTX(dst, buf, true, rxAt)
 }
 
 // rawSendZC appends a frame that aliases buf's backing array — no
@@ -512,19 +505,33 @@ func (r *Rpc) rawSend(dst transport.Addr, frame []byte) {
 // (the client then retransmits), server slot reuse defers the response
 // buffer's free until the references drain (resetSrvSlot/drainTXFree),
 // and session teardown flushes the batch before failing continuations.
-func (r *Rpc) rawSendZC(dst transport.Addr, frame []byte, buf *msgbuf.Buf) {
+// rxAt is as for appendTX.
+func (r *Rpc) rawSendZC(dst transport.Addr, frame []byte, buf *msgbuf.Buf, rxAt sim.Time) {
 	r.Stats.ZeroCopyTx++
 	buf.RetainTX()
 	r.txRefs = append(r.txRefs, buf)
-	r.appendTX(dst, frame, false)
+	r.appendTX(dst, frame, false, rxAt)
+}
+
+// txReply is a TX-batch entry that answers a packet the kernel received
+// at rxAt (on the loop clock): a CR or response whose endpoint delay the
+// flush writes into the encoded header.
+type txReply struct {
+	at   int // index in txBatch
+	rxAt sim.Time
 }
 
 // appendTX queues one frame on the TX batch. owned marks a pooled copy
 // to recycle at flush; zero-copy aliases are released via txRefs
-// instead.
-func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool) {
+// instead. rxAt, when not 0, is the kernel receive time of the packet
+// that a CR or response frame answers: the flush reports the time since
+// as the frame's endpoint delay (stampReplies).
+func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool, rxAt sim.Time) {
 	r.Stats.PktsTx++
 	r.Stats.BytesTx += uint64(len(data))
+	if rxAt != 0 {
+		r.txReplies = append(r.txReplies, txReply{at: len(r.txBatch), rxAt: rxAt})
+	}
 	r.txBatch = append(r.txBatch, transport.Frame{Data: data, Addr: dst})
 	r.txOwned = append(r.txOwned, owned)
 	r.txQueued()
@@ -548,6 +555,9 @@ func (r *Rpc) flushTX() {
 		return
 	}
 	r.Stats.TxBursts++
+	if len(r.txReplies) > 0 {
+		r.stampReplies()
+	}
 	r.drv.transmit()
 	clear(r.txBatch)
 	r.txBatch = r.txBatch[:0]
@@ -584,36 +594,22 @@ func (r *Rpc) drainTXFree() {
 	r.txFree = kept
 }
 
-// groupTXByPeer stable-partitions the TX batch so frames to the same
-// destination are consecutive before the SendBurst. UDP gives no
-// ordering guarantee across destinations (and eRPC tolerates reorder
-// within one — §5.3), but consecutive same-peer frames are what the
-// transport's gso engine coalesces into supersegments, so a batch that
-// interleaves peers (a server answering several clients in one
-// iteration) still yields maximal runs. Insertion sort: bursts are
-// ≤ BurstSize frames and usually already grouped, making this O(n) in
-// the common case and allocation-free always.
-func (r *Rpc) groupTXByPeer() {
-	b, o := r.txBatch, r.txOwned
-	for i := 1; i < len(b); i++ {
-		if b[i].Addr == b[i-1].Addr {
-			continue
-		}
-		// Find the end of the existing run of this peer, if any, and
-		// rotate frame i back to just after it, preserving per-peer
-		// order.
-		j := i
-		for j > 0 && b[j-1].Addr != b[i].Addr {
-			j--
-		}
-		if j == 0 {
-			continue // new peer: leave in place, it starts its own run
-		}
-		f, ow := b[i], o[i]
-		copy(b[j+1:i+1], b[j:i])
-		copy(o[j+1:i+1], o[j:i])
-		b[j], o[j] = f, ow
+// stampReplies writes into each CR and response of the batch that
+// answers a stamped packet how long this host has held that packet:
+// from its kernel receive stamp to one clock read, taken here, just
+// before the batch goes to the transport. The reply was encoded earlier
+// in the pass, and the rest of the pass — other packets, handlers, a
+// preemption of the loop — is host delay the client must not take for
+// congestion. Only the delay bits change; a zero-copy response packet 0
+// is patched in its msgbuf, which the server owns. A batch without such
+// a reply, and so every simulated one (no stamps), reads no clock.
+func (r *Rpc) stampReplies() {
+	now := r.clock.Now()
+	for _, e := range r.txReplies {
+		us := min(max(now-e.rxAt, 0)/sim.Microsecond, wire.MaxEndpointDelay)
+		wire.PatchEndpointDelay(r.txBatch[e.at].Data, uint16(us))
 	}
+	r.txReplies = r.txReplies[:0]
 }
 
 // rtoScan checks outstanding requests for retransmission timeouts and

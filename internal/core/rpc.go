@@ -42,7 +42,7 @@ const (
 	DefaultRTO       = 5 * sim.Millisecond // retransmission timeout (§5.2.3)
 	DefaultRQSize    = 8192                // receive queue size |RQ| for the session budget
 	DefaultMaxMsg    = 8 << 20             // largest message size supported (§6.4)
-	DefaultBurstSize = 16                  // RX/TX burst size (§4.2.1: "RX and TX bursts of up to 16 packets")
+	DefaultBurstSize = 16                  // RX/TX burst of a simulated endpoint (§4.2.1: "RX and TX bursts of up to 16 packets")
 
 	// Adaptive RTO bounds (Jacobson/Karels estimation per session,
 	// Appendix B's timeout plane). The floor keeps the estimator from
@@ -133,8 +133,11 @@ type Config struct {
 	// BurstSize is the RX/TX burst: the number of frames moved per
 	// RecvBurst call and the TX-batch capacity flushed with one
 	// SendBurst per event-loop iteration (paper §4.2: RX/TX bursts of
-	// up to 16 packets, one DMA-queue flush per batch). 0 means
-	// DefaultBurstSize.
+	// up to 16 packets, one DMA-queue flush per batch). 0 means the
+	// paper's DefaultBurstSize on an endpoint the scheduler drives
+	// (Sched set) and transport.SocketBurst (64) on one a goroutine
+	// drives: there a flush is a syscall, not an MMIO write, and 64
+	// frames are what one sendmmsg of the batched UDP engine takes.
 	BurstSize int
 	// LinkRateGbps is the host link rate, used by Timely; 0 means 25.
 	LinkRateGbps float64
@@ -206,6 +209,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.BurstSize == 0 {
 		c.BurstSize = DefaultBurstSize
+		if c.Sched == nil {
+			c.BurstSize = transport.SocketBurst
+		}
 	}
 	if c.BurstSize < 1 {
 		panic("erpc: Config.BurstSize must be positive")
@@ -290,8 +296,8 @@ type Rpc struct {
 	loopUnix int64
 	// rxAt is the loop-clock time the kernel received the packet being
 	// processed: the start of the host delay that the server reports in
-	// its replies and the client subtracts from its RTT samples
-	// (hostDelay). 0 when unknown — no stamp, or no loopUnix.
+	// its replies (stampReplies) and the client subtracts from its RTT
+	// samples (hostDelay). 0 when unknown — no stamp, or no loopUnix.
 	rxAt sim.Time
 	// passes logs the top-of-pass reads where loopUnix is known, for
 	// txDwell; backToBack is set by a loop goroutine that runs this pass
@@ -315,16 +321,17 @@ type Rpc struct {
 
 	scratch []byte // frame assembly buffer for non-first packets
 
-	// Burst datapath state (paper §4.2: RX/TX bursts of up to 16
-	// packets, one DMA-queue flush per batch).
-	burst    int               // configured burst size
-	rxFrames []transport.Frame // RecvBurst scratch, len == burst
-	rxFull   bool              // last RX burst was full: more may be queued
-	txBatch  []transport.Frame // per-iteration TX batch: pooled copies + msgbuf aliases
-	txOwned  []bool            // txBatch[i].Data is a txPool copy (recycle at flush)
-	txRefs   []*msgbuf.Buf     // msgbufs aliased by zero-copy frames; released at flush
-	txFree   []*msgbuf.Buf     // pooled msgbufs awaiting free once their TX refs drain
-	txPool   *transport.Pool   // recycled TX frame buffers
+	// Burst datapath state (paper §4.2: RX/TX bursts, one DMA-queue
+	// flush per batch).
+	burst     int               // configured burst size
+	rxFrames  []transport.Frame // RecvBurst scratch, len == burst
+	rxFull    bool              // last RX burst was full: more may be queued
+	txBatch   []transport.Frame // per-iteration TX batch: pooled copies + msgbuf aliases
+	txOwned   []bool            // txBatch[i].Data is a txPool copy (recycle at flush)
+	txReplies []txReply         // batch entries whose endpoint delay the flush stamps
+	txRefs    []*msgbuf.Buf     // msgbufs aliased by zero-copy frames; released at flush
+	txFree    []*msgbuf.Buf     // pooled msgbufs awaiting free once their TX refs drain
+	txPool    *transport.Pool   // recycled TX frame buffers
 
 	ctxFree []*ReqContext // recycled server-side request contexts
 
@@ -368,6 +375,7 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		rxFrames:    make([]transport.Frame, cfg.BurstSize),
 		txBatch:     make([]transport.Frame, 0, cfg.BurstSize),
 		txOwned:     make([]bool, 0, cfg.BurstSize),
+		txReplies:   make([]txReply, 0, cfg.BurstSize),
 		txRefs:      make([]*msgbuf.Buf, 0, cfg.BurstSize),
 		txPool:      transport.NewPool(cfg.Transport.MTU(), 0),
 	}

@@ -129,7 +129,7 @@ func (r *Rpc) sendReject(from transport.Addr, h *wire.Header) {
 		DstSession: h.DstSession,
 		PktNum:     h.PktNum,
 		ReqNum:     h.ReqNum,
-	})
+	}, 0)
 }
 
 // acceptReqPkt integrates an in-order request packet and invokes the
@@ -269,18 +269,17 @@ func (r *Rpc) sendQueuedResponse(ctx *ReqContext) {
 }
 
 // sendRespPkt transmits response packet k, answering the packet the
-// kernel received at rxAt (its endpoint delay's start). Packets after
-// the first are sent only in reply to RFRs (client-driven protocol,
-// §5.1).
+// kernel received at rxAt (its endpoint delay's start; the flush writes
+// the delay). Packets after the first are sent only in reply to RFRs
+// (client-driven protocol, §5.1).
 func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 	h := wire.Header{
-		PktType:       wire.PktResp,
-		ReqType:       ss.reqType,
-		MsgSize:       uint32(ss.respBuf.MsgSize()),
-		DstSession:    s.num,
-		PktNum:        uint16(k),
-		ReqNum:        ss.curReqNum,
-		EndpointDelay: r.endpointDelay(rxAt),
+		PktType:    wire.PktResp,
+		ReqType:    ss.reqType,
+		MsgSize:    uint32(ss.respBuf.MsgSize()),
+		DstSession: s.num,
+		PktNum:     uint16(k),
+		ReqNum:     ss.curReqNum,
 	}
 	if err := h.Encode(ss.respBuf.PktHeader(k)); err != nil {
 		panic("erpc: header encode: " + err.Error())
@@ -295,10 +294,10 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 		// references are outstanding (resetSrvSlot), and a retransmit
 		// re-aliasing the same buffer just adds another reference to
 		// the identical bytes.
-		r.rawSendZC(s.remote, frame, ss.respBuf)
+		r.rawSendZC(s.remote, frame, ss.respBuf, rxAt)
 		return
 	}
-	r.rawSend(s.remote, frame)
+	r.rawSend(s.remote, frame, rxAt)
 }
 
 // sendCR transmits an explicit credit return for request packet n, the
@@ -306,14 +305,13 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 	r.charge(r.cost.PktTx)
 	r.sendCtrl(s.remote, wire.Header{
-		PktType:       wire.PktCR,
-		ReqType:       ss.reqType,
-		MsgSize:       ss.msgSize,
-		DstSession:    s.num,
-		PktNum:        uint16(n),
-		ReqNum:        ss.curReqNum,
-		EndpointDelay: r.endpointDelay(r.rxAt),
-	})
+		PktType:    wire.PktCR,
+		ReqType:    ss.reqType,
+		MsgSize:    ss.msgSize,
+		DstSession: s.num,
+		PktNum:     uint16(n),
+		ReqNum:     ss.curReqNum,
+	}, r.rxAt)
 }
 
 // onRFR handles a request-for-response packet.

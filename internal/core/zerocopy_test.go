@@ -131,37 +131,22 @@ func TestTXFlushesAtBurstSize(t *testing.T) {
 	}
 }
 
-// TestGroupTXByPeer pins the per-peer coalescing order of the TX
-// batch: a flush that interleaves destinations is stable-partitioned
-// so each peer's frames are consecutive (what the gso engine coalesces
-// into supersegments) while per-peer order is preserved.
-func TestGroupTXByPeer(t *testing.T) {
-	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{BurstSize: 16})
-	a := transport.Addr{Node: 10}
-	b := transport.Addr{Node: 20}
-	c := transport.Addr{Node: 30}
-	for _, f := range []struct {
-		addr transport.Addr
-		tag  byte
-	}{{a, 0}, {b, 0}, {a, 1}, {c, 0}, {b, 1}, {a, 2}} {
-		r.rawSend(f.addr, []byte{byte(f.addr.Node), f.tag})
-	}
-	r.flushTX()
-	if len(ct.bursts) != 1 {
-		t.Fatalf("%d bursts, want 1", len(ct.bursts))
-	}
-	var got [][2]byte
-	for _, f := range ct.bursts[0] {
-		got = append(got, [2]byte{f.Data[0], f.Data[1]})
-	}
-	want := [][2]byte{{10, 0}, {10, 1}, {10, 2}, {20, 0}, {20, 1}, {30, 0}}
-	if len(got) != len(want) {
-		t.Fatalf("flushed %d frames, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("frame %d = %v, want %v (full order %v)", i, got[i], want[i], got)
+// TestBurstSizeDefaultByDriver: left at 0, BurstSize is what one
+// sendmmsg takes (transport.SocketBurst, 64) on an endpoint a goroutine
+// drives and the paper's 16 on one the scheduler drives, for RX and TX
+// alike; a value set in the Config wins on both.
+func TestBurstSizeDefaultByDriver(t *testing.T) {
+	check := func(what string, r *Rpc, want int) {
+		t.Helper()
+		if r.burst != want || len(r.rxFrames) != want || cap(r.txBatch) != want {
+			t.Fatalf("%s: burst %d, RX burst %d, TX batch capacity %d; want %d", what, r.burst, len(r.rxFrames), cap(r.txBatch), want)
 		}
+	}
+	check("goroutine-driven", newZCRpc(t, &captureTransport{}, Config{}), transport.SocketBurst)
+	check("scheduler-driven", newEnv(t, 1, echoNexus(), nil, nil).rpcs[0], DefaultBurstSize)
+	check("goroutine-driven, set", newZCRpc(t, &captureTransport{}, Config{BurstSize: 8}), 8)
+	check("scheduler-driven, set", newEnv(t, 1, echoNexus(), func(c *Config) { c.BurstSize = 8 }, nil).rpcs[0], 8)
+	if transport.SocketBurst != 64 || DefaultBurstSize != 16 {
+		t.Fatalf("defaults %d and %d, want 64 and 16", transport.SocketBurst, DefaultBurstSize)
 	}
 }

@@ -8,13 +8,21 @@ import (
 // This file defines the burst datapath: the Frame unit moved by
 // SendBurst/RecvBurst and the recycling buffer Pool that backs RX
 // frames. The design mirrors the paper's NIC datapath (§4.2-4.3): RX
-// and TX move bursts of up to 16 packets per event-loop iteration, RX
+// and TX move a burst of packets per event-loop iteration (up to 16 in
+// the paper and in simulated time, up to 64 over a real socket), RX
 // buffers come from a fixed pool and are re-posted (Released) after
 // processing, and a TX burst rings the doorbell once.
 
-// DefaultBurst is the burst size used by callers that do not configure
-// one (paper §4.2.1: "RX and TX bursts of up to 16 packets").
+// DefaultBurst is the paper's burst size (§4.2.1: "RX and TX bursts of
+// up to 16 packets"), sized to amortize a doorbell that is one MMIO
+// write.
 const DefaultBurst = 16
+
+// SocketBurst is the burst of an endpoint that a goroutine drives over
+// a real transport. There the doorbell is a syscall of microseconds,
+// not an MMIO write, so a burst takes what one sendmmsg of the batched
+// engine takes: SocketBurst frames in one call.
+const SocketBurst = 64
 
 // Frame is one packet of a burst: a payload plus the peer address
 // (destination on TX, source on RX).

@@ -11,7 +11,8 @@
 //
 // The hot path moves packets in bursts, mirroring the paper's NIC
 // datapath (§4.2-4.3): RecvBurst fills a caller-provided slice of
-// Frames (up to 16 per event-loop iteration in the core), SendBurst
+// Frames (per event-loop iteration in the core, up to SocketBurst over
+// a real socket and the paper's DefaultBurst in simulated time), SendBurst
 // transmits a batch with one doorbell/lock acquisition, and RX buffers
 // come from a recycling Pool that the receiver re-posts to with
 // Frame.Release once a packet is processed — exactly like re-posting a

@@ -16,7 +16,9 @@ package transport
 //     for one peer with one wire size extend a single message's iovec
 //     chain under a UDP_SEGMENT cmsg carrying the segment size, and the
 //     kernel segments it after one stack traversal; without, every
-//     frame is its own message of the same sendmmsg.
+//     frame is its own message of the same sendmmsg. Runs are formed
+//     here, not by the caller: runOrder first moves a frame back to
+//     the last run of its peer and size where that reorders no message.
 //   - RX: recvmmsg fills a window of refcounted 64 KiB buffers
 //     (SegBuf). With UDP_GRO on, a run of equal-size datagrams (a whole
 //     TX supersegment crossing loopback is never segmented at all)
@@ -78,8 +80,9 @@ const (
 
 	// gsoTxWindow bounds messages (supersegments) and gsoTxFrames
 	// bounds frames per sendmmsg chunk; larger bursts flush in chunks.
-	gsoTxWindow = 64
-	gsoTxFrames = 64
+	// A burst of SocketBurst, the core's over a socket, is one chunk.
+	gsoTxWindow = SocketBurst
+	gsoTxFrames = SocketBurst
 
 	// gsoRxWindow is how many supersegment buffers are posted per
 	// recvmmsg; each holds up to a whole 64 KiB supersegment.
@@ -153,6 +156,7 @@ type batchEngine struct {
 	tsegs    []int  // segments per message (counter accounting)
 	tsegSize []int  // wire bytes per segment of each message
 	prefix   [udpHdrLen]byte
+	order    []int // the burst's frame indices in send order (runOrder)
 	txLo     int
 	txHi     int
 	txSent   int
@@ -214,6 +218,7 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		tctrl:    make([]byte, gsoCtrlSpace*gsoTxWindow),
 		tsegs:    make([]int, gsoTxWindow),
 		tsegSize: make([]int, gsoTxWindow),
+		order:    make([]int, 0, gsoTxFrames),
 		wireCap:  1 << 30, // no learned ceiling yet
 		rhdrs:    make([]mmsghdr, gsoRxWindow),
 		riovs:    make([]syscall.Iovec, gsoRxWindow),
@@ -269,15 +274,52 @@ func (e *batchEngine) name() string {
 	return "mmsg"
 }
 
+// runOrder returns the indices of frames in the order the offloading
+// engine sends them, in order's storage. Each frame in turn joins the
+// last run of its own peer (Frame.Addr) and wire size, passing the
+// frames queued after that run, when two rules allow it:
+//
+//   - a frame may pass any frame to another peer;
+//   - to its own peer it may pass only strictly smaller frames.
+//
+// Otherwise it goes last. The packets of one eRPC message never grow
+// (full packets, then a shorter last one), so no message's packets are
+// reordered: the short last packet of one message does not join the
+// equal-size packet of another past a full packet of its own. A reply
+// may pass a smaller control packet to the same peer, such as a
+// response overtaking its slot's credit return, which the transport's
+// contract allows and the protocol treats as a stale packet.
+func runOrder(order []int, frames []Frame) []int {
+	order = order[:0]
+	for i := range frames {
+		at := len(order)
+		for j := len(order) - 1; j >= 0; j-- {
+			k := order[j]
+			if frames[k].Addr != frames[i].Addr || len(frames[k].Data) < len(frames[i].Data) {
+				continue
+			}
+			if len(frames[k].Data) == len(frames[i].Data) {
+				at = j + 1
+			}
+			break
+		}
+		order = append(order, i)
+		copy(order[at+1:], order[at:])
+		order[at] = i
+	}
+	return order
+}
+
 // sendBurst transmits the resolved burst as one sendmmsg per
-// gsoTxWindow messages (one, for the core's bursts of 16). With
-// offload, consecutive frames with the same destination and the same
-// wire size extend one message's iovec chain under a UDP_SEGMENT cmsg
-// (GSO requires every segment but the last to be exactly gso_size,
-// which equal-size runs satisfy); a frame with a new destination or
-// size, and without offload every frame, opens a new message. Callers
-// hold u.txMu. Unknown peers, oversized frames and address-family
-// mismatches are dropped, like the per-packet engine.
+// gsoTxWindow messages (one, for the core's bursts of SocketBurst).
+// With offload, the frames go in runOrder, and consecutive frames with
+// the same destination and the same wire size extend one message's
+// iovec chain under a UDP_SEGMENT cmsg (GSO requires every segment but
+// the last to be exactly gso_size, which equal-size runs satisfy); a
+// frame with a new destination or size, and without offload every
+// frame, opens a new message. Callers hold u.txMu. Unknown peers,
+// oversized frames and address-family mismatches are dropped, like the
+// per-packet engine.
 func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 	m := 0      // messages filled
 	iov := 0    // iovec cursor
@@ -286,7 +328,14 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 	var runDest udpDest
 	runBytes := 0
 
-	for i := range frames {
+	if e.offload {
+		e.order = runOrder(e.order, frames)
+	}
+	for k := range frames {
+		i := k
+		if e.offload {
+			i = e.order[k]
+		}
 		ap := dsts[i].ap
 		data := frames[i].Data
 		if !ap.IsValid() || len(data) > e.u.mtu {

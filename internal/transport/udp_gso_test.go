@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -77,11 +78,78 @@ func TestUDPGroCoalescedReceive(t *testing.T) {
 	t.Fatalf("no GRO-coalesced receive in 20 bursts of %d (%d syscalls / %d packets)", n, syscalls, pkts)
 }
 
+// recvTags drains n frames from u and returns the tag each begins with,
+// in arrival order.
+func recvTags(t *testing.T, u *UDP, n int) []string {
+	t.Helper()
+	got := make([]Frame, n)
+	var tags []string
+	deadline := time.Now().Add(2 * time.Second)
+	for len(tags) < n && time.Now().Before(deadline) {
+		k := u.RecvBurst(got)
+		for i := 0; i < k; i++ {
+			tags = append(tags, string(got[i].Data[:2]))
+			got[i].Release()
+		}
+		if k == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if len(tags) != n {
+		t.Fatalf("received %v, want %d frames", tags, n)
+	}
+	return tags
+}
+
+// tagged is a size-byte payload beginning with tag.
+func tagged(tag string, size int) []byte {
+	p := make([]byte, size)
+	copy(p, tag)
+	return p
+}
+
+// TestUDPGsoRunsFormInEngine: the engine, not its caller, groups a
+// burst into runs. A server's responses and credit returns to one
+// client, alternating, leave as two supersegments of three in one
+// syscall; the short last packet of one message and the full and short
+// packets of the next leave as queued, in three messages, since joining
+// the first short run would send the second message's last packet
+// before its full one.
+func TestUDPGsoRunsFormInEngine(t *testing.T) {
+	a, b := gsoPair(t)
+	for _, c := range []struct {
+		name      string
+		sizes     []int
+		wantOrder string
+		wantSegs  uint64
+	}{
+		{"responses and CRs", []int{40, 16, 40, 16, 40, 16}, "r0r2r4r1r3r5", 6},
+		{"short last of X, full of Y, short last of Y", []int{300, 1000, 300}, "r0r1r2", 0},
+	} {
+		var burst []Frame
+		for i, n := range c.sizes {
+			burst = append(burst, Frame{Data: tagged(fmt.Sprintf("r%d", i), n), Addr: b.LocalAddr()})
+		}
+		sys0, seg0 := a.Syscalls.Load(), a.GsoSegments.Load()
+		a.SendBurst(burst)
+		if got := a.Syscalls.Load() - sys0; got != 1 {
+			t.Fatalf("%s: %d syscalls, want 1", c.name, got)
+		}
+		if got := a.GsoSegments.Load() - seg0; got != c.wantSegs {
+			t.Fatalf("%s: %d frames in supersegments, want %d", c.name, got, c.wantSegs)
+		}
+		if got := strings.Join(recvTags(t, b, len(burst)), ""); got != c.wantOrder {
+			t.Fatalf("%s: received %s, want %s", c.name, got, c.wantOrder)
+		}
+	}
+}
+
 // TestUDPGsoMixedBurst drives the run-coalescing logic through its
-// edges in one burst: two interleaved peers (runs break on peer
-// change), mixed frame sizes to the same peer (runs break on stride
-// change), and an unknown destination (dropped without disturbing the
-// runs). Every surviving frame must arrive intact at the right peer.
+// edges in one burst: two interleaved peers (a frame joins its peer's
+// run past another peer's frames), mixed frame sizes to the same peer
+// (runs break on stride change), and an unknown destination (dropped
+// without disturbing the runs). Every surviving frame must arrive
+// intact at the right peer, seven of them in three supersegments.
 func TestUDPGsoMixedBurst(t *testing.T) {
 	a, b := gsoPair(t)
 	c, err := NewUDP(Addr{7, 7}, "127.0.0.1:0")
@@ -93,22 +161,21 @@ func TestUDPGsoMixedBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pay := func(tag string, size int) []byte {
-		p := make([]byte, size)
-		copy(p, tag)
-		return p
-	}
 	burst := []Frame{
-		{Data: pay("b0", 32), Addr: b.LocalAddr()},
-		{Data: pay("b1", 32), Addr: b.LocalAddr()},
-		{Data: pay("c0", 32), Addr: c.LocalAddr()},  // peer change breaks the run
-		{Data: pay("b2", 32), Addr: b.LocalAddr()},  // back: new run
-		{Data: pay("b3", 200), Addr: b.LocalAddr()}, // size change breaks the run
-		{Data: pay("b4", 200), Addr: b.LocalAddr()},
-		{Data: pay("xx", 16), Addr: Addr{9, 9}}, // unknown peer: dropped
-		{Data: pay("c1", 32), Addr: c.LocalAddr()},
+		{Data: tagged("b0", 32), Addr: b.LocalAddr()},
+		{Data: tagged("b1", 32), Addr: b.LocalAddr()},
+		{Data: tagged("c0", 32), Addr: c.LocalAddr()},
+		{Data: tagged("b2", 32), Addr: b.LocalAddr()},  // joins b0 b1 past c0
+		{Data: tagged("b3", 200), Addr: b.LocalAddr()}, // size change: a new run
+		{Data: tagged("b4", 200), Addr: b.LocalAddr()},
+		{Data: tagged("xx", 16), Addr: Addr{9, 9}},    // unknown peer: dropped
+		{Data: tagged("c1", 32), Addr: c.LocalAddr()}, // joins c0
 	}
+	seg0 := a.GsoSegments.Load()
 	a.SendBurst(burst)
+	if got := a.GsoSegments.Load() - seg0; got != 7 {
+		t.Fatalf("%d frames in supersegments, want 7 (b0-b2, b3-b4, c0-c1)", got)
+	}
 
 	wantB := map[string]bool{"b0": true, "b1": true, "b2": true, "b3": true, "b4": true}
 	wantC := map[string]bool{"c0": true, "c1": true}

@@ -67,6 +67,44 @@ func FuzzParseHeader(f *testing.F) {
 	})
 }
 
+// FuzzPatchEndpointDelay patches the delay of arbitrary bytes. Where
+// they decode, the patched header decodes to the same header except for
+// EndpointDelay, which is us saturated on the types that carry it and
+// stays 0 on the rest; nothing past the header changes, and bytes that
+// do not decode are only ever touched in the delay bits.
+func FuzzPatchEndpointDelay(f *testing.F) {
+	for _, frame := range seedFrames() {
+		f.Add(frame, uint16(0))
+		f.Add(frame, uint16(MaxEndpointDelay+1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, us uint16) {
+		patched := append([]byte(nil), data...)
+		PatchEndpointDelay(patched, us)
+		// The delay bits: word0's top five, word1's top seven.
+		var delayBits [HeaderSize]byte
+		delayBits[7], delayBits[15] = 0xF8, 0xFE
+		for i := range data {
+			if diff := data[i] ^ patched[i]; diff != 0 && (i >= HeaderSize || diff&^delayBits[i] != 0) {
+				t.Fatalf("patch changed byte %d beyond the delay bits: %#x -> %#x", i, data[i], patched[i])
+			}
+		}
+		var orig, got Header
+		if orig.Decode(data) != nil {
+			return
+		}
+		if err := got.Decode(patched); err != nil {
+			t.Fatalf("patched header does not decode: %v", err)
+		}
+		want := orig
+		if orig.PktType.HasDelay() {
+			want.EndpointDelay = min(us, MaxEndpointDelay)
+		}
+		if got != want {
+			t.Fatalf("patch to %d µs: decoded %+v, want %+v", us, got, want)
+		}
+	})
+}
+
 // FuzzPktMath checks the packetization invariants for arbitrary
 // message sizes: per-packet lengths are in (0, dataPerPkt] and sum to
 // the message size.

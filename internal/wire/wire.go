@@ -12,10 +12,12 @@
 //
 // delayLo and delayHi are the 12-bit endpoint delay (µs) that CR and
 // response packets carry: how long the server held the packet that
-// triggered the reply, from its kernel receive stamp to the reply's
-// encoding. The client subtracts it from its RTT sample so Timely sees
-// the fabric, not the server's scheduling (Swift's endpoint/fabric
-// split). Its low five bits are word0's formerly reserved bits; the
+// triggered the reply, from its kernel receive stamp to the flush that
+// hands the reply to the transport (PatchEndpointDelay writes it into
+// the encoded header there). The client subtracts it from its RTT
+// sample so Timely sees the fabric, not the server's scheduling
+// (Swift's endpoint/fabric split). Its low five bits are word0's
+// formerly reserved bits; the
 // other seven are the top of what was a 48-bit request number. They
 // come from reqNum rather than from the reqType byte, which server→
 // client packets echo unread, so that every field keeps one meaning on
@@ -121,7 +123,7 @@ type Header struct {
 	ReqNum     uint64 // monotonically increasing per-slot request number
 	// EndpointDelay is the time in µs the server held the packet this
 	// CR or response answers, from its kernel receive stamp to the
-	// reply's encoding (0: unknown). Only HasDelay types carry it.
+	// reply's flush (0: unknown). Only HasDelay types carry it.
 	EndpointDelay uint16
 }
 
@@ -180,6 +182,24 @@ func (h *Header) Decode(buf []byte) error {
 		h.EndpointDelay = uint16(w0>>59 | w1>>57<<5)
 	}
 	return nil
+}
+
+// PatchEndpointDelay rewrites the endpoint delay of the header encoded
+// in buf to us µs, saturating at MaxEndpointDelay, and leaves every
+// other bit of buf as it was: a server sets the delay when it flushes a
+// reply encoded earlier. A buf shorter than a header, or whose packet
+// type carries no delay (HasDelay), is left alone.
+func PatchEndpointDelay(buf []byte, us uint16) {
+	if len(buf) < HeaderSize || !PktType(buf[1]&0x7).HasDelay() {
+		return
+	}
+	d := uint64(min(us, MaxEndpointDelay))
+	w0 := binary.LittleEndian.Uint64(buf[0:8])
+	w1 := binary.LittleEndian.Uint64(buf[8:16])
+	w0 = w0&^(0x1f<<59) | (d&0x1f)<<59
+	w1 = w1&^(0x7f<<57) | (d>>5)<<57
+	binary.LittleEndian.PutUint64(buf[0:8], w0)
+	binary.LittleEndian.PutUint64(buf[8:16], w1)
 }
 
 func (h *Header) String() string {

@@ -88,6 +88,52 @@ func TestHeaderEndpointDelay(t *testing.T) {
 	}
 }
 
+// TestPatchEndpointDelay rewrites the delay of encoded headers at 0, 1,
+// the maximum and past it (saturating). The patched bytes are what
+// Encode writes for the patched header, so no other field moves; a type
+// without the field and a short buffer are left untouched.
+func TestPatchEndpointDelay(t *testing.T) {
+	cases := []struct {
+		in, want uint16
+	}{{0, 0}, {1, 1}, {MaxEndpointDelay, MaxEndpointDelay}, {MaxEndpointDelay + 1, MaxEndpointDelay}, {1<<16 - 1, MaxEndpointDelay}}
+	for _, pt := range []PktType{PktCR, PktResp, PktReq, PktRFR, PktPing, PktReject} {
+		for _, c := range cases {
+			for _, reqNum := range []uint64{0, 8, MaxReqNum} {
+				h := Header{PktType: pt, ReqType: 255, MsgSize: MaxMsgSize, DstSession: 65535, PktNum: MaxPktNum, ReqNum: reqNum, EndpointDelay: 77}
+				var buf [HeaderSize + 2]byte
+				buf[HeaderSize], buf[HeaderSize+1] = 0xAB, 0xCD
+				if err := h.Encode(buf[:]); err != nil {
+					t.Fatal(err)
+				}
+				before := buf
+				PatchEndpointDelay(buf[:], c.in)
+				want := before
+				if pt.HasDelay() {
+					h.EndpointDelay = c.in
+					if err := h.Encode(want[:]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if buf != want {
+					t.Fatalf("%v reqNum %d patched to %d: % x, want % x", pt, reqNum, c.in, buf, want)
+				}
+				var got Header
+				if err := got.Decode(buf[:]); err != nil {
+					t.Fatal(err)
+				}
+				if pt.HasDelay() && got.EndpointDelay != c.want {
+					t.Fatalf("%v patched to %d decodes delay %d, want %d", pt, c.in, got.EndpointDelay, c.want)
+				}
+			}
+		}
+	}
+	short := []byte{Magic, byte(PktCR)}
+	PatchEndpointDelay(short, 5)
+	if short[0] != Magic || short[1] != byte(PktCR) {
+		t.Fatalf("short buffer patched: % x", short)
+	}
+}
+
 func TestHeaderEncodeRangeChecks(t *testing.T) {
 	var buf [HeaderSize]byte
 	h := Header{MsgSize: MaxMsgSize + 1}

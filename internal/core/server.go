@@ -295,9 +295,10 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 		// re-aliasing the same buffer just adds another reference to
 		// the identical bytes.
 		r.rawSendZC(s.remote, frame, ss.respBuf, rxAt)
-		return
+	} else {
+		r.rawSend(s.remote, frame, rxAt)
 	}
-	r.rawSend(s.remote, frame, rxAt)
+	r.sessionQueued(s)
 }
 
 // sendCR transmits an explicit credit return for request packet n, the
@@ -312,6 +313,7 @@ func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 		PktNum:     uint16(n),
 		ReqNum:     ss.curReqNum,
 	}, r.rxAt)
+	r.sessionQueued(s)
 }
 
 // onRFR handles a request-for-response packet.

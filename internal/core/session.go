@@ -41,6 +41,12 @@ type Session struct {
 	rttvar sim.Time
 	rto    sim.Time
 
+	// The session's share of the unflushed TX batch (sessionQueued):
+	// txQueued of its frames, counted in the batch after flush number
+	// txBatch (Stats.TxBursts).
+	txBatch  uint64
+	txQueued int
+
 	// Server mode.
 	srvSlots []srvSlot
 }

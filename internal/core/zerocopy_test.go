@@ -131,6 +131,45 @@ func TestTXFlushesAtBurstSize(t *testing.T) {
 	}
 }
 
+// TestTXFlushesAtHalfSessionWindow: a flush carries at most half of one
+// session's credit window. With 8 credits a 6-packet request leaves as
+// a SendBurst of 4 the moment its fourth packet is queued, and the rest
+// at the end of the iteration; two other sessions' 3 packets each stay
+// under the bound and share one SendBurst of 6.
+func TestTXFlushesAtHalfSessionWindow(t *testing.T) {
+	ct := &captureTransport{}
+	r := newZCRpc(t, ct, Config{Credits: 8})
+	var sess [3]*Session
+	for i := range sess {
+		s, err := r.CreateSession(transport.Addr{Node: uint16(2 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess[i] = s
+	}
+	r.EnqueueRequest(sess[0], echoType, r.Alloc(6*r.DataPerPkt()), r.Alloc(8), func(error) {})
+	r.flushTX()
+	if len(ct.bursts) != 2 || len(ct.bursts[0]) != 4 || len(ct.bursts[1]) != 2 {
+		t.Fatalf("6 packets of one session at 8 credits: SendBursts of %v frames, want 4 then 2", burstLens(ct.bursts))
+	}
+	ct.bursts = nil
+	for _, s := range sess[1:] {
+		r.EnqueueRequest(s, echoType, r.Alloc(3*r.DataPerPkt()), r.Alloc(8), func(error) {})
+	}
+	r.flushTX()
+	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 6 {
+		t.Fatalf("3 packets each of two sessions: SendBursts of %v frames, want one of 6", burstLens(ct.bursts))
+	}
+}
+
+func burstLens(bursts [][]transport.Frame) []int {
+	var n []int
+	for _, b := range bursts {
+		n = append(n, len(b))
+	}
+	return n
+}
+
 // TestBurstSizeDefaultByDriver: left at 0, BurstSize is what one
 // sendmmsg takes (transport.SocketBurst, 64) on an endpoint a goroutine
 // drives and the paper's 16 on one the scheduler drives, for RX and TX

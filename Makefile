@@ -73,8 +73,10 @@ fmt-check:
 fuzz:
 	$(GO) test -fuzz FuzzParseHeader -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzPktMath -fuzztime 15s ./internal/wire/
+	$(GO) test -fuzz FuzzPatchEndpointDelay -fuzztime 15s ./internal/wire/
 	$(GO) test -fuzz FuzzProcessPkt -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRxBurst -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzParseRxCmsgs -fuzztime 15s ./internal/transport/
+	$(GO) test -fuzz FuzzRunOrder -fuzztime 15s ./internal/transport/
 
 ci: fmt-check build cross-build vet race test-debug test bench-smoke

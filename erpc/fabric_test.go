@@ -117,13 +117,15 @@ func bulkLoop(t *testing.T, server *erpc.Server, client *erpc.Client, d time.Dur
 // host. On idle loopback that is nearly nothing, so 64 KiB puts and
 // gets with congestion control on stay close to the paper's common case
 // (§5.2.2): Timely is bypassed and the rate limiter unused on most
-// packets. Fed the whole RTT, both ran on 98-99.9 % of packets. What
-// the split cannot see is the server's time between encoding a reply
-// and handing it to the kernel. On two vCPUs that is the busy loop
-// being preempted mid-pass, now and then for hundreds of µs. Each
+// packets. Fed the whole RTT, both ran on 98-99.9 % of packets. The
+// server reports its hold up to the clock read of the flush that
+// carries its reply. What the split cannot see is the send syscall
+// after that read, up to the client's kernel stamp. On two vCPUs that
+// syscall is now and then preempted, for tens to hundreds of µs. Each
 // such sample halves the rate, and a few hundred bypass-free samples
-// climb it back. Over fifteen quiet runs the shares read 0.02-0.14, and
-// 0.09-0.14 beside another test binary, hence the bound of a quarter.
+// climb it back. Over fifteen quiet runs the shares read 0.0004-0.03,
+// 0.05-0.17 beside another test binary and 0.10-0.21 inside the whole
+// suite, whose packages run in parallel, hence the bound of a quarter.
 // The race detector slows every pass tenfold and the shares return to
 // ~1, so there only the second half runs. In that half, a 300 µs
 // straggler on the server's sends sits before the client's kernel

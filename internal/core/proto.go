@@ -553,8 +553,8 @@ func (r *Rpc) sessionQueued(s *Session) {
 	if len(r.txBatch) == 0 {
 		return // the frame left with a full batch
 	}
-	if s.txBatch != r.Stats.TxBursts {
-		s.txBatch, s.txQueued = r.Stats.TxBursts, 0
+	if s.txSince != r.Stats.TxBursts {
+		s.txSince, s.txQueued = r.Stats.TxBursts, 0
 	}
 	if s.txQueued++; s.txQueued >= r.cfg.Credits/2 {
 		r.flushTX()

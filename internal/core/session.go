@@ -42,9 +42,9 @@ type Session struct {
 	rto    sim.Time
 
 	// The session's share of the unflushed TX batch (sessionQueued):
-	// txQueued of its frames, counted in the batch after flush number
-	// txBatch (Stats.TxBursts).
-	txBatch  uint64
+	// txQueued of its frames, counted since flush number txSince
+	// (Stats.TxBursts).
+	txSince  uint64
 	txQueued int
 
 	// Server mode.

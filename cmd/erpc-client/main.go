@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("process cpu: %.2f µs/rpc, %.2f cores occupied (user+sys over wall)\n",
 		float64(cpu.Microseconds())/float64(max(total, 1)), cpu.Seconds()/elapsed.Seconds())
 	for _, tr := range trs {
-		tr.Close() // joins the reader: the per-endpoint counters below are final
+		tr.Close() // the loops have stopped: the per-endpoint counters below are final
 	}
 	for _, line := range erpc.UDPShardStats(trs) {
 		fmt.Printf("  %s\n", line)

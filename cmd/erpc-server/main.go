@@ -155,7 +155,7 @@ func main() {
 	fmt.Printf("retransmits: %d, paced packets: %d of %d sent, timely updates: %d of %d received\n",
 		st.Retransmits, st.PktsPaced, st.PktsTx, st.TimelyUpdates, st.PktsRx)
 	for _, tr := range trs {
-		tr.Close() // joins the reader: the per-shard counters below are final
+		tr.Close() // the loops have stopped: the per-shard counters below are final
 	}
 	for i, line := range erpc.UDPShardStats(trs) {
 		fmt.Printf("  %s, handled %d\n", line, server.Rpc(i).Stats.HandlersRun)

@@ -14,7 +14,7 @@ import (
 // msgbufs, recycled RX/TX frame buffers, preallocated responses). The
 // whole round trip is measured — client TX batch, UDP socket I/O on
 // both sides, server RX burst, handler dispatch, response path, client
-// completion — including the reader goroutines, since
+// completion — including the runtime's netpoller, since
 // testing.AllocsPerRun counts process-wide mallocs.
 //
 // The guard runs once per UDP syscall engine: the batched
@@ -31,7 +31,7 @@ func TestSmallRPCAllocFree(t *testing.T) {
 	// The sharded datapath must be exactly as allocation-free: the
 	// server side listens on SO_REUSEPORT shards (or the per-port
 	// fallback) and serves the client's flow on whichever shard the
-	// kernel picked, over each shard's private RX ring and pool.
+	// kernel picked, over each shard's private socket and pool.
 	t.Run("sharded-2", func(t *testing.T) { runSmallRPCAllocFreeSharded(t, 2) })
 }
 

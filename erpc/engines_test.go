@@ -95,9 +95,9 @@ func newEchoPair(tb testing.TB, engine string) *echoPair {
 	return p
 }
 
-// poll runs one event-loop iteration on both endpoints, parking
-// briefly when neither made progress so the reader goroutines run even
-// on GOMAXPROCS=1 (the reused timer keeps this alloc-free).
+// poll runs one event-loop iteration on both endpoints and, when
+// neither made progress, parks the client briefly in its socket's wait
+// (a wait that a packet ends allocates nothing).
 func (p *echoPair) poll() {
 	prog := p.cli.RunEventLoopOnce()
 	prog = p.srv.RunEventLoopOnce() || prog

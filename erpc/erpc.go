@@ -86,8 +86,9 @@ type (
 	Frame = transport.Frame
 	// Pool recycles packet buffers for custom Transport
 	// implementations' burst datapaths. It is single-owner: Get/Put
-	// are the owning goroutine's lock-free fast path, PutShared the
-	// mutex-guarded slow path for cross-goroutine returns.
+	// are the owning goroutine's lock-free fast path — the goroutine
+	// that receives and releases the RX frames — and PutShared the
+	// mutex-guarded slow path for a return from any other goroutine.
 	Pool = transport.Pool
 	// PoolStats snapshots a Pool's recycle counters.
 	PoolStats = transport.PoolStats
@@ -251,7 +252,7 @@ func ListenUDP(node uint16, host string, basePort, n int) ([]*transport.UDP, err
 // ListenUDPShards binds n SO_REUSEPORT shard sockets, all on one UDP
 // address, for the endpoints (node, 0..n-1) of a sharded server
 // process: the kernel hashes each client flow to one shard, and that
-// shard's dispatch goroutine owns the flow's RX ring, wire-buffer pool
+// shard's dispatch goroutine owns the flow's socket, wire-buffer pool
 // and syscall-engine state exclusively (paper §4.1's
 // one-queue-pair-per-thread discipline). Where SO_REUSEPORT is
 // unavailable (see UDPReusePortSupported) the shards fall back to n
@@ -379,21 +380,23 @@ func UDPSyscallStats(trs []*transport.UDP) (engine string, syscalls, batches uin
 }
 
 // UDPShardStats formats one exit-report line per transport — its
-// endpoint, socket, syscall engine, kernel-crossing counters and
-// RX-pool recycle counters. It is what erpc-server/erpc-client print
-// at exit so sharding skew (and any steady-state pool allocation) is
-// visible in the field; the lines label plain per-port endpoints and
-// reuseport shards alike (the socket address tells them apart). Close
-// the transports first for exact counts.
+// endpoint, socket, syscall engine, kernel-crossing counters, receive
+// queue (the socket's granted receive buffer and the datagrams the
+// kernel dropped at it, see transport.UDP.Drops) and RX-pool recycle
+// counters. It is what erpc-server/erpc-client print at exit so
+// sharding skew (and any steady-state pool allocation) is visible in
+// the field; the lines label plain per-port endpoints and reuseport
+// shards alike (the socket address tells them apart). Close the
+// transports first for exact counts.
 func UDPShardStats(trs []*transport.UDP) []string {
 	lines := make([]string, len(trs))
 	for i, tr := range trs {
 		ps := tr.RxPoolStats()
-		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d ring drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
+		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, rq %d B, %d rq drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
 			tr.LocalAddr(), tr.BoundAddr(), tr.Engine(),
 			tr.Syscalls.Load(), tr.MmsgBatches.Load(),
 			tr.GsoSegments.Load(), tr.GroBatches.Load(),
-			tr.Drops.Load(),
+			tr.RcvBuf(), tr.Drops.Load(),
 			ps.News, ps.FastPuts, ps.SharedPuts, ps.Refills)
 	}
 	return lines

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // driver is what differs between an endpoint a goroutine runs over a
@@ -24,11 +25,25 @@ type driver interface {
 }
 
 // loopDriver runs an endpoint over a real transport: a goroutine calls
-// runOnce while there is work and parks on wakeCh when there is none.
+// runOnce while there is work and parks when there is none. Over a
+// transport with a Waiter (UDP) it parks in the transport's own wait —
+// on its socket, in the netpoller — and wake interrupts that wait;
+// otherwise it parks on wakeCh, which the transport's SetWake and wake
+// signal, or on waitTimer.
 type loopDriver struct {
 	r         *Rpc
+	w         transport.Waiter
 	wakeCh    chan struct{}
 	waitTimer *time.Timer // reused by park (alloc-free idle parks)
+}
+
+func newLoopDriver(r *Rpc) *loopDriver {
+	d := &loopDriver{r: r, w: transport.WaiterOf(r.tr)}
+	if d.w == nil {
+		d.wakeCh = make(chan struct{}, 1)
+		r.tr.SetWake(d.wake)
+	}
+	return d
 }
 
 // goroutine is the driver of an endpoint a goroutine runs, for
@@ -43,9 +58,26 @@ func (r *Rpc) goroutine() *loopDriver {
 }
 
 func (d *loopDriver) wake() {
+	if d.w != nil {
+		d.w.Interrupt()
+		return
+	}
 	select {
 	case d.wakeCh <- struct{}{}:
 	default:
+	}
+}
+
+// woken reports, without blocking, whether a packet or a wake arrived.
+func (d *loopDriver) woken() bool {
+	if d.w != nil {
+		return d.w.Wait(0)
+	}
+	select {
+	case <-d.wakeCh:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -57,12 +89,14 @@ func (d *loopDriver) park(dur time.Duration) {
 		}
 		for r.clock.Now() < dl {
 			runtime.Gosched()
-			select {
-			case <-d.wakeCh:
+			if d.woken() {
 				return
-			default:
 			}
 		}
+		return
+	}
+	if d.w != nil {
+		d.w.Wait(dur)
 		return
 	}
 	if d.waitTimer == nil {

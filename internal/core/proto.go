@@ -212,15 +212,15 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // response h ends: rtt less the time the packets spent inside either
 // host — hostDelay on the receive sides, txDwell on this host's send
 // side — clamped to [0, rtt] (Swift's endpoint/fabric split). On
-// loopback the rest is nearly all of it — the two hosts' reader
-// wake-ups and rings — and fed whole it keeps every session off line
-// rate. The server's report runs to the clock read of the flush that
-// carried its reply, so its time between encoding the reply and
-// flushing it is host delay too. A queue before the receiving kernel
-// still counts as fabric, as does the time the server's send syscall
-// takes to hand the reply to the kernel. The RTO estimator and RTTHook
-// keep the whole rtt: a retransmission must wait out the round trip,
-// however it was spent.
+// loopback the rest is nearly all of it — the time the two hosts take
+// to wake their loops and reach the packet — and fed whole it keeps
+// every session off line rate. The server's report runs to the clock
+// read of the flush that carried its reply, so its time between
+// encoding the reply and flushing it is host delay too. A queue before
+// the receiving kernel still counts as fabric, as does the time the
+// server's send syscall takes to hand the reply to the kernel. The RTO
+// estimator and RTTHook keep the whole rtt: a retransmission must wait
+// out the round trip, however it was spent.
 func (r *Rpc) rttSample(s *Session, txTime sim.Time, h *wire.Header) {
 	if txTime == 0 {
 		return

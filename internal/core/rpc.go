@@ -382,10 +382,10 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 	if cfg.Sched != nil {
 		r.cpu = newSimDriver(r, cfg.Sched)
 		r.drv = r.cpu
+		cfg.Transport.SetWake(r.cpu.wake)
 	} else {
-		r.drv = &loopDriver{r: r, wakeCh: make(chan struct{}, 1)}
+		r.drv = newLoopDriver(r)
 	}
-	cfg.Transport.SetWake(r.drv.wake)
 	return r
 }
 
@@ -598,8 +598,8 @@ func (r *Rpc) complete(cont func(error), err error) {
 
 // RunEventLoopOnce performs one event-loop iteration (a loop driven by
 // hand, in real or simulated time). It reports whether any work was
-// done; idle callers should yield the processor (runtime.Gosched) so
-// transport reader goroutines are not starved on small machines.
+// done; idle callers should wait (WaitForWork) or yield the processor,
+// so the peers they poll get it on small machines.
 func (r *Rpc) RunEventLoopOnce() bool {
 	before := r.Stats.PktsRx + r.Stats.PktsTx
 	r.runOnce()
@@ -615,14 +615,18 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // pass. It panics on an endpoint the scheduler drives.
 //
 // While the wheel holds anything the wait is awake: the goroutine stays
-// runnable, yields the processor (to the transport's reader goroutines)
-// between looks at the clock, and returns at wheel.NextDeadline, on a
-// wake or after d. Only an empty wheel is left to a timer. Go timers
-// take whole milliseconds (see wheelSlots) and the wheel's horizon is
-// under one, so a timer would send every paced packet late; with an
-// empty wheel only the RTO scan and the heartbeat are waiting, whose
-// time constants are 5 ms and more, and d is then a lower bound on the
-// park, not its length.
+// runnable, yields the processor between looks at the clock and at the
+// transport (a non-blocking receive, over a transport with a
+// transport.Waiter), and returns at wheel.NextDeadline, on a packet or
+// a wake, or after d. Only an empty wheel sleeps: in the transport's
+// Waiter — over UDP, parked in the netpoller on the endpoint's own
+// socket, so a packet, the deadline or a wake ends one wait — or else
+// on a timer and the SetWake channel. Go timers and read deadlines take
+// whole milliseconds (see wheelSlots) and the wheel's horizon is under
+// one, so sleeping would send every paced packet late; with an empty
+// wheel only the RTO scan and the heartbeat are waiting, whose time
+// constants are 5 ms and more, and d is then a lower bound on the park,
+// not its length.
 //
 // WaitForWork reads the Clock itself, not the loop clock: it waits
 // between passes, where no cached timestamp is current.
@@ -630,10 +634,9 @@ func (r *Rpc) WaitForWork(d time.Duration) { r.goroutine().park(d) }
 
 // RunEventLoop drives the endpoint until stop is closed. The loop polls
 // hot while work arrives — the paper's polling-based network I/O — and
-// parks when idle so transport reader goroutines always make progress:
-// until a packet arrives or the rate limiter's next packet is due, for
-// about a millisecond otherwise (see WaitForWork for what the 200 µs
-// asked for here turns into).
+// parks when idle: until a packet arrives or the rate limiter's next
+// packet is due, for about a millisecond otherwise (see WaitForWork for
+// what the 200 µs asked for here turns into).
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.goroutine().run(stop) }
 
 // Post schedules fn to run on the endpoint's dispatch context during
@@ -701,12 +704,10 @@ func (r *Rpc) readLoopClock() {
 
 // pollRX pulls one burst of up to BurstSize frames from the transport
 // and processes each packet, then re-posts the whole burst's buffers
-// to the transport's pool with one ReleaseBurst (the paper's RX
-// descriptor re-post, amortized like its one-doorbell-per-burst TX:
-// cross-goroutine pools are locked once per burst, not per frame). A
-// full burst sets rxFull so the loop runs again immediately: packet
-// arrivals only wake an empty queue. Each packet is processed with rxAt
-// set to when its host's kernel received it.
+// to the transport's pool (the paper's RX descriptor re-post). A full
+// burst sets rxFull so the loop runs again immediately: packet arrivals
+// only wake an empty queue. Each packet is processed with rxAt set to
+// when its host's kernel received it.
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)

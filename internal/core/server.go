@@ -179,8 +179,8 @@ func (r *Rpc) invokeHandler(s *Session, ss *srvSlot, idx int, lastPayload []byte
 	case ss.numReqPkts > 1:
 		ctx.Req = ss.reqBuf.Data()
 	case h.RunInWorker || r.opts.DisableZeroCopyRX:
-		// Copy the single-packet request out of the RX ring: worker
-		// handlers outlive the ring buffer; the disabled-optimization
+		// Copy the single-packet request out of the RX buffer: worker
+		// handlers outlive it; the disabled-optimization
 		// path models Table 3's "0-copy request processing" row.
 		if r.opts.DisableZeroCopyRX && !h.RunInWorker {
 			r.charge(r.cost.ZeroCopyOff)
@@ -193,7 +193,7 @@ func (r *Rpc) invokeHandler(s *Session, ss *srvSlot, idx int, lastPayload []byte
 		ctx.Req = ctx.reqCopy
 	default:
 		// Common case: zero-copy request processing (§4.2.3). The
-		// slice aliases the RX ring and is valid only while the
+		// slice aliases the RX buffer and is valid only while the
 		// handler runs.
 		ctx.Req = lastPayload
 	}
@@ -381,7 +381,7 @@ type ReqContext struct {
 	// ReqType is the request's registered type.
 	ReqType uint8
 	// Req is the request data. For dispatch-mode handlers of
-	// single-packet requests it aliases the RX ring (zero copy) and is
+	// single-packet requests it aliases the RX buffer (zero copy) and is
 	// valid only until the handler returns; handlers that defer their
 	// response must copy it.
 	Req []byte

@@ -34,8 +34,13 @@ func (l *passLog) record(t sim.Time, backToBack bool) {
 // pass that stamped a packet tx, or 0 when it is unknown: the pass after
 // it had a park in between, or is older than the log, or has not begun.
 // Packets are stamped with one of their pass's clock reads, so the first
-// logged top read later than tx begins the next pass.
+// logged top read later than tx begins the next pass. A loop that logs
+// no pass (simulated time, a Clock that is not a sim.UnixClock) leaves
+// the newest entry 0 and skips the search.
 func (l *passLog) flushEnd(tx sim.Time) sim.Time {
+	if l.at[l.head] == 0 {
+		return 0
+	}
 	entry := func(i int) int { return (l.head + 1 + i) % passLogLen } // i-th oldest
 	i := sort.Search(passLogLen, func(i int) bool { return l.at[entry(i)] > tx })
 	if i == 0 || i == passLogLen || !l.backToBack[entry(i)] {

@@ -34,8 +34,9 @@ const SocketBurst = 64
 //     the caller may reuse the bytes immediately afterwards.
 //   - RX (RecvBurst): frames are owned by the receiver until it calls
 //     Release, which re-posts the backing buffer to the transport's
-//     pool — the software analogue of re-posting a NIC RX descriptor.
-//     Data must not be referenced after Release. Dropping a frame
+//     pool — the software analogue of re-posting a NIC RX descriptor —
+//     and must run on the goroutine that called RecvBurst, the pool's
+//     owner. Data must not be referenced after Release. Dropping a frame
 //     without Release is safe but leaks the buffer to the garbage
 //     collector instead of recycling it.
 type Frame struct {
@@ -45,7 +46,7 @@ type Frame struct {
 	Addr Addr
 	// RxStamp is an RX frame's kernel receive time in Unix nanoseconds
 	// (CLOCK_REALTIME, SO_TIMESTAMPNS): when the packet reached the
-	// receiving host, before any reader or ring held it. 0 means
+	// receiving host, before any socket queue or loop held it. 0 means
 	// unknown — the per-packet engine, non-Linux builds, simulated and
 	// in-memory transports. Unused on TX.
 	RxStamp int64
@@ -57,12 +58,6 @@ type Frame struct {
 	// out Data past the header but must recycle the whole buffer).
 	// Release re-posts base instead of Data when set.
 	base []byte
-	// shared marks a frame whose Release runs on a different goroutine
-	// than the pool's owner (e.g. a UDP RX frame released by the
-	// dispatch goroutine while the reader goroutine owns the pool).
-	// Release then takes the pool's mutex-guarded slow path; use
-	// ReleaseBurst to amortize that lock over a whole burst.
-	shared bool
 	// seg, when non-nil, marks an RX frame whose Data aliases one
 	// segment of a refcounted GRO supersegment buffer (pool is nil for
 	// these frames). Release drops one reference; the last segment
@@ -71,25 +66,15 @@ type Frame struct {
 }
 
 // PooledFrame binds a buffer to the pool it returns to on Release.
-// Transports whose RX frames are released on the pool-owning goroutine
-// (single-dispatch-context transports like simnet) use it when filling
-// RX frames; Release then stays on the lock-free owner path.
+// RX frames are released on the goroutine that received them, the
+// pool's owner, so Release stays on the lock-free owner path.
 func PooledFrame(data []byte, from Addr, p *Pool) Frame {
 	return Frame{Data: data, Addr: from, pool: p}
 }
 
-// SharedFrame is PooledFrame for transports whose RX frames are
-// released on a goroutine other than the pool's owner: Release (and
-// ReleaseBurst) route the buffer through the pool's mutex-guarded
-// shared slow path instead of the owner free list.
-func SharedFrame(data []byte, from Addr, p *Pool) Frame {
-	return Frame{Data: data, Addr: from, pool: p, shared: true}
-}
-
-// Release returns the frame's buffer to its pool — the owner fast path
-// for frames released on the pool-owning goroutine, the shared slow
-// path for cross-goroutine frames (see SharedFrame). Safe to call on a
-// zero or already-released frame.
+// Release returns the frame's buffer to its pool on the owner fast
+// path, or drops its reference to a supersegment buffer. Safe to call
+// on a zero or already-released frame.
 //
 //erpc:owner
 func (f *Frame) Release() {
@@ -102,42 +87,17 @@ func (f *Frame) Release() {
 		if buf == nil {
 			buf = f.Data
 		}
-		if f.shared {
-			f.pool.PutShared(buf)
-		} else {
-			f.pool.Put(buf)
-		}
+		f.pool.Put(buf)
 		f.pool = nil
 	}
 	f.Data = nil
 	f.base = nil
-	f.shared = false
 }
 
-// ReleaseBurst releases every frame of a burst, coalescing consecutive
-// shared-release frames of the same pool into one lock acquisition —
-// so a dispatch goroutine re-posting a full RX burst to its shard's
-// reader-owned pool pays one mutex operation per burst, not per frame
-// (the cross-core analogue of the paper's one-doorbell-per-burst
-// discipline). Owner-path frames are released lock-free as usual.
+// ReleaseBurst releases every frame of a burst.
 func ReleaseBurst(frames []Frame) {
-	for i := 0; i < len(frames); {
-		f := &frames[i]
-		if f.pool == nil || !f.shared || f.seg != nil {
-			f.Release()
-			i++
-			continue
-		}
-		// Coalesce the run of shared frames bound for the same pool.
-		// Supersegment aliases (seg != nil) are excluded: their release
-		// is an atomic refcount drop, not a buffer return.
-		p := f.pool
-		j := i
-		for j < len(frames) && frames[j].pool == p && frames[j].shared && frames[j].seg == nil {
-			j++
-		}
-		p.putSharedBatch(frames[i:j])
-		i = j
+	for i := range frames {
+		frames[i].Release()
 	}
 }
 
@@ -151,8 +111,7 @@ type PoolStats struct {
 	// retained; buffers dropped at the free-list limit don't count.
 	FastPuts uint64
 	// SharedPuts counts cross-goroutine recycles through the
-	// mutex-guarded slow path (PutShared / ReleaseBurst) that were
-	// retained, in buffers.
+	// mutex-guarded slow path (PutShared) that were retained.
 	SharedPuts uint64
 	// Refills counts owner Gets that ran dry and swapped in the shared
 	// list under the mutex — the owner side's only lock acquisitions.
@@ -170,12 +129,11 @@ type PoolStats struct {
 // that calls Get and Put. The owner path is a plain free list touched
 // without any lock — per-endpoint pools on this path share no mutable
 // cache line with any other core, the paper's per-thread hugepage
-// allocator discipline (§4.3). Every other goroutine returns buffers
-// through PutShared (or ReleaseBurst, which batches a burst of returns
-// into one lock acquisition); the owner migrates the shared list back
-// to its free list in one locked swap when it runs dry. The mutex is
-// therefore touched once per refill/burst, never per steady-state
-// Get/Put.
+// allocator discipline (§4.3). The transports' datapaths stay on it. A
+// goroutine other than the owner returns buffers through PutShared;
+// the owner migrates the shared list back to its free list in one
+// locked swap when it runs dry, so the mutex is touched once per
+// refill, never per steady-state Get/Put.
 type Pool struct {
 	bufCap int
 	limit  int
@@ -319,30 +277,4 @@ func (p *Pool) GetShared() []byte {
 	b := make([]byte, 0, p.bufCap)
 	p.dbg.onGet(b)
 	return b
-}
-
-// putSharedBatch appends a burst of shared-release frames' buffers
-// under one lock acquisition (see ReleaseBurst). The frames are
-// cleared as released.
-func (p *Pool) putSharedBatch(frames []Frame) {
-	p.mu.Lock()
-	for i := range frames {
-		f := &frames[i]
-		buf := f.base
-		if buf == nil {
-			buf = f.Data
-		}
-		if cap(buf) >= p.bufCap {
-			p.dbg.onPut(buf, true)
-		}
-		if cap(buf) >= p.bufCap && len(p.shared) < p.limit {
-			p.sharedPuts.Add(1)
-			p.shared = append(p.shared, buf[:0])
-		}
-		f.Data = nil
-		f.base = nil
-		f.pool = nil
-		f.shared = false
-	}
-	p.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
@@ -56,44 +57,6 @@ func TestPoolSharedHandoff(t *testing.T) {
 	st := p.Stats()
 	if st.SharedPuts != 3 || st.Refills != 1 || st.FastPuts != 0 {
 		t.Fatalf("stats = %+v, want 3 shared puts, 1 refill, 0 fast puts", st)
-	}
-}
-
-// TestReleaseBurstCoalesces checks that ReleaseBurst recycles a whole
-// burst of shared frames (one pool lock per run) and leaves the frames
-// cleared, mixing in owner-path and unpooled frames.
-func TestReleaseBurstCoalesces(t *testing.T) {
-	p := NewPool(32, 16)
-	frames := []Frame{
-		SharedFrame(append(p.Get(), 1), Addr{1, 0}, p),
-		SharedFrame(append(p.Get(), 2), Addr{1, 0}, p),
-		{Data: []byte("unpooled")},
-		PooledFrame(append(p.Get(), 3), Addr{1, 0}, p),
-		SharedFrame(append(p.Get(), 4), Addr{1, 0}, p),
-	}
-	ReleaseBurst(frames)
-	for i := range frames {
-		if frames[i].Data != nil || frames[i].pool != nil {
-			t.Fatalf("frame %d not cleared: %+v", i, frames[i])
-		}
-	}
-	st := p.Stats()
-	if st.SharedPuts != 3 {
-		t.Fatalf("SharedPuts = %d, want 3", st.SharedPuts)
-	}
-	if st.FastPuts != 1 {
-		t.Fatalf("FastPuts = %d, want 1", st.FastPuts)
-	}
-	// All four pooled buffers must be reachable again: one on the owner
-	// free list, three via a refill.
-	news0 := p.News()
-	for i := 0; i < 4; i++ {
-		if b := p.Get(); cap(b) < 32 {
-			t.Fatalf("Get %d after ReleaseBurst: cap %d", i, cap(b))
-		}
-	}
-	if p.News() != news0 {
-		t.Fatalf("ReleaseBurst lost buffers: News %d -> %d", news0, p.News())
 	}
 }
 
@@ -162,10 +125,10 @@ func TestUDPBurstRoundtrip(t *testing.T) {
 			t.Fatalf("frame %d = %q, want %q", i, data, want)
 		}
 	}
-	// The per-packet reader keeps one RX buffer posted beyond the
-	// packets actually moved (the batched engine posts SegBufs and
-	// copies into pool buffers only on arrival); past that, the pool
-	// must recycle.
+	// A per-packet receive takes one RX buffer beyond the packets it
+	// moves (the read that finds the socket empty puts it back; the
+	// batched engine posts SegBufs and copies into pool buffers only on
+	// arrival); past that, the pool must recycle.
 	if b.rxPool.News() > n+1 {
 		t.Fatalf("RX pool allocated %d buffers for %d packets", b.rxPool.News(), n)
 	}
@@ -186,105 +149,117 @@ func TestUDPBurstDropsBad(t *testing.T) {
 	}
 }
 
-// TestUDPRingBounded is the regression test for the unbounded
-// retention bug: the old implementation resliced rring = rring[1:],
-// keeping the backing array alive and regrowing it forever. The ring
-// is now a fixed array indexed by head/tail; sustained load far beyond
-// its capacity must neither grow memory nor break FIFO order, and
-// overflow must count drops.
-func TestUDPRingBounded(t *testing.T) {
-	u, err := NewUDP(Addr{1, 0}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close joins the reader goroutine, making this test goroutine the
-	// rxPool's sole owner; the ring and pool outlive the socket, so the
-	// injection below still exercises the real publish/drain path.
-	u.Close()
-	// Sustained load, injected deterministically at the reader
-	// goroutine's ring-push point in bursts of 16: many fill-and-drain
-	// rounds, far more packets than udpRingCap in total.
-	const rounds = 32
-	const perRound = udpRingCap / 2
-	buf := make([]Frame, 64)
-	seq := uint32(0)
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < perRound; i += 16 {
-			var burst [16]Frame
-			for j := range burst {
-				b := append(u.rxPool.Get(), byte(seq), byte(seq>>8), byte(seq>>16))
-				burst[j] = SharedFrame(b, Addr{0, 0}, u.rxPool)
-				seq++
-			}
-			u.publish(burst[:])
+// TestUDPLeftoverBounded drives sustained load through a real socket on
+// every engine in receives that can split into more frames than the
+// burst that takes them: bursts of 64 equal-size frames (one GRO
+// supersegment on the gso engine) drained 16 at a time. What a receive
+// leaves over waits for the next bursts; it must never exceed one
+// receive window, FIFO order must hold across receives, and the RX pool
+// must stop allocating once primed.
+func TestUDPLeftoverBounded(t *testing.T) {
+	for _, c := range udpKinds() {
+		if c.name == "sharded-2" {
+			continue // one socket each side is the point here
 		}
-		got := 0
-		for got < perRound {
-			k := u.RecvBurst(buf)
-			if k == 0 {
-				t.Fatalf("round %d: ring empty after %d of %d", r, got, perRound)
-			}
-			for i := 0; i < k; i++ {
-				want := uint32(r*perRound + got + i)
-				if d := buf[i].Data; uint32(d[0])|uint32(d[1])<<8|uint32(d[2])<<16 != want {
-					t.Fatalf("round %d: frame %d out of order: % x, want seq %d", r, got+i, d, want)
+		t.Run(c.name, func(t *testing.T) {
+			a, b := c.pair(t)
+			const rounds, perRound = 200, SocketBurst
+			burst := make([]Frame, perRound)
+			got := make([]Frame, 16)
+			seq := uint32(0)
+			for r := 0; r < rounds; r++ {
+				for i := range burst {
+					burst[i] = Frame{Data: []byte{byte(seq + uint32(i)), byte((seq + uint32(i)) >> 8), 0, 0}, Addr: Addr{1, 0}}
 				}
-				buf[i].Release()
+				a.SendBurst(burst)
+				deadline := time.Now().Add(2 * time.Second)
+				for end := seq + perRound; seq < end; {
+					k := b.RecvBurst(got)
+					if len(b.rx) > udpRxBatch {
+						t.Fatalf("round %d: leftover holds %d frames, more than a receive window", r, len(b.rx))
+					}
+					for i := 0; i < k; i++ {
+						if d := got[i].Data; uint32(d[0])|uint32(d[1])<<8 != seq&0xFFFF {
+							t.Fatalf("round %d: frame out of order: % x, want seq %d", r, d, seq)
+						}
+						got[i].Release()
+						seq++
+					}
+					if k == 0 {
+						if time.Now().After(deadline) {
+							t.Fatalf("round %d: received %d of %d", r, seq-(end-perRound), perRound)
+						}
+						b.Wait(time.Millisecond)
+					}
+				}
 			}
-			got += k
-		}
-	}
-	if u.Drops.Load() != 0 {
-		t.Fatalf("drops = %d with the ring never more than half full", u.Drops.Load())
-	}
-	// Capacity is structurally bounded: the ring is a fixed array and
-	// the RX pool must have stopped allocating once primed — total
-	// buffers ever created are bounded by ring occupancy, not by the
-	// number of packets moved (the old resliced ring kept its backing
-	// array alive and regrew it forever).
-	if pending := u.tail - u.head; pending != 0 {
-		t.Fatalf("ring claims %d pending packets after full drain", pending)
-	}
-	if u.rxPool.News() > perRound+64 {
-		t.Fatalf("RX pool created %d buffers for %d packets: not recycling", u.rxPool.News(), seq)
+			if news := b.rxPool.News(); news > udpRxBatch+SocketBurst {
+				t.Fatalf("RX pool created %d buffers for %d packets: not recycling", news, seq)
+			}
+		})
 	}
 }
 
-// TestUDPRingOverflowDrops fills the ring past capacity without
-// draining: overflow must be dropped and counted, the buffer re-posted
-// to the pool, and the ring must never exceed its fixed capacity.
-func TestUDPRingOverflowDrops(t *testing.T) {
-	u, err := NewUDP(Addr{1, 0}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.Close() // join the reader: this goroutine now owns the rxPool
-	// Bursts of 24 do not divide the capacity: the burst that meets the
-	// end of the ring is cut, part published and part dropped.
-	const extra = 100
-	for i := 0; i < udpRingCap+extra; {
-		var burst [24]Frame
-		k := min(len(burst), udpRingCap+extra-i)
-		for j := range burst[:k] {
-			burst[j] = SharedFrame(append(u.rxPool.Get(), 1), Addr{0, 0}, u.rxPool)
+// TestUDPDropsCountKernelOverflow blasts a socket that does not receive
+// past its receive buffer, drains it, and sends one more datagram: the
+// kernel's drop count that datagram carries (SO_RXQ_OVFL) makes Drops
+// equal what was sent less what was received. The per-packet engine
+// cannot see the count and keeps Drops at 0.
+func TestUDPDropsCountKernelOverflow(t *testing.T) {
+	for _, c := range udpKinds() {
+		if c.name == "sharded-2" {
+			continue
 		}
-		u.publish(burst[:k])
-		i += k
-	}
-	if pending := u.tail - u.head; pending != udpRingCap {
-		t.Fatalf("ring holds %d, want exactly capacity %d", pending, udpRingCap)
-	}
-	if u.Drops.Load() != extra {
-		t.Fatalf("drops = %d, want %d", u.Drops.Load(), extra)
-	}
-	// A dropped packet's buffer is re-posted, so draining one slot and
-	// refilling must not allocate.
-	news := u.rxPool.News()
-	fr := make([]Frame, 1)
-	u.RecvBurst(fr)
-	fr[0].Release()
-	u.publish([]Frame{SharedFrame(u.rxPool.Get(), Addr{0, 0}, u.rxPool)})
-	if u.rxPool.News() != news {
-		t.Fatalf("overflow leaked buffers: pool News %d -> %d", news, u.rxPool.News())
+		t.Run(c.name, func(t *testing.T) {
+			_, u := c.pair(t)
+			if u.RcvBuf() <= 0 {
+				t.Fatalf("RcvBuf() = %d, want the granted receive buffer", u.RcvBuf())
+			}
+			// The smallest buffer the kernel grants: a few datagrams.
+			if err := u.conn.SetReadBuffer(1); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.DialUDP("udp", nil, u.BoundAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			pkt := make([]byte, udpHdrLen+48)
+			var sent, received uint64
+			send := func() {
+				if _, err := conn.Write(pkt); err == nil {
+					sent++
+				}
+			}
+			var fr [SocketBurst]Frame
+			drain := func() {
+				for idle := 0; idle < 3; {
+					n := u.RecvBurst(fr[:])
+					if n == 0 {
+						idle++
+						u.Wait(5 * time.Millisecond)
+						continue
+					}
+					received += uint64(n)
+					ReleaseBurst(fr[:n])
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				send()
+			}
+			drain()
+			if received >= sent {
+				t.Fatalf("received all %d datagrams: the blast did not overflow the buffer", sent)
+			}
+			send() // carries the count of the drops before it
+			drain()
+			want := sent - received
+			if c.name == "per-packet" {
+				want = 0
+			}
+			if got := u.Drops.Load(); got != want {
+				t.Fatalf("Drops = %d, want %d (sent %d, received %d)", got, want, sent, received)
+			}
+		})
 	}
 }

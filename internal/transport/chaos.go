@@ -263,6 +263,11 @@ func (c *Chaos) RecvBurst(frames []Frame) int {
 // SetWake implements Transport.
 func (c *Chaos) SetWake(fn func()) { c.t.SetWake(fn) }
 
+// waiter forwards the wrapped transport's Waiter, if it has one (see
+// WaiterOf): an owner sleeping in it still receives through RecvBurst
+// here, so held packets keep being released.
+func (c *Chaos) waiter() Waiter { return WaiterOf(c.t) }
+
 // Close implements Transport. Held packets are discarded — the network
 // lost them.
 func (c *Chaos) Close() error {

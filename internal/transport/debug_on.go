@@ -22,11 +22,11 @@ import (
 //     carries the acquisition site and the first release site.
 //   - foreign fast-path put: Pool.Put from a goroutine other than the
 //     one the buffer was handed out on (the owner); cross-goroutine
-//     returns must use PutShared/ReleaseBurst.
+//     returns must use PutShared.
 //   - SegBuf refcount underflow: more segment releases than the split
 //     charged — a release-after-send/double-release on the GRO path.
 //   - SegBuf recharge while in flight: splitRxSegs reusing a buffer
-//     whose previous segments are still referenced by the RX ring.
+//     whose previous segments are still referenced by RX frames.
 //   - segPool double-recycle: the same SegBuf returned to the free
 //     list twice.
 //
@@ -90,8 +90,8 @@ func (d *poolDebug) onGet(b []byte) {
 	d.out[key] = &bufRecord{live: true, gid: curGID(), getSite: getSite}
 }
 
-// onPut checks a return. shared marks the mutex path (PutShared /
-// ReleaseBurst), which is legal from any goroutine; the fast path must
+// onPut checks a return. shared marks the mutex path (PutShared),
+// which is legal from any goroutine; the fast path must
 // run on the goroutine the buffer was acquired on.
 func (d *poolDebug) onPut(b []byte, shared bool) {
 	key := unsafe.SliceData(b[:1])

@@ -7,8 +7,8 @@ import (
 
 // This file is the refcounted half of the GRO receive path (paper
 // Appendix C, completing zero-copy on RX): a SegBuf is one engine-owned
-// receive buffer whose segments are handed to the RX ring as frames
-// *aliasing* the buffer at the cmsg stride, instead of being copied
+// receive buffer whose segments are handed out as RX frames *aliasing*
+// the buffer at the cmsg stride, instead of being copied
 // into per-packet pooled buffers. The buffer recycles when the
 // last segment frame is released — the descriptor-refcount idiom NICs
 // use for header/data split receives.
@@ -17,8 +17,8 @@ import (
 // lifetime rules are exercised by tests and fuzzing on every platform,
 // even though only the Linux batched engine produces SegBufs today.
 
-// SegBuf is a refcounted supersegment receive buffer. The reader
-// goroutine fills buf with one (possibly GRO-coalesced) datagram, then
+// SegBuf is a refcounted supersegment receive buffer. A receive fills
+// buf with one (possibly GRO-coalesced) datagram, then
 // splitRxSegs charges refs with the number of segment frames handed
 // out; each Frame.Release drops one reference and the last one returns
 // the SegBuf to its pool.
@@ -45,12 +45,11 @@ func (sb *SegBuf) recharge(n int32) {
 	sb.refs.Store(n)
 }
 
-// segPool recycles SegBufs between the reader goroutine (get) and
-// whichever goroutine releases the last segment frame (put). Unlike
-// Pool there is no owner fast path: a SegBuf crosses goroutines once
-// per supersegment lifecycle — dozens of datagrams — so one mutex
-// acquisition per recycle is already amortized far below one per
-// packet.
+// segPool recycles SegBufs between the receiving goroutine (get) and
+// whichever goroutine releases the last segment frame (put), usually
+// the same one. There is no owner fast path: a SegBuf recycles once
+// per supersegment — dozens of datagrams — so one mutex acquisition per
+// recycle is already amortized far below one per packet.
 type segPool struct {
 	bufCap int
 	limit  int32 // max SegBufs outstanding as RX-frame aliases
@@ -82,8 +81,8 @@ func newSegPool(bufCap int, limit int32) *segPool {
 	}
 }
 
-// get returns a SegBuf for the reader to post to the kernel. Reader
-// goroutine only.
+// get returns a SegBuf to post to the kernel. Receiving goroutine
+// only.
 func (sp *segPool) get() *SegBuf {
 	sp.mu.Lock()
 	if n := len(sp.free); n > 0 {
@@ -118,18 +117,19 @@ func (sp *segPool) put(sb *SegBuf) {
 // splitRxSegs splits one received wire buffer — a GRO-coalesced
 // supersegment, or a plain datagram — into RX frames at the given
 // segment stride, each carrying the receive's kernel stamp, stages them
-// on the reader's batch (the caller publishes it with flushRx; a batch
-// that fills on the way publishes itself) and reports how many segments it saw and whether the SegBuf
-// was handed out aliased (the caller must then stop touching it and
-// post a fresh one to the kernel).
+// on the leftover (u.rx) and reports how many segments it saw and
+// whether the SegBuf was handed out aliased (the caller must then stop
+// touching it and post a fresh one to the kernel). Segments beyond the
+// leftover's room are dropped: only a hostile stride yields more than a
+// receive window holds.
 //
 // A coalesced receive (two or more segments) is handed out zero-copy:
-// the SegBuf's refcount is charged with the number of valid segments
-// *before* any frame is staged, so a dispatch-side Release racing the
-// rest of the split can never drop the count to zero early. Uncoalesced datagrams keep the pooled-copy path — there
-// is no per-datagram stack traversal to amortize, and aliasing would
-// pin a whole supersegment buffer per small packet — as does alias-
-// budget overflow (see segPool.limit).
+// the SegBuf's refcount is charged with the number of segments staged
+// before any frame is, so a Release can never drop the count to zero
+// early. Uncoalesced datagrams keep the pooled-copy path — there is no
+// per-datagram stack traversal to amortize, and aliasing would pin a
+// whole supersegment buffer per small packet — as does alias-budget
+// overflow (see segPool.limit).
 //
 // The split is deliberately paranoid about kernel-reported geometry,
 // since stride and length arrive from outside the process: a
@@ -147,29 +147,31 @@ func (u *UDP) splitRxSegs(sb *SegBuf, ln, stride int, stamp int64) (nseg int, al
 		stride = ln
 	}
 	total := (ln + stride - 1) / stride
+	room := u.rxRoom()
 	if total >= 2 && sb.sp != nil && sb.sp.canAlias() {
 		valid := 0
-		for off := 0; off < ln; off += stride {
+		for off := 0; off < ln && valid < room; off += stride {
 			if min(off+stride, ln)-off >= udpHdrLen {
 				valid++
 			}
 		}
-		if valid > 0 {
-			sb.recharge(int32(valid))
-			sb.sp.outstanding.Add(1)
-			u.GroAliasedSegs.Add(uint64(valid))
-			for off := 0; off < ln; off += stride {
-				pkt := sb.buf[off:min(off+stride, ln)]
-				if len(pkt) < udpHdrLen {
-					continue
-				}
-				u.stage(Frame{Data: pkt[udpHdrLen:], Addr: parseHdr(pkt), RxStamp: stamp, seg: sb})
-			}
-			return total, true
+		if valid == 0 {
+			return total, false
 		}
-		return total, false
+		sb.recharge(int32(valid))
+		sb.sp.outstanding.Add(1)
+		u.GroAliasedSegs.Add(uint64(valid))
+		for off, staged := 0, 0; staged < valid; off += stride {
+			pkt := sb.buf[off:min(off+stride, ln)]
+			if len(pkt) < udpHdrLen {
+				continue
+			}
+			u.stage(Frame{Data: pkt[udpHdrLen:], Addr: parseHdr(pkt), RxStamp: stamp, seg: sb})
+			staged++
+		}
+		return total, true
 	}
-	for off := 0; off < ln; off += stride {
+	for off := 0; off < ln && u.rxRoom() > 0; off += stride {
 		pkt := sb.buf[off:min(off+stride, ln)]
 		if len(pkt) < udpHdrLen {
 			continue

@@ -21,41 +21,28 @@ func mkSegs(sb *SegBuf, n, stride int) int {
 	return n * stride
 }
 
-// newSplitUDP builds a UDP whose rxPool and RX ring are driven solely
-// by the test goroutine: no socket, no reader goroutine. splitRxSegs
-// runs on the reader goroutine in production — the pool's single
-// owner — so a test calling it directly must BE the only pool user; a
-// live transport's reader takes its startup buffer from the same pool
-// and the race detector (rightly) flags the two unsynchronized Gets.
+// newSplitUDP builds a UDP whose rxPool and leftover are driven solely
+// by the test goroutine, with no socket: splitRxSegs runs on the
+// receiving goroutine — the pool's single owner — so a test calling it
+// directly is that goroutine.
 func newSplitUDP() *UDP {
 	u := &UDP{
-		local:      Addr{Node: 1},
-		mtu:        DefaultUDPMTU,
-		peers:      map[Addr]udpDest{},
-		done:       make(chan struct{}),
-		readerDone: make(chan struct{}),
-		rxPool:     NewPool(udpHdrLen+DefaultUDPMTU, udpRingCap+64),
-		rxBatch:    make([]Frame, 0, udpRxBatch),
-		txScratch:  make([]byte, udpHdrLen+DefaultUDPMTU),
+		local:     Addr{Node: 1},
+		mtu:       DefaultUDPMTU,
+		peers:     map[Addr]udpDest{},
+		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRxBatch+SocketBurst),
+		rx:        make([]Frame, 0, udpRxBatch),
+		txScratch: make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
-	u.eng = &perPacketEngine{u: u}
-	close(u.readerDone)
+	u.eng = newPerPacketEngine(u)
 	return u
 }
 
-// drainRing publishes whatever the last split left staged, as the
-// reader does after each receive, and empties the ring.
-func drainRing(u *UDP) []Frame {
-	u.flushRx()
-	var out []Frame
-	var fr [64]Frame
-	for {
-		n := u.RecvBurst(fr[:])
-		if n == 0 {
-			return out
-		}
-		out = append(out, fr[:n]...)
-	}
+// drainRx takes every frame the splits left over, as RecvBurst would.
+func drainRx(u *UDP) []Frame {
+	out := make([]Frame, len(u.rx)-u.rxHead)
+	u.takeRx(out)
+	return out
 }
 
 // TestSplitRxSegsAliasesSupersegment pins the zero-copy GRO receive
@@ -82,9 +69,9 @@ func TestSplitRxSegsAliasesSupersegment(t *testing.T) {
 		t.Fatalf("outstanding = %d, want 1", got)
 	}
 
-	frames := drainRing(u)
+	frames := drainRx(u)
 	if len(frames) != 3 {
-		t.Fatalf("ring delivered %d frames, want 3", len(frames))
+		t.Fatalf("split delivered %d frames, want 3", len(frames))
 	}
 	for i, f := range frames {
 		want := sb.buf[i*stride+udpHdrLen : (i+1)*stride]
@@ -135,7 +122,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		if nseg != 1 || aliased {
 			t.Fatalf("splitRxSegs = (%d, %v), want one copied whole-buffer segment", nseg, aliased)
 		}
-		if frames := drainRing(u); len(frames) != 1 || len(frames[0].Data) != 20 || frames[0].RxStamp != 42 {
+		if frames := drainRx(u); len(frames) != 1 || len(frames[0].Data) != 20 || frames[0].RxStamp != 42 {
 			t.Fatalf("bad frames: %+v", frames)
 		}
 	})
@@ -145,7 +132,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		if nseg, aliased := u.splitRxSegs(sb, ln, -7, 0); nseg != 1 || aliased {
 			t.Fatalf("negative stride mishandled: (%d, %v)", nseg, aliased)
 		}
-		drainRing(u)
+		drainRx(u)
 	})
 	t.Run("oversized-stride", func(t *testing.T) {
 		sb := sp.get()
@@ -153,7 +140,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		if nseg, aliased := u.splitRxSegs(sb, ln, 4096, 0); nseg != 1 || aliased {
 			t.Fatalf("oversized stride mishandled: (%d, %v)", nseg, aliased)
 		}
-		drainRing(u)
+		drainRx(u)
 	})
 	t.Run("short-trailing-segment", func(t *testing.T) {
 		sb := sp.get()
@@ -164,7 +151,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		if nseg != 3 || !aliased {
 			t.Fatalf("splitRxSegs = (%d, %v), want (3, true)", nseg, aliased)
 		}
-		frames := drainRing(u)
+		frames := drainRx(u)
 		if len(frames) != 3 || len(frames[2].Data) != 2 || frames[2].Addr.Node != 99 {
 			t.Fatalf("trailing segment mis-sliced: %d frames", len(frames))
 		}
@@ -183,7 +170,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		}
 		// Only the two whole segments were handed out; the refcount
 		// must have been charged accordingly, not with the runt.
-		frames := drainRing(u)
+		frames := drainRx(u)
 		if len(frames) != 2 {
 			t.Fatalf("delivered %d frames, want 2 (runt dropped)", len(frames))
 		}
@@ -203,7 +190,7 @@ func TestSplitRxSegsMalformed(t *testing.T) {
 		if nseg, aliased := u.splitRxSegs(nil, 16, 16, 0); nseg != 0 || aliased {
 			t.Fatalf("nil SegBuf mishandled: (%d, %v)", nseg, aliased)
 		}
-		if frames := drainRing(u); len(frames) != 0 {
+		if frames := drainRx(u); len(frames) != 0 {
 			t.Fatalf("degenerate receives enqueued %d frames", len(frames))
 		}
 	})
@@ -229,21 +216,21 @@ func TestSplitRxSegsAliasBudget(t *testing.T) {
 	if got := u.GroCopiedSegs.Load(); got != 2 {
 		t.Fatalf("GroCopiedSegs = %d, want 2", got)
 	}
-	ReleaseBurst(drainRing(u)) // releases sb1's two references
+	ReleaseBurst(drainRx(u)) // releases sb1's two references
 	if sp.outstanding.Load() != 0 {
 		t.Fatal("budget not returned on release")
 	}
 	if _, aliased := u.splitRxSegs(sb2, mkSegs(sb2, 2, 16), 16, 0); !aliased {
 		t.Fatal("aliasing did not resume after the budget freed up")
 	}
-	ReleaseBurst(drainRing(u))
+	ReleaseBurst(drainRx(u))
 }
 
 // TestSplitRxSegsBatchBoundary splits receives that yield exactly as
-// many segments as the reader's batch holds, one more, and several
-// batches' worth: the batch publishes itself when full, so every
-// segment arrives once, in order, and the SegBuf recycles after the
-// last release whichever publish a segment travelled in.
+// many segments as the leftover holds, one fewer, one more and several
+// times more: the leftover takes what fits, in order, the rest is
+// dropped without charging the SegBuf a reference, and the SegBuf
+// recycles after the last release of what was delivered.
 func TestSplitRxSegsBatchBoundary(t *testing.T) {
 	for _, n := range []int{udpRxBatch - 1, udpRxBatch, udpRxBatch + 1, 3*udpRxBatch + 7} {
 		u := newSplitUDP()
@@ -258,12 +245,13 @@ func TestSplitRxSegsBatchBoundary(t *testing.T) {
 		if nseg != n || !aliased {
 			t.Fatalf("n=%d: splitRxSegs = (%d, %v), want (%d, true)", n, nseg, aliased, n)
 		}
-		if staged := len(u.rxBatch); staged != (n-1)%udpRxBatch+1 {
-			t.Fatalf("n=%d: %d frames left staged, want %d", n, staged, (n-1)%udpRxBatch+1)
+		want := min(n, udpRxBatch)
+		if got := sb.refs.Load(); got != int32(want) {
+			t.Fatalf("n=%d: SegBuf charged %d references, want %d (the staged segments)", n, got, want)
 		}
-		frames := drainRing(u)
-		if len(frames) != n {
-			t.Fatalf("n=%d: ring delivered %d frames", n, len(frames))
+		frames := drainRx(u)
+		if len(frames) != want {
+			t.Fatalf("n=%d: leftover delivered %d frames, want %d", n, len(frames), want)
 		}
 		for i, f := range frames {
 			if int(f.Addr.Node) != i || len(f.Data) != stride-udpHdrLen {
@@ -277,88 +265,51 @@ func TestSplitRxSegsBatchBoundary(t *testing.T) {
 	}
 }
 
-// TestUDPRingOverflowReleasesSegs publishes more SegBuf-aliased
-// segments than the ring has room for: the overflow is counted in
-// Drops and every dropped segment gives its reference back, so the
-// SegBuf returns to its pool once the segments that did fit are
-// drained and released.
-func TestUDPRingOverflowReleasesSegs(t *testing.T) {
-	u := newSplitUDP()
-	sp := newSegPool(1<<16, 4)
-	const room, segs, stride = 5, 16, 20
-	fill := make([]Frame, udpRingCap-room)
-	for i := range fill {
-		fill[i] = SharedFrame(append(u.rxPool.Get(), 1), Addr{}, u.rxPool)
+// TestUDPCloseReleasesLeftover leaves segments of a supersegment over
+// from a burst when the transport closes: RecvBurst after Close returns
+// nothing and releases them, so the SegBuf returns to its pool once the
+// segments the burst did take are released too.
+func TestUDPCloseReleasesLeftover(t *testing.T) {
+	u, err := NewUDP(Addr{1, 0}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	u.publish(fill)
-
+	sp := newSegPool(1<<16, 4)
+	const segs, stride, taken = 16, 20, 5
 	sb := sp.get()
 	if nseg, aliased := u.splitRxSegs(sb, mkSegs(sb, segs, stride), stride, 0); nseg != segs || !aliased {
 		t.Fatalf("splitRxSegs = (%d, %v), want (%d, true)", nseg, aliased, segs)
 	}
-	u.flushRx()
-	if got := u.Drops.Load(); got != segs-room {
-		t.Fatalf("Drops = %d, want %d", got, segs-room)
+	var burst [taken]Frame
+	if n := u.RecvBurst(burst[:]); n != taken {
+		t.Fatalf("RecvBurst took %d of the leftover, want %d", n, taken)
 	}
-	if got := sb.refs.Load(); got != room {
-		t.Fatalf("SegBuf holds %d references after the overflow, want %d (the published segments)", got, room)
-	}
-	if pending := u.tail - u.head; pending != udpRingCap {
-		t.Fatalf("ring holds %d, want exactly capacity %d", pending, udpRingCap)
-	}
-	frames := drainRing(u)
-	for i, f := range frames[len(frames)-room:] {
+	for i, f := range burst {
 		if f.seg != sb || f.Addr != (Addr{Node: uint16(10 + i), Port: 1}) {
-			t.Fatalf("published segment %d is %v from %v", i, f.seg, f.Addr)
+			t.Fatalf("frame %d is %v from %v", i, f.seg, f.Addr)
 		}
 	}
-	ReleaseBurst(frames)
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var more [64]Frame
+	if n := u.RecvBurst(more[:]); n != 0 {
+		t.Fatalf("RecvBurst after Close returned %d frames", n)
+	}
+	if got := sb.refs.Load(); got != taken {
+		t.Fatalf("SegBuf holds %d references after Close, want %d (the burst's)", got, taken)
+	}
+	ReleaseBurst(burst[:])
 	if sp.outstanding.Load() != 0 || sp.recycles.Load() != 1 {
-		t.Fatalf("outstanding %d, recycles %d after drain and release", sp.outstanding.Load(), sp.recycles.Load())
+		t.Fatalf("outstanding %d, recycles %d after release", sp.outstanding.Load(), sp.recycles.Load())
 	}
 	if got := sp.get(); got != sb {
 		t.Fatal("SegBuf did not return to its pool")
 	}
 }
 
-// TestUDPPublishWakesOnce pins the hand-off's wake rule: one publish of
-// many frames into an empty ring invokes the wake callback exactly
-// once, a publish into a ring that already holds frames not at all.
-func TestUDPPublishWakesOnce(t *testing.T) {
-	u := newSplitUDP()
-	wakes := 0
-	u.SetWake(func() { wakes++ })
-	burst := func(n int) []Frame {
-		fr := make([]Frame, n)
-		for i := range fr {
-			fr[i] = SharedFrame(append(u.rxPool.Get(), byte(i)), Addr{}, u.rxPool)
-		}
-		return fr
-	}
-	u.publish(burst(16))
-	if wakes != 1 {
-		t.Fatalf("publish of 16 frames into an empty ring woke %d times, want 1", wakes)
-	}
-	u.publish(burst(16))
-	u.publish(burst(1))
-	if wakes != 1 {
-		t.Fatalf("publishes into a non-empty ring woke: %d wakes, want 1", wakes)
-	}
-	if got := len(drainRing(u)); got != 33 {
-		t.Fatalf("ring delivered %d frames, want 33", got)
-	}
-	u.publish(nil)
-	if wakes != 1 {
-		t.Fatalf("an empty publish woke: %d wakes", wakes)
-	}
-	u.publish(burst(2))
-	if wakes != 2 {
-		t.Fatalf("publish into the drained ring: %d wakes, want 2", wakes)
-	}
-}
-
 // TestSegBufConcurrentRelease interleaves segment-frame releases from
-// two goroutines (the pool-owner/dispatch split of a real datapath)
+// two goroutines (a frame may be released off the receiving goroutine)
 // under the race detector and asserts the supersegment recycles
 // exactly once per round.
 func TestSegBufConcurrentRelease(t *testing.T) {
@@ -393,11 +344,11 @@ func TestSegBufConcurrentRelease(t *testing.T) {
 }
 
 // FuzzSplitRxSegs drives the supersegment split with arbitrary receive
-// bytes and strides — the gso-reader analogue of FuzzRxBurst. The
-// invariants: no panic, no mis-sliced frame, and after draining and
+// bytes and strides — the gso receive path's analogue of FuzzRxBurst.
+// The invariants: no panic, no mis-sliced frame, and after draining and
 // releasing every delivered frame no SegBuf reference remains
-// outstanding (even when the split outgrows the reader's batch and
-// publishes in pieces, or ring overflow drops segments mid-split).
+// outstanding (even when the split outgrows the leftover and drops
+// segments mid-split).
 func FuzzSplitRxSegs(f *testing.F) {
 	u := newSplitUDP()
 	sp := newSegPool(1<<16, 8)
@@ -414,9 +365,8 @@ func FuzzSplitRxSegs(f *testing.F) {
 	f.Add(seed, 3)
 	f.Add(seed[:7], 1<<30)
 	f.Add([]byte{}, 16)
-	// Strides that yield more segments than the reader's batch holds
-	// (the batch publishes itself mid-split) and than the ring holds
-	// (the tail of the split is dropped and its references released).
+	// Strides that yield more segments than the leftover holds: the
+	// tail of the split is dropped and never charged a reference.
 	big := make([]byte, 40000)
 	f.Add(big[:4*(2*udpRxBatch+3)], 4)
 	f.Add(big, 4)
@@ -431,7 +381,7 @@ func FuzzSplitRxSegs(f *testing.F) {
 		if aliased {
 			sb = nil // engine posts a fresh buffer; this one is out as aliases
 		}
-		frames := drainRing(u)
+		frames := drainRx(u)
 		for i := range frames {
 			if len(frames[i].Data) > ln {
 				t.Fatalf("frame %d longer than the receive: %d > %d", i, len(frames[i].Data), ln)

@@ -28,13 +28,12 @@
 //     SendBurst returns; the transport copies or completes
 //     transmission synchronously.
 //
-// Pools are single-owner (see Pool): Get/Put are the owning
-// goroutine's lock-free fast path, and cross-goroutine releases go
-// through the mutex-guarded shared slow path — per frame via
-// Frame.Release on a SharedFrame, or once per burst via ReleaseBurst.
-// Sharded multi-endpoint processes (ListenUDPShards) give every
-// endpoint its own socket, RX ring and pools, so no datapath state is
-// shared across dispatch goroutines (§4.1).
+// RX pools are single-owner (see Pool): the goroutine that calls
+// RecvBurst receives into them and releases to them, both on the
+// lock-free fast path, as the paper's dispatch thread owns its RX queue
+// and the buffers it posts (§4.1–4.2). Sharded multi-endpoint processes
+// (ListenUDPShards) give every endpoint its own socket and pools, so no
+// datapath state is shared across dispatch goroutines.
 //
 // # Machine-checked ownership
 //
@@ -53,7 +52,10 @@
 // owner goroutine and SegBuf refcount underflow/reuse-in-flight.
 package transport
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Addr identifies an Rpc endpoint: a node (machine) and a port
 // (endpoint index within the node, one per dispatch thread). Addr is
@@ -101,16 +103,47 @@ type Transport interface {
 	// silently dropped.
 	SendBurst(frames []Frame)
 	// RecvBurst fills up to len(frames) received frames and returns
-	// how many it wrote. Each returned frame is valid until its
-	// Release, which re-posts the buffer to the transport's pool (like
-	// re-posting a NIC RX descriptor). Implementations drain their RX
-	// ring under one lock acquisition per burst.
+	// how many it wrote, without blocking. Each returned frame is valid
+	// until its Release, which re-posts the buffer to the transport's
+	// pool (like re-posting a NIC RX descriptor).
 	RecvBurst(frames []Frame) int
 	// SetWake registers fn to be invoked when a frame arrives and the
-	// receive queue was empty. Real transports call it from the
-	// receive goroutine; the simulated transport calls it at virtual
-	// delivery time. fn must be cheap and non-blocking.
+	// receive queue was empty; the simulated transport calls it at
+	// virtual delivery time. fn must be cheap and non-blocking. An
+	// owner that sleeps in the transport's Waiter does not need it.
 	SetWake(fn func())
 	// Close releases resources. RecvBurst after Close returns no frames.
 	Close() error
+}
+
+// Waiter is what a Transport whose owner can sleep on the transport
+// itself offers (the UDP transport: its socket in the netpoller). The
+// goroutine that calls RecvBurst waits in Wait, and any goroutine ends
+// the wait with Interrupt, so one wait serves packet arrivals, a
+// deadline and wake-ups from other goroutines alike.
+type Waiter interface {
+	// Wait blocks until RecvBurst has frames, d elapses, Interrupt is
+	// called or the transport is closed, and reports whether RecvBurst
+	// has frames or an Interrupt ended the wait. With d <= 0 it does
+	// not block: it looks once. Only the goroutine that calls RecvBurst
+	// may call it.
+	Wait(d time.Duration) bool
+	// Interrupt ends the Wait in progress, or the next one if none is.
+	// Callable from any goroutine; while no Wait is in progress it
+	// costs an atomic operation.
+	Interrupt()
+}
+
+// WaiterOf returns t's Waiter, or nil when t has none. A wrapper
+// transport forwards the one it wraps by having an unexported waiter
+// method (see Chaos); a wrapper that neither has one nor forwards hides
+// its transport's, and its owner falls back on SetWake.
+func WaiterOf(t Transport) Waiter {
+	switch w := t.(type) {
+	case interface{ waiter() Waiter }:
+		return w.waiter()
+	case Waiter:
+		return w
+	}
+	return nil
 }

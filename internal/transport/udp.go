@@ -1,13 +1,15 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 )
 
 // UDP is a Transport over a real UDP socket. It exists so that eRPC is
@@ -16,21 +18,25 @@ import (
 // (documented substitution: same unreliable-datagram semantics, higher
 // latency).
 //
-// A reader goroutine (the engine's readLoop) turns what the socket
-// delivers into Frames and hands them to the dispatch goroutine through
-// the RX ring, the RQ the core's session budget divides: a fixed array
-// of Frames indexed by head/tail (never resliced, so its footprint is
-// constant), whose overflow drops packets exactly like an empty RQ.
-// The hand-off is a burst each way under the one lock u.mu: the reader
-// publishes the frames of one receive (one recvmmsg on the batched
-// engine, one datagram on the per-packet engine) and wakes the loop if
-// the ring was empty, RecvBurst copies a burst out, and the loop
-// re-posts the buffers with ReleaseBurst after processing. TX has its
-// own lock (txMu: the peer table and the engine's TX arrays), so a send
-// burst and the reader never wait on each other. Steady state allocates
-// nothing: RX buffers recycle through a Pool (and, for GRO-coalesced
-// receives, a pool of refcounted SegBufs), and socket I/O avoids
-// per-datagram address allocations.
+// The socket is the RX queue, and the goroutine that calls RecvBurst —
+// an endpoint's dispatch goroutine — receives from it itself, as the
+// paper's dispatch thread polls its own RX queue (§4.1–4.2): RecvBurst
+// makes one non-blocking receive (one recvmmsg on the batched engine,
+// reads until the socket is empty or the burst full on the per-packet
+// engine), and what a receive splits into beyond the burst waits for the
+// next call. That goroutine is the owner of the RX side: it alone
+// receives, it releases what it received, and the wire-buffer pool is
+// its lock-free free list. An idle owner sleeps in Wait, parked in the
+// netpoller on this socket until a packet, its deadline or an Interrupt
+// from any goroutine ends it; no goroutine stands between the socket
+// and the loop. The kernel's receive buffer is the queue's depth
+// (RcvBuf) and its overflow is counted in Drops.
+//
+// TX has its own lock (txMu: the peer table and the engine's TX arrays),
+// so any goroutine may send. Steady state allocates nothing: RX buffers
+// recycle through a Pool (and, for GRO-coalesced receives, a pool of
+// refcounted SegBufs), and socket I/O avoids per-datagram address
+// allocations.
 //
 // The socket I/O is one of two engines, picked at construction: the
 // batched engine (Linux amd64/arm64: sendmmsg/recvmmsg, plus
@@ -38,6 +44,7 @@ import (
 // udp_batch_linux.go) or the portable per-packet engine below.
 type UDP struct {
 	conn  *net.UDPConn
+	rc    syscall.RawConn
 	local Addr
 	mtu   int
 	eng   udpEngine
@@ -45,41 +52,47 @@ type UDP struct {
 	// stamped is set when the engine's socket delivers kernel receive
 	// times (Frame.RxStamp); see RxStamps.
 	stamped bool
+	// rcvBuf is the socket's receive buffer as the kernel granted it;
+	// see RcvBuf.
+	rcvBuf int
 
-	// mu guards the RX ring and wake, nothing else.
-	mu   sync.Mutex
-	wake func()
-	done chan struct{}
+	// RX state, the owner's alone: the wire-buffer pool, and the frames
+	// of the last receive that no burst has taken yet, rx[rxHead:] (at
+	// most one receive window, udpRxBatch).
+	rxPool *Pool
+	rx     []Frame
+	rxHead int
 
-	readerDone chan struct{} // closed when the reader goroutine exits
-	closeOnce  sync.Once
-	closeErr   error
+	// The wait (see Wait): Interrupt sets intr, which the next Wait
+	// consumes; waiting is set while a Wait may be parked, and tells
+	// Interrupt to move the read deadline into the past.
+	intr    atomic.Bool
+	waiting atomic.Bool
+	closed  atomic.Bool
 
-	// RX ring: fixed storage, head/tail indices. count = tail - head;
-	// slot i lives at ring[i & udpRingMask].
-	ring [udpRingCap]Frame
-	head uint64
-	tail uint64
+	// mu guards wake and the start of the SetWake goroutine.
+	mu        sync.Mutex
+	wake      func()
+	wakeDone  chan struct{} // closed when the SetWake goroutine exits; nil until it starts
+	closeOnce sync.Once
+	closeErr  error
 
-	// Reader-goroutine state: the wire-buffer pool it owns and the
-	// frames of the receive in hand (see stage).
-	rxPool  *Pool
-	rxBatch []Frame
-
-	// TX state, serialized independently of the RX ring so a send
-	// burst never delays the reader goroutine.
+	// TX state, serialized independently of the RX side.
 	txMu      sync.Mutex
 	peers     map[Addr]udpDest
 	txScratch []byte    // one frame being prefixed for the wire (per-packet engine)
 	apScratch []udpDest // per-burst resolved destinations
 
-	// Drops counts ring-overflow drops. Atomic: the hot reader
-	// goroutine increments it while exit reports read it live.
+	// Drops counts datagrams the kernel dropped at this socket, its
+	// receive buffer full: the cumulative count (SO_RXQ_OVFL) the
+	// batched engine reads off each receive, as of the newest datagram
+	// received, so drops after it show with the next one. The
+	// per-packet engine cannot see the count and reports 0.
 	Drops atomic.Uint64
 
 	// Syscalls counts kernel crossings that moved data-plane packets
-	// (sendto/sendmmsg/recvfrom/recvmmsg invocations that transferred
-	// at least one datagram). MmsgBatches counts the subset that moved
+	// (sendto/sendmmsg/read/recvmmsg invocations that transferred at
+	// least one datagram). MmsgBatches counts the subset that moved
 	// more than one datagram in a single syscall — always zero on the
 	// per-packet engine. Together they verify the batched datapath:
 	// a burst of N frames on the batched engine is one syscall, one
@@ -108,8 +121,10 @@ type UDP struct {
 }
 
 // udpEngine is the socket-I/O strategy: how bursts reach the kernel
-// and how the reader goroutine pulls datagrams out of it. Both engines
-// share the UDP core (peer table, RX ring, pool, wake).
+// and how the owner pulls datagrams out of it. Both engines share the
+// UDP core (peer table, leftover, pool, wait). recv and wait run on the
+// owner and stage what they receive on u.rx, which is empty when they
+// are called.
 type udpEngine interface {
 	// name is what Engine reports: "per-packet", or for the batched
 	// engine "gso" or "mmsg" with its offload capability on or off.
@@ -118,9 +133,13 @@ type udpEngine interface {
 	// dsts[i] is the resolved destination of frames[i] (invalid =>
 	// unknown peer, to be dropped).
 	sendBurst(dsts []udpDest, frames []Frame)
-	// readLoop is the reader-goroutine body: it moves datagrams from
-	// the socket into the RX ring until the socket is closed.
-	readLoop()
+	// recv makes one non-blocking receive of at most max datagrams
+	// (the batched engine takes one window whatever max says).
+	recv(max int)
+	// wait blocks in the netpoller, under the read deadline Wait set,
+	// until a receive gets something, the deadline passes or the
+	// socket is closed.
+	wait()
 }
 
 // udpDest is a resolved peer: the UDP address plus, for link-local
@@ -139,17 +158,16 @@ const DefaultUDPMTU = 1472
 // lets the receiver demultiplex without a reverse peer table.
 const udpHdrLen = 4
 
-// udpRingCap is the RX ring capacity in packets, sized like a large
-// NIC RQ. Must be a power of two (head/tail indices wrap by masking).
-const (
-	udpRingCap  = 8192
-	udpRingMask = udpRingCap - 1
-)
-
-// udpRxBatch is the reader's staging capacity: a full receive window of
-// full GRO supersegments (8 × 64). A receive that splits into more
-// publishes in pieces.
+// udpRxBatch bounds the leftover: a full receive window of full GRO
+// supersegments (8 × 64). A receive that splits into more (only a
+// hostile segment stride can) drops the excess.
 const udpRxBatch = 512
+
+// udpRcvBuf is the receive buffer each socket asks for: 8192 wire
+// datagrams, the RQ the core's default session budget divides. The
+// kernel caps the request at net.core.rmem_max (and doubles what it
+// grants for its own bookkeeping); RcvBuf reports the result.
+const udpRcvBuf = 8192 * (udpHdrLen + DefaultUDPMTU)
 
 // Engine choices for the internal constructors: the batched engine with
 // whatever it can offload, the batched engine with offload forced off,
@@ -198,30 +216,29 @@ func newUDP(local Addr, bind string, choice int) (*UDP, error) {
 }
 
 // newUDPConn wraps an already-bound socket (ListenUDPShards binds its
-// own sockets with SO_REUSEPORT set) and starts the reader goroutine.
+// own sockets with SO_REUSEPORT set).
 func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 	u := &UDP{
-		conn:       conn,
-		local:      local,
-		mtu:        DefaultUDPMTU,
-		peers:      map[Addr]udpDest{},
-		done:       make(chan struct{}),
-		readerDone: make(chan struct{}),
+		conn:  conn,
+		local: local,
+		mtu:   DefaultUDPMTU,
+		peers: map[Addr]udpDest{},
 		// Pool buffers hold a whole wire datagram (prefix + frame) so
 		// the per-packet engine can receive into them in place.
-		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRingCap+64),
-		rxBatch:   make([]Frame, 0, udpRxBatch),
+		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRxBatch+SocketBurst),
+		rx:        make([]Frame, 0, udpRxBatch),
 		txScratch: make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
+	// A net.UDPConn always has its raw connection; the error is for
+	// types that do not.
+	u.rc, _ = conn.SyscallConn()
+	_ = conn.SetReadBuffer(udpRcvBuf)                                // best effort: RcvBuf says what the kernel granted
+	_ = u.rc.Control(func(fd uintptr) { u.rcvBuf = sockRcvBuf(fd) }) // fails only once closed
 	if choice == engPerPacket {
-		u.eng = &perPacketEngine{u: u}
+		u.eng = newPerPacketEngine(u)
 	} else {
 		u.eng = newBatchEngine(u, choice == engAuto)
 	}
-	go func() {
-		defer close(u.readerDone)
-		u.eng.readLoop()
-	}()
 	return u
 }
 
@@ -230,9 +247,9 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 // via SO_REUSEPORT where supported (Linux amd64/arm64 — see
 // ReusePortSupported): the kernel hashes each remote flow's 4-tuple to
 // one shard, so a session's frames always land on the same shard's
-// socket and shards never touch each other's RX ring, wire-buffer pool,
-// or syscall-engine state. bind may use port 0; shard 0 then picks the
-// port and the rest join it.
+// socket and shards never touch each other's receive queue, wire-buffer
+// pool or syscall-engine state. bind may use port 0; shard 0 then picks
+// the port and the rest join it.
 //
 // On platforms without SO_REUSEPORT support the shards fall back to n
 // distinct consecutive ports (ephemeral when bind's port is 0) behind
@@ -310,6 +327,12 @@ func (u *UDP) Engine() string { return u.eng.name() }
 // time (Frame.RxStamp): true on the batched engine where the socket
 // accepted SO_TIMESTAMPNS, false on the per-packet engine.
 func (u *UDP) RxStamps() bool { return u.stamped }
+
+// RcvBuf reports the socket's receive buffer in bytes as the kernel
+// granted it (SO_RCVBUF read back; Linux reports double the request it
+// accepted, up to net.core.rmem_max), or 0 where it cannot be read. It
+// is the depth of the RX queue, the one the session budget divides.
+func (u *UDP) RcvBuf() int { return u.rcvBuf }
 
 // BoundAddr returns the socket's actual address (useful with port 0).
 func (u *UDP) BoundAddr() *net.UDPAddr { return u.conn.LocalAddr().(*net.UDPAddr) }
@@ -404,124 +427,199 @@ func parseHdr(buf []byte) Addr {
 }
 
 // rxFrame is the RX frame of one wire buffer of u.rxPool: the payload
-// past the source prefix, released from the dispatch goroutine (shared),
-// received by the kernel at stamp (0: unknown).
+// past the source prefix, received by the kernel at stamp (0: unknown).
 func (u *UDP) rxFrame(buf []byte, stamp int64) Frame {
-	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), RxStamp: stamp, pool: u.rxPool, base: buf, shared: true}
+	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), RxStamp: stamp, pool: u.rxPool, base: buf}
 }
 
-// stage adds one frame to the receive in hand. Reader goroutine only.
-// A full batch publishes itself first: a hostile GRO stride can split
-// one 64 KiB receive into thousands of segments.
-func (u *UDP) stage(f Frame) {
-	if len(u.rxBatch) == cap(u.rxBatch) {
-		u.flushRx()
-	}
-	u.rxBatch = append(u.rxBatch, f)
-}
+// rxRoom is how many more frames the leftover takes.
+func (u *UDP) rxRoom() int { return cap(u.rx) - len(u.rx) }
 
-// flushRx publishes the staged frames. Reader goroutine only.
-func (u *UDP) flushRx() {
-	u.publish(u.rxBatch)
-	u.rxBatch = u.rxBatch[:0]
-}
+// stage adds one received frame to the leftover. Callers check rxRoom.
+func (u *UDP) stage(f Frame) { u.rx = append(u.rx, f) }
 
-// publish hands a burst of received frames to the RX ring under one
-// lock acquisition and wakes the event loop once if the ring was empty.
-// What does not fit is dropped like packets at a full RQ: counted in
-// Drops and released after the unlock. Runs on the reader goroutine,
-// which owns u.rxPool, so dropped buffers go back on its lock-free
-// path.
-//
-//erpc:owner
-func (u *UDP) publish(frames []Frame) {
-	if len(frames) == 0 {
-		return
+// takeRx moves the leftover's oldest frames into frames and returns
+// how many.
+func (u *UDP) takeRx(frames []Frame) int {
+	n := copy(frames, u.rx[u.rxHead:])
+	clear(u.rx[u.rxHead : u.rxHead+n]) // the leftover must not pin buffers it no longer owns
+	u.rxHead += n
+	if u.rxHead == len(u.rx) {
+		u.rx, u.rxHead = u.rx[:0], 0
 	}
-	u.mu.Lock()
-	n := min(len(frames), int(udpRingCap-(u.tail-u.head)))
-	var wake func()
-	if n > 0 && u.tail == u.head {
-		wake = u.wake
-	}
-	at := int(u.tail & udpRingMask)
-	k := copy(u.ring[at:], frames[:n])
-	copy(u.ring[:], frames[k:n]) // the part that wrapped
-	u.tail += uint64(n)
-	u.mu.Unlock()
-	if wake != nil {
-		wake()
-	}
-	if n < len(frames) {
-		u.Drops.Add(uint64(len(frames) - n))
-		for i := n; i < len(frames); i++ {
-			frames[i].shared = false
-			frames[i].Release()
-		}
-	}
-}
-
-// RecvBurst implements Transport: a burst of frames is copied out of
-// the ring under a single lock acquisition. Pooled frames are marked
-// for the shared release path, since the dispatch goroutine that drains
-// the ring is not the reader goroutine that owns the pool; releasing a
-// whole burst through ReleaseBurst costs one pool lock per burst.
-func (u *UDP) RecvBurst(frames []Frame) int {
-	u.mu.Lock()
-	n := 0
-	for n < len(frames) && u.head != u.tail {
-		p := &u.ring[u.head&udpRingMask]
-		frames[n] = *p
-		*p = Frame{} // the slot must not pin a buffer it no longer owns
-		u.head++
-		n++
-	}
-	u.mu.Unlock()
 	return n
 }
 
-// SetWake implements Transport.
+// RecvBurst implements Transport on the owner: the rest of the last
+// receive first, then, if the burst has room, one non-blocking receive.
+// After Close it releases what was left over and returns nothing.
+func (u *UDP) RecvBurst(frames []Frame) int {
+	if u.closed.Load() {
+		ReleaseBurst(u.rx[u.rxHead:])
+		u.rx, u.rxHead = u.rx[:0], 0
+		return 0
+	}
+	n := u.takeRx(frames)
+	if n < len(frames) {
+		u.eng.recv(len(frames) - n)
+		n += u.takeRx(frames[n:])
+	}
+	return n
+}
+
+// aLongTimeAgo is a read deadline in the past: it ends a parked Wait.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// Wait implements Waiter on the owner. It parks in the netpoller on the
+// socket (RawConn.Read, with a closure that receives without blocking
+// and asks to park while the socket is empty) under a read deadline d
+// away, so a packet ends it already received into the leftover, and so
+// do the deadline, an Interrupt (which moves the deadline into the
+// past) and Close. A wait ended by the deadline or an Interrupt costs
+// one allocation (the net package's error value); one ended by a packet
+// costs none.
+//
+// No wake-up is lost: Wait sets its deadline before it reads the
+// Interrupt flag, and Interrupt sets the flag before it reads whether a
+// Wait is in progress, so an Interrupt either is seen by that read or
+// moves the deadline after Wait set it. Every Wait sets its deadline
+// first because a deadline left in the past fails the read before it
+// tries the socket (the non-blocking receives of RecvBurst go through
+// RawConn.Control, which has no deadline). RawConn.Read holds the
+// socket's read lock while parked: nothing else may block in a read on
+// this socket, which is why the SetWake goroutine and Wait exclude each
+// other.
+func (u *UDP) Wait(d time.Duration) bool {
+	if u.rxHead < len(u.rx) {
+		return true
+	}
+	if d <= 0 {
+		u.eng.recv(SocketBurst)
+		return len(u.rx) > 0 || u.intr.Swap(false)
+	}
+	if u.closed.Load() {
+		time.Sleep(d) // nothing arrives any more: wait as a timer would
+		return u.intr.Swap(false)
+	}
+	u.waiting.Store(true)
+	_ = u.conn.SetReadDeadline(time.Now().Add(d)) // fails only once closed, and the read then fails too
+	if u.intr.Swap(false) {
+		u.waiting.Store(false)
+		return true
+	}
+	u.eng.wait()
+	u.waiting.Store(false)
+	return len(u.rx) > 0 || u.intr.Swap(false)
+}
+
+// Interrupt implements Waiter: it ends the Wait in progress, or makes
+// the next one return at once. From any goroutine. Only the Interrupt
+// that raises the flag looks for a parked Wait; while the owner is busy
+// that is all it costs.
+func (u *UDP) Interrupt() {
+	if !u.intr.Swap(true) && u.waiting.Load() {
+		_ = u.conn.SetReadDeadline(aLongTimeAgo) // fails only once closed, which ends the Wait too
+	}
+}
+
+// SetWake implements Transport for an owner that never calls Wait (a
+// test, or a benchmark layer driving a bare UDP). The first non-nil fn
+// starts one goroutine that waits for the socket to become readable
+// without receiving and then calls the registered fn; it exits on
+// Close. fn runs on every arrival the netpoller reports, not only on the
+// first into an empty socket. An Rpc sleeps in Wait instead and never
+// starts it.
 func (u *UDP) SetWake(fn func()) {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	u.wake = fn
-	u.mu.Unlock()
+	if fn != nil && u.wakeDone == nil && !u.closed.Load() {
+		u.wakeDone = make(chan struct{})
+		go u.wakeLoop()
+	}
+}
+
+// wakeLoop is the SetWake goroutine. Its read closure parks it until
+// the netpoller reports the socket readable, and receives nothing: the
+// datagrams stay queued for the owner's RecvBurst. The closure's first
+// call looks at the socket (a peek) rather than asking to park at once:
+// each read clears the readiness the netpoller last reported, so a
+// datagram that arrived since the last fn would otherwise wake no one.
+// While the owner has not yet drained the socket fn therefore runs
+// again, after a yield.
+func (u *UDP) wakeLoop() {
+	defer close(u.wakeDone)
+	polled := false
+	ready := func(fd uintptr) bool {
+		if polled {
+			return true
+		}
+		polled = true
+		return readable(fd)
+	}
+	for {
+		polled = false
+		if u.rc.Read(ready) != nil {
+			return // closed
+		}
+		u.mu.Lock()
+		fn := u.wake
+		u.mu.Unlock()
+		if fn != nil {
+			fn()
+		}
+		runtime.Gosched()
+	}
 }
 
 // Close implements Transport. It is idempotent: closing an
-// already-closed transport is a no-op returning the first result.
-// Close joins the reader goroutine before returning, so afterwards the
-// caller may read the transport's counters — including the RX pool's
-// owner-side stats — without racing it.
+// already-closed transport is a no-op returning the first result. A
+// Wait in progress returns; the SetWake goroutine, if one was started,
+// has exited when Close returns. Frames left over from the last receive
+// are released by the owner's next RecvBurst.
 func (u *UDP) Close() error {
 	u.closeOnce.Do(func() {
-		close(u.done)
+		u.mu.Lock()
+		u.closed.Store(true)
+		done := u.wakeDone
+		u.mu.Unlock()
 		u.closeErr = u.conn.Close()
-		<-u.readerDone
+		if done != nil {
+			<-done
+		}
 	})
 	return u.closeErr
 }
 
 // RxPoolStats snapshots the RX wire-buffer pool's recycle counters
 // (allocations, lock-free owner recycles, cross-goroutine shared
-// recycles, refill swaps). Owner-side counters move while the reader
-// goroutine runs; for an exact snapshot call after Close.
+// recycles, refill swaps). The RX path recycles on the owner only, so
+// the shared counters stay 0.
 func (u *UDP) RxPoolStats() PoolStats { return u.rxPool.Stats() }
 
-// closed reports whether Close has been called (used by the engines'
-// read loops to tell shutdown from transient socket errors).
-func (u *UDP) closed() bool {
-	select {
-	case <-u.done:
-		return true
-	default:
-		return false
-	}
+// perPacketEngine is the portable fallback: one syscall per datagram.
+// It is compiled on every platform and is the default where the batched
+// engine is not. Datagrams are read straight into pooled wire buffers,
+// whose 4-byte prefix carries the source, so no sockaddr is needed.
+type perPacketEngine struct {
+	u      *UDP
+	buf    []byte                // the wire buffer the next read goes into (nil: get one)
+	max    int                   // datagrams the receive in progress may take
+	again  bool                  // the last read found the socket empty
+	rxCtl  func(fd uintptr)      // preallocated: rc.Control closure
+	rxWait func(fd uintptr) bool // preallocated: rc.Read closure
 }
 
-// perPacketEngine is the portable fallback: one syscall per datagram
-// through the net package. It is compiled on every platform and is the
-// default where the batched engine is not.
-type perPacketEngine struct{ u *UDP }
+func newPerPacketEngine(u *UDP) *perPacketEngine {
+	e := &perPacketEngine{u: u}
+	// Built once: a func value per receive would be a heap allocation.
+	e.rxCtl = func(fd uintptr) { e.read(fd) }
+	e.rxWait = func(fd uintptr) bool {
+		e.read(fd)
+		return len(e.u.rx) > 0 || !e.again
+	}
+	return e
+}
 
 func (e *perPacketEngine) name() string { return "per-packet" }
 
@@ -531,32 +629,42 @@ func (e *perPacketEngine) sendBurst(dsts []udpDest, frames []Frame) {
 	}
 }
 
-// readLoop is the reader-goroutine body: one pooled buffer per
-// ReadFromUDPAddrPort, published to the RX ring or recycled.
+func (e *perPacketEngine) recv(max int) {
+	e.max = max
+	_ = e.u.rc.Control(e.rxCtl) // fails only once the socket is closed
+}
+
+func (e *perPacketEngine) wait() {
+	e.max = SocketBurst
+	_ = e.u.rc.Read(e.rxWait)
+}
+
+// read makes non-blocking reads into pooled wire buffers until the
+// socket is empty (again), a read fails, e.max frames are staged or the
+// leftover is full. The payload aliases the buffer past the prefix: no
+// per-packet copy. A buffer a read did not fill stays in e.buf for the
+// next one, so looking at an empty socket touches no pool.
 //
 //erpc:owner
-func (e *perPacketEngine) readLoop() {
+func (e *perPacketEngine) read(fd uintptr) {
 	u := e.u
-	for {
-		// Receive straight into a pooled wire buffer; the payload
-		// aliases it past the prefix, so there is no per-packet copy.
-		buf := u.rxPool.Get()
-		buf = buf[:cap(buf)]
-		n, _, err := u.conn.ReadFromUDPAddrPort(buf)
+	e.again = false
+	for got := 0; got < e.max && u.rxRoom() > 0; {
+		if e.buf == nil {
+			e.buf = u.rxPool.Get()
+		}
+		n, err := readNB(fd, e.buf[:cap(e.buf)])
 		if err != nil {
-			u.rxPool.Put(buf)
-			if u.closed() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
+			e.again = err == syscall.EAGAIN
+			return
 		}
 		u.Syscalls.Add(1)
 		if n < udpHdrLen {
-			u.rxPool.Put(buf)
 			continue
 		}
-		u.stage(u.rxFrame(buf[:n], 0))
-		u.flushRx()
+		u.stage(u.rxFrame(e.buf[:n], 0))
+		e.buf = nil
+		got++
 	}
 }
 

@@ -19,18 +19,22 @@ package transport
 //     frame is its own message of the same sendmmsg. Runs are formed
 //     here, not by the caller: runOrder first moves a frame back to
 //     the last run of its peer and size where that reorders no message.
-//   - RX: recvmmsg fills a window of refcounted 64 KiB buffers
-//     (SegBuf). With UDP_GRO on, a run of equal-size datagrams (a whole
-//     TX supersegment crossing loopback is never segmented at all)
-//     arrives as one buffer plus a cmsg segment size, and splitRxSegs
-//     hands its segments to the ring as frames aliasing the buffer. An
-//     uncoalesced datagram (every datagram, with UDP_GRO off) is copied
-//     into a pooled wire buffer and its SegBuf stays posted.
+//   - RX: one non-blocking recvmmsg, made by the owner (RecvBurst, or
+//     the read closure Wait parks with), fills a window of refcounted
+//     64 KiB buffers (SegBuf). With UDP_GRO on, a run of equal-size
+//     datagrams (a whole TX supersegment crossing loopback is never
+//     segmented at all) arrives as one buffer plus a cmsg segment size,
+//     and splitRxSegs stages its segments as frames aliasing the
+//     buffer. An uncoalesced datagram (every datagram, with UDP_GRO
+//     off) is copied into a pooled wire buffer and its SegBuf stays
+//     posted.
 //   - Every receive carries the kernel's receive time (SO_TIMESTAMPNS),
 //     which every frame split from it takes as Frame.RxStamp: the core
-//     subtracts the time a packet then spends in this host's reader and
-//     ring from its RTT samples. The stamp rides in the control data
-//     recvmmsg already returns, so it costs no syscall.
+//     subtracts the time a packet then spends queued in this host from
+//     its RTT samples. It also carries the socket's cumulative drop
+//     count once there is one (SO_RXQ_OVFL, UDP.Drops). Both ride in
+//     the control data recvmmsg already returns, so they cost no
+//     syscall.
 //
 // The kernel refuses a UDP_SEGMENT send whose segments would need IP
 // fragmentation (full-size frames on a 1500-byte link; loopback's
@@ -100,10 +104,11 @@ const (
 	gsoCtrlSpace = 32
 
 	// rxCtrlSpace is the RX per-message control-buffer stride: room for
-	// a UDP_GRO cmsg (CmsgSpace(4) = 24) and an SCM_TIMESTAMPNS one
-	// (CmsgSpace(16), a struct timespec, = 32), which the kernel may
-	// write in either order.
-	rxCtrlSpace = 24 + 32
+	// a UDP_GRO cmsg (CmsgSpace(4) = 24), an SCM_TIMESTAMPNS one
+	// (CmsgSpace(16), a struct timespec, = 32) and an SO_RXQ_OVFL one
+	// (CmsgSpace(4), a u32, = 24), which the kernel may write in any
+	// order.
+	rxCtrlSpace = 24 + 32 + 24
 )
 
 var (
@@ -178,9 +183,9 @@ type batchEngine struct {
 	segErrno syscall.Errno
 	segFn    func(fd uintptr) bool // preallocated: rc.Write closure
 
-	// RX state, owned by the reader goroutine. rsegs are the posted
-	// receive buffers; a slot whose SegBuf went out as aliases posts a
-	// fresh one from segs.
+	// RX state, the owner's (see UDP). rsegs are the posted receive
+	// buffers; a slot whose SegBuf went out as aliases posts a fresh one
+	// from segs. rxN and rxErrno are the result of the last recvmmsg.
 	rhdrs   []mmsghdr
 	riovs   []syscall.Iovec
 	rsegs   []*SegBuf
@@ -188,18 +193,15 @@ type batchEngine struct {
 	rctrl   []byte
 	rxN     int
 	rxErrno syscall.Errno
-	rxFn    func(fd uintptr) bool // preallocated: rc.Read closure
+	rxFn    func(fd uintptr) bool // preallocated: rc.Read closure (wait)
+	rxCtl   func(fd uintptr)      // preallocated: rc.Control closure (recv)
 }
 
-// newBatchEngine returns the batched engine for u's socket, or the
-// per-packet engine when the raw connection is unavailable. offload
+// newBatchEngine returns the batched engine for u's socket. offload
 // asks for UDP_SEGMENT/UDP_GRO; the engine has them only if the kernel
 // (UDPGsoSupported) and this socket (UDP_GRO accepted) agree.
 func newBatchEngine(u *UDP, offload bool) udpEngine {
-	rc, err := u.conn.SyscallConn()
-	if err != nil {
-		return &perPacketEngine{u: u}
-	}
+	rc := u.rc
 	offload = offload && UDPGsoSupported()
 	if offload {
 		var soErr error
@@ -227,23 +229,25 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		rctrl:    make([]byte, rxCtrlSpace*gsoRxWindow),
 	}
 	var soErr error
-	err = rc.Control(func(fd uintptr) {
+	err := rc.Control(func(fd uintptr) {
 		soErr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_TIMESTAMPNS, 1)
+		// Best effort: without it Drops stays 0.
+		_ = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1)
 	})
 	u.stamped = err == nil && soErr == nil
 	u.putHdr(e.prefix[:])
-	for i := range e.rsegs {
-		e.postSeg(i)
+	for i := range e.rhdrs {
+		e.arm(i)
 	}
-	// The syscall closures are built once: rc.Read/rc.Write take a func
-	// value, and one per burst would be a heap allocation per syscall.
-	// MSG_DONTWAIT keeps the calls non-blocking; the netpoller provides
-	// the blocking (false from the closure parks the goroutine until
-	// the socket is ready again). Syscall6, not RawSyscall6: the
-	// enter/exitsyscall bracket is the scheduler's preemption point, so
-	// the peer's reader goroutine gets the CPU right after a flush
-	// (without it a GOMAXPROCS=1 loopback measured 25x slower, every
-	// exchange stalled into a timer park).
+	// The syscall closures are built once: rc.Read/rc.Write/rc.Control
+	// take a func value, and one per burst would be a heap allocation
+	// per syscall. MSG_DONTWAIT keeps the calls non-blocking; the
+	// netpoller provides the blocking (false from the closure parks the
+	// goroutine until the socket is ready again). Syscall6, not
+	// RawSyscall6: the enter/exitsyscall bracket is the scheduler's
+	// preemption point, so the peer's loop gets the CPU right after a
+	// flush (without it a GOMAXPROCS=1 loopback measured 25x slower,
+	// every exchange stalled into a timer park).
 	e.txFn = func(fd uintptr) bool {
 		n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&e.thdrs[e.txLo])), uintptr(e.txHi-e.txLo),
@@ -258,6 +262,7 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		e.rxN, e.rxErrno = int(n), errno
 		return errno != syscall.EAGAIN
 	}
+	e.rxCtl = func(fd uintptr) { e.rxFn(fd) }
 	e.segFn = func(fd uintptr) bool {
 		_, _, errno := syscall.Syscall6(syscall.SYS_SENDMSG, fd,
 			uintptr(unsafe.Pointer(&e.segHdr)), syscall.MSG_DONTWAIT, 0, 0, 0)
@@ -510,17 +515,19 @@ func (e *batchEngine) sendSegmented(m int) {
 // parseRxCmsgs walks one received message's control data — the first
 // Controllen bytes of its slot, as the kernel reported them — and
 // returns the UDP_GRO segment stride (0: the datagram arrived
-// uncoalesced) and the SCM_TIMESTAMPNS receive time in Unix nanoseconds
-// (0: none). Headers may come in any order. The walk reads the bytes
-// through bounds-checked slices, never past len(b): a header shorter
-// than its own size, or whose Len runs past the buffer, ends it.
-func parseRxCmsgs(b []byte) (stride int, stamp int64) {
+// uncoalesced), the SCM_TIMESTAMPNS receive time in Unix nanoseconds
+// (0: none) and the socket's cumulative drop count from SO_RXQ_OVFL (0:
+// none; the kernel omits it until it has dropped something). Headers
+// may come in any order. The walk reads the bytes through
+// bounds-checked slices, never past len(b): a header shorter than its
+// own size, or whose Len runs past the buffer, ends it.
+func parseRxCmsgs(b []byte) (stride int, stamp int64, drops uint32) {
 	for len(b) >= syscall.SizeofCmsghdr {
 		ln := binary.NativeEndian.Uint64(b[0:8])
 		level := int32(binary.NativeEndian.Uint32(b[8:12]))
 		typ := int32(binary.NativeEndian.Uint32(b[12:16]))
 		if ln < syscall.SizeofCmsghdr || ln > uint64(len(b)) {
-			return stride, stamp
+			return stride, stamp, drops
 		}
 		data := b[syscall.SizeofCmsghdr:ln]
 		switch {
@@ -530,18 +537,19 @@ func parseRxCmsgs(b []byte) (stride int, stamp int64) {
 			sec := int64(binary.NativeEndian.Uint64(data[0:8]))
 			nsec := int64(binary.NativeEndian.Uint64(data[8:16]))
 			stamp = sec*1e9 + nsec
+		case level == syscall.SOL_SOCKET && typ == syscall.SO_RXQ_OVFL && len(data) >= 4:
+			drops = binary.NativeEndian.Uint32(data)
 		}
 		next := (ln + 7) &^ 7 // CMSG_ALIGN on a 64-bit kernel
 		if next >= uint64(len(b)) {
-			return stride, stamp
+			return stride, stamp, drops
 		}
 		b = b[next:]
 	}
-	return stride, stamp
+	return stride, stamp, drops
 }
 
 // postSeg posts a fresh supersegment buffer on RX window slot i.
-// Reader goroutine only (and engine construction).
 func (e *batchEngine) postSeg(i int) {
 	sb := e.segs.get()
 	e.rsegs[i] = sb
@@ -549,61 +557,76 @@ func (e *batchEngine) postSeg(i int) {
 	e.riovs[i].SetLen(len(sb.buf))
 }
 
-// readLoop is the reader-goroutine body: post the window, pull as many
-// (possibly GRO-coalesced) messages as one recvmmsg yields, split each
-// into RX frames at its cmsg stride, stamped with its kernel receive
-// time (parseRxCmsgs, splitRxSegs), and publish the lot
-// to the ring at once, repeat. A slot whose SegBuf was handed out
-// aliased posts a replacement from the seg pool; the original returns
-// there when its last segment frame is released.
-func (e *batchEngine) readLoop() {
+// arm readies RX window slot i for the next recvmmsg: a buffer posted
+// (a fresh one if the last went out as aliases) and the header fields
+// the kernel wrote reset.
+func (e *batchEngine) arm(i int) {
+	if e.rsegs[i] == nil {
+		e.postSeg(i)
+	}
+	h := &e.rhdrs[i]
+	h.hdr.Iov = &e.riovs[i]
+	h.hdr.Iovlen = 1
+	h.hdr.Name = nil
+	h.hdr.Namelen = 0
+	h.hdr.Control = &e.rctrl[i*rxCtrlSpace]
+	h.hdr.Controllen = rxCtrlSpace
+	h.hdr.Flags = 0
+	h.msgLen = 0
+}
+
+// recv is one non-blocking recvmmsg over the window, split into the
+// leftover. max does not bound it: the leftover holds a whole window.
+func (e *batchEngine) recv(int) {
+	e.rxN = 0
+	if e.u.rc.Control(e.rxCtl) == nil {
+		e.split()
+	}
+}
+
+// wait parks in the netpoller until a recvmmsg gets something (split
+// into the leftover), the read deadline passes or the socket closes.
+func (e *batchEngine) wait() {
+	e.rxN = 0 // a read that fails before calling rxFn received nothing
+	_ = e.u.rc.Read(e.rxFn)
+	e.split()
+}
+
+// split turns the messages the last recvmmsg filled into frames on the
+// leftover, split at each one's cmsg stride and stamped with its kernel
+// receive time (parseRxCmsgs, splitRxSegs), and re-arms their slots. A
+// slot whose SegBuf went out aliased posts a replacement from the seg
+// pool; the original returns there when its last segment frame is
+// released.
+func (e *batchEngine) split() {
+	n := e.rxN
+	e.rxN = 0
+	if e.rxErrno != 0 || n <= 0 {
+		return // empty socket, or a transient error (e.g. a drained ICMP error)
+	}
 	u := e.u
-	for {
-		for i := range e.rhdrs {
-			if e.rsegs[i] == nil {
-				e.postSeg(i)
-			}
-			h := &e.rhdrs[i]
-			h.hdr.Iov = &e.riovs[i]
-			h.hdr.Iovlen = 1
-			h.hdr.Name = nil
-			h.hdr.Namelen = 0
-			h.hdr.Control = &e.rctrl[i*rxCtrlSpace]
-			h.hdr.Controllen = rxCtrlSpace
-			h.hdr.Flags = 0
-			h.msgLen = 0
+	u.Syscalls.Add(1)
+	datagrams := 0
+	var drops uint32
+	for i := 0; i < n; i++ {
+		ctrl := e.rctrl[i*rxCtrlSpace:][:min(e.rhdrs[i].hdr.Controllen, rxCtrlSpace)]
+		stride, stamp, d := parseRxCmsgs(ctrl)
+		drops = max(drops, d)
+		nseg, aliased := u.splitRxSegs(e.rsegs[i], int(e.rhdrs[i].msgLen), stride, stamp)
+		if aliased {
+			e.rsegs[i] = nil
 		}
-		if err := e.rc.Read(e.rxFn); err != nil {
-			return // socket closed
+		datagrams += nseg
+		if nseg > 1 {
+			u.GroBatches.Add(1)
 		}
-		if e.rxErrno != 0 {
-			if u.closed() {
-				return
-			}
-			continue // transient (e.g. drained ICMP error); retry
-		}
-		n := e.rxN
-		if n <= 0 {
-			continue
-		}
-		u.Syscalls.Add(1)
-		datagrams := 0
-		for i := 0; i < n; i++ {
-			ctrl := e.rctrl[i*rxCtrlSpace:][:min(e.rhdrs[i].hdr.Controllen, rxCtrlSpace)]
-			stride, stamp := parseRxCmsgs(ctrl)
-			nseg, aliased := u.splitRxSegs(e.rsegs[i], int(e.rhdrs[i].msgLen), stride, stamp)
-			if aliased {
-				e.rsegs[i] = nil
-			}
-			datagrams += nseg
-			if nseg > 1 {
-				u.GroBatches.Add(1)
-			}
-		}
-		u.flushRx()
-		if datagrams > 1 {
-			u.MmsgBatches.Add(1)
-		}
+		e.arm(i)
+	}
+	if drops != 0 {
+		u.Drops.Store(uint64(drops))
+	}
+	if datagrams > 1 {
+		u.MmsgBatches.Add(1)
 	}
 }
 

@@ -15,4 +15,4 @@ const MmsgSupported = false
 // UDP_GRO; with no engine to use them the answer is always false.
 func UDPGsoSupported() bool { return false }
 
-func newBatchEngine(u *UDP, offload bool) udpEngine { return &perPacketEngine{u: u} }
+func newBatchEngine(u *UDP, offload bool) udpEngine { return newPerPacketEngine(u) }

@@ -125,7 +125,7 @@ func TestUDPSendBurstOneSyscall(t *testing.T) {
 // TestUDPRecvBurstBatched checks the RX half: a burst deposited by one
 // sendmmsg must be pulled out of the kernel by batched recvmmsg calls
 // — observable as MmsgBatches incrementing and strictly fewer RX
-// syscalls than packets. The reader races packet arrival, so a single
+// syscalls than packets. The receive races packet arrival, so a single
 // attempt may legitimately see packets one at a time; any batching
 // within a few attempts proves the path.
 func TestUDPRecvBurstBatched(t *testing.T) {

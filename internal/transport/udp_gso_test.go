@@ -52,7 +52,7 @@ func TestUDPGsoSendBurstOneSupersegment(t *testing.T) {
 // over loopback must reach the receiver coalesced (UDP_GRO), be split
 // at the cmsg stride, and yield every datagram with the right payload
 // and source — observable as GroBatches incrementing and fewer RX
-// syscalls than packets. Like the recvmmsg test, the reader races
+// syscalls than packets. Like the recvmmsg test, the receive races
 // arrival, so coalescing is asserted over a few attempts.
 func TestUDPGroCoalescedReceive(t *testing.T) {
 	a, b := gsoPair(t)

@@ -26,11 +26,14 @@ type Wheel[T any] struct {
 	headTime sim.Time // start time of the head slot
 	size     int
 
-	// spare recycles the backing arrays of emptied slots, so the wheel
-	// allocates nothing in steady state. A processed slot's array must
-	// not be reinstalled while its items are still being delivered
-	// (fn may re-insert into the same slot), hence the free list
-	// instead of in-place truncation.
+	// spare recycles the backing arrays of emptied slots at the
+	// capacity they grew to, so the wheel allocates nothing in steady
+	// state. An emptied slot is left nil until an Insert lands there and
+	// takes a spare: a backing put in a slot nothing lands in would sit
+	// there, and the next pile-up elsewhere would grow a fresh one. A
+	// processed slot's array must not be reinstalled while its items are
+	// still being delivered (fn may re-insert into the same slot), hence
+	// the free list instead of in-place truncation.
 	spare [][]item[T]
 
 	// Inserted and Polled count total wheel operations for the CPU
@@ -114,7 +117,7 @@ func (w *Wheel[T]) PollUntil(now sim.Time, fn func(at sim.Time, v T)) int {
 		steps++
 		if slot := w.slots[idx]; len(slot) > 0 {
 			w.headIdx, w.headTime = idx, t
-			w.slots[idx] = w.popSpare()
+			w.slots[idx] = nil
 			for _, it := range slot {
 				fn(it.at, it.v)
 			}
@@ -187,7 +190,7 @@ func (w *Wheel[T]) Drain(fn func(at sim.Time, v T)) int {
 		if len(slot) == 0 {
 			continue
 		}
-		w.slots[idx] = w.popSpare()
+		w.slots[idx] = nil
 		for _, it := range slot {
 			fn(it.at, it.v)
 			n++

@@ -370,3 +370,34 @@ func TestCatchUpAfterLongGapIsBounded(t *testing.T) {
 		t.Fatalf("head %v left the slot grid", w.headTime)
 	}
 }
+
+// TestPileUpReusesGrownBacking: items piling into one slot (paced
+// packets clamped into the last slot, or due in the same granule) grow
+// its backing once; after that, repeated pile-ups of the same size, with
+// a lone item in another slot beside each, allocate nothing. A wheel
+// that puts a spare back into the slot it just emptied strands it there
+// once the head moves on, and the next pile-up grows a fresh backing
+// from nothing: seven allocations for 64 items. The ring has the core's
+// 4096 slots, more than the cycles walk, so no stranded backing comes
+// round again to hide that.
+func TestPileUpReusesGrownBacking(t *testing.T) {
+	const slots, gran, pile = 4096, 10, 64
+	w := New[int](slots, gran)
+	now := sim.Time(0)
+	cycle := func() {
+		now += 3 * gran // a different slot index every cycle
+		for i := 0; i < pile; i++ {
+			w.Insert(now+gran, i)
+		}
+		w.Insert(now+2*gran, pile)
+		if n := w.PollUntil(now+2*gran, func(sim.Time, int) {}); n != pile+1 {
+			t.Fatalf("delivered %d of %d items", n, pile+1)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a %d-item pile-up allocates %.3f times after warm-up, want 0", pile, avg)
+	}
+}

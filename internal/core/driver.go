@@ -81,20 +81,46 @@ func (d *loopDriver) woken() bool {
 	}
 }
 
+// osYieldEvery is how many turns of the awake wait pass between yields
+// of its thread's CPU: a turn is about a microsecond, and a sched_yield
+// in every one of them cost a serial echo a tenth of its rate.
+const osYieldEvery = 8
+
+// park is WaitForWork: one awake wait, to the wheel's deadline and
+// while the traffic is live (receives under dur apart, the last under
+// dur ago), and a sleep otherwise. The awake wait yields the
+// goroutine's P at every turn, to other goroutines (the peer's loop,
+// when there is one P), and its thread's CPU every osYieldEvery turns,
+// to threads the OS has runnable there (the peer loop's thread, which a
+// netpoller wake-up may place on this CPU, or another process's).
 func (d *loopDriver) park(dur time.Duration) {
 	r := d.r
-	if dl, ok := r.wheel.NextDeadline(); ok {
-		if end := r.clock.Now() + sim.Time(dur); end < dl {
-			dl = end
-		}
-		for r.clock.Now() < dl {
-			runtime.Gosched()
-			if d.woken() {
-				return
-			}
-		}
+	dl, paced := r.wheel.NextDeadline()
+	now, ask := r.clock.Now(), sim.Time(dur)
+	end := now + ask
+	if r.rxPrev != 0 && r.rxLast-r.rxPrev < ask && now-r.rxLast < ask {
+		end = r.rxLast + ask
+	} else if !paced {
+		d.sleep(dur)
 		return
 	}
+	if paced {
+		end = min(end, dl)
+	}
+	for turn := 1; r.clock.Now() < end; turn++ {
+		runtime.Gosched()
+		if turn%osYieldEvery == 0 {
+			osYield()
+		}
+		if d.woken() {
+			return
+		}
+	}
+}
+
+// sleep blocks until a packet or a wake arrives or dur elapses: in the
+// transport's Waiter, or else on the SetWake channel and a timer.
+func (d *loopDriver) sleep(dur time.Duration) {
 	if d.w != nil {
 		d.w.Wait(dur)
 		return

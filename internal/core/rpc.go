@@ -304,6 +304,10 @@ type Rpc struct {
 	// straight after one that did work (and so may have sent packets).
 	passes     passLog
 	backToBack bool
+	// rxLast and rxPrev are now() in the last two passes that received
+	// packets: a goroutine's park waits awake while they are close
+	// (loopDriver.park).
+	rxLast, rxPrev sim.Time
 
 	// posted is how other goroutines reach the loop: Post's closures,
 	// among them the responses of handlers that ran on worker threads.
@@ -614,29 +618,44 @@ func (r *Rpc) RunEventLoopOnce() bool {
 // a spinning loop would otherwise wait for sysmon's ~10 ms netpoll
 // pass. It panics on an endpoint the scheduler drives.
 //
-// While the wheel holds anything the wait is awake: the goroutine stays
-// runnable, yields the processor between looks at the clock and at the
-// transport (a non-blocking receive, over a transport with a
-// transport.Waiter), and returns at wheel.NextDeadline, on a packet or
-// a wake, or after d. Only an empty wheel sleeps: in the transport's
-// Waiter — over UDP, parked in the netpoller on the endpoint's own
-// socket, so a packet, the deadline or a wake ends one wait — or else
-// on a timer and the SetWake channel. Go timers and read deadlines take
-// whole milliseconds (see wheelSlots) and the wheel's horizon is under
-// one, so sleeping would send every paced packet late; with an empty
-// wheel only the RTO scan and the heartbeat are waiting, whose time
-// constants are 5 ms and more, and d is then a lower bound on the park,
-// not its length.
+// The wait is awake in two cases: while the wheel holds anything, until
+// wheel.NextDeadline, and while the endpoint's traffic is live — the last
+// two passes that received packets were under d apart and the last of
+// them under d ago — until d after that receive. Awake, the goroutine
+// stays runnable, yields its P and now and then, on Linux, its thread's
+// CPU (sched_yield) between looks at the clock and at the transport (a
+// non-blocking receive, over a transport with a transport.Waiter), and
+// returns on a packet or a wake, at the earlier of those ends, or after
+// d. A live loop's next packet is likely a round trip away, sooner than
+// a wake-up from the netpoller that crosses CPUs (the paper's polling
+// dispatch thread, §3.2, §4.2). The gap rule keeps traffic that comes a
+// millisecond apart asleep, and the CPU yield lets a thread the OS has
+// runnable on the waiter's CPU — the peer loop's, woken by the
+// netpoller, or another process's — run within microseconds instead of
+// after the wait. Otherwise the wait sleeps: in the transport's Waiter —
+// over UDP, parked in the netpoller on the endpoint's own socket, so a
+// packet, the deadline or a wake ends one wait — or else on a timer and
+// the SetWake channel. Go timers and read deadlines take whole
+// milliseconds (see wheelSlots) and the wheel's horizon is under one, so
+// sleeping would send every paced packet late; with an empty wheel and
+// no live traffic only the RTO scan and the heartbeat are waiting, whose
+// time constants are 5 ms and more, and d is then a lower bound on the
+// park, not its length.
 //
 // WaitForWork reads the Clock itself, not the loop clock: it waits
 // between passes, where no cached timestamp is current.
 func (r *Rpc) WaitForWork(d time.Duration) { r.goroutine().park(d) }
 
 // RunEventLoop drives the endpoint until stop is closed. The loop polls
-// hot while work arrives — the paper's polling-based network I/O — and
-// parks when idle: until a packet arrives or the rate limiter's next
-// packet is due, for about a millisecond otherwise (see WaitForWork for
-// what the 200 µs asked for here turns into).
+// hot while work arrives — the paper's polling-based network I/O — and,
+// between passes, waits awake while its traffic is live (receives under
+// 200 µs apart) or a paced packet is due, up to 200 µs after the last
+// receive or until the packet's deadline. Otherwise it sleeps until a
+// packet arrives or a Post wakes it, for about a millisecond at most
+// (see WaitForWork for what the 200 µs asked for here turns into). A
+// busy serial exchange therefore keeps the endpoint's goroutine on a
+// CPU, as eRPC's dispatch thread is; an idle endpoint costs next to
+// none.
 func (r *Rpc) RunEventLoop(stop <-chan struct{}) { r.goroutine().run(stop) }
 
 // Post schedules fn to run on the endpoint's dispatch context during
@@ -711,11 +730,14 @@ func (r *Rpc) readLoopClock() {
 func (r *Rpc) pollRX() {
 	n := r.tr.RecvBurst(r.rxFrames)
 	r.rxFull = n == len(r.rxFrames)
-	if n > 0 && r.loopTS != 0 {
-		// One clock read stamps the whole burst (§5.2.2 optimization 3,
-		// the RX half): every RTT sample taken from it uses this time,
-		// and so does everything the burst's packets set off.
-		r.readLoopClock()
+	if n > 0 {
+		if r.loopTS != 0 {
+			// One clock read stamps the whole burst (§5.2.2 optimization
+			// 3, the RX half): every RTT sample taken from it uses this
+			// time, and so does everything the burst's packets set off.
+			r.readLoopClock()
+		}
+		r.rxPrev, r.rxLast = r.rxLast, r.now()
 	}
 	for i := 0; i < n; i++ {
 		f := &r.rxFrames[i]

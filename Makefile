@@ -38,12 +38,16 @@ test-debug:
 	GO="$(GO)" scripts/race-test.sh -tags erpcdebug
 
 # bench runs the canonical benchmark (benchmark/README.md: results in
-# benchmark/out/). The simulator's experiments and the chaos sweep are
-# not benchmarks of this host: `make test` holds the first to a recorded
-# file and the second to its invariants (internal/experiments:
-# TestSimulatorGolden, TestChaosSweepInvariants).
+# benchmark/out/), then BenchmarkGSOSend, the kernel-side price of the
+# batched engine's TX gather copy against iovec pairs (EXPERIMENTS.md,
+# "A syscall pays per iovec"), to re-decide it on another kernel. The
+# simulator's experiments and the chaos sweep are not benchmarks of
+# this host: `make test` holds the first to a recorded file and the
+# second to its invariants (internal/experiments: TestSimulatorGolden,
+# TestChaosSweepInvariants).
 bench:
 	$(GO) run ./benchmark
+	$(GO) test -run '^$$' -bench BenchmarkGSOSend -benchtime 300x -count 5 ./internal/transport
 
 # bench-smoke keeps the two park-bound modes from coming back unseen.
 # A serial 32 B echo whose paced request waits for a ~1.1 ms timer runs

@@ -441,21 +441,8 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 		if err := h.Encode(ss.req.PktHeader(pktNum)); err != nil {
 			panic("erpc: header encode: " + err.Error())
 		}
-		frame := ss.req.Frame(pktNum, r.scratch)
 		r.charge(r.cost.PktTx)
-		if pktNum == 0 {
-			// Packet 0's header and data are contiguous in the msgbuf
-			// (Figure 2), so the frame can ride the TX batch as an
-			// alias of the application's buffer — zero-copy
-			// transmission end to end (Appendix C), with rawSendZC's
-			// reference bookkeeping keeping ownership away from the
-			// application until the flush. Non-first packets are
-			// assembled in the shared scratch buffer, which the next
-			// assembly overwrites, so they take the pooled-copy path.
-			r.rawSendZC(s.remote, frame, ss.req, 0)
-		} else {
-			r.rawSend(s.remote, frame, 0)
-		}
+		r.sendPkt(s.remote, ss.req, pktNum, 0)
 	case kindRFR:
 		if pktNum < len(ss.respTxTimes) {
 			ss.respTxTimes[pktNum] = ts
@@ -474,27 +461,33 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 }
 
 // sendCtrl transmits a header-only packet (CR, RFR, ping, pong —
-// the paper's "tiny 16 B packets"). rxAt is as for appendTX.
-func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header, rxAt sim.Time) {
-	var buf [wire.HeaderSize]byte
-	if err := h.Encode(buf[:]); err != nil {
-		panic("erpc: header encode: " + err.Error())
-	}
-	r.rawSend(dst, buf[:], rxAt)
-}
-
-// rawSend appends a frame to the per-iteration TX batch (the paper's
-// TX DMA queue): a pooled copy, so the caller's buffer — which may be
-// a msgbuf the application regains ownership of before the flush, or
-// the shared scratch assembly buffer — can be reused immediately. The
-// batch is flushed with one SendBurst per event-loop iteration
-// (§4.2.2's single DMA-queue flush), or earlier if it reaches
-// BurstSize. rxAt is as for appendTX.
+// the paper's "tiny 16 B packets"), encoded in a pooled TX buffer.
+// rxAt is as for appendTX.
 //
 //erpc:owner
-func (r *Rpc) rawSend(dst transport.Addr, frame []byte, rxAt sim.Time) {
-	buf := append(r.txPool.Get(), frame...)
+func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header, rxAt sim.Time) {
+	buf := r.txPool.Get()[:wire.HeaderSize]
+	if err := h.Encode(buf); err != nil {
+		panic("erpc: header encode: " + err.Error())
+	}
 	r.appendTX(dst, buf, true, rxAt)
+}
+
+// sendPkt appends packet k of msgbuf buf to the TX batch. Packet 0's
+// header and data are contiguous in the msgbuf (Figure 2), so it rides
+// the batch as an alias of the buffer — zero-copy transmission
+// (Appendix C), with rawSendZC's reference bookkeeping keeping
+// ownership away from the application until the flush. A later
+// packet's header sits apart from its data: it is assembled in a
+// pooled TX buffer, which the batch owns. rxAt is as for appendTX.
+//
+//erpc:owner
+func (r *Rpc) sendPkt(dst transport.Addr, buf *msgbuf.Buf, k int, rxAt sim.Time) {
+	if k == 0 {
+		r.rawSendZC(dst, buf.Frame(0, nil), buf, rxAt)
+		return
+	}
+	r.appendTX(dst, buf.Frame(k, r.txPool.Get()), true, rxAt)
 }
 
 // rawSendZC appends a frame that aliases buf's backing array — no
@@ -522,11 +515,14 @@ type txReply struct {
 	rxAt sim.Time
 }
 
-// appendTX queues one frame on the TX batch. owned marks a pooled copy
-// to recycle at flush; zero-copy aliases are released via txRefs
-// instead. rxAt, when not 0, is the kernel receive time of the packet
-// that a CR or response frame answers: the flush reports the time since
-// as the frame's endpoint delay (stampReplies).
+// appendTX queues one frame on the TX batch (the paper's TX DMA queue),
+// which is flushed with one SendBurst per event-loop iteration
+// (§4.2.2's single DMA-queue flush), or earlier if it reaches
+// BurstSize. owned marks a pooled buffer to recycle at flush; zero-copy
+// aliases are released via txRefs instead. rxAt, when not 0, is the
+// kernel receive time of the packet that a CR or response frame
+// answers: the flush reports the time since as the frame's endpoint
+// delay (stampReplies).
 func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool, rxAt sim.Time) {
 	r.Stats.PktsTx++
 	r.Stats.BytesTx += uint64(len(data))

@@ -323,8 +323,6 @@ type Rpc struct {
 	srvInFlight int  // server-wide requests admitted (receiving or executing)
 	deadClient  int  // failed client-mode sessions (excluded from the session budget)
 
-	scratch []byte // frame assembly buffer for non-first packets
-
 	// Burst datapath state (paper §4.2: RX/TX bursts, one DMA-queue
 	// flush per batch).
 	burst     int               // configured burst size
@@ -374,7 +372,6 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		srvSessions: map[sessKey]*Session{},
 		wheel:       carousel.New[wheelEntry](wheelSlots, wheelGran),
 		lastHeard:   map[uint16]sim.Time{},
-		scratch:     make([]byte, cfg.Transport.MTU()),
 		burst:       cfg.BurstSize,
 		rxFrames:    make([]transport.Frame, cfg.BurstSize),
 		txBatch:     make([]transport.Frame, 0, cfg.BurstSize),

@@ -284,20 +284,13 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 	if err := h.Encode(ss.respBuf.PktHeader(k)); err != nil {
 		panic("erpc: header encode: " + err.Error())
 	}
-	frame := ss.respBuf.Frame(k, r.scratch)
 	r.charge(r.cost.PktTx)
-	if k == 0 {
-		// Packet 0 is header + data contiguous in the msgbuf (Figure
-		// 2), so it goes out as a zero-copy alias — the response half
-		// of Appendix C. The TX batch holds a reference until the
-		// flush; slot reuse and teardown defer the buffer's free while
-		// references are outstanding (resetSrvSlot), and a retransmit
-		// re-aliasing the same buffer just adds another reference to
-		// the identical bytes.
-		r.rawSendZC(s.remote, frame, ss.respBuf, rxAt)
-	} else {
-		r.rawSend(s.remote, frame, rxAt)
-	}
+	// Packet 0 goes out as a zero-copy alias, the response half of
+	// Appendix C: slot reuse and teardown defer the buffer's free while
+	// the TX batch holds references (resetSrvSlot), and a retransmit
+	// re-aliasing the same buffer just adds another reference to the
+	// identical bytes.
+	r.sendPkt(s.remote, ss.respBuf, k, rxAt)
 	r.sessionQueued(s)
 }
 

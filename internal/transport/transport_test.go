@@ -33,14 +33,14 @@ func TestAddrString(t *testing.T) {
 	}
 }
 
-func newUDPPair(t *testing.T) (*UDP, *UDP) {
+func newUDPPair(t testing.TB) (*UDP, *UDP) {
 	t.Helper()
 	return newUDPPairOn(t, NewUDP)
 }
 
 // newUDPPairOn is newUDPPair on the engine newUDP picks: a at 0:0 and b
 // at 1:0, each the other's peer, both closed with the test.
-func newUDPPairOn(t *testing.T, newUDP func(Addr, string) (*UDP, error)) (*UDP, *UDP) {
+func newUDPPairOn(t testing.TB, newUDP func(Addr, string) (*UDP, error)) (*UDP, *UDP) {
 	t.Helper()
 	a, err := newUDP(Addr{0, 0}, "127.0.0.1:0")
 	if err != nil {

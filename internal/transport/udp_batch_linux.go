@@ -10,15 +10,17 @@ package transport
 // stack out of the burst: the engine then reports itself as "gso",
 // without them as "mmsg". The syscalls are the same either way.
 //
-//   - TX: every datagram is an iovec pair [prefix, frame], gathered by
-//     the kernel from the caller's buffers (core.Rpc's zero-copy msgbuf
-//     aliases included), never copied. With offload, consecutive frames
-//     for one peer with one wire size extend a single message's iovec
-//     chain under a UDP_SEGMENT cmsg carrying the segment size, and the
-//     kernel segments it after one stack traversal; without, every
-//     frame is its own message of the same sendmmsg. Runs are formed
-//     here, not by the caller: runOrder first moves a frame back to
-//     the last run of its peer and size where that reorders no message.
+//   - TX: every datagram, prefix then frame, is copied into an arena
+//     the engine owns, and every message is one iovec over its bytes:
+//     the kernel charges per iovec, and a copy of a burst costs less
+//     than a second iovec per datagram (EXPERIMENTS.md, "A syscall pays
+//     per iovec"). With offload, consecutive frames for one peer with
+//     one wire size extend a single message under a UDP_SEGMENT cmsg
+//     carrying the segment size, and the kernel segments it after one
+//     stack traversal; without, every frame is its own message of the
+//     same sendmmsg. Runs are formed here, not by the caller: runOrder
+//     first moves a frame back to the last run of its peer and size
+//     where that reorders no message.
 //   - RX: one non-blocking recvmmsg, made by the owner (RecvBurst, or
 //     the read closure Wait parks with), fills a window of refcounted
 //     64 KiB buffers (SegBuf). With UDP_GRO on, a run of equal-size
@@ -82,9 +84,10 @@ const (
 	gsoMaxSegs  = 64
 	gsoMaxBytes = 65000
 
-	// gsoTxWindow bounds messages (supersegments) and gsoTxFrames
-	// bounds frames per sendmmsg chunk; larger bursts flush in chunks.
-	// A burst of SocketBurst, the core's over a socket, is one chunk.
+	// gsoTxWindow bounds messages (supersegments) per sendmmsg chunk,
+	// and the TX arena holds gsoTxFrames full-size datagrams; larger
+	// bursts flush in chunks. A burst of SocketBurst, the core's over a
+	// socket, is one chunk.
 	gsoTxWindow = SocketBurst
 	gsoTxFrames = SocketBurst
 
@@ -152,10 +155,12 @@ type batchEngine struct {
 	// on TX and UDP_GRO coalescing on RX. Decided once at construction.
 	offload bool
 
-	// TX state, guarded by u.txMu. prefix is the 4-byte source
-	// address shared by every segment's first iovec entry.
+	// TX state, guarded by u.txMu. tbuf is the arena every datagram
+	// of a sendmmsg is gathered into, prefix (the 4-byte source
+	// address) then frame; tiovs holds one iovec per message over it.
 	thdrs    []mmsghdr
 	tiovs    []syscall.Iovec
+	tbuf     []byte
 	tnames   []syscall.RawSockaddrInet6
 	tctrl    []byte // gsoCtrlSpace bytes per message
 	tsegs    []int  // segments per message (counter accounting)
@@ -180,6 +185,7 @@ type batchEngine struct {
 
 	// Per-segment fallback state (see sendSegmented).
 	segHdr   syscall.Msghdr
+	segIov   syscall.Iovec
 	segErrno syscall.Errno
 	segFn    func(fd uintptr) bool // preallocated: rc.Write closure
 
@@ -215,7 +221,8 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		is4:      la != nil && la.IP.To4() != nil,
 		offload:  offload,
 		thdrs:    make([]mmsghdr, gsoTxWindow),
-		tiovs:    make([]syscall.Iovec, 2*gsoTxFrames),
+		tiovs:    make([]syscall.Iovec, gsoTxWindow),
+		tbuf:     make([]byte, gsoTxFrames*(udpHdrLen+u.mtu)),
 		tnames:   make([]syscall.RawSockaddrInet6, gsoTxWindow),
 		tctrl:    make([]byte, gsoCtrlSpace*gsoTxWindow),
 		tsegs:    make([]int, gsoTxWindow),
@@ -316,22 +323,21 @@ func runOrder(order []int, frames []Frame) []int {
 }
 
 // sendBurst transmits the resolved burst as one sendmmsg per
-// gsoTxWindow messages (one, for the core's bursts of SocketBurst).
+// gsoTxWindow messages or full arena (one, for the core's bursts of
+// SocketBurst). Each datagram, prefix then frame, is copied back to
+// back into the arena, and each message is one iovec over its bytes.
 // With offload, the frames go in runOrder, and consecutive frames with
-// the same destination and the same wire size extend one message's
-// iovec chain under a UDP_SEGMENT cmsg (GSO requires every segment but
-// the last to be exactly gso_size, which equal-size runs satisfy); a
-// frame with a new destination or size, and without offload every
-// frame, opens a new message. Callers hold u.txMu. Unknown peers,
-// oversized frames and address-family mismatches are dropped, like the
-// per-packet engine.
+// the same destination and the same wire size extend one message under
+// a UDP_SEGMENT cmsg (GSO requires every segment but the last to be
+// exactly gso_size, which equal-size runs satisfy); a frame with a new
+// destination or size, and without offload every frame, opens a new
+// message. Callers hold u.txMu. Unknown peers, oversized frames and
+// address-family mismatches are dropped, like the per-packet engine.
 func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
-	m := 0      // messages filled
-	iov := 0    // iovec cursor
-	run := -1   // message index of the open run (-1: none)
-	runSeg := 0 // wire size per segment of the open run
+	m := 0    // messages filled
+	off := 0  // arena cursor
+	run := -1 // message index of the open run (-1: none)
 	var runDest udpDest
-	runBytes := 0
 
 	if e.offload {
 		e.order = runOrder(e.order, frames)
@@ -349,22 +355,22 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 		if e.is4 && !ap.Addr().Is4() && !ap.Addr().Is4In6() {
 			continue
 		}
-		entries := 2
-		if len(data) == 0 {
-			entries = 1
-		}
 		wire := udpHdrLen + len(data)
+		fits := off+wire <= len(e.tbuf)
+		extend := e.offload && run >= 0 && fits && dsts[i] == runDest && wire == e.tsegSize[run] &&
+			wire < e.wireCap && e.tsegs[run] < gsoMaxSegs && int(e.tiovs[run].Len)+wire <= gsoMaxBytes
+		if !extend && (m == len(e.thdrs) || !fits) {
+			e.flush(m)
+			m, off, run = 0, 0, -1
+		}
+		copy(e.tbuf[off:], e.prefix[:])
+		copy(e.tbuf[off+udpHdrLen:], data)
 
-		if e.offload && run == m-1 && run >= 0 && dsts[i] == runDest && wire == runSeg &&
-			wire < e.wireCap && e.tsegs[run] < gsoMaxSegs &&
-			runBytes+wire <= gsoMaxBytes && iov+entries <= len(e.tiovs) {
-			// Extend the open supersegment.
-			h := &e.thdrs[run]
-			e.appendSeg(iov, entries, data)
-			iov += entries
-			h.hdr.Iovlen += uint64(entries)
+		if extend {
+			// The open supersegment's datagrams lie back to back in
+			// the arena: its one iovec grows over this one.
+			e.tiovs[run].SetLen(int(e.tiovs[run].Len) + wire)
 			e.tsegs[run]++
-			runBytes += wire
 			if e.tsegs[run] == 2 {
 				// Second segment: this message is now a supersegment;
 				// attach the UDP_SEGMENT cmsg with the run's stride.
@@ -373,47 +379,32 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 				ch.Level = solUDP
 				ch.Type = udpSegment
 				ch.SetLen(syscall.CmsgLen(2))
-				*(*uint16)(unsafe.Pointer(&cb[syscall.CmsgLen(0)])) = uint16(runSeg)
-				h.hdr.Control = &cb[0]
-				h.hdr.Controllen = uint64(syscall.CmsgSpace(2))
+				*(*uint16)(unsafe.Pointer(&cb[syscall.CmsgLen(0)])) = uint16(wire)
+				h := &e.thdrs[run].hdr
+				h.Control = &cb[0]
+				h.Controllen = uint64(syscall.CmsgSpace(2))
 			}
-			continue
+		} else {
+			h := &e.thdrs[m]
+			e.tiovs[m].Base = &e.tbuf[off]
+			e.tiovs[m].SetLen(wire)
+			h.hdr.Iov = &e.tiovs[m]
+			h.hdr.Iovlen = 1
+			h.hdr.Name = (*byte)(unsafe.Pointer(&e.tnames[m]))
+			h.hdr.Namelen = putSockaddr(&e.tnames[m], dsts[i], e.is4)
+			h.hdr.Control = nil
+			h.hdr.Controllen = 0
+			h.hdr.Flags = 0
+			h.msgLen = 0
+			e.tsegs[m] = 1
+			e.tsegSize[m] = wire
+			run, runDest = m, dsts[i]
+			m++
 		}
-
-		// Open a new message, flushing first if either array is full.
-		if m == len(e.thdrs) || iov+entries > len(e.tiovs) {
-			e.flush(m)
-			m, iov, run = 0, 0, -1
-		}
-		h := &e.thdrs[m]
-		e.appendSeg(iov, entries, data)
-		h.hdr.Iov = &e.tiovs[iov]
-		h.hdr.Iovlen = uint64(entries)
-		iov += entries
-		h.hdr.Name = (*byte)(unsafe.Pointer(&e.tnames[m]))
-		h.hdr.Namelen = putSockaddr(&e.tnames[m], dsts[i], e.is4)
-		h.hdr.Control = nil
-		h.hdr.Controllen = 0
-		h.hdr.Flags = 0
-		h.msgLen = 0
-		e.tsegs[m] = 1
-		e.tsegSize[m] = wire
-		run, runDest, runSeg, runBytes = m, dsts[i], wire, wire
-		m++
+		off += wire
 	}
 	if m > 0 {
 		e.flush(m)
-	}
-}
-
-// appendSeg writes one segment's iovec entries at cursor iov: the
-// shared source prefix, plus the frame payload when non-empty.
-func (e *batchEngine) appendSeg(iov, entries int, data []byte) {
-	e.tiovs[iov].Base = &e.prefix[0]
-	e.tiovs[iov].SetLen(udpHdrLen)
-	if entries == 2 {
-		e.tiovs[iov+1].Base = &data[0]
-		e.tiovs[iov+1].SetLen(len(data))
 	}
 }
 
@@ -482,27 +473,17 @@ func (e *batchEngine) flush(n int) {
 
 // sendSegmented transmits supersegment message m as one plain sendmsg
 // per segment — the fallback when the kernel refuses the GSO send
-// (see wireCap). The message's iovec chain is uniform ([prefix, data]
-// per segment, or [prefix] alone for empty frames), so each segment is
-// a fixed-stride window into it; the sockaddr is shared. Per-segment
-// errors are ignored like every other best-effort send. Callers hold
-// u.txMu.
+// (see wireCap). The message's one iovec covers equal-size datagrams
+// back to back in the arena, so each segment is a fixed-stride window
+// into it; the sockaddr is shared. Per-segment errors are ignored like
+// every other best-effort send. Callers hold u.txMu.
 func (e *batchEngine) sendSegmented(m int) {
 	h := &e.thdrs[m].hdr
-	segs := e.tsegs[m]
-	entries := int(h.Iovlen) / segs
-	// Recover the message's iovec window index from its pointer (the
-	// chain always lives in e.tiovs).
-	//erpc:ignore stores an int index from same-statement pointer subtraction; both objects are pinned by e and no pointer is rebuilt
-	base := int((uintptr(unsafe.Pointer(h.Iov)) - uintptr(unsafe.Pointer(&e.tiovs[0]))) /
-		unsafe.Sizeof(syscall.Iovec{}))
-	for s := 0; s < segs; s++ {
-		e.segHdr = syscall.Msghdr{
-			Name:    h.Name,
-			Namelen: h.Namelen,
-			Iov:     &e.tiovs[base+s*entries],
-			Iovlen:  uint64(entries),
-		}
+	stride := e.tsegSize[m]
+	e.segHdr = syscall.Msghdr{Name: h.Name, Namelen: h.Namelen, Iov: &e.segIov, Iovlen: 1}
+	for s := 0; s < e.tsegs[m]; s++ {
+		e.segIov.Base = (*byte)(unsafe.Add(unsafe.Pointer(e.tiovs[m].Base), s*stride))
+		e.segIov.SetLen(stride)
 		if err := e.rc.Write(e.segFn); err != nil {
 			return // socket closed
 		}

@@ -33,31 +33,24 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 		p[0] = byte(i)
 		frames = append(frames, Frame{Data: p, Addr: b.LocalAddr()})
 	}
-	// Stage the burst's TX arrays exactly as sendBurst does, but call
-	// the per-segment fallback instead of flushing the supersegment.
+	// Stage the burst in the arena exactly as sendBurst does, one
+	// message of n datagrams, but call the per-segment fallback instead
+	// of flushing the supersegment.
 	a.txMu.Lock()
-	dsts := make([]udpDest, n)
+	const wire = udpHdrLen + 48
 	for i := range frames {
-		dsts[i] = a.peers[frames[i].Addr]
+		copy(eng.tbuf[i*wire:], eng.prefix[:])
+		copy(eng.tbuf[i*wire+udpHdrLen:], frames[i].Data)
 	}
-	m, iov := 0, 0
-	for i := range frames {
-		h := &eng.thdrs[m]
-		if i == 0 {
-			eng.appendSeg(iov, 2, frames[i].Data)
-			h.hdr.Iov = &eng.tiovs[iov]
-			h.hdr.Iovlen = 2
-			h.hdr.Name = (*byte)(unsafe.Pointer(&eng.tnames[m]))
-			h.hdr.Namelen = putSockaddr(&eng.tnames[m], dsts[i], eng.is4)
-			eng.tsegs[m] = 1
-			eng.tsegSize[m] = udpHdrLen + len(frames[i].Data)
-		} else {
-			eng.appendSeg(iov, 2, frames[i].Data)
-			h.hdr.Iovlen += 2
-			eng.tsegs[m]++
-		}
-		iov += 2
-	}
+	h := &eng.thdrs[0]
+	eng.tiovs[0].Base = &eng.tbuf[0]
+	eng.tiovs[0].SetLen(n * wire)
+	h.hdr.Iov = &eng.tiovs[0]
+	h.hdr.Iovlen = 1
+	h.hdr.Name = (*byte)(unsafe.Pointer(&eng.tnames[0]))
+	h.hdr.Namelen = putSockaddr(&eng.tnames[0], a.peers[b.LocalAddr()], eng.is4)
+	eng.tsegs[0] = n
+	eng.tsegSize[0] = wire
 	sys0 := a.Syscalls.Load()
 	eng.sendSegmented(0)
 	a.txMu.Unlock()

@@ -10,7 +10,7 @@ import (
 // gsoPair binds two transports on the batched engine with segmentation
 // offload ("gso"), or skips the test where that is unavailable
 // (unsupported platform, or a kernel without UDP_SEGMENT/UDP_GRO).
-func gsoPair(t *testing.T) (*UDP, *UDP) {
+func gsoPair(t testing.TB) (*UDP, *UDP) {
 	t.Helper()
 	if !UDPGsoSupported() {
 		t.Skip("no segmentation offload (unsupported platform, or kernel without UDP_SEGMENT/UDP_GRO)")

@@ -32,8 +32,9 @@ vet:
 	$(GO) run ./cmd/erpcvet ./...
 
 # test-debug runs the whole suite with the erpcdebug runtime sanitizer
-# compiled in (double-put / foreign-put / SegBuf-refcount assertions in
-# the transport pools) under the race detector — the CI sanitizer leg.
+# compiled in (double-put / foreign-put assertions in the transport
+# pools, receive-over-held-frame assertions on the UDP receive windows)
+# under the race detector — the CI sanitizer leg.
 test-debug:
 	GO="$(GO)" scripts/race-test.sh -tags erpcdebug
 

@@ -380,24 +380,21 @@ func UDPSyscallStats(trs []*transport.UDP) (engine string, syscalls, batches uin
 }
 
 // UDPShardStats formats one exit-report line per transport — its
-// endpoint, socket, syscall engine, kernel-crossing counters, receive
-// queue (the socket's granted receive buffer and the datagrams the
-// kernel dropped at it, see transport.UDP.Drops) and RX-pool recycle
-// counters. It is what erpc-server/erpc-client print at exit so
-// sharding skew (and any steady-state pool allocation) is visible in
+// endpoint, socket, syscall engine, kernel-crossing counters and
+// receive queue (the socket's granted receive buffer and the datagrams
+// the kernel dropped at it, see transport.UDP.Drops). It is what
+// erpc-server/erpc-client print at exit so sharding skew is visible in
 // the field; the lines label plain per-port endpoints and reuseport
 // shards alike (the socket address tells them apart). Close the
 // transports first for exact counts.
 func UDPShardStats(trs []*transport.UDP) []string {
 	lines := make([]string, len(trs))
 	for i, tr := range trs {
-		ps := tr.RxPoolStats()
-		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, rq %d B, %d rq drops, rx pool: %d allocs, %d fast + %d shared recycles, %d refills",
+		lines[i] = fmt.Sprintf("endpoint %v on %s (%s): %d syscalls, %d mmsg batches, %d gso segments, %d gro batches, rq %d B, %d rq drops",
 			tr.LocalAddr(), tr.BoundAddr(), tr.Engine(),
 			tr.Syscalls.Load(), tr.MmsgBatches.Load(),
 			tr.GsoSegments.Load(), tr.GroBatches.Load(),
-			tr.RcvBuf(), tr.Drops.Load(),
-			ps.News, ps.FastPuts, ps.SharedPuts, ps.Refills)
+			tr.RcvBuf(), tr.Drops.Load())
 	}
 	return lines
 }
@@ -405,11 +402,10 @@ func UDPShardStats(trs []*transport.UDP) []string {
 // UDPGsoStats sums the segmentation-offload counters over a process's
 // UDP transports: datagrams transmitted inside UDP_SEGMENT
 // supersegments, received supersegments that arrived UDP_GRO-
-// coalesced, and coalesced segments delivered as zero-copy frames
-// aliasing the refcounted supersegment buffer (rather than copied to
-// a pooled buffer). All are zero unless segmentation offload ran (see
-// UDPGsoSupported). The erpc-server/-client commands report these at
-// exit; close the transports first for exact counts.
+// coalesced, and the frames split out of them, each aliasing its
+// segment of the receive window. All are zero unless segmentation
+// offload ran (see UDPGsoSupported). The erpc-server/-client commands
+// report these at exit; close the transports first for exact counts.
 func UDPGsoStats(trs []*transport.UDP) (gsoSegments, groBatches, groAliasedSegs uint64) {
 	for _, tr := range trs {
 		gsoSegments += tr.GsoSegments.Load()

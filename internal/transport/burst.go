@@ -6,11 +6,11 @@ import (
 )
 
 // This file defines the burst datapath: the Frame unit moved by
-// SendBurst/RecvBurst and the recycling buffer Pool that backs RX
-// frames. The design mirrors the paper's NIC datapath (§4.2-4.3): RX
-// and TX move a burst of packets per event-loop iteration (up to 16 in
-// the paper and in simulated time, up to 64 over a real socket), RX
-// buffers come from a fixed pool and are re-posted (Released) after
+// SendBurst/RecvBurst and the recycling buffer Pool that backs the
+// simulated and in-memory transports' RX frames. The design mirrors the
+// paper's NIC datapath (§4.2-4.3): RX and TX move a burst of packets per
+// event-loop iteration (up to 16 in the paper and in simulated time, up
+// to 64 over a real socket), RX buffers are re-posted (Released) after
 // processing, and a TX burst rings the doorbell once.
 
 // DefaultBurst is the paper's burst size (§4.2.1: "RX and TX bursts of
@@ -33,12 +33,13 @@ const SocketBurst = 64
 //     must finish with Data before SendBurst returns (send or copy);
 //     the caller may reuse the bytes immediately afterwards.
 //   - RX (RecvBurst): frames are owned by the receiver until it calls
-//     Release, which re-posts the backing buffer to the transport's
-//     pool — the software analogue of re-posting a NIC RX descriptor —
-//     and must run on the goroutine that called RecvBurst, the pool's
-//     owner. Data must not be referenced after Release. Dropping a frame
-//     without Release is safe but leaks the buffer to the garbage
-//     collector instead of recycling it.
+//     Release, on the goroutine that called RecvBurst, and a caller
+//     releases every frame of a burst before its next RecvBurst or Wait
+//     on that transport, which may then receive into the bytes again
+//     (a UDP frame aliases the receive window it arrived in). Data must
+//     not be referenced after Release. A pooled frame (PooledFrame)
+//     re-posts its buffer to the pool on Release; dropping one without
+//     Release leaks the buffer to the garbage collector.
 type Frame struct {
 	// Data is the frame payload.
 	Data []byte
@@ -50,19 +51,12 @@ type Frame struct {
 	// unknown — the per-packet engine, non-Linux builds, simulated and
 	// in-memory transports. Unused on TX.
 	RxStamp int64
-	// pool receives the backing buffer on Release; nil for unpooled
-	// frames.
+	// dbg is the erpcdebug sanitizer's hand-out record: zero-sized in
+	// release builds, and not last, where it would pad the struct.
+	dbg frameDebug
+	// pool receives Data on Release; nil for frames that no pool backs
+	// (the UDP transport's, and TX frames).
 	pool *Pool
-	// base, when non-nil, is the full pooled buffer that Data aliases
-	// a tail of (a transport that receives wire headers in place hands
-	// out Data past the header but must recycle the whole buffer).
-	// Release re-posts base instead of Data when set.
-	base []byte
-	// seg, when non-nil, marks an RX frame whose Data aliases one
-	// segment of a refcounted GRO supersegment buffer (pool is nil for
-	// these frames). Release drops one reference; the last segment
-	// released recycles the whole SegBuf.
-	seg *SegBuf
 }
 
 // PooledFrame binds a buffer to the pool it returns to on Release.
@@ -72,26 +66,18 @@ func PooledFrame(data []byte, from Addr, p *Pool) Frame {
 	return Frame{Data: data, Addr: from, pool: p}
 }
 
-// Release returns the frame's buffer to its pool on the owner fast
-// path, or drops its reference to a supersegment buffer. Safe to call
-// on a zero or already-released frame.
+// Release ends the receiver's hold on the frame and returns a pooled
+// frame's buffer to its pool on the owner fast path. Safe to call on a
+// zero or already-released frame.
 //
 //erpc:owner
 func (f *Frame) Release() {
-	if f.seg != nil {
-		f.seg.release()
-		f.seg = nil
-	}
+	f.dbg.release()
 	if f.pool != nil {
-		buf := f.base
-		if buf == nil {
-			buf = f.Data
-		}
-		f.pool.Put(buf)
+		f.pool.Put(f.Data)
 		f.pool = nil
 	}
 	f.Data = nil
-	f.base = nil
 }
 
 // ReleaseBurst releases every frame of a burst.

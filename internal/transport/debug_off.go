@@ -17,11 +17,13 @@ type poolDebug struct{}
 func (*poolDebug) onGet([]byte)       {}
 func (*poolDebug) onPut([]byte, bool) {}
 
-// segDebug is the segPool's sanitizer state: empty in release builds.
-type segDebug struct{}
+// frameDebug is a Frame's hand-out record and rxDebug the UDP
+// transport's count of frames handed out per receive window: empty in
+// release builds.
+type frameDebug struct{}
+type rxDebug struct{}
 
-func (*segDebug) onGet(*SegBuf) {}
-func (*segDebug) onPut(*SegBuf) {}
-
-func segDebugCheckRelease(*SegBuf, int32) {}
-func segDebugCheckRecharge(*SegBuf)       {}
+func (*frameDebug) release()         {}
+func (*rxDebug) onStage(*Frame, int) {}
+func (*rxDebug) onTake([]Frame)      {}
+func (*rxDebug) onRecv(int)          {}

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the erpcdebug sanitizer: runtime assertions wired into
-// the pool and SegBuf lifecycles, compiled in only under -tags
+// the pool and RX-frame lifecycles, compiled in only under -tags
 // erpcdebug (CI runs the full suite with it plus -race). The checks
 // catch the lifetime bugs the static analyzers cannot prove absent:
 //
@@ -23,12 +23,11 @@ import (
 //   - foreign fast-path put: Pool.Put from a goroutine other than the
 //     one the buffer was handed out on (the owner); cross-goroutine
 //     returns must use PutShared.
-//   - SegBuf refcount underflow: more segment releases than the split
-//     charged — a release-after-send/double-release on the GRO path.
-//   - SegBuf recharge while in flight: splitRxSegs reusing a buffer
-//     whose previous segments are still referenced by RX frames.
-//   - segPool double-recycle: the same SegBuf returned to the free
-//     list twice.
+//   - receive over held frames: a UDP receive into a window that still
+//     holds a frame RecvBurst handed out and nobody released — the
+//     owner broke the rule that every frame of a burst is released
+//     before its next RecvBurst or Wait. The panic names the hand-out
+//     site.
 //
 // DebugEnabled lets tests (and alloc assertions) detect the build.
 const DebugEnabled = true
@@ -118,43 +117,48 @@ func (d *poolDebug) onPut(b []byte, shared bool) {
 	rec.putSite = putSite
 }
 
-// segDebug is the segPool's sanitizer state: which SegBufs sit on the
-// free list.
-type segDebug struct {
-	mu     sync.Mutex
-	inFree map[*SegBuf]bool
+// rxDebug is the UDP transport's sanitizer state: per receive window,
+// how many frames handed out of it are not yet released, and where the
+// latest was handed out. The owner alone touches it, as it does the
+// windows. frameDebug points an RX frame at its window's count.
+type rxDebug struct{ win [2]winDebug }
+type winDebug struct {
+	out  int
+	site string
 }
+type frameDebug struct{ win *winDebug }
 
-func (d *segDebug) onGet(sb *SegBuf) {
-	d.mu.Lock()
-	delete(d.inFree, sb)
-	d.mu.Unlock()
-}
+// onStage records that f was received into window w.
+func (d *rxDebug) onStage(f *Frame, w int) { f.dbg.win = &d.win[w] }
 
-func (d *segDebug) onPut(sb *SegBuf) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.inFree[sb] {
-		panic("erpcdebug: SegBuf recycled twice (double release of its last segment)")
+// onTake counts frames handed out against their windows. Called by
+// takeRx from RecvBurst; the hand-out site is RecvBurst's caller.
+func (d *rxDebug) onTake(frames []Frame) {
+	if len(frames) == 0 {
+		return
 	}
-	if d.inFree == nil {
-		d.inFree = make(map[*SegBuf]bool)
-	}
-	d.inFree[sb] = true
-}
-
-// segDebugCheckRelease panics on refcount underflow: release was
-// called more times than splitRxSegs charged.
-func segDebugCheckRelease(sb *SegBuf, refsAfter int32) {
-	if refsAfter < 0 {
-		panic(fmt.Sprintf("erpcdebug: SegBuf refcount underflow (refs=%d after release): segment released twice or after recycle", refsAfter))
+	at := site(3)
+	for i := range frames {
+		wd := frames[i].dbg.win
+		wd.out++
+		wd.site = at
 	}
 }
 
-// segDebugCheckRecharge panics when a SegBuf is recharged while
-// earlier segment frames still hold references.
-func segDebugCheckRecharge(sb *SegBuf) {
-	if refs := sb.refs.Load(); refs != 0 {
-		panic(fmt.Sprintf("erpcdebug: SegBuf recharged while %d segment reference(s) still in flight", refs))
+// onRecv panics when a receive is about to fill window w while frames
+// handed out of it are still held.
+func (d *rxDebug) onRecv(w int) {
+	if wd := &d.win[w]; wd.out > 0 {
+		panic(fmt.Sprintf("erpcdebug: receive into an RX window that holds %d unreleased frame(s), handed out at %s: release every frame of a burst before the next RecvBurst or Wait",
+			wd.out, wd.site))
+	}
+}
+
+// release uncounts a handed-out frame, once. A frame the transport
+// never handed out (a TX or pooled frame) has no window.
+func (f *frameDebug) release() {
+	if f.win != nil {
+		f.win.out--
+		f.win = nil
 	}
 }

@@ -135,27 +135,14 @@ func BenchmarkPoolGetPut(b *testing.B) {
 	}
 }
 
-// TestReleaseBurstMixedFrames releases bursts that mix the three frame
-// flavors the datapath produces — owner-path pooled frames, unpooled
-// zero-copy aliases (the TX batch's msgbuf-backed frames, whose Release
-// must touch no pool at all), and refcounted GRO segment frames
-// aliasing a supersegment buffer whose remaining references are dropped
-// concurrently by a foreign goroutine. Run under -race this pins the
-// ownership rules: ReleaseBurst must route each flavor down its own
-// path, leave aliased bytes untouched, and recycle each supersegment
-// exactly once.
+// TestReleaseBurstMixedFrames releases bursts that mix the two frame
+// flavors the datapath produces — owner-path pooled frames and unpooled
+// zero-copy aliases (the TX batch's msgbuf-backed frames and the UDP
+// transport's RX frames, whose Release must touch no pool at all).
+// ReleaseBurst must route each flavor down its own path and leave
+// aliased bytes untouched.
 func TestReleaseBurstMixedFrames(t *testing.T) {
 	pOwn := NewPool(128, 256) // owned by this goroutine
-	sp := newSegPool(256, 8)  // GRO supersegment pool
-
-	done := make(chan struct{})
-	segCh := make(chan Frame, 64) // seg frames released on the foreign side
-	go func() {
-		defer close(done)
-		for f := range segCh {
-			f.Release()
-		}
-	}()
 
 	alias := make([]byte, 64) // stands in for a msgbuf backing array
 	for i := range alias {
@@ -164,36 +151,20 @@ func TestReleaseBurstMixedFrames(t *testing.T) {
 
 	const rounds = 5_000
 	for i := 0; i < rounds; i++ {
-		// A refcounted supersegment: one segment frame rides in this
-		// burst, the other is released by the foreign goroutine —
-		// whichever reference drops last must do the (single) recycle.
-		sb := sp.get()
-		sb.refs.Store(2)
-		sp.outstanding.Add(1)
-		segCh <- Frame{Data: sb.buf[:32], Addr: Addr{4, 0}, seg: sb}
 		burst := []Frame{
 			PooledFrame(pOwn.Get(), Addr{1, 0}, pOwn),
-			{Data: alias, Addr: Addr{3, 0}},                  // zero-copy alias: no pool
-			{Data: sb.buf[32:64], Addr: Addr{4, 1}, seg: sb}, // GRO segment
+			{Data: alias, Addr: Addr{3, 0}}, // zero-copy alias: no pool
 			PooledFrame(pOwn.Get(), Addr{1, 1}, pOwn),
 			{Data: alias[32:], Addr: Addr{3, 1}},
 		}
 		ReleaseBurst(burst)
 		for j := range burst {
-			if burst[j].Data != nil || burst[j].pool != nil || burst[j].seg != nil {
+			if burst[j].Data != nil || burst[j].pool != nil {
 				t.Fatalf("round %d: frame %d not cleared by ReleaseBurst: %+v", i, j, burst[j])
 			}
 		}
 	}
-	close(segCh)
-	<-done
 
-	if got := sp.recycles.Load(); got != rounds {
-		t.Fatalf("supersegments recycled %d times, want exactly %d (once per round)", got, rounds)
-	}
-	if got := sp.outstanding.Load(); got != 0 {
-		t.Fatalf("%d supersegments still outstanding after all releases", got)
-	}
 	for i := range alias {
 		if alias[i] != byte(i) {
 			t.Fatalf("zero-copy alias byte %d corrupted: %d", i, alias[i])

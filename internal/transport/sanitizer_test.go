@@ -5,6 +5,7 @@ package transport
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // These tests prove each erpcdebug assertion actually fires: every one
@@ -80,29 +81,30 @@ func TestDebugPoolSharedPutFromForeignGoroutineOK(t *testing.T) {
 	<-done
 }
 
-func TestDebugSegBufUnderflow(t *testing.T) {
-	sp := newSegPool(2048, 4)
-	sb := sp.get()
-	sb.recharge(1)
-	sp.outstanding.Add(1)
-	sb.release() // refs 1 -> 0: recycles
-	expectPanic(t, "refcount underflow", func() { sb.release() })
-}
-
-func TestDebugSegBufRechargeInFlight(t *testing.T) {
-	sp := newSegPool(2048, 4)
-	sb := sp.get()
-	sb.recharge(2)
-	sp.outstanding.Add(1)
-	sb.release() // one of two references still out
-	expectPanic(t, "recharged while", func() { sb.recharge(3) })
-}
-
-func TestDebugSegPoolDoubleRecycle(t *testing.T) {
-	sp := newSegPool(2048, 4)
-	sb := sp.get()
-	sb.recharge(1)
-	sp.outstanding.Add(1)
-	sb.release() // last reference: sp.put(sb)
-	expectPanic(t, "recycled twice", func() { sp.put(sb) })
+// TestDebugRecvOverHeldFrame breaks the RX rule on purpose: the owner
+// keeps a frame of one burst and receives on. The receive after next
+// fills the held frame's window again, and the sanitizer panics there,
+// naming where the frame was handed out.
+func TestDebugRecvOverHeldFrame(t *testing.T) {
+	a, b := newUDPPair(t)
+	var f [1]Frame
+	recvOne := func(payload string) {
+		t.Helper()
+		send1(a, Addr{1, 0}, []byte(payload))
+		for deadline := time.Now().Add(2 * time.Second); b.RecvBurst(f[:]) == 0; { // the hand-out site
+			if time.Now().After(deadline) {
+				t.Fatalf("%q did not arrive", payload)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	recvOne("held") // f[0] stays out: its window may not be received into
+	held := f[0]
+	recvOne("next") // the other window: allowed
+	f[0].Release()
+	here := site(0) // this file, where recvOne handed the frame out
+	expectPanic(t, "unreleased frame(s), handed out at "+here[:strings.LastIndexByte(here, ':')], func() {
+		b.RecvBurst(f[:])
+	})
+	held.Release()
 }

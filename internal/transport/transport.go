@@ -13,27 +13,30 @@
 // datapath (§4.2-4.3): RecvBurst fills a caller-provided slice of
 // Frames (per event-loop iteration in the core, up to SocketBurst over
 // a real socket and the paper's DefaultBurst in simulated time), SendBurst
-// transmits a batch with one doorbell/lock acquisition, and RX buffers
-// come from a recycling Pool that the receiver re-posts to with
-// Frame.Release once a packet is processed — exactly like re-posting a
-// NIC RX descriptor. A caller with one frame sends or receives a burst
-// of one.
+// transmits a batch with one doorbell/lock acquisition, and the receiver
+// releases each RX frame with Frame.Release once a packet is processed —
+// exactly like re-posting a NIC RX descriptor. A caller with one frame
+// sends or receives a burst of one.
 //
 // Buffer-ownership rules (the zero-copy idiom of §4.2.3):
 //
 //   - An RX Frame's Data is valid from RecvBurst until Release; the
-//     receiver must copy anything it needs longer. Release re-posts
-//     the buffer, after which the transport may overwrite it.
+//     receiver must copy anything it needs longer. A caller releases
+//     every frame of a burst before its next RecvBurst or Wait on that
+//     transport, after which the transport may overwrite the bytes.
 //   - TX buffers are owned by the caller and may be reused as soon as
 //     SendBurst returns; the transport copies or completes
 //     transmission synchronously.
 //
-// RX pools are single-owner (see Pool): the goroutine that calls
-// RecvBurst receives into them and releases to them, both on the
-// lock-free fast path, as the paper's dispatch thread owns its RX queue
-// and the buffers it posts (§4.1–4.2). Sharded multi-endpoint processes
-// (ListenUDPShards) give every endpoint its own socket and pools, so no
-// datapath state is shared across dispatch goroutines.
+// The RX side has one owner, the goroutine that calls RecvBurst, as the
+// paper's dispatch thread owns its RX queue and the buffers it posts
+// (§4.1–4.2). The UDP transport hands out frames that alias one of two
+// receive windows it owns and re-posts a window whole (see UDP); the
+// simulated and in-memory transports hand out buffers of a
+// single-owner Pool, which Release returns on the lock-free fast path.
+// Sharded multi-endpoint processes (ListenUDPShards) give every
+// endpoint its own socket and windows, so no datapath state is shared
+// across dispatch goroutines.
 //
 // # Machine-checked ownership
 //
@@ -49,7 +52,8 @@
 // What the analyzers cannot prove absent, builds with -tags erpcdebug
 // catch at runtime: the sanitizer in debug_on.go panics on pool
 // double-puts (with the acquisition site), fast-path puts off the
-// owner goroutine and SegBuf refcount underflow/reuse-in-flight.
+// owner goroutine and a UDP receive into a window that still holds a
+// frame handed out and not released (with the hand-out site).
 package transport
 
 import (
@@ -104,8 +108,9 @@ type Transport interface {
 	SendBurst(frames []Frame)
 	// RecvBurst fills up to len(frames) received frames and returns
 	// how many it wrote, without blocking. Each returned frame is valid
-	// until its Release, which re-posts the buffer to the transport's
-	// pool (like re-posting a NIC RX descriptor).
+	// until its Release (like re-posting a NIC RX descriptor), and the
+	// caller releases every frame of a burst before its next RecvBurst
+	// or Wait on this transport.
 	RecvBurst(frames []Frame) int
 	// SetWake registers fn to be invoked when a frame arrives and the
 	// receive queue was empty; the simulated transport calls it at

@@ -25,17 +25,23 @@ import (
 // reads until the socket is empty or the burst full on the per-packet
 // engine), and what a receive splits into beyond the burst waits for the
 // next call. That goroutine is the owner of the RX side: it alone
-// receives, it releases what it received, and the wire-buffer pool is
-// its lock-free free list. An idle owner sleeps in Wait, parked in the
+// receives, and it releases every frame of a burst before its next
+// RecvBurst or Wait. An idle owner sleeps in Wait, parked in the
 // netpoller on this socket until a packet, its deadline or an Interrupt
 // from any goroutine ends it; no goroutine stands between the socket
 // and the loop. The kernel's receive buffer is the queue's depth
 // (RcvBuf) and its overflow is counted in Drops.
 //
+// Every RX frame aliases one of two receive windows the transport owns
+// (no copy, on every engine), and each receive fills the window the
+// last receive that staged frames did not: a burst may hold the rest of
+// one receive and the start of the next, and by the owner's rule both
+// are released before a receive reaches either window again, as the
+// paper's dispatch thread re-posts its RX queue in bulk (§4.3.1).
+//
 // TX has its own lock (txMu: the peer table and the engine's TX arrays),
-// so any goroutine may send. Steady state allocates nothing: RX buffers
-// recycle through a Pool (and, for GRO-coalesced receives, a pool of
-// refcounted SegBufs), and socket I/O avoids per-datagram address
+// so any goroutine may send. Steady state allocates nothing: RX frames
+// alias the windows, and socket I/O avoids per-datagram address
 // allocations.
 //
 // The socket I/O is one of two engines, picked at construction: the
@@ -56,12 +62,15 @@ type UDP struct {
 	// see RcvBuf.
 	rcvBuf int
 
-	// RX state, the owner's alone: the wire-buffer pool, and the frames
-	// of the last receive that no burst has taken yet, rx[rxHead:] (at
-	// most one receive window, udpRxBatch).
-	rxPool *Pool
+	// RX state, the owner's alone: the windows, of which the next
+	// receive fills rxWin[rxCur], the frames of the last receive that no
+	// burst has taken yet, rx[rxHead:] (at most udpRxBatch), and the
+	// erpcdebug sanitizer's hand-out counts (zero-sized in release).
+	rxWin  [2][]byte
+	rxCur  int
 	rx     []Frame
 	rxHead int
+	rxDbg  rxDebug
 
 	// The wait (see Wait): Interrupt sets intr, which the next Wait
 	// consumes; waiting is set while a Wait may be parked, and tells
@@ -109,22 +118,17 @@ type UDP struct {
 	GsoSegments atomic.Uint64
 	GroBatches  atomic.Uint64
 
-	// GroAliasedSegs counts segments of coalesced receives delivered as
-	// zero-copy aliases of their refcounted supersegment buffer, and
-	// GroCopiedSegs counts segments of coalesced receives that fell
-	// back to a pooled copy (alias budget exhausted). Together they
-	// verify the zero-copy GRO split: a healthy gso datapath keeps
-	// GroCopiedSegs at zero. Uncoalesced datagrams (nothing to
-	// amortize) count under neither.
+	// GroAliasedSegs counts the frames split out of coalesced receives
+	// (GroBatches), each aliasing its segment of the window; zero unless
+	// UDP_GRO coalesced.
 	GroAliasedSegs atomic.Uint64
-	GroCopiedSegs  atomic.Uint64
 }
 
 // udpEngine is the socket-I/O strategy: how bursts reach the kernel
 // and how the owner pulls datagrams out of it. Both engines share the
-// UDP core (peer table, leftover, pool, wait). recv and wait run on the
-// owner and stage what they receive on u.rx, which is empty when they
-// are called.
+// UDP core (peer table, windows, leftover, wait). recv and wait run on
+// the owner, receive into the window rxWin[rxCur] and stage what they
+// receive on u.rx, which is empty when they are called.
 type udpEngine interface {
 	// name is what Engine reports: "per-packet", or for the batched
 	// engine "gso" or "mmsg" with its offload capability on or off.
@@ -157,6 +161,14 @@ const DefaultUDPMTU = 1472
 // udpHdrLen is the wire prefix: the 4-byte source eRPC address that
 // lets the receiver demultiplex without a reverse peer table.
 const udpHdrLen = 4
+
+// A receive window is udpRxSlots slots of udpRxSlotCap bytes, one
+// datagram per slot of a recvmmsg, each up to a whole 64 KiB GRO
+// supersegment.
+const (
+	udpRxSlots   = 8
+	udpRxSlotCap = 1 << 16
+)
 
 // udpRxBatch bounds the leftover: a full receive window of full GRO
 // supersegments (8 × 64). A receive that splits into more (only a
@@ -223,9 +235,10 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 		local: local,
 		mtu:   DefaultUDPMTU,
 		peers: map[Addr]udpDest{},
-		// Pool buffers hold a whole wire datagram (prefix + frame) so
-		// the per-packet engine can receive into them in place.
-		rxPool:    NewPool(udpHdrLen+DefaultUDPMTU, udpRxBatch+SocketBurst),
+		rxWin: [2][]byte{
+			make([]byte, udpRxSlots*udpRxSlotCap),
+			make([]byte, udpRxSlots*udpRxSlotCap),
+		},
 		rx:        make([]Frame, 0, udpRxBatch),
 		txScratch: make([]byte, udpHdrLen+DefaultUDPMTU),
 	}
@@ -426,42 +439,92 @@ func parseHdr(buf []byte) Addr {
 	}
 }
 
-// rxFrame is the RX frame of one wire buffer of u.rxPool: the payload
-// past the source prefix, received by the kernel at stamp (0: unknown).
-func (u *UDP) rxFrame(buf []byte, stamp int64) Frame {
-	return Frame{Data: buf[udpHdrLen:], Addr: parseHdr(buf), RxStamp: stamp, pool: u.rxPool, base: buf}
-}
-
 // rxRoom is how many more frames the leftover takes.
 func (u *UDP) rxRoom() int { return cap(u.rx) - len(u.rx) }
 
-// stage adds one received frame to the leftover. Callers check rxRoom.
-func (u *UDP) stage(f Frame) { u.rx = append(u.rx, f) }
+// stage adds one received wire datagram to the leftover as a frame
+// aliasing it: the payload past the source prefix, received by the
+// kernel at stamp (0: unknown). Callers check rxRoom and that pkt holds
+// the prefix.
+func (u *UDP) stage(pkt []byte, stamp int64) {
+	u.rx = append(u.rx, Frame{Data: pkt[udpHdrLen:len(pkt):len(pkt)], Addr: parseHdr(pkt), RxStamp: stamp})
+	u.rxDbg.onStage(&u.rx[len(u.rx)-1], u.rxCur)
+}
+
+// splitRxSegs stages the ln bytes received into buf — a GRO-coalesced
+// supersegment, or a plain datagram — as frames aliasing its segments
+// at the given stride, each with the receive's kernel stamp, and
+// reports how many segments it saw. Segments beyond the leftover's room
+// are dropped: only a hostile stride yields more than a window holds.
+//
+// Stride and length arrive from outside the process, so the split is
+// paranoid: a non-positive or oversized stride degrades to one
+// whole-buffer segment, a short trailing segment is clamped to the
+// receive length, segments shorter than the wire prefix or longer than
+// a wire datagram are dropped, and a length beyond buf drops the
+// receive.
+func (u *UDP) splitRxSegs(buf []byte, ln, stride int, stamp int64) (nseg int) {
+	if ln <= 0 || ln > len(buf) {
+		return 0
+	}
+	if stride <= 0 || stride > ln {
+		stride = ln
+	}
+	total := (ln + stride - 1) / stride
+	staged := len(u.rx)
+	for off := 0; off < ln && u.rxRoom() > 0; off += stride {
+		pkt := buf[off:min(off+stride, ln)]
+		if len(pkt) < udpHdrLen || len(pkt) > udpHdrLen+u.mtu {
+			continue
+		}
+		u.stage(pkt, stamp)
+	}
+	if total >= 2 {
+		u.GroAliasedSegs.Add(uint64(len(u.rx) - staged))
+	}
+	return total
+}
 
 // takeRx moves the leftover's oldest frames into frames and returns
 // how many.
 func (u *UDP) takeRx(frames []Frame) int {
 	n := copy(frames, u.rx[u.rxHead:])
-	clear(u.rx[u.rxHead : u.rxHead+n]) // the leftover must not pin buffers it no longer owns
+	clear(u.rx[u.rxHead : u.rxHead+n]) // the leftover must not pin bytes it no longer owns
 	u.rxHead += n
 	if u.rxHead == len(u.rx) {
 		u.rx, u.rxHead = u.rx[:0], 0
 	}
+	u.rxDbg.onTake(frames[:n])
 	return n
+}
+
+// receive makes one receive into window rxCur, the leftover empty: a
+// non-blocking one of at most max datagrams, or with park the one Wait
+// parks in. One that staged frames moves rxCur to the other window.
+func (u *UDP) receive(max int, park bool) {
+	u.rxDbg.onRecv(u.rxCur)
+	if park {
+		u.eng.wait()
+	} else {
+		u.eng.recv(max)
+	}
+	if len(u.rx) > 0 {
+		u.rxCur ^= 1
+	}
 }
 
 // RecvBurst implements Transport on the owner: the rest of the last
 // receive first, then, if the burst has room, one non-blocking receive.
-// After Close it releases what was left over and returns nothing.
+// After Close it drops what was left over and returns nothing.
 func (u *UDP) RecvBurst(frames []Frame) int {
 	if u.closed.Load() {
-		ReleaseBurst(u.rx[u.rxHead:])
+		clear(u.rx)
 		u.rx, u.rxHead = u.rx[:0], 0
 		return 0
 	}
 	n := u.takeRx(frames)
 	if n < len(frames) {
-		u.eng.recv(len(frames) - n)
+		u.receive(len(frames)-n, false)
 		n += u.takeRx(frames[n:])
 	}
 	return n
@@ -494,7 +557,7 @@ func (u *UDP) Wait(d time.Duration) bool {
 		return true
 	}
 	if d <= 0 {
-		u.eng.recv(SocketBurst)
+		u.receive(SocketBurst, false)
 		return len(u.rx) > 0 || u.intr.Swap(false)
 	}
 	if u.closed.Load() {
@@ -507,7 +570,7 @@ func (u *UDP) Wait(d time.Duration) bool {
 		u.waiting.Store(false)
 		return true
 	}
-	u.eng.wait()
+	u.receive(SocketBurst, true)
 	u.waiting.Store(false)
 	return len(u.rx) > 0 || u.intr.Swap(false)
 }
@@ -591,19 +654,17 @@ func (u *UDP) Close() error {
 	return u.closeErr
 }
 
-// RxPoolStats snapshots the RX wire-buffer pool's recycle counters
-// (allocations, lock-free owner recycles, cross-goroutine shared
-// recycles, refill swaps). The RX path recycles on the owner only, so
-// the shared counters stay 0.
-func (u *UDP) RxPoolStats() PoolStats { return u.rxPool.Stats() }
+// RxPoolStats reports zero counters: no pool backs the RX frames, which
+// alias the receive windows. It stays for callers that still read it.
+func (u *UDP) RxPoolStats() PoolStats { return PoolStats{} }
 
 // perPacketEngine is the portable fallback: one syscall per datagram.
 // It is compiled on every platform and is the default where the batched
-// engine is not. Datagrams are read straight into pooled wire buffers,
-// whose 4-byte prefix carries the source, so no sockaddr is needed.
+// engine is not. Datagrams are read into consecutive wire-sized slices
+// of the receive window, and their 4-byte prefix carries the source, so
+// no sockaddr is needed.
 type perPacketEngine struct {
 	u      *UDP
-	buf    []byte                // the wire buffer the next read goes into (nil: get one)
 	max    int                   // datagrams the receive in progress may take
 	again  bool                  // the last read found the socket empty
 	rxCtl  func(fd uintptr)      // preallocated: rc.Control closure
@@ -639,21 +700,18 @@ func (e *perPacketEngine) wait() {
 	_ = e.u.rc.Read(e.rxWait)
 }
 
-// read makes non-blocking reads into pooled wire buffers until the
-// socket is empty (again), a read fails, e.max frames are staged or the
-// leftover is full. The payload aliases the buffer past the prefix: no
-// per-packet copy. A buffer a read did not fill stays in e.buf for the
-// next one, so looking at an empty socket touches no pool.
-//
-//erpc:owner
+// read makes non-blocking reads until the socket is empty (again), a
+// read fails, e.max frames are staged, or the leftover or the window is
+// full. Frame k of the receive is read into the window's k-th
+// wire-sized slice (the leftover was empty when it began), and its
+// payload aliases it past the prefix: no per-packet copy.
 func (e *perPacketEngine) read(fd uintptr) {
 	u := e.u
+	win, wire := u.rxWin[u.rxCur], udpHdrLen+u.mtu
 	e.again = false
-	for got := 0; got < e.max && u.rxRoom() > 0; {
-		if e.buf == nil {
-			e.buf = u.rxPool.Get()
-		}
-		n, err := readNB(fd, e.buf[:cap(e.buf)])
+	for lim := min(e.max, cap(u.rx), len(win)/wire); len(u.rx) < lim; {
+		buf := win[len(u.rx)*wire:][:wire]
+		n, err := readNB(fd, buf)
 		if err != nil {
 			e.again = err == syscall.EAGAIN
 			return
@@ -662,9 +720,7 @@ func (e *perPacketEngine) read(fd uintptr) {
 		if n < udpHdrLen {
 			continue
 		}
-		u.stage(u.rxFrame(e.buf[:n], 0))
-		e.buf = nil
-		got++
+		u.stage(buf[:n], 0)
 	}
 }
 

@@ -22,14 +22,15 @@ package transport
 //     first moves a frame back to the last run of its peer and size
 //     where that reorders no message.
 //   - RX: one non-blocking recvmmsg, made by the owner (RecvBurst, or
-//     the read closure Wait parks with), fills a window of refcounted
-//     64 KiB buffers (SegBuf). With UDP_GRO on, a run of equal-size
-//     datagrams (a whole TX supersegment crossing loopback is never
-//     segmented at all) arrives as one buffer plus a cmsg segment size,
-//     and splitRxSegs stages its segments as frames aliasing the
-//     buffer. An uncoalesced datagram (every datagram, with UDP_GRO
-//     off) is copied into a pooled wire buffer and its SegBuf stays
-//     posted.
+//     the read closure Wait parks with), fills the slots of one of the
+//     transport's two receive windows (udpRxSlots × 64 KiB), one
+//     datagram per slot. With UDP_GRO on, a run of equal-size datagrams
+//     (a whole TX supersegment crossing loopback is never segmented at
+//     all) arrives in one slot plus a cmsg segment size, and
+//     splitRxSegs stages its segments as frames aliasing the slot. An
+//     uncoalesced datagram (every datagram, with UDP_GRO off) is one
+//     frame aliasing its slot. No receive copies, and a window is
+//     re-posted whole: the next receive fills the other one.
 //   - Every receive carries the kernel's receive time (SO_TIMESTAMPNS),
 //     which every frame split from it takes as Frame.RxStamp: the core
 //     subtracts the time a packet then spends queued in this host from
@@ -90,17 +91,6 @@ const (
 	// socket, is one chunk.
 	gsoTxWindow = SocketBurst
 	gsoTxFrames = SocketBurst
-
-	// gsoRxWindow is how many supersegment buffers are posted per
-	// recvmmsg; each holds up to a whole 64 KiB supersegment.
-	gsoRxWindow = 8
-	gsoRxBufCap = 1 << 16
-
-	// gsoAliasLimit bounds supersegment buffers outstanding as
-	// zero-copy RX aliases (see segPool): a consumer that sits on
-	// frames can pin at most gsoAliasLimit × gsoRxBufCap (4 MiB)
-	// before the split degrades to copying.
-	gsoAliasLimit = 64
 
 	// gsoCtrlSpace is the TX per-message control-buffer stride, 8-aligned
 	// and large enough for one UDP_SEGMENT cmsg.
@@ -189,13 +179,11 @@ type batchEngine struct {
 	segErrno syscall.Errno
 	segFn    func(fd uintptr) bool // preallocated: rc.Write closure
 
-	// RX state, the owner's (see UDP). rsegs are the posted receive
-	// buffers; a slot whose SegBuf went out as aliases posts a fresh one
-	// from segs. rxN and rxErrno are the result of the last recvmmsg.
+	// RX state, the owner's (see UDP). riovs are the slots of the
+	// window the last receive filled (see post). rxN and rxErrno are
+	// the result of the last recvmmsg.
 	rhdrs   []mmsghdr
 	riovs   []syscall.Iovec
-	rsegs   []*SegBuf
-	segs    *segPool
 	rctrl   []byte
 	rxN     int
 	rxErrno syscall.Errno
@@ -229,11 +217,9 @@ func newBatchEngine(u *UDP, offload bool) udpEngine {
 		tsegSize: make([]int, gsoTxWindow),
 		order:    make([]int, 0, gsoTxFrames),
 		wireCap:  1 << 30, // no learned ceiling yet
-		rhdrs:    make([]mmsghdr, gsoRxWindow),
-		riovs:    make([]syscall.Iovec, gsoRxWindow),
-		rsegs:    make([]*SegBuf, gsoRxWindow),
-		segs:     newSegPool(gsoRxBufCap, gsoAliasLimit),
-		rctrl:    make([]byte, rxCtrlSpace*gsoRxWindow),
+		rhdrs:    make([]mmsghdr, udpRxSlots),
+		riovs:    make([]syscall.Iovec, udpRxSlots),
+		rctrl:    make([]byte, rxCtrlSpace*udpRxSlots),
 	}
 	var soErr error
 	err := rc.Control(func(fd uintptr) {
@@ -530,21 +516,22 @@ func parseRxCmsgs(b []byte) (stride int, stamp int64, drops uint32) {
 	return stride, stamp, drops
 }
 
-// postSeg posts a fresh supersegment buffer on RX window slot i.
-func (e *batchEngine) postSeg(i int) {
-	sb := e.segs.get()
-	e.rsegs[i] = sb
-	e.riovs[i].Base = &sb.buf[0]
-	e.riovs[i].SetLen(len(sb.buf))
+// post points the slots at the window the next receive fills
+// (UDP.rxCur), unless they point there already.
+func (e *batchEngine) post() {
+	win := e.u.rxWin[e.u.rxCur]
+	if e.riovs[0].Base == &win[0] {
+		return
+	}
+	for i := range e.riovs {
+		e.riovs[i].Base = &win[i*udpRxSlotCap]
+		e.riovs[i].SetLen(udpRxSlotCap)
+	}
 }
 
-// arm readies RX window slot i for the next recvmmsg: a buffer posted
-// (a fresh one if the last went out as aliases) and the header fields
-// the kernel wrote reset.
+// arm readies RX slot i for the next recvmmsg: the header fields the
+// kernel wrote reset.
 func (e *batchEngine) arm(i int) {
-	if e.rsegs[i] == nil {
-		e.postSeg(i)
-	}
 	h := &e.rhdrs[i]
 	h.hdr.Iov = &e.riovs[i]
 	h.hdr.Iovlen = 1
@@ -559,6 +546,7 @@ func (e *batchEngine) arm(i int) {
 // recv is one non-blocking recvmmsg over the window, split into the
 // leftover. max does not bound it: the leftover holds a whole window.
 func (e *batchEngine) recv(int) {
+	e.post()
 	e.rxN = 0
 	if e.u.rc.Control(e.rxCtl) == nil {
 		e.split()
@@ -568,17 +556,16 @@ func (e *batchEngine) recv(int) {
 // wait parks in the netpoller until a recvmmsg gets something (split
 // into the leftover), the read deadline passes or the socket closes.
 func (e *batchEngine) wait() {
+	e.post()
 	e.rxN = 0 // a read that fails before calling rxFn received nothing
 	_ = e.u.rc.Read(e.rxFn)
 	e.split()
 }
 
 // split turns the messages the last recvmmsg filled into frames on the
-// leftover, split at each one's cmsg stride and stamped with its kernel
-// receive time (parseRxCmsgs, splitRxSegs), and re-arms their slots. A
-// slot whose SegBuf went out aliased posts a replacement from the seg
-// pool; the original returns there when its last segment frame is
-// released.
+// leftover, each aliasing its slot of the window, split at the
+// message's cmsg stride and stamped with its kernel receive time
+// (parseRxCmsgs, splitRxSegs), and re-arms their slots.
 func (e *batchEngine) split() {
 	n := e.rxN
 	e.rxN = 0
@@ -587,16 +574,15 @@ func (e *batchEngine) split() {
 	}
 	u := e.u
 	u.Syscalls.Add(1)
+	win := u.rxWin[u.rxCur]
 	datagrams := 0
 	var drops uint32
 	for i := 0; i < n; i++ {
 		ctrl := e.rctrl[i*rxCtrlSpace:][:min(e.rhdrs[i].hdr.Controllen, rxCtrlSpace)]
 		stride, stamp, d := parseRxCmsgs(ctrl)
 		drops = max(drops, d)
-		nseg, aliased := u.splitRxSegs(e.rsegs[i], int(e.rhdrs[i].msgLen), stride, stamp)
-		if aliased {
-			e.rsegs[i] = nil
-		}
+		slot := win[i*udpRxSlotCap : (i+1)*udpRxSlotCap]
+		nseg := u.splitRxSegs(slot, int(e.rhdrs[i].msgLen), stride, stamp)
 		datagrams += nseg
 		if nseg > 1 {
 			u.GroBatches.Add(1)

@@ -26,7 +26,7 @@ race:
 
 # vet runs the standard vet checks plus erpcvet, the in-tree analyzer
 # suite that enforces the zero-copy ownership invariants (framerelease,
-# aliasflush, owner, syscallptr — see internal/analysis/).
+# owner, syscallptr — see internal/analysis/).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/erpcvet ./...

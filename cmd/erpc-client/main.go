@@ -211,5 +211,4 @@ func main() {
 	segs, gro, aliased := erpc.UDPGsoStats(trs)
 	fmt.Printf("udp engine %s: %d data syscalls (%.2f/rpc), %d mmsg batches, %d gso segments, %d gro batches, %d gro segs aliased\n",
 		engine, syscalls, float64(syscalls)/float64(max(total, 1)), batches, segs, gro, aliased)
-	fmt.Printf("zero-copy tx frames: %d\n", st.ZeroCopyTx)
 }

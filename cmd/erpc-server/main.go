@@ -136,8 +136,8 @@ func main() {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	// SIGTERM drains gracefully: stop admitting work (arrivals draw
-	// PktReject), let every admitted RPC and queued zero-copy alias
-	// finish, then stop. SIGINT stops immediately.
+	// PktReject), let every admitted RPC and queued frame finish, then
+	// stop. SIGINT stops immediately.
 	if sig := <-ch; sig == syscall.SIGTERM {
 		fmt.Printf("SIGTERM: draining (deadline %v)\n", *drainTO)
 		if server.Drain(*drainTO) {
@@ -164,8 +164,6 @@ func main() {
 	segs, gro, aliased := erpc.UDPGsoStats(trs)
 	fmt.Printf("udp engine %s: %d data syscalls, %d mmsg batches, %d gso segments, %d gro batches, %d gro segs aliased\n",
 		engine, syscalls, batches, segs, gro, aliased)
-	fmt.Printf("zero-copy tx frames: %d, deferred msgbuf frees: %d\n",
-		st.ZeroCopyTx, st.DeferredFrees)
 }
 
 // splitPeer parses "host:port/m" into the base address and endpoint

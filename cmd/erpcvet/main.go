@@ -1,7 +1,6 @@
 // Command erpcvet checks the repository against the zero-copy
-// ownership invariants the datapath depends on, running the four
-// analyzers in internal/analysis: framerelease, aliasflush, owner and
-// syscallptr.
+// ownership invariants the datapath depends on, running the three
+// analyzers in internal/analysis: framerelease, owner and syscallptr.
 //
 // Standalone:
 //
@@ -36,7 +35,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/aliasflush"
 	"repro/internal/analysis/framerelease"
 	"repro/internal/analysis/owner"
 	"repro/internal/analysis/syscallptr"
@@ -44,7 +42,6 @@ import (
 
 var analyzers = []*analysis.Analyzer{
 	framerelease.Analyzer,
-	aliasflush.Analyzer,
 	owner.Analyzer,
 	syscallptr.Analyzer,
 }

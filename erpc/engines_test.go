@@ -106,13 +106,11 @@ func (p *echoPair) poll() {
 	}
 }
 
-// TestEchoZeroCopyCounters pins the zero-copy datapath on every engine
-// with windowed echo RPCs: packet 0 of each request and of each
-// response leaves as an alias of its msgbuf (Appendix C), so the two
-// endpoints count exactly 2 zero-copy frames per RPC; and on the gso
-// engine the window's same-size frames arrive UDP_GRO-coalesced and
-// every coalesced segment is delivered aliasing its supersegment,
-// none copied.
+// TestEchoZeroCopyCounters pins the zero-copy RX datapath on every
+// engine with windowed echo RPCs: on the gso engine the window's
+// same-size frames arrive UDP_GRO-coalesced and every coalesced segment
+// is delivered aliasing its supersegment, none copied; the other
+// engines count no GRO segment.
 func TestEchoZeroCopyCounters(t *testing.T) {
 	const (
 		window = erpc.DefaultNumSlots
@@ -146,11 +144,6 @@ func TestEchoZeroCopyCounters(t *testing.T) {
 				p.poll()
 			}
 
-			zc := p.cli.Stats.ZeroCopyTx + p.srv.Stats.ZeroCopyTx
-			resent := p.cli.Stats.Retransmits + p.srv.Stats.Retransmits
-			if zc < 2*total || (resent == 0 && zc != 2*total) {
-				t.Fatalf("ZeroCopyTx = %d over %d RPCs (%d retransmits), want 2 per RPC", zc, total, resent)
-			}
 			aliased := p.cliTr.GroAliasedSegs.Load() + p.srvTr.GroAliasedSegs.Load()
 			if engine == "gso" && aliased == 0 {
 				t.Fatal("gso RX: no coalesced segment aliased")

@@ -5,12 +5,11 @@
 // (no module downloads), the same constraint that put the transport's
 // batched engine on raw syscall numbers instead of x/sys.
 //
-// The analyzers it hosts (framerelease, aliasflush, owner, syscallptr;
-// driven by cmd/erpcvet) machine-check conventions the compiler cannot
-// see: every acquired transport.Frame/pool buffer reaches a release
-// sink on all paths, msgbuf frees inside TX-batch-holding packages are
-// dominated by a flush, pool fast paths stay on the owning goroutine,
-// and unsafe.Pointer/uintptr conversions never outlive their syscall
+// The analyzers it hosts (framerelease, owner, syscallptr; driven by
+// cmd/erpcvet) machine-check conventions the compiler cannot see: every
+// acquired transport.Frame/pool buffer reaches a release sink on all
+// paths, pool fast paths stay on the owning goroutine, and
+// unsafe.Pointer/uintptr conversions never outlive their syscall
 // argument.
 //
 // # Directives
@@ -28,8 +27,6 @@
 //	//erpc:owneronly    calls to this function are themselves owner
 //	                    fast-path operations (testdata/extension hook;
 //	                    transport.Pool.Get/Put are built in).
-//	//erpc:flush        this function drains the TX batch (an aliasflush
-//	                    guard, like core's flushTX).
 //	//erpc:ignore <why> suppress diagnostics on this line. The reason
 //	                    string is mandatory; a bare //erpc:ignore is
 //	                    itself reported.
@@ -349,7 +346,7 @@ func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 // FuncDirectives maps each function object declared in the pass's
 // package to the set of erpc directives on its doc comment, so calls
 // to same-package annotated functions (//erpc:acquire, //erpc:release,
-// //erpc:flush, //erpc:owneronly) are recognized by object identity.
+// //erpc:owneronly) are recognized by object identity.
 func FuncDirectives(pass *Pass) map[types.Object]map[string]bool {
 	out := map[types.Object]map[string]bool{}
 	for _, f := range pass.Files {

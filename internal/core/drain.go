@@ -3,9 +3,9 @@ package core
 // Graceful drain (the zero-downtime-restart half of Appendix B's
 // management plane): Drain stops admitting work, Drained reports when
 // everything already admitted has finished. The dispatch loop keeps
-// running between the two — in-flight RPCs complete, queued zero-copy
-// TX aliases flush, worker handlers return — so an operator can stop a
-// serving process without failing a single admitted request.
+// running between the two — in-flight RPCs complete, the TX batch
+// flushes, worker handlers return — so an operator can stop a serving
+// process without failing a single admitted request.
 
 // Drain puts the endpoint into draining mode: CreateSession and
 // EnqueueRequest fail with ErrDraining, and the server half rejects
@@ -34,9 +34,9 @@ func (r *Rpc) AllocBalance() (allocs, frees uint64) {
 // Drained reports whether the endpoint is draining and has no admitted
 // work left: no busy client slot or backlogged request, no server
 // request being received or executed, no packet waiting in the rate
-// limiter, no zero-copy TX alias or deferred free outstanding, and no
-// closure waiting in the Post queue (where a worker handler's response
-// sits until a pass runs it). Dispatch context only.
+// limiter or the TX batch, and no closure waiting in the Post queue
+// (where a worker handler's response sits until a pass runs it).
+// Dispatch context only.
 func (r *Rpc) Drained() bool {
 	if !r.draining {
 		return false
@@ -54,10 +54,7 @@ func (r *Rpc) Drained() bool {
 			}
 		}
 	}
-	if r.srvInFlight != 0 || r.wheel.Len() != 0 {
-		return false
-	}
-	if len(r.txBatch) != 0 || len(r.txRefs) != 0 || len(r.txFree) != 0 {
+	if r.srvInFlight != 0 || r.wheel.Len() != 0 || len(r.txBatch) != 0 {
 		return false
 	}
 	r.posted.Lock()

@@ -15,9 +15,8 @@ type driver interface {
 	// wake has a pass run soon: a packet reached an empty RX queue or
 	// Post queued a closure. Callable from any goroutine.
 	wake()
-	// transmit puts r.txBatch on the wire and disposes of the pooled
-	// copies in it (txOwned); flushTX then resets the batch and releases
-	// the msgbufs it aliased.
+	// transmit puts r.txBatch on the wire; flushTX then empties the
+	// batch and reuses its arena, so transmit keeps none of its bytes.
 	transmit()
 	// offload runs a RunInWorker handler off the dispatch context; cost
 	// is the execution time the CostModel gives it.
@@ -165,19 +164,9 @@ func (d *loopDriver) call(fn func()) {
 	<-done
 }
 
-// transmit is one SendBurst (one doorbell), which completes
-// transmission synchronously: the batch's buffers are free on return.
-//
-//erpc:owner
-func (d *loopDriver) transmit() {
-	r := d.r
-	r.tr.SendBurst(r.txBatch)
-	for i := range r.txBatch {
-		if r.txOwned[i] {
-			r.txPool.Put(r.txBatch[i].Data)
-		}
-	}
-}
+// transmit is one SendBurst (one doorbell), which is done with the
+// batch's bytes when it returns.
+func (d *loopDriver) transmit() { d.r.tr.SendBurst(d.r.txBatch) }
 
 // offload hands the handler to the process's worker pool (§3.2), or to
 // a goroutine of its own on an endpoint without one.

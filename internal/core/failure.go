@@ -37,16 +37,15 @@ func (r *Rpc) heartbeat() {
 }
 
 // FailPeer declares a remote node failed and tears down every session
-// to it, following Appendix B: flush the TX DMA queue to release
-// msgbuf references held by the NIC, drain the rate limiter, then
-// invoke continuations for pending requests with an error code.
+// to it, following Appendix B: flush the TX DMA queue, drain the rate
+// limiter, then invoke continuations for pending requests with an
+// error code.
 func (r *Rpc) FailPeer(node uint16) {
 	r.apiEnter()
 	defer r.apiExit()
 	r.Stats.PeerFailures++
-	// Flush the TX DMA queue once for the failure event — literally:
-	// the TX batch may hold zero-copy msgbuf aliases whose references
-	// must drop before continuations hand buffer ownership back.
+	// Flush the TX DMA queue once for the failure event (Appendix B's
+	// cost): what the batch holds leaves before the teardown.
 	r.charge(r.cost.DMAFlush)
 	r.Stats.DMAFlushes++
 	r.flushTX()
@@ -64,13 +63,6 @@ func (r *Rpc) FailPeer(node uint16) {
 	// failure non-terminal — a later CreateSession to the node starts
 	// from the new-peer grace period (Appendix B).
 	delete(r.lastHeard, node)
-	// Client-teardown continuations may have queued new frames — a
-	// nested-RPC handler enqueueing its (zero-copy) response from a
-	// failed request's continuation lands here — so flush again before
-	// resetting server slots: resetSrvSlot must see drained TX
-	// references to free response buffers immediately rather than
-	// deferring them.
-	r.flushTX()
 	for key, s := range r.srvSessions {
 		if key.addr.Node != node {
 			continue
@@ -80,9 +72,9 @@ func (r *Rpc) FailPeer(node uint16) {
 		}
 		delete(r.srvSessions, key)
 	}
-	// Drain any frees that still had queued aliases (and, in real
-	// transport mode where apiExit does not flush, any frames the
-	// teardown itself queued).
+	// Client-teardown continuations may have queued frames (a
+	// nested-RPC handler's response, say): flush them, so none outlive
+	// the API call in real transport mode, where apiExit does not flush.
 	r.flushTX()
 }
 
@@ -99,12 +91,11 @@ func (r *Rpc) DestroySession(s *Session) {
 	defer r.apiExit()
 	r.charge(r.cost.DMAFlush)
 	r.Stats.DMAFlushes++
-	r.flushTX() // release zero-copy TX references before failing conts
+	r.flushTX()
 	r.drainWheelFor(func(e wheelEntry) bool { return e.sess == s })
 	r.teardownSession(s, ErrSessionClosed)
-	// Continuations may queue new frames (and, via nested-RPC response
-	// enqueues, zero-copy aliases); flush so none outlive the API call
-	// in real transport mode, where apiExit does not flush.
+	// Continuations may queue new frames; flush so none outlive the API
+	// call in real transport mode, where apiExit does not flush.
 	r.flushTX()
 }
 
@@ -142,10 +133,9 @@ func (r *Rpc) teardownSession(s *Session, err error) {
 	}
 }
 
-// drainWheelFor removes matching rate-limiter entries, releasing their
-// msgbuf references; non-matching entries are reinserted at their
-// original deadlines (Appendix B/C: the rate limiter must hold no
-// reference to a failed session's msgbufs).
+// drainWheelFor removes matching rate-limiter entries; non-matching
+// entries are reinserted at their original deadlines (Appendix B: the
+// rate limiter holds nothing of a failed session).
 func (r *Rpc) drainWheelFor(match func(wheelEntry) bool) {
 	if r.wheel.Len() == 0 {
 		return
@@ -158,9 +148,6 @@ func (r *Rpc) drainWheelFor(match func(wheelEntry) bool) {
 	r.wheel.Drain(func(at sim.Time, e wheelEntry) {
 		if match(e) {
 			e.sess.cc.inWheel--
-			if e.buf != nil {
-				e.buf.ReleaseTX()
-			}
 			return
 		}
 		keep = append(keep, saved{at, e})

@@ -99,13 +99,6 @@ func (r *Rpc) onResp(h *wire.Header, payload []byte) {
 	if s == nil {
 		return
 	}
-	// Zero-copy ownership rule (Appendix C): if a retransmitted copy
-	// of the request still sits in the rate limiter, drop the response
-	// rather than yield msgbuf ownership with queued references.
-	if ss.req.TXRefs() > 0 {
-		r.Stats.RespDropWheel++
-		return
-	}
 	k := int(h.PktNum)
 	if k != ss.respRcvd {
 		r.Stats.StalePktsRx++ // reordered/duplicate response packet
@@ -393,12 +386,7 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 	s.cc.nextTx = t + sim.Time(float64(wireBytes)*1e9/tl.Rate())
 	r.Stats.PktsPaced++
 	r.charge(r.cost.CarouselOp)
-	e := wheelEntry{sess: s, slotIdx: idx, reqNum: ss.reqNum, kind: kind, pktNum: pktNum}
-	if kind == kindReqData {
-		ss.req.RetainTX()
-		e.buf = ss.req
-	}
-	r.wheel.Insert(t, e)
+	r.wheel.Insert(t, wheelEntry{sess: s, slotIdx: idx, reqNum: ss.reqNum, kind: kind, pktNum: pktNum})
 	s.cc.inWheel++
 }
 
@@ -408,9 +396,6 @@ func (r *Rpc) ccSend(s *Session, idx int, kind wireKind, pktNum int) {
 func (r *Rpc) pollWheel() {
 	r.wheel.PollUntil(r.now(), func(_ sim.Time, e wheelEntry) {
 		e.sess.cc.inWheel--
-		if e.buf != nil {
-			e.buf.ReleaseTX()
-		}
 		ss := &e.sess.slots[e.slotIdx]
 		if e.sess.failed || !ss.busy || ss.reqNum != e.reqNum || ss.retryAt != 0 {
 			return // orphaned entry: slot finished, parked in reject
@@ -461,50 +446,21 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 }
 
 // sendCtrl transmits a header-only packet (CR, RFR, ping, pong —
-// the paper's "tiny 16 B packets"), encoded in a pooled TX buffer.
-// rxAt is as for appendTX.
-//
-//erpc:owner
+// the paper's "tiny 16 B packets"), encoded in the TX arena. rxAt is as
+// for appendTX.
 func (r *Rpc) sendCtrl(dst transport.Addr, h wire.Header, rxAt sim.Time) {
-	buf := r.txPool.Get()[:wire.HeaderSize]
+	buf := r.txArena[r.txOff : r.txOff+wire.HeaderSize]
 	if err := h.Encode(buf); err != nil {
 		panic("erpc: header encode: " + err.Error())
 	}
-	r.appendTX(dst, buf, true, rxAt)
+	r.appendTX(dst, buf, rxAt)
 }
 
-// sendPkt appends packet k of msgbuf buf to the TX batch. Packet 0's
-// header and data are contiguous in the msgbuf (Figure 2), so it rides
-// the batch as an alias of the buffer — zero-copy transmission
-// (Appendix C), with rawSendZC's reference bookkeeping keeping
-// ownership away from the application until the flush. A later
-// packet's header sits apart from its data: it is assembled in a
-// pooled TX buffer, which the batch owns. rxAt is as for appendTX.
-//
-//erpc:owner
+// sendPkt appends packet k of msgbuf buf to the TX batch, copied into
+// the TX arena: the batch owns its bytes, so the msgbuf returns to its
+// owner the moment the call does. rxAt is as for appendTX.
 func (r *Rpc) sendPkt(dst transport.Addr, buf *msgbuf.Buf, k int, rxAt sim.Time) {
-	if k == 0 {
-		r.rawSendZC(dst, buf.Frame(0, nil), buf, rxAt)
-		return
-	}
-	r.appendTX(dst, buf.Frame(k, r.txPool.Get()), true, rxAt)
-}
-
-// rawSendZC appends a frame that aliases buf's backing array — no
-// copy, the zero-copy transmission of paper Appendix C, used for both
-// request and response packet 0. The TX batch holds a transmission
-// reference on buf (RetainTX) until the flush, so ownership cannot
-// return to the application while the "DMA queue" still points into
-// the buffer: onResp drops responses while references are outstanding
-// (the client then retransmits), server slot reuse defers the response
-// buffer's free until the references drain (resetSrvSlot/drainTXFree),
-// and session teardown flushes the batch before failing continuations.
-// rxAt is as for appendTX.
-func (r *Rpc) rawSendZC(dst transport.Addr, frame []byte, buf *msgbuf.Buf, rxAt sim.Time) {
-	r.Stats.ZeroCopyTx++
-	buf.RetainTX()
-	r.txRefs = append(r.txRefs, buf)
-	r.appendTX(dst, frame, false, rxAt)
+	r.appendTX(dst, buf.Frame(k, r.txArena[r.txOff:]), rxAt)
 }
 
 // txReply is a TX-batch entry that answers a packet the kernel received
@@ -515,22 +471,22 @@ type txReply struct {
 	rxAt sim.Time
 }
 
-// appendTX queues one frame on the TX batch (the paper's TX DMA queue),
-// which is flushed with one SendBurst per event-loop iteration
-// (§4.2.2's single DMA-queue flush), or earlier if it reaches
-// BurstSize. owned marks a pooled buffer to recycle at flush; zero-copy
-// aliases are released via txRefs instead. rxAt, when not 0, is the
-// kernel receive time of the packet that a CR or response frame
-// answers: the flush reports the time since as the frame's endpoint
-// delay (stampReplies).
-func (r *Rpc) appendTX(dst transport.Addr, data []byte, owned bool, rxAt sim.Time) {
+// appendTX queues one frame, built at the free end of the TX arena, on
+// the TX batch (the paper's TX DMA queue), which is flushed with one
+// SendBurst per event-loop iteration (§4.2.2's single DMA-queue flush),
+// or earlier if it reaches BurstSize. A frame is at most an MTU and the
+// arena holds BurstSize of them, so the batch never outgrows it. rxAt,
+// when not 0, is the kernel receive time of the packet that a CR or
+// response frame answers: the flush reports the time since as the
+// frame's endpoint delay (stampReplies).
+func (r *Rpc) appendTX(dst transport.Addr, data []byte, rxAt sim.Time) {
 	r.Stats.PktsTx++
 	r.Stats.BytesTx += uint64(len(data))
 	if rxAt != 0 {
 		r.txReplies = append(r.txReplies, txReply{at: len(r.txBatch), rxAt: rxAt})
 	}
 	r.txBatch = append(r.txBatch, transport.Frame{Data: data, Addr: dst})
-	r.txOwned = append(r.txOwned, owned)
+	r.txOff += len(data)
 	r.txQueued()
 	if len(r.txBatch) >= r.burst {
 		r.flushTX()
@@ -559,16 +515,11 @@ func (r *Rpc) sessionQueued(s *Session) {
 
 // flushTX transmits the accumulated TX batch — how is the driver's
 // business: one SendBurst (one doorbell) over a real transport, a
-// departure event per frame in simulated time — then releases the
-// zero-copy msgbuf references the batch held and frees the buffers that
-// waited for them.
-//
-//erpc:flush
+// departure event per frame in simulated time — and empties it, arena
+// and all: the driver is done with the batch's bytes when transmit
+// returns.
 func (r *Rpc) flushTX() {
 	if len(r.txBatch) == 0 {
-		// Nothing queued, but deferred frees may have become eligible
-		// (e.g. a teardown released the last references).
-		r.drainTXFree()
 		return
 	}
 	r.Stats.TxBursts++
@@ -576,39 +527,8 @@ func (r *Rpc) flushTX() {
 		r.stampReplies()
 	}
 	r.drv.transmit()
-	clear(r.txBatch)
 	r.txBatch = r.txBatch[:0]
-	r.txOwned = r.txOwned[:0]
-	for i, b := range r.txRefs {
-		b.ReleaseTX()
-		r.txRefs[i] = nil
-	}
-	r.txRefs = r.txRefs[:0]
-	r.drainTXFree()
-}
-
-// drainTXFree frees the deferred-release msgbufs whose transmission
-// references have drained (see resetSrvSlot: a slot reset while the
-// response's zero-copy alias was still queued parks the buffer here
-// instead of freeing it under the "DMA queue"). Buffers still
-// referenced — e.g. re-aliased by a retransmission in the new batch —
-// stay parked for the next flush.
-func (r *Rpc) drainTXFree() {
-	if len(r.txFree) == 0 {
-		return
-	}
-	kept := r.txFree[:0]
-	for _, b := range r.txFree {
-		if b.TXRefs() == 0 {
-			r.alloc.Free(b)
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	for i := len(kept); i < len(r.txFree); i++ {
-		r.txFree[i] = nil
-	}
-	r.txFree = kept
+	r.txOff = 0
 }
 
 // stampReplies writes into each CR and response of the batch that
@@ -617,9 +537,9 @@ func (r *Rpc) drainTXFree() {
 // before the batch goes to the transport. The reply was encoded earlier
 // in the pass, and the rest of the pass — other packets, handlers, a
 // preemption of the loop — is host delay the client must not take for
-// congestion. Only the delay bits change; a zero-copy response packet 0
-// is patched in its msgbuf, which the server owns. A batch without such
-// a reply, and so every simulated one (no stamps), reads no clock.
+// congestion. Only the delay bits of the batch's copy change. A batch
+// without such a reply, and so every simulated one (no stamps), reads
+// no clock.
 func (r *Rpc) stampReplies() {
 	now := r.clock.Now()
 	for _, e := range r.txReplies {
@@ -723,11 +643,9 @@ func (r *Rpc) rollback(s *Session, idx int) {
 	r.Stats.DMAFlushes++
 	ss.retransmits++
 	ss.consecRTO++
-	// Flush the TX DMA queue so no stale reference to the request
-	// msgbuf remains (the ≈2 µs flush that buys unsignaled
-	// transmission its 25% speedup the rest of the time) — literally,
-	// since zero-copy TX: any queued alias of the msgbuf is
-	// transmitted and its reference released before the slot rewinds.
+	// Flush the TX DMA queue before the slot rewinds (the ≈2 µs flush
+	// that buys unsignaled transmission its 25% speedup the rest of the
+	// time): what the batch holds leaves ahead of the retransmission.
 	r.charge(r.cost.DMAFlush)
 	r.flushTX()
 	s.credits += ss.inFlight

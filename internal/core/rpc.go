@@ -242,13 +242,10 @@ type Stats struct {
 	DMAFlushes    uint64
 	TxBursts      uint64 // SendBurst flushes (one DMA doorbell each)
 	StalePktsRx   uint64 // dropped: stale/duplicate/out-of-order
-	RespDropWheel uint64 // responses dropped because a retransmitted
-	// request reference was still queued for transmission — in the rate
-	// limiter or, zero-copy TX, in the unflushed TX batch (Appendix C)
-	ZeroCopyTx    uint64 // request/response packet-0 frames sent aliasing the msgbuf
-	DeferredFrees uint64 // server response msgbufs whose free was deferred to the
-	// next TX flush because a zero-copy alias was still queued (slot
-	// reuse or teardown racing the unflushed batch, Appendix C)
+	// ZeroCopyTx is always 0: every frame is a copy in the TX batch's
+	// own buffer and none aliases a msgbuf. The benchmark still reports
+	// it as core.zero_copy_tx_per_op.
+	ZeroCopyTx     uint64
 	HandlersRun    uint64
 	WorkerHandlers uint64
 	PeerFailures   uint64
@@ -328,12 +325,10 @@ type Rpc struct {
 	burst     int               // configured burst size
 	rxFrames  []transport.Frame // RecvBurst scratch, len == burst
 	rxFull    bool              // last RX burst was full: more may be queued
-	txBatch   []transport.Frame // per-iteration TX batch: pooled copies + msgbuf aliases
-	txOwned   []bool            // txBatch[i].Data is a txPool copy (recycle at flush)
+	txBatch   []transport.Frame // per-iteration TX batch, its frames in txArena
+	txArena   []byte            // burst × MTU bytes: the batch's frames, back to back
+	txOff     int               // bytes of txArena the unflushed batch uses
 	txReplies []txReply         // batch entries whose endpoint delay the flush stamps
-	txRefs    []*msgbuf.Buf     // msgbufs aliased by zero-copy frames; released at flush
-	txFree    []*msgbuf.Buf     // pooled msgbufs awaiting free once their TX refs drain
-	txPool    *transport.Pool   // recycled TX frame buffers
 
 	ctxFree []*ReqContext // recycled server-side request contexts
 
@@ -375,10 +370,8 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		burst:       cfg.BurstSize,
 		rxFrames:    make([]transport.Frame, cfg.BurstSize),
 		txBatch:     make([]transport.Frame, 0, cfg.BurstSize),
-		txOwned:     make([]bool, 0, cfg.BurstSize),
+		txArena:     make([]byte, cfg.BurstSize*cfg.Transport.MTU()),
 		txReplies:   make([]txReply, 0, cfg.BurstSize),
-		txRefs:      make([]*msgbuf.Buf, 0, cfg.BurstSize),
-		txPool:      transport.NewPool(cfg.Transport.MTU(), 0),
 	}
 	if cfg.Sched != nil {
 		r.cpu = newSimDriver(r, cfg.Sched)

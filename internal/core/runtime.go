@@ -193,9 +193,6 @@ func (a *Stats) add(b *Stats) {
 	a.DMAFlushes += b.DMAFlushes
 	a.TxBursts += b.TxBursts
 	a.StalePktsRx += b.StalePktsRx
-	a.RespDropWheel += b.RespDropWheel
-	a.ZeroCopyTx += b.ZeroCopyTx
-	a.DeferredFrees += b.DeferredFrees
 	a.HandlersRun += b.HandlersRun
 	a.WorkerHandlers += b.WorkerHandlers
 	a.PeerFailures += b.PeerFailures
@@ -255,8 +252,8 @@ func (s *Server) Stop() {
 
 // Drain gracefully drains the serving process: every endpoint stops
 // admitting new sessions and requests (arrivals draw PktReject),
-// admitted work — in-flight RPCs, queued zero-copy TX aliases, worker
-// handlers — runs to completion, and then the process stops. It
+// admitted work — in-flight RPCs, the TX batch, worker handlers — runs
+// to completion, and then the process stops. It
 // returns true if every endpoint fully drained before timeout elapsed;
 // on false, Stop has still been called (a deadline overrun must not
 // leave the process half-alive). It needs the dispatch goroutines

@@ -285,11 +285,6 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 		panic("erpc: header encode: " + err.Error())
 	}
 	r.charge(r.cost.PktTx)
-	// Packet 0 goes out as a zero-copy alias, the response half of
-	// Appendix C: slot reuse and teardown defer the buffer's free while
-	// the TX batch holds references (resetSrvSlot), and a retransmit
-	// re-aliasing the same buffer just adds another reference to the
-	// identical bytes.
 	r.sendPkt(s.remote, ss.respBuf, k, rxAt)
 	r.sessionQueued(s)
 }
@@ -326,12 +321,8 @@ func (r *Rpc) onRFR(h *wire.Header, from transport.Addr) {
 	r.sendRespPkt(s, ss, k, r.rxAt)
 }
 
-// resetSrvSlot releases a slot's buffers before reuse. A pooled
-// response buffer whose zero-copy alias is still queued in the TX
-// batch must not be freed here — the next response on the slot would
-// clobber bytes the "DMA queue" still points at — so it is parked on
-// the deferred-free list until its references drain at a flush
-// (drainTXFree).
+// resetSrvSlot releases a slot's buffers before reuse. A response still
+// queued in the TX batch is a copy there, so its buffer is free to go.
 func (r *Rpc) resetSrvSlot(ss *srvSlot) {
 	if ss.state == srvReceiving || ss.state == srvProcessing {
 		// The slot held an admitted request (teardown or peer-failure
@@ -344,12 +335,7 @@ func (r *Rpc) resetSrvSlot(ss *srvSlot) {
 		ss.reqBuf = nil
 	}
 	if ss.respBuf != nil && !ss.respIsPrealloc && ss.respPooled {
-		if ss.respBuf.TXRefs() > 0 {
-			r.Stats.DeferredFrees++
-			r.txFree = append(r.txFree, ss.respBuf)
-		} else {
-			r.alloc.Free(ss.respBuf)
-		}
+		r.alloc.Free(ss.respBuf)
 	}
 	ss.respBuf = nil
 	ss.respIsPrealloc = false
@@ -404,15 +390,6 @@ func (c *ReqContext) AllocResponse(n int) []byte {
 	case usePrealloc:
 		if ss.prealloc == nil {
 			ss.prealloc = msgbuf.NewBuf(r.dataPerPkt, r.dataPerPkt)
-		}
-		if ss.prealloc.TXRefs() > 0 {
-			// The slot's previous response still sits in the TX batch
-			// as a zero-copy alias of this same preallocated buffer;
-			// unlike pooled buffers it is reused in place, so flush
-			// before Resize/zeroing can clobber the queued bytes.
-			// (usePrealloc implies !inWorker: dispatch context, where
-			// flushing is safe.)
-			r.flushTX()
 		}
 		if !c.inWorker {
 			r.charge(r.cost.RespPrep)

@@ -11,10 +11,9 @@ import (
 
 // snapTransport records a byte snapshot of every frame at SendBurst
 // time — what the wire actually saw — unlike captureTransport, whose
-// captured Data aliases live buffers that may be legitimately reused
-// after the flush returns. It is the oracle for the zero-copy lifetime
-// tests: if a queued alias's msgbuf is clobbered or freed before the
-// flush, the snapshot shows the corruption.
+// captured Data aliases the TX arena, which the next batch reuses. It is
+// the oracle for the TX lifetime tests: if a queued frame's bytes change
+// before the flush, the snapshot shows the corruption.
 type snapTransport struct {
 	bursts [][][]byte
 }
@@ -44,11 +43,9 @@ func injectReq(r *Rpc, from transport.Addr, reqType uint8, reqNum uint64, payloa
 	}, payload), from)
 }
 
-// TestServerRespZeroCopyAliasesMsgbuf pins the response half of the
-// Appendix C zero-copy contract: a response's packet-0 frame reaches
-// SendBurst aliasing the server slot's respBuf backing array (no copy
-// into a pooled wire buffer), with a TX reference held until the
-// flush.
+// TestServerRespZeroCopyAliasesMsgbuf: a dispatch-mode handler's
+// single-packet response leaves in the flush as one frame carrying the
+// echoed payload.
 func TestServerRespZeroCopyAliasesMsgbuf(t *testing.T) {
 	ct := &captureTransport{}
 	r := newZCRpc(t, ct, Config{})
@@ -64,41 +61,21 @@ func TestServerRespZeroCopyAliasesMsgbuf(t *testing.T) {
 	if ss.respBuf == nil {
 		t.Fatal("no response buffer on the slot")
 	}
-	if got := ss.respBuf.TXRefs(); got != 1 {
-		t.Fatalf("queued response holds %d TX refs, want 1", got)
-	}
-	if r.Stats.ZeroCopyTx != 1 {
-		t.Fatalf("Stats.ZeroCopyTx = %d, want 1", r.Stats.ZeroCopyTx)
-	}
-	alias := ss.respBuf.Frame(0, nil)
 	r.flushTX()
-	if got := ss.respBuf.TXRefs(); got != 0 {
-		t.Fatalf("TX refs not released at flush: %d outstanding", got)
-	}
-	var sent []transport.Frame
-	for _, b := range ct.bursts {
-		sent = append(sent, b...)
-	}
+	sent := sentFrames(ct.bursts)
 	if len(sent) != 1 {
 		t.Fatalf("transport saw %d frames, want 1", len(sent))
-	}
-	if &sent[0].Data[0] != &alias[0] {
-		t.Fatalf("response packet-0 frame was copied: sent base %p, msgbuf base %p",
-			&sent[0].Data[0], &alias[0])
 	}
 	if !bytes.Equal(sent[0].Data[wire.HeaderSize:], payload) {
 		t.Fatal("echoed response payload mismatch")
 	}
 }
 
-// TestSrvSlotReuseDefersFree is the regression test for the
-// resetSrvSlot use-after-free window: a new request arriving on a slot
-// whose previous (pooled) response still sits in the TX batch as a
-// zero-copy alias must not free — let alone clobber — that msgbuf.
-// Pre-fix, resetSrvSlot called alloc.Free on a buffer with an
-// outstanding TX reference (panic), or, absent the reference check,
-// handed the buffer to the next response while the "DMA queue" still
-// pointed at it.
+// TestSrvSlotReuseDefersFree: a new request arriving on a slot whose
+// previous (pooled) response still sits in the TX batch frees that
+// response's msgbuf at once, and the next response may reuse it; the
+// queued frame is the batch's own copy, so the wire still carries the
+// first response's bytes.
 func TestSrvSlotReuseDefersFree(t *testing.T) {
 	ct := &snapTransport{}
 	r := NewRpc(echoNexus(), Config{
@@ -113,21 +90,13 @@ func TestSrvSlotReuseDefersFree(t *testing.T) {
 	injectReq(r, from, echoType, 8, p1) // response queued, not flushed
 	s := r.srvSessions[sessKey{addr: from, num: 0}]
 	ss := &s.srvSlots[0]
-	bufA := ss.respBuf
-	if bufA == nil || bufA.TXRefs() != 1 {
-		t.Fatal("first response not queued as a zero-copy alias")
+	if ss.respBuf == nil || len(r.txBatch) != 1 {
+		t.Fatal("first response not queued")
 	}
 
 	// Same slot (reqNum ≡ 8 mod NumSlots), newer request: forces
-	// resetSrvSlot while response A's alias is still in the TX batch.
+	// resetSrvSlot while response A is still in the TX batch.
 	injectReq(r, from, echoType, 16, p2)
-	if r.Stats.DeferredFrees != 1 {
-		t.Fatalf("Stats.DeferredFrees = %d, want 1 (free deferred past the queued alias)",
-			r.Stats.DeferredFrees)
-	}
-	if bufA.TXRefs() != 1 {
-		t.Fatalf("deferred buffer lost its TX ref: %d", bufA.TXRefs())
-	}
 
 	r.flushTX()
 	var sent [][]byte
@@ -143,20 +112,12 @@ func TestSrvSlotReuseDefersFree(t *testing.T) {
 	if !bytes.Equal(sent[1][wire.HeaderSize:], p2) {
 		t.Fatal("response B payload mismatch")
 	}
-	if bufA.TXRefs() != 0 {
-		t.Fatalf("deferred buffer still referenced after flush: %d", bufA.TXRefs())
-	}
-	if len(r.txFree) != 0 {
-		t.Fatalf("deferred-free list not drained at flush: %d entries", len(r.txFree))
-	}
 }
 
-// TestSrvPreallocReuseFlushesBatch covers the other slot-reuse hazard:
-// the per-slot preallocated response buffer is reused *in place*, so a
-// deferred free cannot protect it — AllocResponse must flush the TX
-// batch before Resize/zeroing when the previous response's alias is
-// still queued. Pre-fix, both flushed frames aliased the same
-// preallocated buffer and carried the second response's bytes.
+// TestSrvPreallocReuseFlushesBatch covers the other slot reuse: the
+// per-slot preallocated response buffer is reused in place, resized and
+// zeroed while the previous response is still queued in the TX batch.
+// Both responses must reach the wire with their own bytes.
 func TestSrvPreallocReuseFlushesBatch(t *testing.T) {
 	ct := &snapTransport{}
 	r := NewRpc(echoNexus(), Config{Transport: ct, Clock: sim.NewWallClock()})
@@ -168,26 +129,27 @@ func TestSrvPreallocReuseFlushesBatch(t *testing.T) {
 	injectReq(r, from, echoType, 16, p2)
 	r.flushTX()
 
-	if len(ct.bursts) != 2 {
-		t.Fatalf("transport saw %d bursts, want 2 (AllocResponse must flush before prealloc reuse)",
-			len(ct.bursts))
+	var sent [][]byte
+	for _, b := range ct.bursts {
+		sent = append(sent, b...)
 	}
-	if got := ct.bursts[0]; len(got) != 1 || !bytes.Equal(got[0][wire.HeaderSize:], p1) {
-		t.Fatal("response A corrupted: prealloc reused while its alias was queued")
+	if len(sent) != 2 {
+		t.Fatalf("transport saw %d frames, want 2", len(sent))
 	}
-	if got := ct.bursts[1]; len(got) != 1 || !bytes.Equal(got[0][wire.HeaderSize:], p2) {
+	if !bytes.Equal(sent[0][wire.HeaderSize:], p1) {
+		t.Fatal("response A corrupted: prealloc reused while it was queued")
+	}
+	if !bytes.Equal(sent[1][wire.HeaderSize:], p2) {
 		t.Fatal("response B payload mismatch")
 	}
 }
 
 // TestServerTeardownUnderLoadFlushesAliases is the teardown-ordering
-// regression test: a handler that deferred its response (nested-RPC
-// pattern) enqueues it from a failed request's continuation during
-// FailPeer. The response's zero-copy alias is queued *after* FailPeer's
-// initial flush, so the srvSessions reset loop must flush again (or
-// defer the free) — pre-fix it freed the msgbuf with the alias still
-// in the batch and panicked. The response must still reach the wire
-// intact.
+// test: a handler that deferred its response (nested-RPC pattern)
+// enqueues it from a failed request's continuation during FailPeer. The
+// response is queued after FailPeer's initial flush, and the
+// srvSessions reset loop frees its msgbuf while it is still in the
+// batch. It must still reach the wire intact.
 func TestServerTeardownUnderLoadFlushesAliases(t *testing.T) {
 	const deferredType = 2
 	var saved *ReqContext
@@ -227,16 +189,13 @@ func TestServerTeardownUnderLoadFlushesAliases(t *testing.T) {
 		saved.EnqueueResponse()
 	})
 
-	r.FailPeer(peer.Node) // must not panic (pre-fix: Free with queued alias)
+	r.FailPeer(peer.Node)
 
 	if !failed {
 		t.Fatal("continuation did not run")
 	}
 	if len(r.srvSessions) != 0 {
 		t.Fatalf("server sessions survived FailPeer: %d", len(r.srvSessions))
-	}
-	if len(r.txFree) != 0 {
-		t.Fatalf("deferred-free list not drained by FailPeer: %d entries", len(r.txFree))
 	}
 	var sent [][]byte
 	for _, b := range ct.bursts {

@@ -197,16 +197,15 @@ type ccState struct {
 	inWheel int      // packets of this session queued in the wheel
 }
 
-// wheelEntry is a rate-limited packet waiting in the Carousel wheel.
-// buf, when non-nil, holds a TX reference on the request msgbuf for
-// the zero-copy ownership invariant (paper Appendix C).
+// wheelEntry is a rate-limited packet waiting in the Carousel wheel. It
+// names the packet, not its bytes: pollWheel builds the frame when the
+// entry is due, and drops an entry whose slot has moved on.
 type wheelEntry struct {
 	sess    *Session
 	slotIdx int
 	reqNum  uint64 // guards against slot reuse
 	kind    wireKind
 	pktNum  int
-	buf     *msgbuf.Buf
 }
 
 type wireKind uint8

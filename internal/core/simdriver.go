@@ -27,21 +27,19 @@ type simDriver struct {
 	txFn   func(any)  // predeclared AtCall callback for simulated sends
 }
 
-// simTx is a pooled descriptor for one simulated send: the frame
-// leaves at its recorded departure time (CPU cursor at TX plus the
-// non-CPU send pipeline) regardless of when the batch is flushed.
+// simTx is a pooled descriptor for one simulated send: the frame, a
+// copy of the bytes the TX batch held, leaves at its recorded departure
+// time (CPU cursor at TX plus the non-CPU send pipeline) regardless of
+// when the batch is flushed.
 type simTx struct {
 	f [1]transport.Frame // a burst of one
 }
 
 func newSimDriver(r *Rpc, sched *sim.Scheduler) *simDriver {
 	d := &simDriver{r: r, sched: sched, scale: r.cfg.CPUScale, txDep: make([]sim.Time, 0, r.burst)}
-	//erpc:owner — runs synchronously on the dispatch goroutine via the scheduler
 	d.txFn = func(a any) {
 		t := a.(*simTx)
 		r.tr.SendBurst(t.f[:])
-		r.txPool.Put(t.f[0].Data)
-		t.f[0] = transport.Frame{}
 		d.txFree = append(d.txFree, t)
 	}
 	return d
@@ -161,10 +159,8 @@ func (r *Rpc) anyBusySlot() bool {
 }
 
 // transmit schedules each frame to depart at its recorded time (the
-// TxPipeline timing model). A frame that aliases a msgbuf leaves as a
-// copy: flushTX releases the alias long before the departure event.
-//
-//erpc:owner
+// TxPipeline timing model), as a copy: flushTX reuses the TX arena long
+// before the departure event.
 func (d *simDriver) transmit() {
 	r := d.r
 	for i := range r.txBatch {
@@ -175,10 +171,8 @@ func (d *simDriver) transmit() {
 		} else {
 			t = &simTx{}
 		}
-		t.f[0] = r.txBatch[i]
-		if !r.txOwned[i] {
-			t.f[0].Data = append(r.txPool.Get(), t.f[0].Data...)
-		}
+		t.f[0].Data = append(t.f[0].Data[:0], r.txBatch[i].Data...)
+		t.f[0].Addr = r.txBatch[i].Addr
 		d.sched.AtCall(d.txDep[i], d.txFn, t)
 	}
 	d.txDep = d.txDep[:0]

@@ -1,18 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // captureTransport records every SendBurst's frames (sharing the
 // caller's Data slices, like a real transport mid-call) so tests can
 // inspect what the TX batch handed down and with which backing arrays.
 type captureTransport struct {
-	bursts  [][]transport.Frame
-	inBurst []bool // parallel: Data aliased the caller's buffer at call time
+	bursts [][]transport.Frame
 }
 
 func (c *captureTransport) MTU() int                  { return 1472 }
@@ -33,11 +34,9 @@ func newZCRpc(t *testing.T, tr transport.Transport, cfg Config) *Rpc {
 	return NewRpc(echoNexus(), cfg)
 }
 
-// TestZeroCopyTxAliasesMsgbuf pins the zero-copy TX contract (paper
-// Appendix C): in real-transport mode a single-packet request's frame
-// reaches SendBurst aliasing the request msgbuf's own backing array —
-// no copy into a pooled wire buffer — while the TX batch holds a
-// transmission reference that is released once the batch is flushed.
+// TestZeroCopyTxAliasesMsgbuf: in real-transport mode a single-packet
+// request leaves in the loop's flush as one frame, the request
+// msgbuf's header then data.
 func TestZeroCopyTxAliasesMsgbuf(t *testing.T) {
 	ct := &captureTransport{}
 	r := newZCRpc(t, ct, Config{})
@@ -50,37 +49,129 @@ func TestZeroCopyTxAliasesMsgbuf(t *testing.T) {
 		req.Data()[i] = byte(i)
 	}
 	r.EnqueueRequest(s, echoType, req, resp, func(error) {})
-	if req.TXRefs() != 1 {
-		t.Fatalf("queued packet-0 frame holds %d TX refs, want 1", req.TXRefs())
-	}
 	r.RunEventLoopOnce() // flushes the TX batch
-	if req.TXRefs() != 0 {
-		t.Fatalf("TX refs not released at flush: %d outstanding", req.TXRefs())
-	}
-	if r.Stats.ZeroCopyTx != 1 {
-		t.Fatalf("Stats.ZeroCopyTx = %d, want 1", r.Stats.ZeroCopyTx)
-	}
-	var sent []transport.Frame
-	for _, b := range ct.bursts {
-		sent = append(sent, b...)
-	}
+	sent := sentFrames(ct.bursts)
 	if len(sent) != 1 {
 		t.Fatalf("transport saw %d frames, want 1", len(sent))
 	}
-	// The captured frame must share memory with the msgbuf: Frame(0)
-	// aliases the backing array, so identical base pointers prove no
-	// copy happened.
-	alias := req.Frame(0, nil)
-	if &sent[0].Data[0] != &alias[0] {
-		t.Fatalf("packet-0 frame was copied: sent base %p, msgbuf base %p", &sent[0].Data[0], &alias[0])
+	if !bytes.Equal(sent[0].Data, req.Frame(0, nil)) {
+		t.Fatal("packet-0 frame is not the request's header then data")
+	}
+}
+
+func sentFrames(bursts [][]transport.Frame) []transport.Frame {
+	var sent []transport.Frame
+	for _, b := range bursts {
+		sent = append(sent, b...)
+	}
+	return sent
+}
+
+// TestTXFramesLieInArena: every frame SendBurst sees — a control
+// packet, a request's packet 0 and its packet 1 — lies in the Rpc's TX
+// arena, each right after the previous one, and none in the request
+// msgbuf; each carries the bytes the msgbuf had when it was queued.
+func TestTXFramesLieInArena(t *testing.T) {
+	ct := &captureTransport{}
+	r := newZCRpc(t, ct, Config{})
+	s, err := r.CreateSession(transport.Addr{Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A ping queues a pong; a request of DataPerPkt+8 bytes, packets 0
+	// and 1.
+	r.processPkt(fuzzFrame(wire.Header{PktType: wire.PktPing}, nil), transport.Addr{Node: 3})
+	req := r.Alloc(r.DataPerPkt() + 8)
+	for i := range req.Data() {
+		req.Data()[i] = byte(i)
+	}
+	r.EnqueueRequest(s, echoType, req, r.Alloc(8), func(error) {})
+	want := [][]byte{nil, req.Frame(0, nil), req.Frame(1, nil)}
+	r.flushTX()
+
+	sent := sentFrames(ct.bursts)
+	if len(sent) != 3 {
+		t.Fatalf("transport saw %d frames, want a pong and two request packets", len(sent))
+	}
+	off := 0
+	for i, f := range sent {
+		if &f.Data[0] != &r.txArena[off] {
+			t.Fatalf("frame %d does not lie at TX arena offset %d", i, off)
+		}
+		off += len(f.Data)
+		if want[i] != nil && !bytes.Equal(f.Data, want[i]) {
+			t.Fatalf("frame %d is not request packet %d's header then data", i, i-1)
+		}
+	}
+	if len(sent[0].Data) != wire.HeaderSize {
+		t.Fatalf("pong frame is %d bytes, want a %d B header", len(sent[0].Data), wire.HeaderSize)
+	}
+}
+
+// TestRespCompletesWhileRetransmissionQueued: a response that arrives
+// while the request's retransmitted packet 0 still sits in the unflushed
+// TX batch completes the RPC. The continuation may rewrite and free the
+// request at once: the batch holds its own copy, and the wire carries
+// the bytes as they were queued. (The server takes that copy for a
+// duplicate, which at-most-once absorbs.)
+func TestRespCompletesWhileRetransmissionQueued(t *testing.T) {
+	ct := &snapTransport{}
+	r := newZCRpc(t, ct, Config{})
+	s, err := r.CreateSession(transport.Addr{Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, resp := r.Alloc(32), r.Alloc(32)
+	payload := bytes.Repeat([]byte{0x5A}, 32)
+	copy(req.Data(), payload)
+	done := false
+	r.EnqueueRequest(s, echoType, req, resp, func(err error) {
+		if err != nil {
+			t.Errorf("continuation: %v", err)
+		}
+		done = true
+		for i := range req.Data() {
+			req.Data()[i] = 0xEE
+		}
+		r.Free(req)
+	})
+	r.flushTX()
+	r.rollback(s, 0) // an RTO: packet 0 is queued again
+	if len(r.txBatch) != 1 {
+		t.Fatalf("TX batch holds %d frames after the rollback, want the retransmission", len(r.txBatch))
+	}
+	r.processPkt(fuzzFrame(wire.Header{
+		PktType:    wire.PktResp,
+		ReqType:    echoType,
+		MsgSize:    32,
+		DstSession: s.num,
+		ReqNum:     s.slots[0].reqNum,
+	}, payload), s.remote)
+	if !done {
+		t.Fatal("response dropped while the retransmission was queued")
+	}
+	if !bytes.Equal(resp.Data(), payload) {
+		t.Fatal("response payload mismatch")
+	}
+	r.flushTX()
+	var sent [][]byte
+	for _, b := range ct.bursts {
+		sent = append(sent, b...)
+	}
+	if len(sent) != 2 {
+		t.Fatalf("transport saw %d frames, want the request and its retransmission", len(sent))
+	}
+	for i, f := range sent {
+		if !bytes.Equal(f[wire.HeaderSize:], payload) {
+			t.Fatalf("frame %d does not carry the request as it was queued", i)
+		}
 	}
 }
 
 // TestZeroCopyTxTeardownReleasesRefs checks the failure path: failing
-// a session with zero-copy frames still queued must flush the batch
-// (releasing the msgbuf references) before continuations run, so the
-// application can Free its buffers from the continuation — the
-// Appendix B discipline of flushing the DMA queue on failure.
+// a session with the request's packet 0 still queued runs the
+// continuation, which may free the request and response buffers at
+// once.
 func TestZeroCopyTxTeardownReleasesRefs(t *testing.T) {
 	ct := &captureTransport{}
 	r := newZCRpc(t, ct, Config{})
@@ -94,14 +185,10 @@ func TestZeroCopyTxTeardownReleasesRefs(t *testing.T) {
 		if err == nil {
 			t.Error("teardown completed without error")
 		}
-		// Must not panic: no outstanding TX references at this point.
 		r.Free(req)
 		r.Free(resp)
 		freed = true
 	})
-	if req.TXRefs() != 1 {
-		t.Fatalf("queued packet-0 frame holds %d TX refs, want 1", req.TXRefs())
-	}
 	r.DestroySession(s)
 	if !freed {
 		t.Fatal("continuation did not run on DestroySession")

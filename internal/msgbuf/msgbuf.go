@@ -23,18 +23,14 @@ import (
 )
 
 // Buf is a message buffer. It is created by an Allocator and must not
-// be copied (the backing array is shared with the fake NIC/DMA layer).
+// be copied. Its owner is the application or, while an RPC uses it, the
+// endpoint; no transmission queue points into it: every frame of a
+// message is copied out with Frame.
 type Buf struct {
 	backing    []byte
 	maxData    int // capacity of the data region
 	dataPerPkt int // data bytes per packet
 	msgSize    int // current message size (<= maxData)
-
-	// txRefs counts references held by transmission queues (the NIC
-	// DMA queue and the rate limiter). The zero-copy ownership
-	// invariant (paper §4.2.2) requires txRefs == 0 before buffer
-	// ownership returns to the application.
-	txRefs int
 
 	alloc     *Allocator
 	poolClass int // size-class index in the allocator, -1 if unpooled
@@ -108,17 +104,13 @@ func (b *Buf) PktHeader(i int) []byte {
 	return b.backing[off : off+wire.HeaderSize]
 }
 
-// Frame assembles the wire frame (header + data) for packet i into
-// dst, returning the frame length. For packet 0 of any message the
-// header and data are already contiguous in the backing array, so the
-// returned slice aliases the buffer with zero copying; other packets
-// require gathering header and data (the "two DMAs" of the paper).
+// Frame copies the wire frame of packet i, header then data, into dst
+// and returns it: dst[:n], or a new slice when dst has less than n
+// bytes of capacity. Packet 0's header and data are contiguous in the
+// buffer (Figure 2), the others are gathered, but all take this one
+// path: a sender builds each frame where it sends from.
 func (b *Buf) Frame(i int, dst []byte) []byte {
 	data := b.PktData(i)
-	if i == 0 {
-		// Header and first-packet data are contiguous: single DMA.
-		return b.backing[0 : wire.HeaderSize+len(data)]
-	}
 	n := wire.HeaderSize + len(data)
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -128,20 +120,6 @@ func (b *Buf) Frame(i int, dst []byte) []byte {
 	copy(dst[wire.HeaderSize:], data)
 	return dst
 }
-
-// RetainTX records that a transmission queue holds a reference.
-func (b *Buf) RetainTX() { b.txRefs++ }
-
-// ReleaseTX drops a transmission-queue reference.
-func (b *Buf) ReleaseTX() {
-	if b.txRefs == 0 {
-		panic("msgbuf: ReleaseTX without RetainTX")
-	}
-	b.txRefs--
-}
-
-// TXRefs reports outstanding transmission-queue references.
-func (b *Buf) TXRefs() int { return b.txRefs }
 
 // Allocator hands out pooled message buffers. Pools are per
 // power-of-two size class; freeing returns a buffer to its class.
@@ -196,15 +174,10 @@ func (a *Allocator) Alloc(size int) *Buf {
 	return b
 }
 
-// Free returns a pooled buffer to its allocator. Freeing a buffer with
-// outstanding TX references panics: it would violate the zero-copy
-// ownership invariant.
+// Free returns a pooled buffer to its allocator.
 func (a *Allocator) Free(b *Buf) {
 	if b == nil {
 		return
-	}
-	if b.txRefs != 0 {
-		panic("msgbuf: Free with outstanding TX references")
 	}
 	if b.alloc != a || b.poolClass < 0 {
 		panic("msgbuf: Free of buffer not owned by this allocator")

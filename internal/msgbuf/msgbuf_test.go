@@ -18,12 +18,12 @@ func TestSinglePacketLayout(t *testing.T) {
 		b.Data()[i] = byte(i)
 	}
 	// First packet header + data must be contiguous (one DMA).
+	if &b.PktHeader(0)[wire.HeaderSize-1] != &b.backing[wire.HeaderSize-1] || &b.Data()[0] != &b.backing[wire.HeaderSize] {
+		t.Fatal("header 0 and the data region are not contiguous")
+	}
 	f := b.Frame(0, nil)
 	if len(f) != wire.HeaderSize+32 {
 		t.Fatalf("frame len = %d", len(f))
-	}
-	if &f[0] != &b.PktHeader(0)[0] {
-		t.Fatal("frame 0 should alias the backing array (zero copy)")
 	}
 	if !bytes.Equal(f[wire.HeaderSize:], b.Data()) {
 		t.Fatal("frame data mismatch")
@@ -110,6 +110,31 @@ func TestFrameGathersNonFirstPackets(t *testing.T) {
 	}
 }
 
+// TestFrameCopiesIntoDst: every packet, the first too, is a copy of its
+// header and data built in dst, and building it allocates nothing when
+// dst has room.
+func TestFrameCopiesIntoDst(t *testing.T) {
+	b := NewBuf(3000, 1000)
+	b.Resize(2500)
+	for i := range b.Data() {
+		b.Data()[i] = byte(i)
+	}
+	dst := make([]byte, wire.HeaderSize+1000)
+	for i := 0; i < b.NumPkts(); i++ {
+		copy(b.PktHeader(i), bytes.Repeat([]byte{byte(0xF0 + i)}, wire.HeaderSize))
+		f := b.Frame(i, dst)
+		if &f[0] != &dst[0] {
+			t.Fatalf("packet %d: frame not built in dst", i)
+		}
+		if !bytes.Equal(f[:wire.HeaderSize], b.PktHeader(i)) || !bytes.Equal(f[wire.HeaderSize:], b.PktData(i)) {
+			t.Fatalf("packet %d: frame is not header then data", i)
+		}
+		if n := testing.AllocsPerRun(100, func() { b.Frame(i, dst) }); n != 0 {
+			t.Fatalf("packet %d: Frame into a dst with room allocates %v times", i, n)
+		}
+	}
+}
+
 func TestResizeBounds(t *testing.T) {
 	b := NewBuf(100, 50)
 	b.Resize(0)
@@ -122,26 +147,6 @@ func TestResizeBounds(t *testing.T) {
 		}
 	}()
 	b.Resize(101)
-}
-
-func TestTXRefCounting(t *testing.T) {
-	b := NewBuf(10, 10)
-	b.RetainTX()
-	b.RetainTX()
-	if b.TXRefs() != 2 {
-		t.Fatalf("refs = %d", b.TXRefs())
-	}
-	b.ReleaseTX()
-	b.ReleaseTX()
-	if b.TXRefs() != 0 {
-		t.Fatalf("refs = %d", b.TXRefs())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReleaseTX below zero should panic")
-		}
-	}()
-	b.ReleaseTX()
 }
 
 func TestAllocatorPooling(t *testing.T) {
@@ -171,18 +176,6 @@ func TestAllocatorDistinctClasses(t *testing.T) {
 	}
 	a.Free(big)
 	a.Free(got)
-}
-
-func TestFreeWithTXRefsPanics(t *testing.T) {
-	a := NewAllocator(1024)
-	b := a.Alloc(10)
-	b.RetainTX()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Free with TX refs must panic (ownership invariant)")
-		}
-	}()
-	a.Free(b)
 }
 
 func TestFreeForeignBufferPanics(t *testing.T) {
@@ -239,8 +232,9 @@ func BenchmarkAllocFreeSmall(b *testing.B) {
 func BenchmarkFrameFirstPacket(b *testing.B) {
 	buf := NewBuf(32, 1024)
 	buf.Resize(32)
+	dst := make([]byte, 0, wire.HeaderSize+1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = buf.Frame(0, nil)
+		_ = buf.Frame(0, dst)
 	}
 }

@@ -45,9 +45,10 @@
 // the erpcvet analyzer suite (cmd/erpcvet, runnable standalone or via
 // go vet -vettool) enforces the discipline statically: Pool.Get/Put
 // fast-path calls outside annotated owner contexts, acquired buffers
-// that can leak on an early return, TX-retained msgbuf aliases freed
-// without a dominating flush, and uintptr-of-unsafe.Pointer values
-// stored across statements are all build errors in CI. A known-safe
+// that can leak on an early return, and uintptr-of-unsafe.Pointer
+// values stored across statements are all build errors in CI. The core
+// needs no TX rule: its batch builds every frame in a buffer it owns
+// and takes no pool buffer for it. A known-safe
 // violation is suppressed with //erpc:ignore plus a mandatory reason.
 // What the analyzers cannot prove absent, builds with -tags erpcdebug
 // catch at runtime: the sanitizer in debug_on.go panics on pool

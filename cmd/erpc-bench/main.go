@@ -28,7 +28,6 @@ func main() {
 		exp   = flag.String("exp", "", "experiment id(s), comma separated (see -list)")
 		scale = flag.Float64("scale", 1.0, "scale factor: <1 shrinks clusters and windows")
 		seed  = flag.Int64("seed", 42, "simulation seed")
-		burst = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration of the simulated endpoints (0 = the paper's 16)")
 		all   = flag.Bool("all", false, "run every experiment")
 		list  = flag.Bool("list", false, "list experiment ids")
 	)
@@ -40,11 +39,7 @@ func main() {
 		}
 		return
 	}
-	if *burst < 0 {
-		fmt.Fprintf(os.Stderr, "erpc-bench: -burst must be >= 0 (got %d)\n", *burst)
-		os.Exit(2)
-	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Burst: *burst}
+	opts := experiments.Options{Scale: *scale, Seed: *seed}
 	if *all {
 		experiments.RunAll(os.Stdout, opts)
 		return

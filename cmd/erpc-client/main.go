@@ -43,7 +43,6 @@ func main() {
 		n         = flag.Int("n", 100_000, "total requests to issue")
 		window    = flag.Int("window", 16, "requests in flight per client endpoint")
 		size      = flag.Int("size", 32, "request payload bytes")
-		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 64, what one sendmmsg takes)")
 	)
 	flag.Parse()
 	if *shards < 0 {
@@ -103,7 +102,7 @@ func main() {
 		serverAddrs[i] = erpc.Addr{Node: 1, Port: uint16(i)}
 	}
 
-	client := erpc.NewClient(erpc.NewNexus(), erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst))
+	client := erpc.NewClient(erpc.NewNexus(), erpc.UDPConfigs(trs))
 	sess := make([][]*erpc.Session, *endpoints)
 	for i := 0; i < *endpoints; i++ {
 		for k := 0; k < *sessions; k++ {

@@ -46,7 +46,6 @@ func main() {
 		endpoints = flag.Int("endpoints", 1, "dispatch endpoints (one UDP socket + goroutine each)")
 		shards    = flag.Int("shards", 0, "serve N endpoints as SO_REUSEPORT shards of the single -bind address (overrides -endpoints; kernel flow hash picks the shard per client flow; falls back to N consecutive ports where SO_REUSEPORT is unavailable)")
 		workers   = flag.Int("workers", 0, "shared worker pool size for long-running handlers (0 = GOMAXPROCS)")
-		burst     = flag.Int("burst", 0, "RX/TX burst size per event-loop iteration (0 = default 64, what one sendmmsg takes)")
 		drainTO   = flag.Duration("draintimeout", 5*time.Second, "graceful-drain deadline on SIGTERM: new work is rejected, admitted RPCs run to completion, then the process stops (SIGINT still stops immediately)")
 	)
 	flag.Parse()
@@ -131,7 +130,7 @@ func main() {
 		fmt.Printf("peer node %d: %d endpoint(s) at %s\n", 100+i, n, addr)
 	}
 
-	server := erpc.NewServer(nx, erpc.BurstConfigs(erpc.UDPConfigs(trs), *burst), *workers)
+	server := erpc.NewServer(nx, erpc.UDPConfigs(trs), *workers)
 	server.Start()
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)

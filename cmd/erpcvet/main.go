@@ -1,6 +1,6 @@
-// Command erpcvet checks the repository against the zero-copy
-// ownership invariants the datapath depends on, running the three
-// analyzers in internal/analysis: framerelease, owner and syscallptr.
+// Command erpcvet checks the repository against the datapath's
+// unsafe.Pointer discipline, running the analyzer in internal/analysis:
+// syscallptr.
 //
 // Standalone:
 //
@@ -15,8 +15,8 @@
 //
 // speaks the cmd/go unit-checker protocol (-V=full, -flags, *.cfg),
 // type-checking from the compiler's export data. Findings in _test.go
-// files are suppressed — tests intentionally exercise the fast paths
-// off-owner and hand-manage frames.
+// files are suppressed: tests poke the engine's syscall structures
+// directly.
 package main
 
 import (
@@ -35,16 +35,10 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/framerelease"
-	"repro/internal/analysis/owner"
 	"repro/internal/analysis/syscallptr"
 )
 
-var analyzers = []*analysis.Analyzer{
-	framerelease.Analyzer,
-	owner.Analyzer,
-	syscallptr.Analyzer,
-}
+var analyzers = []*analysis.Analyzer{syscallptr.Analyzer}
 
 func main() {
 	// Unit-checker protocol probes come before flag parsing: the go

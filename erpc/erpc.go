@@ -84,14 +84,6 @@ type (
 	// Frame is one packet of a TX/RX burst (see transport.Frame for
 	// the buffer-ownership rules of the burst datapath).
 	Frame = transport.Frame
-	// Pool recycles packet buffers for custom Transport
-	// implementations' burst datapaths. It is single-owner: Get/Put
-	// are the owning goroutine's lock-free fast path — the goroutine
-	// that receives and releases the RX frames — and PutShared the
-	// mutex-guarded slow path for a return from any other goroutine.
-	Pool = transport.Pool
-	// PoolStats snapshots a Pool's recycle counters.
-	PoolStats = transport.PoolStats
 	// Clock supplies timestamps (virtual or wall).
 	Clock = sim.Clock
 	// Time is a nanosecond timestamp/duration on the Clock.
@@ -201,16 +193,6 @@ const UDPMmsgSupported = transport.MmsgSupported
 // UDPReusePortSupported.
 func UDPGsoSupported() bool { return transport.UDPGsoSupported() }
 
-// NewPool returns a recycling packet-buffer pool for a custom
-// Transport's burst datapath (see transport.NewPool).
-func NewPool(bufCap, limit int) *Pool { return transport.NewPool(bufCap, limit) }
-
-// PooledFrame binds an RX buffer to the pool it returns to on Release
-// (see transport.PooledFrame).
-func PooledFrame(data []byte, from Addr, p *Pool) Frame {
-	return transport.PooledFrame(data, from, p)
-}
-
 // NewServer builds a multi-endpoint server: one Rpc per Config (each
 // Config carries its own Transport), one dispatch goroutine per
 // endpoint after Start, a shared pool of `workers` goroutines for
@@ -230,29 +212,13 @@ func NewClient(nexus *Nexus, cfgs []Config) *Client {
 // ephemeral ports when basePort is 0). On error, already-bound sockets
 // are closed.
 func ListenUDP(node uint16, host string, basePort, n int) ([]*transport.UDP, error) {
-	var trs []*transport.UDP
-	for i := 0; i < n; i++ {
-		port := 0
-		if basePort != 0 {
-			port = basePort + i
-		}
-		u, err := transport.NewUDP(Addr{Node: node, Port: uint16(i)},
-			net.JoinHostPort(host, strconv.Itoa(port)))
-		if err != nil {
-			for _, t := range trs {
-				t.Close()
-			}
-			return nil, err
-		}
-		trs = append(trs, u)
-	}
-	return trs, nil
+	return transport.ListenUDP(node, host, basePort, n)
 }
 
 // ListenUDPShards binds n SO_REUSEPORT shard sockets, all on one UDP
 // address, for the endpoints (node, 0..n-1) of a sharded server
 // process: the kernel hashes each client flow to one shard, and that
-// shard's dispatch goroutine owns the flow's socket, wire-buffer pool
+// shard's dispatch goroutine owns the flow's socket, receive windows
 // and syscall-engine state exclusively (paper §4.1's
 // one-queue-pair-per-thread discipline). Where SO_REUSEPORT is
 // unavailable (see UDPReusePortSupported) the shards fall back to n
@@ -276,18 +242,6 @@ func UDPConfigs(trs []*transport.UDP) []Config {
 	cfgs := make([]Config, len(trs))
 	for i, tr := range trs {
 		cfgs[i] = Config{Transport: tr, Clock: NewWallClock()}
-	}
-	return cfgs
-}
-
-// BurstConfigs sets the RX/TX burst size on every Config (the knob the
-// erpc-server/-client/-bench commands expose as -burst). burst <= 0
-// leaves the default.
-func BurstConfigs(cfgs []Config, burst int) []Config {
-	if burst > 0 {
-		for i := range cfgs {
-			cfgs[i].BurstSize = burst
-		}
 	}
 	return cfgs
 }

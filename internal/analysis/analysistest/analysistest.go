@@ -4,7 +4,7 @@
 //
 // Expectations are written at the end of the offending line:
 //
-//	pool.Put(b) // want `off-owner fast path`
+//	p := uintptr(unsafe.Pointer(&x)) // want `stored in a variable`
 //
 // The backquoted string is a regular expression matched against the
 // diagnostic message; multiple expectations on one line are separated

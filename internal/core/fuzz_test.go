@@ -26,18 +26,17 @@ func fuzzFrame(h wire.Header, payload []byte) []byte {
 // transport has a peer to inject it into, discarded.
 type queueTransport struct {
 	rq   []transport.Frame
-	pool *transport.Pool
 	sent int
 	addr transport.Addr
 	peer *queueTransport
 }
 
 func newQueueTransport() *queueTransport {
-	return &queueTransport{pool: transport.NewPool(1472, 0), addr: transport.Addr{Node: 1}}
+	return &queueTransport{addr: transport.Addr{Node: 1}}
 }
 
 func (q *queueTransport) inject(frame []byte, from transport.Addr) {
-	q.rq = append(q.rq, transport.PooledFrame(append(q.pool.Get(), frame...), from, q.pool))
+	q.rq = append(q.rq, transport.Frame{Data: append([]byte(nil), frame...), Addr: from})
 }
 
 func (q *queueTransport) MTU() int                  { return 1472 }

@@ -712,8 +712,8 @@ func (r *Rpc) readLoopClock() {
 }
 
 // pollRX pulls one burst of up to BurstSize frames from the transport
-// and processes each packet, then re-posts the whole burst's buffers
-// to the transport's pool (the paper's RX descriptor re-post). A full
+// and processes each packet, then releases the whole burst, which the
+// transport re-posts in bulk (the paper's RX descriptor re-post). A full
 // burst sets rxFull so the loop runs again immediately: packet arrivals
 // only wake an empty queue. Each packet is processed with rxAt set to
 // when its host's kernel received it.

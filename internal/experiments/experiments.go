@@ -62,10 +62,6 @@ func (r *Report) Print(w io.Writer) {
 type Options struct {
 	Scale float64
 	Seed  int64
-	// Burst overrides the endpoints' RX/TX burst size (packets moved
-	// per event-loop iteration / DMA-queue flush); 0 means the core
-	// default (16, the paper's §4.2 batch size).
-	Burst int
 }
 
 func (o Options) norm() Options {

@@ -76,7 +76,6 @@ func multicoreRun(eps int, opts Options) float64 {
 			LinkRateGbps: prof.LinkGbps,
 			CPUScale:     prof.CPUScale,
 			TxPipeline:   prof.SWPipeline,
-			BurstSize:    opts.Burst,
 		}
 	}
 

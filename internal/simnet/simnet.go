@@ -11,11 +11,13 @@
 // a given seed.
 //
 // The datapath is burst-based and allocation-free in steady state:
-// packet payloads live in a recycling transport.Pool (released back by
-// the consumer via Frame.Release, like re-posting an RX descriptor),
-// packet descriptors (simPkt) recycle through a free list, and every
-// hop is scheduled with sim.Scheduler.AtCall — a predeclared callback
-// plus the pooled descriptor — instead of a per-hop closure.
+// packet payloads live in MTU-sized buffers on the fabric's free list,
+// packet descriptors (simPkt) recycle through another, and every hop is
+// scheduled with sim.Scheduler.AtCall — a predeclared callback plus the
+// recycled descriptor — instead of a per-hop closure. An endpoint lends
+// the buffers of an RX burst until its next RecvBurst, which re-posts
+// them to the free list in bulk, the way UDP re-uses its receive
+// windows and the paper's dispatch thread re-posts its RX descriptors.
 package simnet
 
 import (
@@ -88,8 +90,8 @@ type Fabric struct {
 	spine []*swtch
 	nics  []*nic
 
-	pool    *transport.Pool // payload buffers, recycled via Frame.Release
-	pktFree []*simPkt       // descriptor free list
+	bufFree [][]byte  // MTU-sized payload buffers
+	pktFree []*simPkt // descriptor free list
 
 	// Predeclared AtCall callbacks: one bound method value each,
 	// created once at New, so scheduling a hop allocates nothing.
@@ -113,8 +115,7 @@ func New(sched *sim.Scheduler, cfg Config) (*Fabric, error) {
 	if cfg.RQCap == 0 {
 		cfg.RQCap = DefaultRQCap
 	}
-	f := &Fabric{sched: sched, cfg: cfg,
-		pool: transport.NewPool(cfg.Profile.MTU, 0)}
+	f := &Fabric{sched: sched, cfg: cfg}
 	f.atToRFn = func(a any) { f.atToR(a.(*simPkt)) }
 	f.atSpineFn = func(a any) { f.atSpine(a.(*simPkt)) }
 	f.atDstNICFn = func(a any) { f.atDstNIC(a.(*simPkt)) }
@@ -202,7 +203,7 @@ func (f *Fabric) wireBytes(frameLen int) int {
 	return frameLen + f.cfg.Profile.WireOverhead
 }
 
-// simPkt is a pooled packet descriptor. While a packet is in flight it
+// simPkt is a recycled packet descriptor. While a packet is in flight it
 // carries the hop state its pending events need: hop is the ToR/spine
 // index the next arrival callback runs at, and relSw/relPort/relWB
 // describe the egress-buffer occupancy to release when the packet
@@ -233,19 +234,31 @@ func (f *Fabric) getPkt() *simPkt {
 }
 
 // freePkt recycles a descriptor whose payload buffer has already been
-// handed off or returned to the pool.
+// handed off or returned to the free list.
 func (f *Fabric) freePkt(pkt *simPkt) {
 	pkt.buf = nil
 	pkt.relSw = nil
 	f.pktFree = append(f.pktFree, pkt)
 }
 
+// getBuf returns an empty payload buffer with room for an MTU.
+func (f *Fabric) getBuf() []byte {
+	if n := len(f.bufFree); n > 0 {
+		b := f.bufFree[n-1]
+		f.bufFree[n-1] = nil
+		f.bufFree = f.bufFree[:n-1]
+		return b
+	}
+	return make([]byte, 0, f.cfg.Profile.MTU)
+}
+
+// putBuf returns a payload buffer to the free list.
+func (f *Fabric) putBuf(b []byte) { f.bufFree = append(f.bufFree, b[:0]) }
+
 // dropPkt recycles a descriptor and its payload (a packet lost in the
 // fabric).
-//
-//erpc:owner
 func (f *Fabric) dropPkt(pkt *simPkt) {
-	f.pool.Put(pkt.buf)
+	f.putBuf(pkt.buf)
 	f.freePkt(pkt)
 }
 
@@ -258,9 +271,7 @@ func releaseBuf(pkt *simPkt) {
 }
 
 // send launches a frame into the fabric from src. The whole fabric
-// executes on the one scheduler goroutine, which owns f.pool.
-//
-//erpc:owner
+// executes on the one scheduler goroutine, which owns the free lists.
 func (f *Fabric) send(src *Endpoint, dst transport.Addr, frame []byte) {
 	prof := f.cfg.Profile
 	if len(frame) > prof.MTU {
@@ -270,7 +281,7 @@ func (f *Fabric) send(src *Endpoint, dst transport.Addr, frame []byte) {
 		return // no such host: dropped, like a frame to an unknown MAC
 	}
 	pkt := f.getPkt()
-	pkt.buf = append(f.pool.Get(), frame...)
+	pkt.buf = append(f.getBuf(), frame...)
 	pkt.from = src.addr
 	pkt.to = dst
 	pkt.hash = transport.FlowHash(src.addr, dst)
@@ -382,9 +393,8 @@ func (f *Fabric) atDstNIC(pkt *simPkt) {
 }
 
 // deliver appends the packet to the destination endpoint's receive
-// queue. The payload buffer's ownership moves to the queue (and then
-// to the consumer, who re-posts it with Frame.Release); the descriptor
-// is recycled immediately.
+// queue. The payload buffer moves to the queue (and is lent to the
+// consumer by RecvBurst); the descriptor is recycled immediately.
 func (f *Fabric) deliver(pkt *simPkt) {
 	n := f.nics[pkt.to.Node]
 	if int(pkt.to.Port) >= len(n.endpoints) {
@@ -404,7 +414,7 @@ func (f *Fabric) deliver(pkt *simPkt) {
 	f.Stats.Delivered++
 	f.Stats.BytesDelivered += uint64(len(pkt.buf))
 	wasEmpty := len(ep.rq) == 0
-	ep.rq = append(ep.rq, transport.PooledFrame(pkt.buf, pkt.from, f.pool))
+	ep.rq = append(ep.rq, transport.Frame{Data: pkt.buf, Addr: pkt.from})
 	f.freePkt(pkt)
 	if wasEmpty && ep.wake != nil {
 		ep.wake()
@@ -418,6 +428,7 @@ type Endpoint struct {
 	addr        transport.Addr
 	rq          []transport.Frame
 	rqHead      int
+	lent        [][]byte // buffers of the last burst, re-posted by the next RecvBurst
 	wake        func()
 	closed      bool
 	lastArrival map[transport.Addr]sim.Time // per-source ordering under jitter
@@ -446,19 +457,29 @@ func (e *Endpoint) SendBurst(frames []transport.Frame) {
 
 // RecvBurst implements transport.Transport: the whole batch queued at
 // virtual "now" is handed over in one call (batch delivery per wake).
+// The frames' buffers are lent until the next RecvBurst, which first
+// returns the previous burst's buffers to the fabric's free list.
 func (e *Endpoint) RecvBurst(frames []transport.Frame) int {
-	n := 0
-	for n < len(frames) && e.rqHead < len(e.rq) {
-		frames[n] = e.rq[e.rqHead]
-		e.rq[e.rqHead] = transport.Frame{}
-		e.rqHead++
-		n++
+	e.repost()
+	n := copy(frames, e.rq[e.rqHead:])
+	for i := range n {
+		e.lent = append(e.lent, frames[i].Data)
 	}
-	if e.rqHead == len(e.rq) && len(e.rq) > 0 {
-		e.rq = e.rq[:0]
-		e.rqHead = 0
+	clear(e.rq[e.rqHead : e.rqHead+n])
+	e.rqHead += n
+	if e.rqHead == len(e.rq) {
+		e.rq, e.rqHead = e.rq[:0], 0
 	}
 	return n
+}
+
+// repost returns the buffers of the last burst to the free list.
+func (e *Endpoint) repost() {
+	for i, b := range e.lent {
+		e.fab.putBuf(b)
+		e.lent[i] = nil
+	}
+	e.lent = e.lent[:0]
 }
 
 // Pending reports queued RX packets.
@@ -467,12 +488,13 @@ func (e *Endpoint) Pending() int { return len(e.rq) - e.rqHead }
 // SetWake implements transport.Transport.
 func (e *Endpoint) SetWake(fn func()) { e.wake = fn }
 
-// Close implements transport.Transport. Queued packets are re-posted
-// to the fabric's buffer pool.
+// Close implements transport.Transport. The last burst's buffers and
+// the queued packets' go back to the fabric's free list.
 func (e *Endpoint) Close() error {
 	e.closed = true
+	e.repost()
 	for i := e.rqHead; i < len(e.rq); i++ {
-		e.rq[i].Release()
+		e.fab.putBuf(e.rq[i].Data)
 	}
 	e.rq = nil
 	e.rqHead = 0

@@ -453,3 +453,67 @@ func TestJitterSpreadsArrivals(t *testing.T) {
 		t.Fatal("jitter had no effect")
 	}
 }
+
+// TestRecvBurstLendsUntilNextRecv pins the RX lease: a frame's bytes
+// stay intact while the endpoint receives nothing, however much traffic
+// the fabric carries meanwhile, and its buffer carries a new packet
+// only after the endpoint's next RecvBurst has re-posted it.
+func TestRecvBurstLendsUntilNextRecv(t *testing.T) {
+	s, f := newFabric(t, cx4Single(2))
+	a := f.AttachEndpoint(0)
+	b := f.AttachEndpoint(1)
+	send1(a, b.LocalAddr(), []byte("first"))
+	s.Run()
+	var burst [1]transport.Frame
+	if b.RecvBurst(burst[:]) != 1 {
+		t.Fatal("first packet not delivered")
+	}
+	first := burst[0].Data
+
+	send1(a, b.LocalAddr(), []byte("second"))
+	send1(b, a.LocalAddr(), []byte("other"))
+	s.Run()
+	if string(first) != "first" {
+		t.Fatalf("lent frame reads %q before the next RecvBurst, want %q", first, "first")
+	}
+
+	if b.RecvBurst(burst[:]) != 1 || string(burst[0].Data) != "second" {
+		t.Fatalf("second RecvBurst = %q, want %q", burst[0].Data, "second")
+	}
+	send1(a, b.LocalAddr(), []byte("third"))
+	s.Run()
+	if string(first) != "third" {
+		t.Fatalf("the first frame's buffer reads %q after the next RecvBurst and a send, want it reused for %q", first, "third")
+	}
+}
+
+// TestSteadyStateAllocFree: once warm, a packet exchange — bursts
+// sent, carried through the fabric and received — allocates nothing.
+func TestSteadyStateAllocFree(t *testing.T) {
+	cfg := Config{Profile: CX4(), Topology: Topology{NumToRs: 2, NodesPerToR: 2, NumSpines: 2}}
+	s, f := newFabric(t, cfg)
+	a := f.AttachEndpoint(0)
+	b := f.AttachEndpoint(2) // across the spine
+	const burst = 16
+	tx := make([]transport.Frame, burst)
+	for i := range tx {
+		tx[i] = transport.Frame{Data: make([]byte, 64+i), Addr: b.LocalAddr()}
+	}
+	rx := make([]transport.Frame, burst)
+	got := 0
+	exchange := func() {
+		a.SendBurst(tx)
+		s.Run()
+		got = b.RecvBurst(rx)
+	}
+	exchange()
+	if got != burst {
+		t.Fatalf("received %d of %d frames", got, burst)
+	}
+	if avg := testing.AllocsPerRun(100, exchange); avg != 0 {
+		t.Fatalf("%.1f allocs per exchange of %d packets, want 0", avg, burst)
+	}
+	if got != burst {
+		t.Fatalf("received %d of %d frames", got, burst)
+	}
+}

@@ -6,12 +6,14 @@ import (
 )
 
 // This file defines the burst datapath: the Frame unit moved by
-// SendBurst/RecvBurst and the recycling buffer Pool that backs the
-// simulated and in-memory transports' RX frames. The design mirrors the
-// paper's NIC datapath (§4.2-4.3): RX and TX move a burst of packets per
-// event-loop iteration (up to 16 in the paper and in simulated time, up
-// to 64 over a real socket), RX buffers are re-posted (Released) after
-// processing, and a TX burst rings the doorbell once.
+// SendBurst/RecvBurst and the recycling buffer Pool, which backs the RX
+// frames of an in-memory transport that hands its buffers to the
+// receiver rather than lending them (the simulated fabric and UDP lend
+// theirs until the next receive). The design mirrors the paper's NIC
+// datapath (§4.2-4.3): RX and TX move a burst of packets per event-loop
+// iteration (up to 16 in the paper and in simulated time, up to 64 over
+// a real socket), RX buffers are re-posted after processing, and a TX
+// burst rings the doorbell once.
 
 // DefaultBurst is the paper's burst size (§4.2.1: "RX and TX bursts of
 // up to 16 packets"), sized to amortize a doorbell that is one MMIO
@@ -29,15 +31,17 @@ const SocketBurst = 64
 //
 // Ownership rules:
 //
-//   - TX (SendBurst): frames are owned by the caller. The transport
-//     must finish with Data before SendBurst returns (send or copy);
-//     the caller may reuse the bytes immediately afterwards.
+//   - TX (SendBurst): frames are owned by the caller, the transport's
+//     owner. The transport must finish with Data before SendBurst
+//     returns (send or copy); the caller may reuse the bytes
+//     immediately afterwards.
 //   - RX (RecvBurst): frames are owned by the receiver until it calls
 //     Release, on the goroutine that called RecvBurst, and a caller
 //     releases every frame of a burst before its next RecvBurst or Wait
 //     on that transport, which may then receive into the bytes again
-//     (a UDP frame aliases the receive window it arrived in). Data must
-//     not be referenced after Release. A pooled frame (PooledFrame)
+//     (a UDP frame aliases the receive window it arrived in, a
+//     simulated one a buffer the fabric re-posts at that call). Data
+//     must not be referenced after Release. A pooled frame (PooledFrame)
 //     re-posts its buffer to the pool on Release; dropping one without
 //     Release leaks the buffer to the garbage collector.
 type Frame struct {
@@ -69,8 +73,6 @@ func PooledFrame(data []byte, from Addr, p *Pool) Frame {
 // Release ends the receiver's hold on the frame and returns a pooled
 // frame's buffer to its pool on the owner fast path. Safe to call on a
 // zero or already-released frame.
-//
-//erpc:owner
 func (f *Frame) Release() {
 	f.dbg.release()
 	if f.pool != nil {

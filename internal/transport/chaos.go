@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/wire"
@@ -24,9 +23,10 @@ import (
 // recovery after the fault clears.
 //
 // Faults are injected on the send side; wrap both ends to subject both
-// directions. The mutex makes SendBurst safe from concurrent
-// goroutines; delayed packets are released from whichever
-// transport call observes their due time first (event loops poll
+// directions. A Chaos has the one owner of the transport it wraps:
+// only the goroutine that calls RecvBurst calls SendBurst, so the fault
+// state takes no lock. Delayed packets are released from whichever of
+// the owner's calls observes their due time first (event loops poll
 // RecvBurst constantly, bounding added release latency by the loop's
 // idle park).
 type Chaos struct {
@@ -35,10 +35,11 @@ type Chaos struct {
 	start  int64        // script origin: now() at construction
 	phases []ChaosPhase
 
-	mu   sync.Mutex
+	// The owner's fault state: the lottery, the held packets and the
+	// scratch burst that goes downstream.
 	rng  *rand.Rand
 	held []heldChaosPkt
-	out  []Frame // scratch burst (guarded by mu, detached while flushing)
+	out  []Frame
 
 	// Counters of injected faults, atomic: experiments read them while
 	// dispatch goroutines still send.
@@ -107,8 +108,7 @@ func (c *Chaos) Phase() int {
 }
 
 // activePhase returns the current phase, or nil when the script is
-// exhausted. Callers hold c.mu (the rng is not the only shared state —
-// held-packet bookkeeping is too).
+// exhausted.
 func (c *Chaos) activePhase() *ChaosPhase {
 	if i := c.Phase(); i < len(c.phases) {
 		return &c.phases[i]
@@ -128,9 +128,9 @@ func isHeartbeat(frame []byte) bool {
 	return t == wire.PktPing || t == wire.PktPong
 }
 
-// fate decides one packet's outcome under the active phase. Caller
-// holds c.mu. Returns 0 = deliver, 1 = drop, 2 = dup, 3 = held
-// (reorder or delay; already appended to c.held).
+// fate decides one packet's outcome under the active phase. Returns
+// 0 = deliver, 1 = drop, 2 = dup, 3 = held (reorder or delay; already
+// appended to c.held).
 func (c *Chaos) fate(dst Addr, frame []byte, now int64) int {
 	p := c.activePhase()
 	if p == nil {
@@ -169,8 +169,8 @@ func (c *Chaos) fate(dst Addr, frame []byte, now int64) int {
 }
 
 // dueHeld moves held packets whose release condition is met (enough
-// later sends passed, or the delay expired) into out. Caller holds
-// c.mu. passedSend marks that one more send overtook the held set.
+// later sends passed, or the delay expired) into out. passedSend marks
+// that one more send overtook the held set.
 func (c *Chaos) dueHeld(out []Frame, now int64, passedSend bool) []Frame {
 	kept := c.held[:0]
 	for i := range c.held {
@@ -200,20 +200,13 @@ func (c *Chaos) MTU() int { return c.t.MTU() }
 // LocalAddr implements Transport.
 func (c *Chaos) LocalAddr() Addr { return c.t.LocalAddr() }
 
-// SendBurst implements Transport: every frame of the burst rolls the
-// active phase's lottery independently; survivors, duplicates and
-// released held packets go downstream as one burst. The downstream
-// flush happens outside the critical section: holding c.mu across the
-// wrapped transport's syscall would block every concurrent sender for
-// the duration of a kernel crossing. The scratch burst is detached
-// while in flight, so a concurrent SendBurst falls back to a fresh
-// slice instead of sharing it.
+// SendBurst implements Transport on the owner: every frame of the
+// burst rolls the active phase's lottery independently; survivors,
+// duplicates and released held packets go downstream as one burst.
 func (c *Chaos) SendBurst(frames []Frame) {
 	now := c.now()
-	c.mu.Lock()
 	c.Bursts.Add(1)
 	out := c.out[:0]
-	c.out = nil // detached until the downstream flush completes
 	for i := range frames {
 		dst, data := frames[i].Addr, frames[i].Data
 		if len(c.held) > 0 {
@@ -226,31 +219,26 @@ func (c *Chaos) SendBurst(frames []Frame) {
 			out = append(out, Frame{Data: data, Addr: dst}, Frame{Data: data, Addr: dst})
 		}
 	}
-	c.mu.Unlock()
+	c.flush(out)
+}
+
+// flush sends out downstream and keeps it as the scratch burst, with
+// no buffer references left in it.
+func (c *Chaos) flush(out []Frame) {
 	c.t.SendBurst(out)
-	for i := range out {
-		out[i] = Frame{} // drop buffer references; keep scratch capacity
-	}
-	c.mu.Lock()
-	if c.out == nil {
-		c.out = out[:0] // reattach the scratch for the next burst
-	}
-	c.mu.Unlock()
+	clear(out)
+	c.out = out[:0]
 }
 
 // releaseDue forwards held packets whose delay expired. Called from
 // the receive path too, so a straggler phase's packets are released
 // even when the sender goes quiet (event loops poll RecvBurst).
 func (c *Chaos) releaseDue() {
-	c.mu.Lock()
 	if len(c.held) == 0 {
-		c.mu.Unlock()
 		return
 	}
-	release := c.dueHeld(nil, c.now(), false)
-	c.mu.Unlock()
-	if len(release) > 0 {
-		c.t.SendBurst(release)
+	if out := c.dueHeld(c.out[:0], c.now(), false); len(out) > 0 {
+		c.flush(out)
 	}
 }
 
@@ -268,13 +256,8 @@ func (c *Chaos) SetWake(fn func()) { c.t.SetWake(fn) }
 // here, so held packets keep being released.
 func (c *Chaos) waiter() Waiter { return WaiterOf(c.t) }
 
-// Close implements Transport. Held packets are discarded — the network
-// lost them.
-func (c *Chaos) Close() error {
-	c.mu.Lock()
-	c.held = nil
-	c.mu.Unlock()
-	return c.t.Close()
-}
+// Close implements Transport. Held packets are never sent — the
+// network lost them.
+func (c *Chaos) Close() error { return c.t.Close() }
 
 var _ Transport = (*Chaos)(nil)

@@ -12,11 +12,11 @@
 // The hot path moves packets in bursts, mirroring the paper's NIC
 // datapath (§4.2-4.3): RecvBurst fills a caller-provided slice of
 // Frames (per event-loop iteration in the core, up to SocketBurst over
-// a real socket and the paper's DefaultBurst in simulated time), SendBurst
-// transmits a batch with one doorbell/lock acquisition, and the receiver
-// releases each RX frame with Frame.Release once a packet is processed —
-// exactly like re-posting a NIC RX descriptor. A caller with one frame
-// sends or receives a burst of one.
+// a real socket and the paper's DefaultBurst in simulated time),
+// SendBurst transmits a batch with one doorbell, and the receiver is
+// done with a burst's frames by its next RecvBurst — exactly like
+// re-posting NIC RX descriptors in bulk. A caller with one frame sends
+// or receives a burst of one.
 //
 // Buffer-ownership rules (the zero-copy idiom of §4.2.3):
 //
@@ -28,33 +28,26 @@
 //     SendBurst returns; the transport copies or completes
 //     transmission synchronously.
 //
-// The RX side has one owner, the goroutine that calls RecvBurst, as the
-// paper's dispatch thread owns its RX queue and the buffers it posts
-// (§4.1–4.2). The UDP transport hands out frames that alias one of two
-// receive windows it owns and re-posts a window whole (see UDP); the
-// simulated and in-memory transports hand out buffers of a
-// single-owner Pool, which Release returns on the lock-free fast path.
-// Sharded multi-endpoint processes (ListenUDPShards) give every
+// A transport has one owner, the goroutine that calls RecvBurst, as the
+// paper's dispatch thread owns its RX and TX queues and the buffers it
+// posts (§4.1–4.2). Only the owner calls SendBurst, so neither side
+// takes a lock, and the peer table (UDP.AddPeer) is filled before the
+// owner's first send. The UDP transport hands out frames that alias
+// one of two receive windows it owns and re-posts a window whole (see
+// UDP); the simulated fabric lends each burst's buffers until the
+// endpoint's next RecvBurst. Neither can leak a buffer, return one
+// twice or return it from another goroutine, so no analyzer checks
+// that. Sharded multi-endpoint processes (ListenUDPShards) give every
 // endpoint its own socket and windows, so no datapath state is shared
 // across dispatch goroutines.
 //
-// # Machine-checked ownership
-//
-// The ownership rules above are not just documentation. Functions that
-// run in a pool-owning context carry an //erpc:owner directive, and
-// the erpcvet analyzer suite (cmd/erpcvet, runnable standalone or via
-// go vet -vettool) enforces the discipline statically: Pool.Get/Put
-// fast-path calls outside annotated owner contexts, acquired buffers
-// that can leak on an early return, and uintptr-of-unsafe.Pointer
-// values stored across statements are all build errors in CI. The core
-// needs no TX rule: its batch builds every frame in a buffer it owns
-// and takes no pool buffer for it. A known-safe
-// violation is suppressed with //erpc:ignore plus a mandatory reason.
-// What the analyzers cannot prove absent, builds with -tags erpcdebug
-// catch at runtime: the sanitizer in debug_on.go panics on pool
-// double-puts (with the acquisition site), fast-path puts off the
-// owner goroutine and a UDP receive into a window that still holds a
-// frame handed out and not released (with the hand-out site).
+// Builds with -tags erpcdebug check at run time what remains: the
+// sanitizer in debug_on.go panics on a Pool double put (with the
+// acquisition site) or a fast-path put off the owner goroutine, and on
+// a UDP receive into a window that still holds a frame handed out and
+// not released (with the hand-out site). The one static check left is
+// cmd/erpcvet's syscallptr: a uintptr made from an unsafe.Pointer stays
+// inline in its syscall argument.
 package transport
 
 import (
@@ -101,11 +94,11 @@ type Transport interface {
 	// LocalAddr returns this endpoint's address.
 	LocalAddr() Addr
 	// SendBurst transmits a batch of frames (Data + destination Addr)
-	// with one doorbell: implementations acquire their TX lock and
-	// flush their DMA queue once per burst, not per packet (§4.2.2).
-	// Callers keep ownership of the frames; the buffers may be reused
-	// as soon as SendBurst returns. It never blocks; any frame may be
-	// silently dropped.
+	// with one doorbell: implementations flush their DMA queue once per
+	// burst, not per packet (§4.2.2). Only the owner, the goroutine
+	// that calls RecvBurst, calls it. Callers keep ownership of the
+	// frames; the buffers may be reused as soon as SendBurst returns.
+	// It never blocks; any frame may be silently dropped.
 	SendBurst(frames []Frame)
 	// RecvBurst fills up to len(frames) received frames and returns
 	// how many it wrote, without blocking. Each returned frame is valid

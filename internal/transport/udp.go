@@ -39,10 +39,12 @@ import (
 // are released before a receive reaches either window again, as the
 // paper's dispatch thread re-posts its RX queue in bulk (§4.3.1).
 //
-// TX has its own lock (txMu: the peer table and the engine's TX arrays),
-// so any goroutine may send. Steady state allocates nothing: RX frames
-// alias the windows, and socket I/O avoids per-datagram address
-// allocations.
+// The owner is the TX side's one user too: only it calls SendBurst, so
+// the peer table and the engine's TX arrays take no lock, as the
+// paper's dispatch thread owns its TX queue. AddPeer fills the peer
+// table before the owner's first send. Steady state allocates nothing:
+// RX frames alias the windows, and socket I/O avoids per-datagram
+// address allocations.
 //
 // The socket I/O is one of two engines, picked at construction: the
 // batched engine (Linux amd64/arm64: sendmmsg/recvmmsg, plus
@@ -86,11 +88,9 @@ type UDP struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// TX state, serialized independently of the RX side.
-	txMu      sync.Mutex
+	// TX state, the owner's alone (see SendBurst).
 	peers     map[Addr]udpDest
-	txScratch []byte    // one frame being prefixed for the wire (per-packet engine)
-	apScratch []udpDest // per-burst resolved destinations
+	txScratch []byte // one frame being prefixed for the wire (per-packet engine)
 
 	// Drops counts datagrams the kernel dropped at this socket, its
 	// receive buffer full: the cumulative count (SO_RXQ_OVFL) the
@@ -133,10 +133,9 @@ type udpEngine interface {
 	// name is what Engine reports: "per-packet", or for the batched
 	// engine "gso" or "mmsg" with its offload capability on or off.
 	name() string
-	// sendBurst transmits resolved frames. Called with u.txMu held;
-	// dsts[i] is the resolved destination of frames[i] (invalid =>
-	// unknown peer, to be dropped).
-	sendBurst(dsts []udpDest, frames []Frame)
+	// sendBurst transmits frames, each to its peer in u.peers; frames
+	// to unknown peers are dropped.
+	sendBurst(frames []Frame)
 	// recv makes one non-blocking receive of at most max datagrams
 	// (the batched engine takes one window whatever max says).
 	recv(max int)
@@ -260,9 +259,9 @@ func newUDPConn(local Addr, conn *net.UDPConn, choice int) *UDP {
 // via SO_REUSEPORT where supported (Linux amd64/arm64 — see
 // ReusePortSupported): the kernel hashes each remote flow's 4-tuple to
 // one shard, so a session's frames always land on the same shard's
-// socket and shards never touch each other's receive queue, wire-buffer
-// pool or syscall-engine state. bind may use port 0; shard 0 then picks
-// the port and the rest join it.
+// socket and shards never touch each other's receive queue, receive
+// windows or syscall-engine state. bind may use port 0; shard 0 then
+// picks the port and the rest join it.
 //
 // On platforms without SO_REUSEPORT support the shards fall back to n
 // distinct consecutive ports (ephemeral when bind's port is 0) behind
@@ -300,9 +299,8 @@ func ListenUDPShards(node uint16, bind string, n int) ([]*UDP, error) {
 	return shards, nil
 }
 
-// listenShardsFallback is the portable ListenUDPShards layout: n
-// distinct ports (consecutive from bind's port, or all ephemeral when
-// it is 0), one per shard.
+// listenShardsFallback is the portable ListenUDPShards layout: the
+// ListenUDP layout from bind's host and port, one port per shard.
 func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 	host, portStr, err := net.SplitHostPort(bind)
 	if err != nil {
@@ -312,7 +310,15 @@ func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: bad shard bind port %q: %w", bind, err)
 	}
-	shards := make([]*UDP, 0, n)
+	return ListenUDP(node, host, basePort, n)
+}
+
+// ListenUDP opens n sockets for the endpoints (node, 0..n-1) of a
+// multi-endpoint process at host:basePort .. host:basePort+n-1, or at n
+// ephemeral ports when basePort is 0. On error, the sockets already
+// bound are closed.
+func ListenUDP(node uint16, host string, basePort, n int) ([]*UDP, error) {
+	trs := make([]*UDP, 0, n)
 	for i := 0; i < n; i++ {
 		port := 0
 		if basePort != 0 {
@@ -321,14 +327,14 @@ func listenShardsFallback(node uint16, bind string, n int) ([]*UDP, error) {
 		u, err := NewUDP(Addr{Node: node, Port: uint16(i)},
 			net.JoinHostPort(host, strconv.Itoa(port)))
 		if err != nil {
-			for _, s := range shards {
-				s.Close()
+			for _, t := range trs {
+				t.Close()
 			}
 			return nil, err
 		}
-		shards = append(shards, u)
+		trs = append(trs, u)
 	}
-	return shards, nil
+	return trs, nil
 }
 
 // Engine reports which syscall engine this transport runs on:
@@ -352,6 +358,8 @@ func (u *UDP) BoundAddr() *net.UDPAddr { return u.conn.LocalAddr().(*net.UDPAddr
 
 // AddPeer maps an eRPC address to a UDP destination. The peer table
 // stands in for eRPC's sockets-based session management messaging.
+// SendBurst reads it without a lock, so AddPeer runs before the owner's
+// first SendBurst, or on the owner.
 func (u *UDP) AddPeer(a Addr, udpAddr string) error {
 	ua, err := net.ResolveUDPAddr("udp", udpAddr)
 	if err != nil {
@@ -374,9 +382,7 @@ func (u *UDP) AddPeer(a Addr, udpAddr string) error {
 			scope = uint32(n)
 		}
 	}
-	u.txMu.Lock()
 	u.peers[a] = udpDest{ap: ap, scope: scope}
-	u.txMu.Unlock()
 	return nil
 }
 
@@ -386,31 +392,16 @@ func (u *UDP) MTU() int { return u.mtu }
 // LocalAddr implements Transport.
 func (u *UDP) LocalAddr() Addr { return u.local }
 
-// SendBurst implements Transport. Frames to unknown peers are dropped,
-// as are oversized frames; both are "network" losses from the RPC
-// layer's point of view. The whole batch is resolved and transmitted
-// under one acquisition of the TX lock (the paper's single DMA-queue
-// flush per burst) and, on the batched engine, handed to the kernel in
-// one sendmmsg call.
-func (u *UDP) SendBurst(frames []Frame) {
-	if len(frames) == 0 {
-		return
-	}
-	u.txMu.Lock()
-	if cap(u.apScratch) < len(frames) {
-		u.apScratch = make([]udpDest, len(frames))
-	}
-	dsts := u.apScratch[:len(frames)]
-	for i := range frames {
-		dsts[i] = u.peers[frames[i].Addr]
-	}
-	u.eng.sendBurst(dsts, frames)
-	u.txMu.Unlock()
-}
+// SendBurst implements Transport on the owner, the one goroutine that
+// sends (see UDP). Frames to unknown peers are dropped, as are
+// oversized frames; both are "network" losses from the RPC layer's
+// point of view. On the batched engine the whole batch is handed to the
+// kernel in one sendmmsg call (the paper's single DMA-queue flush per
+// burst).
+func (u *UDP) SendBurst(frames []Frame) { u.eng.sendBurst(frames) }
 
 // sendOne prefixes one frame with the 4-byte source address and writes
-// it to the socket as a single datagram. Callers hold txMu, which
-// guards txScratch.
+// it to the socket as a single datagram.
 func (u *UDP) sendOne(ap netip.AddrPort, frame []byte) {
 	if !ap.IsValid() || len(frame) > u.mtu {
 		return
@@ -684,9 +675,9 @@ func newPerPacketEngine(u *UDP) *perPacketEngine {
 
 func (e *perPacketEngine) name() string { return "per-packet" }
 
-func (e *perPacketEngine) sendBurst(dsts []udpDest, frames []Frame) {
+func (e *perPacketEngine) sendBurst(frames []Frame) {
 	for i := range frames {
-		e.u.sendOne(dsts[i].ap, frames[i].Data)
+		e.u.sendOne(e.u.peers[frames[i].Addr].ap, frames[i].Data)
 	}
 }
 

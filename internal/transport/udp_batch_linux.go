@@ -145,7 +145,7 @@ type batchEngine struct {
 	// on TX and UDP_GRO coalescing on RX. Decided once at construction.
 	offload bool
 
-	// TX state, guarded by u.txMu. tbuf is the arena every datagram
+	// TX state, the owner's (see UDP). tbuf is the arena every datagram
 	// of a sendmmsg is gathered into, prefix (the 4-byte source
 	// address) then frame; tiovs holds one iovec per message over it.
 	thdrs    []mmsghdr
@@ -308,7 +308,7 @@ func runOrder(order []int, frames []Frame) []int {
 	return order
 }
 
-// sendBurst transmits the resolved burst as one sendmmsg per
+// sendBurst transmits the burst as one sendmmsg per
 // gsoTxWindow messages or full arena (one, for the core's bursts of
 // SocketBurst). Each datagram, prefix then frame, is copied back to
 // back into the arena, and each message is one iovec over its bytes.
@@ -317,9 +317,9 @@ func runOrder(order []int, frames []Frame) []int {
 // a UDP_SEGMENT cmsg (GSO requires every segment but the last to be
 // exactly gso_size, which equal-size runs satisfy); a frame with a new
 // destination or size, and without offload every frame, opens a new
-// message. Callers hold u.txMu. Unknown peers, oversized frames and
-// address-family mismatches are dropped, like the per-packet engine.
-func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
+// message. Unknown peers, oversized frames and address-family
+// mismatches are dropped, like the per-packet engine.
+func (e *batchEngine) sendBurst(frames []Frame) {
 	m := 0    // messages filled
 	off := 0  // arena cursor
 	run := -1 // message index of the open run (-1: none)
@@ -333,7 +333,8 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 		if e.offload {
 			i = e.order[k]
 		}
-		ap := dsts[i].ap
+		dst := e.u.peers[frames[i].Addr]
+		ap := dst.ap
 		data := frames[i].Data
 		if !ap.IsValid() || len(data) > e.u.mtu {
 			continue
@@ -343,7 +344,7 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 		}
 		wire := udpHdrLen + len(data)
 		fits := off+wire <= len(e.tbuf)
-		extend := e.offload && run >= 0 && fits && dsts[i] == runDest && wire == e.tsegSize[run] &&
+		extend := e.offload && run >= 0 && fits && dst == runDest && wire == e.tsegSize[run] &&
 			wire < e.wireCap && e.tsegs[run] < gsoMaxSegs && int(e.tiovs[run].Len)+wire <= gsoMaxBytes
 		if !extend && (m == len(e.thdrs) || !fits) {
 			e.flush(m)
@@ -377,14 +378,14 @@ func (e *batchEngine) sendBurst(dsts []udpDest, frames []Frame) {
 			h.hdr.Iov = &e.tiovs[m]
 			h.hdr.Iovlen = 1
 			h.hdr.Name = (*byte)(unsafe.Pointer(&e.tnames[m]))
-			h.hdr.Namelen = putSockaddr(&e.tnames[m], dsts[i], e.is4)
+			h.hdr.Namelen = putSockaddr(&e.tnames[m], dst, e.is4)
 			h.hdr.Control = nil
 			h.hdr.Controllen = 0
 			h.hdr.Flags = 0
 			h.msgLen = 0
 			e.tsegs[m] = 1
 			e.tsegSize[m] = wire
-			run, runDest = m, dsts[i]
+			run, runDest = m, dst
 			m++
 		}
 		off += wire
@@ -462,7 +463,7 @@ func (e *batchEngine) flush(n int) {
 // (see wireCap). The message's one iovec covers equal-size datagrams
 // back to back in the arena, so each segment is a fixed-stride window
 // into it; the sockaddr is shared. Per-segment errors are ignored like
-// every other best-effort send. Callers hold u.txMu.
+// every other best-effort send.
 func (e *batchEngine) sendSegmented(m int) {
 	h := &e.thdrs[m].hdr
 	stride := e.tsegSize[m]

@@ -36,7 +36,6 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 	// Stage the burst in the arena exactly as sendBurst does, one
 	// message of n datagrams, but call the per-segment fallback instead
 	// of flushing the supersegment.
-	a.txMu.Lock()
 	const wire = udpHdrLen + 48
 	for i := range frames {
 		copy(eng.tbuf[i*wire:], eng.prefix[:])
@@ -53,7 +52,6 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 	eng.tsegSize[0] = wire
 	sys0 := a.Syscalls.Load()
 	eng.sendSegmented(0)
-	a.txMu.Unlock()
 	if got := a.Syscalls.Load() - sys0; got != n {
 		t.Fatalf("sendSegmented issued %d syscalls for %d segments, want %d", got, n, n)
 	}
@@ -86,9 +84,7 @@ func TestUDPGsoSendSegmentedFallback(t *testing.T) {
 func TestUDPGsoWireCapStopsCoalescing(t *testing.T) {
 	a, b := gsoPair(t)
 	eng := a.eng.(*batchEngine)
-	a.txMu.Lock()
 	eng.wireCap = udpHdrLen + 100 // pretend a 100-byte-frame supersegment bounced
-	a.txMu.Unlock()
 
 	mk := func(size, tag int) Frame {
 		p := make([]byte, size)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,12 +145,15 @@ func TestUDPWait(t *testing.T) {
 // TestUDPSetWakeStartsOneGoroutine pins the wake of an owner that never
 // waits: a UDP starts no goroutine of its own, the first SetWake starts
 // exactly one and later ones none, it calls fn when a datagram arrives
-// and leaves the datagram to RecvBurst, and Close joins it.
+// and leaves the datagram to RecvBurst, and Close joins it. It counts
+// the goroutines SetWake started, not all of them, and gives each count
+// a moment to settle: Close returns once wakeLoop has signalled its
+// exit, and the goroutine may still be on its way out then (as one of
+// an earlier test may be at the start).
 func TestUDPSetWakeStartsOneGoroutine(t *testing.T) {
-	g0 := runtime.NumGoroutine()
 	a, b := newUDPPair(t)
-	if g := runtime.NumGoroutine(); g != g0 {
-		t.Fatalf("two transports run %d goroutines, want none", g-g0)
+	if g := wakeLoops(0); g != 0 {
+		t.Fatalf("two transports run %d wake goroutines, want none", g)
 	}
 	ch := make(chan struct{}, 1)
 	wake := func() {
@@ -160,8 +164,8 @@ func TestUDPSetWakeStartsOneGoroutine(t *testing.T) {
 	}
 	b.SetWake(wake)
 	b.SetWake(wake)
-	if g := runtime.NumGoroutine(); g != g0+1 {
-		t.Fatalf("SetWake twice started %d goroutines, want 1", g-g0)
+	if g := wakeLoops(1); g != 1 {
+		t.Fatalf("SetWake twice started %d wake goroutines, want 1", g)
 	}
 	send1(a, Addr{1, 0}, []byte("x"))
 	select {
@@ -173,8 +177,29 @@ func TestUDPSetWakeStartsOneGoroutine(t *testing.T) {
 		t.Fatalf("RecvBurst after the wake got %q, %v", f, ok)
 	}
 	b.Close()
-	if g := runtime.NumGoroutine(); g != g0 {
-		t.Fatalf("%d goroutines left after Close", g-g0)
+	if g := wakeLoops(0); g != 0 {
+		t.Fatalf("%d wake goroutines left after Close", g)
+	}
+}
+
+// wakeLoops counts the goroutines SetWake started, running wakeLoop or
+// not yet scheduled (a stack then shows only the go statement's
+// wrapper). It looks again for up to a second while the count is not
+// want, and returns the last count.
+func wakeLoops(want int) int {
+	buf := make([]byte, 1<<16)
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		g := strings.Count(string(buf[:n]), "created by repro/internal/transport.(*UDP).SetWake")
+		if g == want || time.Now().After(deadline) {
+			return g
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

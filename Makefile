@@ -25,8 +25,8 @@ race:
 	GO="$(GO)" scripts/race-test.sh
 
 # vet runs the standard vet checks plus erpcvet, the in-tree analyzer
-# suite that enforces the zero-copy ownership invariants (framerelease,
-# owner, syscallptr — see internal/analysis/).
+# that keeps every uintptr(unsafe.Pointer) inline in its syscall
+# argument (syscallptr — see internal/analysis/).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/erpcvet ./...

@@ -144,7 +144,9 @@ func NewWallClock() Clock { return sim.NewWallClock() }
 
 // NewUDPTransport binds a real UDP socket for endpoint addr at the
 // given bind address (e.g. "127.0.0.1:0"). Use AddPeer on the returned
-// transport to map remote endpoint addresses to UDP addresses. The
+// transport to map remote endpoint addresses to UDP addresses before
+// the endpoint's loop first sends: only that loop sends, and it reads
+// the peer table without a lock. The
 // socket uses the platform's best syscall engine: batched
 // sendmmsg/recvmmsg on Linux amd64/arm64 (one kernel crossing per RX/TX
 // burst), with segmentation offload (UDP_SEGMENT supersegment TX,
@@ -376,7 +378,8 @@ type ChaosPhase = transport.ChaosPhase
 // NewChaosTransport wraps t with the phase-scripted chaos engine
 // (deterministic seed; timed phases of loss storms, blackhole windows,
 // straggler latency and duplication bursts — clean wire once the
-// script ends). now supplies the engine's clock in nanoseconds; see
+// script ends). now supplies the engine's clock in nanoseconds. Like
+// the transport it wraps, it has one owner, the endpoint's loop; see
 // transport.Chaos.
 func NewChaosTransport(t Transport, seed int64, now func() int64, phases []ChaosPhase) *transport.Chaos {
 	return transport.NewChaos(t, seed, now, phases)

@@ -117,11 +117,11 @@ type PoolStats struct {
 // that calls Get and Put. The owner path is a plain free list touched
 // without any lock — per-endpoint pools on this path share no mutable
 // cache line with any other core, the paper's per-thread hugepage
-// allocator discipline (§4.3). The transports' datapaths stay on it. A
-// goroutine other than the owner returns buffers through PutShared;
-// the owner migrates the shared list back to its free list in one
-// locked swap when it runs dry, so the mutex is touched once per
-// refill, never per steady-state Get/Put.
+// allocator discipline (§4.3). An in-memory transport whose owner
+// releases its RX frames stays on it. A goroutine other than the owner
+// returns buffers through PutShared; the owner migrates the shared list
+// back to its free list in one locked swap when it runs dry, so the
+// mutex is touched once per refill, never per steady-state Get/Put.
 type Pool struct {
 	bufCap int
 	limit  int

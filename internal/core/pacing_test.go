@@ -85,17 +85,20 @@ func (c *gapClock) firstAfter(t sim.Time) sim.Time {
 // paces every packet at wireBytes per interval, one session, the wheel's
 // head brought to the present by a first pass (a test descheduled since
 // the clock was made would otherwise find near deadlines beyond the
-// wheel's horizon: clamped, early).
-func parkRig(t *testing.T, wireBytes int, per sim.Time) (*gapClock, *stampTransport, *Rpc, *Session) {
-	clk := newGapClock()
-	tr := newStampTransport(clk)
-	r := NewRpc(echoNexus(), pacedCfg(tr, clk, float64(wireBytes)*1e9/float64(per)))
+// wheel's horizon: clamped, early). head is that pass's clock read, the
+// loop clock it set the wheel's head to: a test descheduled after it
+// finds its deadlines that much nearer the horizon.
+func parkRig(t *testing.T, wireBytes int, per sim.Time) (clk *gapClock, tr *stampTransport, r *Rpc, s *Session, head sim.Time) {
+	clk = newGapClock()
+	tr = newStampTransport(clk)
+	r = NewRpc(echoNexus(), pacedCfg(tr, clk, float64(wireBytes)*1e9/float64(per)))
 	s, err := r.CreateSession(transport.Addr{Node: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pass := len(clk.reads)
 	r.RunEventLoopOnce()
-	return clk, tr, r, s
+	return clk, tr, r, s, clk.reads[pass]
 }
 
 // driveUntilSent runs the loop the way RunEventLoop does until n packets
@@ -251,12 +254,12 @@ func TestWaitForWorkHonoursWheelDeadline(t *testing.T) {
 	for a := 0; a < attempts; a++ {
 		// Two 32 B requests at 48 B per 300 µs: the first leaves at
 		// once, the second is due one interval later.
-		clk, tr, r, s := parkRig(t, wire.HeaderSize+32, due)
+		clk, tr, r, s, head := parkRig(t, wire.HeaderSize+32, due)
 		t0 := clk.Now()
 		for i := 0; i < 2; i++ {
 			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
 		}
-		if clk.Now()-t0 > maxReadGap {
+		if clk.Now()-head > maxReadGap {
 			// Descheduled since the wheel's head was set: from there the
 			// second packet may be beyond the horizon and leave early,
 			// clamped.
@@ -302,10 +305,10 @@ func TestWaitForWorkKeepsTimeForBacklog(t *testing.T) {
 	)
 	var late [pkts][]sim.Time
 	for a := 0; a < attempts; a++ {
-		clk, tr, r, s := parkRig(t, new(queueTransport).MTU(), step)
+		clk, tr, r, s, head := parkRig(t, new(queueTransport).MTU(), step)
 		t0 := clk.Now()
 		r.EnqueueRequest(s, echoType, r.Alloc(pkts*r.DataPerPkt()), r.Alloc(32), func(error) {})
-		if clk.Now()-t0 > maxReadGap {
+		if clk.Now()-head > maxReadGap {
 			// Descheduled since the wheel's head was set: from there the
 			// last packet is beyond the horizon and leaves early, clamped.
 			continue
@@ -355,7 +358,7 @@ func TestWaitForWorkYieldsNoLongerThanAsked(t *testing.T) {
 	)
 	best, kept := due, 0
 	for a := 0; a < attempts; a++ {
-		clk, tr, r, s := parkRig(t, wire.HeaderSize+32, due)
+		clk, tr, r, s, _ := parkRig(t, wire.HeaderSize+32, due)
 		t0 := clk.Now()
 		for i := 0; i < 2; i++ {
 			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})

@@ -101,7 +101,10 @@ type chaosScenario struct {
 	// (0 = core default; the blackhole scenario tightens it so budget
 	// exhaustion → ErrTimeout is observable inside the fault window).
 	maxRetransmits int
-	window         int
+	// rto pins the client's RTO, initial value, floor and ceiling alike
+	// (0 = the adaptive range chaosMeasure sets).
+	rto    sim.Time
+	window int
 	// overload replaces wire faults with a server-side overload window:
 	// handlers turn slow and the in-flight ceiling bites, so arrivals
 	// draw PktReject and clients with exhausted reject budgets see
@@ -121,7 +124,14 @@ var chaosScenarios = []chaosScenario{
 		desc:           "full partition client->server; retransmit budget 5 -> ErrTimeout",
 		fault:          transport.ChaosPhase{Blackhole: true},
 		maxRetransmits: 5,
-		window:         8,
+		// The fifth retransmit leaves 31 RTOs after the request's last
+		// progress and the request fails 63 RTOs after it: at 5 ms, at
+		// 155 and 315 ms of the 400 ms fault window. Adaptive, a loaded
+		// host's RTT jitter can hold the RTO above 12.9 ms when the
+		// fault starts; the fifth retransmit then leaves after the
+		// window, gets through, and no request times out.
+		rto:    sim.Time(5 * time.Millisecond),
+		window: 8,
 	},
 	{
 		name:   "straggler",
@@ -231,6 +241,9 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 	}
 	if sc.maxRetransmits != 0 {
 		cliCfg.MaxRetransmits = sc.maxRetransmits
+	}
+	if sc.rto != 0 {
+		cliCfg.RTO, cliCfg.RTOMin, cliCfg.RTOMax = sc.rto, sc.rto, sc.rto
 	}
 	if sc.overload {
 		srvCfg.SrvInFlightLimit = 4
@@ -511,10 +524,10 @@ func ChaosSweep(opts Options, printf func(format string, a ...any)) ([]ChaosResu
 		o.Seed = opts.Seed + int64(i) // distinct fault lottery per scenario, still reproducible
 		m := chaosMeasure(sc, o)
 		printf("chaos %-10s  pre %.1f krps, fault %.1f krps, post %.1f krps, recovery %.1f ms; "+
-			"%d ok / %d timeout / %d overload; rtx %d, rejects %d, budget-exhausted %d, violations %d\n",
+			"%d ok / %d timeout / %d overload; rtx %d, rejects %d, budget-exhausted %d, violations %d, rto %.2f ms\n",
 			m.Scenario, m.PreKrps, m.FaultKrps, m.PostKrps, m.RecoveryMs,
 			m.Completed, m.TimedOut, m.Overloaded,
-			m.Retransmits, m.RejectsRx, m.BudgetExhausted, m.AtMostOnceViolations)
+			m.Retransmits, m.RejectsRx, m.BudgetExhausted, m.AtMostOnceViolations, m.RTOCurMs)
 		results = append(results, m)
 	}
 	d := chaosDrainMeasure(opts)

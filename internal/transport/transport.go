@@ -16,7 +16,12 @@
 // SendBurst transmits a batch with one doorbell, and the receiver is
 // done with a burst's frames by its next RecvBurst — exactly like
 // re-posting NIC RX descriptors in bulk. A caller with one frame sends
-// or receives a burst of one.
+// or receives a burst of one. An owner that waits for packets in the
+// transport's Waiter finds them received: the wait's receive is the
+// next RecvBurst's, which hands them out without polling again when
+// that receive drained the socket (one poll per packet on its way to
+// its handler, as the paper's dispatch thread polls its RX ring once
+// per loop iteration).
 //
 // Buffer-ownership rules (the zero-copy idiom of §4.2.3):
 //
@@ -104,7 +109,9 @@ type Transport interface {
 	// how many it wrote, without blocking. Each returned frame is valid
 	// until its Release (like re-posting a NIC RX descriptor), and the
 	// caller releases every frame of a burst before its next RecvBurst
-	// or Wait on this transport.
+	// or Wait on this transport. After a Wait that found frames it
+	// returns those first, and only those when the Wait's receive
+	// drained the socket (see Waiter).
 	RecvBurst(frames []Frame) int
 	// SetWake registers fn to be invoked when a frame arrives and the
 	// receive queue was empty; the simulated transport calls it at
@@ -125,7 +132,10 @@ type Waiter interface {
 	// called or the transport is closed, and reports whether RecvBurst
 	// has frames or an Interrupt ended the wait. With d <= 0 it does
 	// not block: it looks once. Only the goroutine that calls RecvBurst
-	// may call it.
+	// may call it. A Wait that finds frames has received them, and its
+	// receive stands for the next RecvBurst's: if it drained the
+	// socket, that RecvBurst returns what the Wait received and makes
+	// no receive of its own.
 	Wait(d time.Duration) bool
 	// Interrupt ends the Wait in progress, or the next one if none is.
 	// Callable from any goroutine; while no Wait is in progress it

@@ -29,8 +29,12 @@ import (
 // RecvBurst or Wait. An idle owner sleeps in Wait, parked in the
 // netpoller on this socket until a packet, its deadline or an Interrupt
 // from any goroutine ends it; no goroutine stands between the socket
-// and the loop. The kernel's receive buffer is the queue's depth
-// (RcvBuf) and its overflow is counted in Drops.
+// and the loop. A Wait that finds packets has received them, and when
+// its receive drained the socket the next RecvBurst hands them out
+// without receiving again: the wait's receive is that pass's poll, as
+// the paper's dispatch thread finds a packet and handles it in one loop
+// iteration. The kernel's receive buffer is the queue's depth (RcvBuf)
+// and its overflow is counted in Drops.
 //
 // Every RX frame aliases one of two receive windows the transport owns
 // (no copy, on every engine), and each receive fills the window the
@@ -66,13 +70,16 @@ type UDP struct {
 
 	// RX state, the owner's alone: the windows, of which the next
 	// receive fills rxWin[rxCur], the frames of the last receive that no
-	// burst has taken yet, rx[rxHead:] (at most udpRxBatch), and the
+	// burst has taken yet, rx[rxHead:] (at most udpRxBatch), whether
+	// they are what a Wait's receive staged as it drained the socket
+	// (rxDrained: the next RecvBurst does not receive), and the
 	// erpcdebug sanitizer's hand-out counts (zero-sized in release).
-	rxWin  [2][]byte
-	rxCur  int
-	rx     []Frame
-	rxHead int
-	rxDbg  rxDebug
+	rxWin     [2][]byte
+	rxCur     int
+	rx        []Frame
+	rxHead    int
+	rxDrained bool
+	rxDbg     rxDebug
 
 	// The wait (see Wait): Interrupt sets intr, which the next Wait
 	// consumes; waiting is set while a Wait may be parked, and tells
@@ -128,7 +135,11 @@ type UDP struct {
 // and how the owner pulls datagrams out of it. Both engines share the
 // UDP core (peer table, windows, leftover, wait). recv and wait run on
 // the owner, receive into the window rxWin[rxCur] and stage what they
-// receive on u.rx, which is empty when they are called.
+// receive on u.rx, which is empty when they are called; both report
+// whether their receive drained the socket, which a receive that
+// returns less than its window has (fewer messages than the window's
+// slots on the batched engine, a stop at EAGAIN on the per-packet
+// engine).
 type udpEngine interface {
 	// name is what Engine reports: "per-packet", or for the batched
 	// engine "gso" or "mmsg" with its offload capability on or off.
@@ -138,11 +149,11 @@ type udpEngine interface {
 	sendBurst(frames []Frame)
 	// recv makes one non-blocking receive of at most max datagrams
 	// (the batched engine takes one window whatever max says).
-	recv(max int)
+	recv(max int) (drained bool)
 	// wait blocks in the netpoller, under the read deadline Wait set,
 	// until a receive gets something, the deadline passes or the
 	// socket is closed.
-	wait()
+	wait() (drained bool)
 }
 
 // udpDest is a resolved peer: the UDP address plus, for link-local
@@ -491,30 +502,37 @@ func (u *UDP) takeRx(frames []Frame) int {
 
 // receive makes one receive into window rxCur, the leftover empty: a
 // non-blocking one of at most max datagrams, or with park the one Wait
-// parks in. One that staged frames moves rxCur to the other window.
-func (u *UDP) receive(max int, park bool) {
+// parks in. One that staged frames moves rxCur to the other window. It
+// reports whether the receive drained the socket.
+func (u *UDP) receive(max int, park bool) (drained bool) {
 	u.rxDbg.onRecv(u.rxCur)
 	if park {
-		u.eng.wait()
+		drained = u.eng.wait()
 	} else {
-		u.eng.recv(max)
+		drained = u.eng.recv(max)
 	}
 	if len(u.rx) > 0 {
 		u.rxCur ^= 1
 	}
+	return drained
 }
 
 // RecvBurst implements Transport on the owner: the rest of the last
-// receive first, then, if the burst has room, one non-blocking receive.
+// receive first, then, if the burst has room, one non-blocking receive —
+// unless that rest is what a Wait's receive staged as it drained the
+// socket, which is then all the burst gets: the socket was empty a
+// moment ago, and a receive now would most likely find it so again.
 // After Close it drops what was left over and returns nothing.
 func (u *UDP) RecvBurst(frames []Frame) int {
+	drained := u.rxDrained
+	u.rxDrained = false
 	if u.closed.Load() {
 		clear(u.rx)
 		u.rx, u.rxHead = u.rx[:0], 0
 		return 0
 	}
 	n := u.takeRx(frames)
-	if n < len(frames) {
+	if n < len(frames) && !drained {
 		u.receive(len(frames)-n, false)
 		n += u.takeRx(frames[n:])
 	}
@@ -529,9 +547,16 @@ var aLongTimeAgo = time.Unix(1, 0)
 // and asks to park while the socket is empty) under a read deadline d
 // away, so a packet ends it already received into the leftover, and so
 // do the deadline, an Interrupt (which moves the deadline into the
-// past) and Close. A wait ended by the deadline or an Interrupt costs
-// one allocation (the net package's error value); one ended by a packet
-// costs none.
+// past) and Close. With d <= 0 it makes one non-blocking receive (the
+// awake wait's probe). A wait ended by the deadline or an Interrupt
+// costs one allocation (the net package's error value); one ended by a
+// packet costs none.
+//
+// The receive that ended a wait, probe or park, is the next pass's: if
+// it staged frames and drained the socket, the next RecvBurst hands
+// them out and does not receive (one receive per packet's trip from the
+// socket to its handler, not two); if it filled its window, RecvBurst
+// tops up as after any receive.
 //
 // No wake-up is lost: Wait sets its deadline before it reads the
 // Interrupt flag, and Interrupt sets the flag before it reads whether a
@@ -548,7 +573,7 @@ func (u *UDP) Wait(d time.Duration) bool {
 		return true
 	}
 	if d <= 0 {
-		u.receive(SocketBurst, false)
+		u.rxDrained = u.receive(SocketBurst, false) && len(u.rx) > 0
 		return len(u.rx) > 0 || u.intr.Swap(false)
 	}
 	if u.closed.Load() {
@@ -561,7 +586,7 @@ func (u *UDP) Wait(d time.Duration) bool {
 		u.waiting.Store(false)
 		return true
 	}
-	u.receive(SocketBurst, true)
+	u.rxDrained = u.receive(SocketBurst, true) && len(u.rx) > 0
 	u.waiting.Store(false)
 	return len(u.rx) > 0 || u.intr.Swap(false)
 }
@@ -681,14 +706,16 @@ func (e *perPacketEngine) sendBurst(frames []Frame) {
 	}
 }
 
-func (e *perPacketEngine) recv(max int) {
+func (e *perPacketEngine) recv(max int) bool {
 	e.max = max
 	_ = e.u.rc.Control(e.rxCtl) // fails only once the socket is closed
+	return e.again
 }
 
-func (e *perPacketEngine) wait() {
+func (e *perPacketEngine) wait() bool {
 	e.max = SocketBurst
 	_ = e.u.rc.Read(e.rxWait)
+	return e.again
 }
 
 // read makes non-blocking reads until the socket is empty (again), a

@@ -546,32 +546,35 @@ func (e *batchEngine) arm(i int) {
 
 // recv is one non-blocking recvmmsg over the window, split into the
 // leftover. max does not bound it: the leftover holds a whole window.
-func (e *batchEngine) recv(int) {
+func (e *batchEngine) recv(int) bool {
 	e.post()
 	e.rxN = 0
-	if e.u.rc.Control(e.rxCtl) == nil {
-		e.split()
+	if e.u.rc.Control(e.rxCtl) != nil {
+		return false
 	}
+	return e.split()
 }
 
 // wait parks in the netpoller until a recvmmsg gets something (split
 // into the leftover), the read deadline passes or the socket closes.
-func (e *batchEngine) wait() {
+func (e *batchEngine) wait() bool {
 	e.post()
 	e.rxN = 0 // a read that fails before calling rxFn received nothing
 	_ = e.u.rc.Read(e.rxFn)
-	e.split()
+	return e.split()
 }
 
 // split turns the messages the last recvmmsg filled into frames on the
 // leftover, each aliasing its slot of the window, split at the
 // message's cmsg stride and stamped with its kernel receive time
-// (parseRxCmsgs, splitRxSegs), and re-arms their slots.
-func (e *batchEngine) split() {
+// (parseRxCmsgs, splitRxSegs), and re-arms their slots. It reports
+// whether the recvmmsg drained the socket: it found it empty, or it
+// returned fewer messages than the window has slots.
+func (e *batchEngine) split() (drained bool) {
 	n := e.rxN
 	e.rxN = 0
 	if e.rxErrno != 0 || n <= 0 {
-		return // empty socket, or a transient error (e.g. a drained ICMP error)
+		return e.rxErrno == syscall.EAGAIN // empty socket, or a transient error (e.g. a drained ICMP error)
 	}
 	u := e.u
 	u.Syscalls.Add(1)
@@ -596,6 +599,7 @@ func (e *batchEngine) split() {
 	if datagrams > 1 {
 		u.MmsgBatches.Add(1)
 	}
+	return n < len(e.rhdrs)
 }
 
 // putSockaddr fills the sockaddr storage for one destination and

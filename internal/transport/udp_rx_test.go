@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -275,12 +276,38 @@ func TestUDPCloseReleasesLeftover(t *testing.T) {
 	ReleaseBurst(burst[:])
 }
 
+// rxWindow is how many datagrams one receive of u's engine takes at
+// most when Wait makes it: a recvmmsg's slots, or the per-packet
+// engine's SocketBurst reads.
+func rxWindow(u *UDP) int {
+	if _, ok := u.eng.(*perPacketEngine); ok {
+		return SocketBurst
+	}
+	return udpRxSlots
+}
+
+// sendUncoalesced sends n datagrams named after tag from a to 1:0,
+// each longer than the last and in a SendBurst of its own, so no engine
+// coalesces two of them (GRO merges only equal-size runs), and returns
+// the payloads in order.
+func sendUncoalesced(a *UDP, tag string, n int) []string {
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("%s-%03d-%s", tag, i, strings.Repeat("x", i))
+		send1(a, Addr{1, 0}, []byte(want[i]))
+	}
+	time.Sleep(2 * time.Millisecond) // loopback delivers well within
+	return want
+}
+
 // TestUDPBurstSpansTwoReceives pins the two receive windows on every
-// engine: a Wait(0) probe stages burst A, burst B arrives, and one
-// RecvBurst returns A's leftover and then B, which its own receive
-// fetched. B must land in the other window, so every frame of the
-// burst reads back byte-identical and in order while the burst holds
-// them all.
+// engine: a Wait(0) probe fills its window with burst A, whose last
+// datagram stays in the socket, burst B arrives, and one RecvBurst
+// returns A's leftover and then the rest of A and B, which its own
+// receive fetched. That receive must land in the other window, so every
+// frame of the burst reads back byte-identical and in order while the
+// burst holds them all. A probe that fills its window did not drain the
+// socket, so RecvBurst tops up after it as after any receive.
 func TestUDPBurstSpansTwoReceives(t *testing.T) {
 	for _, c := range udpKinds() {
 		if c.name == "sharded-2" {
@@ -288,36 +315,32 @@ func TestUDPBurstSpansTwoReceives(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			a, b := c.pair(t)
-			// Five frames each: one recvmmsg (8 slots) takes a whole
-			// burst on every engine.
-			const k = 5
-			send := func(tag string) []string {
-				want := make([]string, k)
-				burst := make([]Frame, k)
-				for i := range burst {
-					want[i] = fmt.Sprintf("%s-%03d", tag, i)
-					burst[i] = Frame{Data: []byte(want[i]), Addr: Addr{1, 0}}
-				}
-				a.SendBurst(burst)
-				time.Sleep(2 * time.Millisecond) // loopback delivers well within
-				return want
-			}
-			want := send("a")
+			win := rxWindow(b)
+			want := sendUncoalesced(a, "a", win+1)
 			for deadline := time.Now().Add(2 * time.Second); !b.Wait(0); {
 				if time.Now().After(deadline) {
 					t.Fatal("probe staged nothing")
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if got := len(b.rx) - b.rxHead; got != k {
-				t.Fatalf("probe staged %d frames, want A's %d", got, k)
+			if got := len(b.rx) - b.rxHead; got != win {
+				t.Fatalf("probe staged %d frames, want a full window of A's (%d)", got, win)
 			}
-			want = append(want, send("b")...)
+			// Five frames in one burst: one receive takes them with A's
+			// last on every engine.
+			const k = 5
+			burst := make([]Frame, k)
+			for i := range burst {
+				want = append(want, fmt.Sprintf("b-%03d", i))
+				burst[i] = Frame{Data: []byte(want[len(want)-1]), Addr: Addr{1, 0}}
+			}
+			a.SendBurst(burst)
+			time.Sleep(2 * time.Millisecond)
 
-			frames := make([]Frame, SocketBurst)
+			frames := make([]Frame, win+SocketBurst)
 			n := b.RecvBurst(frames)
-			if n <= k {
-				t.Fatalf("RecvBurst returned %d frames: A's leftover (%d) and no fresh receive", n, k)
+			if n <= win+1 {
+				t.Fatalf("RecvBurst returned %d frames: A's leftover (%d), and its own receive fetched none of B", n, win)
 			}
 			var got []string
 			for i := 0; i < n; i++ {

@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzProcessPkt -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRxBurst -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzParseRxCmsgs -fuzztime 15s ./internal/transport/
+	$(GO) test -fuzz FuzzSplitRxSegs -fuzztime 15s ./internal/transport/
 	$(GO) test -fuzz FuzzRunOrder -fuzztime 15s ./internal/transport/
 
 ci: fmt-check build cross-build vet race test-debug test bench-smoke

@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/msgbuf"
 	"repro/internal/sim"
-	"repro/internal/timely"
 	"repro/internal/transport"
 )
 
@@ -56,8 +55,6 @@ type (
 	// Client is the requester-side counterpart of Server; it stripes
 	// sessions across a server's endpoints by flow hash.
 	Client = core.Client
-	// WorkerPool runs RunInWorker handlers for a process's endpoints.
-	WorkerPool = core.WorkerPool
 	// Config configures an Rpc endpoint.
 	Config = core.Config
 	// Nexus is the per-process request handler registry.
@@ -88,8 +85,6 @@ type (
 	Clock = sim.Clock
 	// Time is a nanosecond timestamp/duration on the Clock.
 	Time = sim.Time
-	// TimelyParams tunes congestion control.
-	TimelyParams = timely.Params
 )
 
 // Errors, re-exported.
@@ -110,16 +105,20 @@ var (
 	ErrDraining = core.ErrDraining
 )
 
-// Defaults, re-exported.
+// Constants and defaults, re-exported.
 const (
-	DefaultCredits  = core.DefaultCredits
+	// DefaultCredits is every session's credit limit C (§4.3.1); no
+	// Config changes it.
+	DefaultCredits = core.DefaultCredits
+	// DefaultNumSlots is every session's number of concurrent requests
+	// (§4.3); no Config changes it, so client and server agree on it.
 	DefaultNumSlots = core.DefaultNumSlots
 	DefaultRTO      = core.DefaultRTO
 	// DefaultBurstSize is the paper's RX/TX burst: frames moved per
 	// event-loop iteration and per DMA-queue flush of an endpoint the
 	// simulator drives (Config.Sched). An endpoint a goroutine drives
 	// over a real transport moves 64, what one sendmmsg of the batched
-	// UDP engine takes. Config.BurstSize overrides both.
+	// UDP engine takes. No Config changes either.
 	DefaultBurstSize = core.DefaultBurstSize
 	// DefaultRTOMin floors the adaptive per-session RTO estimate
 	// (Config.RTOMin overrides; Config.RTOMax defaults to 4x RTO).

@@ -16,7 +16,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/timely"
 	"repro/internal/workload"
 )
 
@@ -46,7 +45,7 @@ func main() {
 		return core.NewRpc(nx, core.Config{
 			Transport: fab.AttachEndpoint(node), Clock: sched, Sched: sched,
 			LinkRateGbps: prof.LinkGbps, CPUScale: prof.CPUScale, TxPipeline: prof.SWPipeline,
-			TimelyParams: timely.Params{LinkRate: prof.LinkGbps * 1e9 / 8, MinRTT: 6 * sim.Microsecond},
+			TimelyMinRTT: 6 * sim.Microsecond,
 			Opts:         core.Opts{DisableCC: !*cc},
 		})
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/timely"
 )
 
 // TestDeterministicRuns verifies the end-to-end stack (scheduler,
@@ -98,7 +97,7 @@ func TestEchoIntegrityProperty(t *testing.T) {
 func TestCongestionControlEngages(t *testing.T) {
 	const n = 10
 	e := newEnv(t, n+1, echoNexus(), func(c *Config) {
-		c.TimelyParams = timely.Params{LinkRate: 25e9 / 8, MinRTT: 6 * sim.Microsecond}
+		c.TimelyMinRTT = 6 * sim.Microsecond
 	}, func(c *simnet.Config) {
 		c.Jitter = 8 * sim.Microsecond
 	})

@@ -171,7 +171,7 @@ func (d *loopDriver) transmit() { d.r.tr.SendBurst(d.r.txBatch) }
 // offload hands the handler to the process's worker pool (§3.2), or to
 // a goroutine of its own on an endpoint without one.
 func (d *loopDriver) offload(handler func(), _ sim.Time) {
-	if p := d.r.cfg.Pool; p != nil {
+	if p := d.r.pool; p != nil {
 		p.Submit(handler)
 		return
 	}

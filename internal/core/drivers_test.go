@@ -143,10 +143,10 @@ func TestDriversAgree(t *testing.T) {
 	ct, st := newQueueTransport(), newQueueTransport()
 	st.addr = transport.Addr{Node: 2}
 	ct.peer, st.peer = st, ct
-	pool := NewWorkerPool(1)
-	defer pool.Close()
 	cli := NewRpc(nx, Config{Transport: ct, Clock: clk})
-	srv := NewRpc(nx, Config{Transport: st, Clock: clk, Pool: pool})
+	srv := NewRpc(nx, Config{Transport: st, Clock: clk})
+	srv.pool = newWorkerPool(1)
+	defer srv.pool.Close()
 	ss = ss[:0]
 	for i := 0; i < agreeSessions; i++ {
 		s, err := cli.CreateSession(st.addr)

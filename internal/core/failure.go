@@ -30,7 +30,7 @@ func (r *Rpc) heartbeat() {
 		r.sendCtrl(s.remote, wire.Header{PktType: wire.PktPing}, 0)
 	}
 	for node := range pinged {
-		if now-r.lastHeard[node] > r.cfg.FailureTimeout {
+		if now-r.lastHeard[node] > 5*r.cfg.HeartbeatInterval {
 			r.FailPeer(node)
 		}
 	}
@@ -115,7 +115,7 @@ func (r *Rpc) teardownSession(s *Session, err error) {
 	}
 	backlog := s.backlog
 	s.backlog = nil
-	s.credits = r.cfg.Credits
+	s.credits = DefaultCredits
 	conts := make([]func(error), 0, len(s.slots))
 	for i := range s.slots {
 		ss := &s.slots[i]

@@ -38,18 +38,27 @@ func TestAdaptiveRTOConverges(t *testing.T) {
 	}
 }
 
-func TestDisableAdaptiveRTOPinsConfigRTO(t *testing.T) {
-	e := newEnv(t, 2, echoNexus(), func(c *Config) { c.DisableAdaptiveRTO = true }, nil)
+// TestPinnedRTOHoldsSessionRTO: RTO = RTOMin = RTOMax fixes every
+// session's RTO at that value once RTT samples exist, whose sub-ms
+// values would otherwise pull the estimate down to DefaultRTOMin.
+func TestPinnedRTOHoldsSessionRTO(t *testing.T) {
+	const pinned = 7 * sim.Millisecond
+	e := newEnv(t, 2, echoNexus(), func(c *Config) { c.RTO, c.RTOMin, c.RTOMax = pinned, pinned, pinned }, nil)
 	r := e.rpcs[0]
 	s, _ := r.CreateSession(e.rpcs[1].LocalAddr())
-	if _, err := e.call(t, r, s, bytesPattern(64), 128); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 10; i++ {
+		if _, err := e.call(t, r, s, bytesPattern(64), 128); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.RTO() != DefaultRTO {
-		t.Fatalf("RTO = %v, want pinned %v", s.RTO(), DefaultRTO)
+	if s.SRTT() == 0 {
+		t.Fatal("no RTT sample: the pin was not tested against the estimator")
 	}
-	if r.Stats.RTOCur != 0 {
-		t.Fatalf("RTOCur = %d, want 0 with the estimator off", r.Stats.RTOCur)
+	if s.RTO() != pinned {
+		t.Fatalf("RTO = %v, want pinned %v", s.RTO(), pinned)
+	}
+	if r.Stats.RTOCur != uint64(pinned) {
+		t.Fatalf("RTOCur = %d, want the pinned %d", r.Stats.RTOCur, pinned)
 	}
 }
 
@@ -58,8 +67,7 @@ func TestRetransmitBudgetExhaustsToErrTimeout(t *testing.T) {
 	nx := NewNexus()
 	nx.Register(echoType, Handler{Fn: func(ctx *ReqContext) { /* never responds */ }})
 	e := newEnv(t, 2, nx, func(c *Config) {
-		c.RTO = 1 * sim.Millisecond
-		c.DisableAdaptiveRTO = true
+		c.RTO, c.RTOMin, c.RTOMax = sim.Millisecond, sim.Millisecond, sim.Millisecond
 		c.MaxRetransmits = 3
 	}, nil)
 	r := e.rpcs[0]
@@ -311,8 +319,7 @@ func TestPeerChurnLivenessMapPruned(t *testing.T) {
 	// admits at most two live sessions — without the budget release the
 	// third churn round would fail with ErrTooManySessions.
 	e := newEnv(t, 2, echoNexus(), func(c *Config) {
-		c.HeartbeatInterval = 1 * sim.Millisecond
-		c.FailureTimeout = 1 * sim.Second // manual FailPeer only
+		c.HeartbeatInterval = 200 * sim.Millisecond // failure after 1 s of silence: manual FailPeer only
 		c.RQSize = 3 * DefaultCredits
 	}, nil)
 	r := e.rpcs[0]
@@ -358,8 +365,7 @@ func TestPeerRecoveryAfterFailure(t *testing.T) {
 	// instead of inheriting the stale lastHeard timestamp (which would
 	// re-fail the peer on the next heartbeat round).
 	e := newEnv(t, 2, echoNexus(), func(c *Config) {
-		c.HeartbeatInterval = 1 * sim.Millisecond
-		c.FailureTimeout = 5 * sim.Millisecond
+		c.HeartbeatInterval = 1 * sim.Millisecond // failure after 5 ms of silence
 	}, nil)
 	r := e.rpcs[0]
 	s1, _ := r.CreateSession(e.rpcs[1].LocalAddr())
@@ -370,7 +376,7 @@ func TestPeerRecoveryAfterFailure(t *testing.T) {
 		t.Fatalf("pre-failure rpc: %v", err1)
 	}
 	r.FailPeer(s1.Remote().Node)
-	// Dead time well past FailureTimeout: a stale lastHeard entry would
+	// Dead time well past the 5 ms failure timeout: a stale lastHeard entry would
 	// now be lethal to any recreated session.
 	e.sched.RunUntil(20 * sim.Millisecond)
 
@@ -406,11 +412,9 @@ func TestStragglerBudgetVsLiveness(t *testing.T) {
 			c.Transport = transport.NewChaos(c.Transport, 1,
 				func() int64 { return int64(clk.Now()) }, phases)
 		}
-		c.RTO = 1 * sim.Millisecond
-		c.DisableAdaptiveRTO = true
+		c.RTO, c.RTOMin, c.RTOMax = sim.Millisecond, sim.Millisecond, sim.Millisecond
 		c.MaxRetransmits = 4
-		c.HeartbeatInterval = 1 * sim.Millisecond
-		c.FailureTimeout = 5 * sim.Millisecond
+		c.HeartbeatInterval = 1 * sim.Millisecond // failure after 5 ms of silence
 	}, nil)
 	r := e.rpcs[0]
 	s, _ := r.CreateSession(e.rpcs[1].LocalAddr())

@@ -91,7 +91,7 @@ func FuzzRxBurst(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c []byte) {
 		tr := newQueueTransport()
 		nx := echoNexus()
-		srv := NewRpc(nx, Config{Transport: tr, Clock: sim.NewWallClock(), BurstSize: 16})
+		srv := NewRpc(nx, Config{Transport: tr, Clock: sim.NewWallClock()})
 		cli := transport.Addr{Node: 7, Port: 0}
 		for _, fr := range [][]byte{a, b, c} {
 			if len(fr) > tr.MTU() {

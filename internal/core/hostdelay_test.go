@@ -133,7 +133,7 @@ func TestHostDelayBypassesTimely(t *testing.T) {
 	st := g.r.Stats
 	if st.TimelyUpdates != 0 || st.PktsPaced != 0 || !g.s.cc.timely.Uncongested() {
 		t.Fatalf("host-only samples: TimelyUpdates %d, PktsPaced %d, rate %.3g of link %.3g; want 0, 0, link",
-			st.TimelyUpdates, st.PktsPaced, g.s.CCRate(), g.r.cfg.TimelyParams.LinkRate)
+			st.TimelyUpdates, st.PktsPaced, g.s.CCRate(), g.r.cfg.LinkRateGbps*1e9/8)
 	}
 	g.checkFullRTTs(want)
 	if srtt := g.s.SRTT(); srtt != rtt {
@@ -170,7 +170,7 @@ func TestFabricDelayEngagesTimely(t *testing.T) {
 	}
 	if st.PktsPaced == 0 || g.s.cc.timely.Uncongested() {
 		t.Fatalf("PktsPaced %d, rate %.3g of link %.3g: a rising fabric delay should leave line rate and pace",
-			st.PktsPaced, g.s.CCRate(), g.r.cfg.TimelyParams.LinkRate)
+			st.PktsPaced, g.s.CCRate(), g.r.cfg.LinkRateGbps*1e9/8)
 	}
 	g.checkFullRTTs(want)
 }
@@ -189,7 +189,7 @@ func TestHostDelayOverRTTClampsToZero(t *testing.T) {
 		t.Fatalf("TimelyUpdates %d, want 2", got)
 	}
 	if !g.s.cc.timely.Uncongested() {
-		t.Fatalf("rate %.3g below link %.3g: Timely was fed a negative sample", g.s.CCRate(), g.r.cfg.TimelyParams.LinkRate)
+		t.Fatalf("rate %.3g below link %.3g: Timely was fed a negative sample", g.s.CCRate(), g.r.cfg.LinkRateGbps*1e9/8)
 	}
 	g.checkFullRTTs([]sim.Time{300 * sim.Microsecond, 100 * sim.Microsecond})
 }

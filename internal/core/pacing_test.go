@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/timely"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -136,7 +135,7 @@ func pacedCfg(tr transport.Transport, clock sim.Clock, rate float64) Config {
 	return Config{
 		Transport:    tr,
 		Clock:        clock,
-		TimelyParams: timely.Params{LinkRate: rate},
+		LinkRateGbps: rate * 8 / 1e9,
 		Opts:         Opts{DisableRateLimiterBypass: true},
 	}
 }
@@ -473,8 +472,9 @@ func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 // more per RPC. A server's pass reads once more per TX flush that
 // carries a reply to a kernel-stamped packet, to stamp the replies'
 // endpoint delay, and no more where no reply answers a stamped packet:
-// four stamped echo requests at a burst of 4, behind two requests of
-// the endpoint's own, go out in two flushes and four reads.
+// the 17 CRs and first response packet of a stamped 18-packet echo
+// request go out in two flushes — the 16th frame of the session fills
+// half its credit window — and four reads.
 func TestLoopClockReadsPerPass(t *testing.T) {
 	const sessions = 2
 	pass := func(opts Opts) (reads int) {
@@ -529,30 +529,24 @@ func TestLoopClockReadsPerPass(t *testing.T) {
 		t.Fatalf("DisableBatchedTimestamps: the same pass read the clock %d times, want >= %d (a read per call)", got, want)
 	}
 
-	const burst = 4
+	const pkts = DefaultCredits/2 + 2
 	serve := func(stamped bool) (reads, flushes int) {
 		clk := &countingUnixClock{countingClock{t: sim.Second}}
 		tr := newQueueTransport()
-		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk, BurstSize: burst})
-		s, err := r.CreateSession(transport.Addr{Node: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 2; k++ {
-			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
-		}
-		for k := 0; k < burst; k++ {
+		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk})
+		dpp := r.DataPerPkt()
+		for k := 0; k < pkts; k++ {
 			var stamp int64
 			if stamped {
 				stamp = unixAt(clk.t)
 			}
-			tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: 32,
-				ReqNum: uint64(DefaultNumSlots + k)}, make([]byte, 32)), transport.Addr{Node: 2}, stamp)
+			tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: uint32(pkts * dpp),
+				PktNum: uint16(k), ReqNum: DefaultNumSlots}, make([]byte, dpp)), transport.Addr{Node: 2}, stamp)
 		}
 		before, bursts := clk.reads, r.Stats.TxBursts
 		r.RunEventLoopOnce()
-		if tr.sent != 2+burst {
-			t.Fatalf("sent %d packets, want %d", tr.sent, 2+burst)
+		if tr.sent != pkts {
+			t.Fatalf("sent %d packets, want %d", tr.sent, pkts)
 		}
 		return clk.reads - before, int(r.Stats.TxBursts - bursts)
 	}

@@ -57,7 +57,7 @@ func (r *Rpc) clientSlot(h *wire.Header) (*Session, *sslot, int) {
 		r.Stats.StalePktsRx++
 		return nil, nil, 0
 	}
-	idx := int(h.ReqNum % uint64(r.cfg.NumSlots))
+	idx := int(h.ReqNum % DefaultNumSlots)
 	ss := &s.slots[idx]
 	if !ss.busy || ss.reqNum != h.ReqNum {
 		r.Stats.StalePktsRx++
@@ -270,9 +270,6 @@ func (r *Rpc) hostDelay(h *wire.Header) sim.Time {
 // from triggering spurious go-back-N; the ceiling bounds recovery
 // latency on paths whose variance blew the estimate up.
 func (r *Rpc) updateRTO(s *Session, rtt sim.Time) {
-	if r.cfg.DisableAdaptiveRTO {
-		return
-	}
 	if s.srtt == 0 {
 		s.srtt = rtt
 		s.rttvar = rtt / 2
@@ -474,10 +471,10 @@ type txReply struct {
 // appendTX queues one frame, built at the free end of the TX arena, on
 // the TX batch (the paper's TX DMA queue), which is flushed with one
 // SendBurst per event-loop iteration (§4.2.2's single DMA-queue flush),
-// or earlier if it reaches BurstSize. A frame is at most an MTU and the
-// arena holds BurstSize of them, so the batch never outgrows it. rxAt,
-// when not 0, is the kernel receive time of the packet that a CR or
-// response frame answers: the flush reports the time since as the
+// or earlier if it reaches a burst (r.burst). A frame is at most an MTU
+// and the arena holds a burst of them, so the batch never outgrows it.
+// rxAt, when not 0, is the kernel receive time of the packet that a CR
+// or response frame answers: the flush reports the time since as the
 // frame's endpoint delay (stampReplies).
 func (r *Rpc) appendTX(dst transport.Addr, data []byte, rxAt sim.Time) {
 	r.Stats.PktsTx++
@@ -495,7 +492,7 @@ func (r *Rpc) appendTX(dst transport.Addr, data []byte, rxAt sim.Time) {
 
 // sessionQueued counts a frame of s just queued on the TX batch and
 // flushes the batch once it holds half of s's credit window. A session
-// has at most Config.Credits packets in flight, and the paper's burst
+// has at most DefaultCredits packets in flight, and the paper's burst
 // (16 of 32 credits) never let one flush carry more than half of them.
 // The socket burst would carry a whole window: its replies then wait in
 // one long send syscall, time no stamp sees, and Timely takes it for
@@ -508,7 +505,7 @@ func (r *Rpc) sessionQueued(s *Session) {
 	if s.txSince != r.Stats.TxBursts {
 		s.txSince, s.txQueued = r.Stats.TxBursts, 0
 	}
-	if s.txQueued++; s.txQueued >= r.cfg.Credits/2 {
+	if s.txQueued++; s.txQueued >= DefaultCredits/2 {
 		r.flushTX()
 	}
 }
@@ -583,7 +580,7 @@ func (r *Rpc) rtoScan() {
 			if ss.inFlight == 0 || now-ss.lastProgress <= backoffRTO(base, ss.consecRTO) {
 				continue
 			}
-			if r.cfg.MaxRetransmits >= 0 && ss.consecRTO >= r.cfg.MaxRetransmits {
+			if ss.consecRTO >= r.cfg.MaxRetransmits {
 				r.Stats.BudgetExhausted++
 				r.failSlot(s, i, ErrTimeout)
 				continue
@@ -620,7 +617,7 @@ func (r *Rpc) onReject(h *wire.Header) {
 	ss.respRcvd = 0
 	ss.rfrSent = 0
 	ss.rejects++
-	if r.cfg.MaxRejects >= 0 && ss.rejects > r.cfg.MaxRejects {
+	if ss.rejects > r.cfg.MaxRejects {
 		r.Stats.OverloadFails++
 		r.failSlot(s, idx, ErrServerOverloaded)
 		r.kickSession(s)

@@ -35,13 +35,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults mirroring the paper.
+// The paper's session geometry, burst and message limit, which no Config
+// changes (as in eRPC), and the defaults of the values Config sets.
 const (
 	DefaultCredits   = 32                  // session credit limit C (§4.3.1; §6.4 uses 32)
-	DefaultNumSlots  = 8                   // concurrent requests per session (§4.3)
+	DefaultNumSlots  = 8                   // concurrent requests per session (§4.3); client and server must agree
 	DefaultRTO       = 5 * sim.Millisecond // retransmission timeout (§5.2.3)
 	DefaultRQSize    = 8192                // receive queue size |RQ| for the session budget
-	DefaultMaxMsg    = 8 << 20             // largest message size supported (§6.4)
+	DefaultMaxMsg    = 8 << 20             // largest request or response (§6.4)
 	DefaultBurstSize = 16                  // RX/TX burst of a simulated endpoint (§4.2.1: "RX and TX bursts of up to 16 packets")
 
 	// Adaptive RTO bounds (Jacobson/Karels estimation per session,
@@ -79,7 +80,9 @@ const (
 	_          = uint(sim.Millisecond - 1 - wheelSlots*wheelGran)
 )
 
-// Config configures an Rpc endpoint.
+// Config configures an Rpc endpoint. The session geometry (credits,
+// slots), the burst and the message limit are not in it: they are the
+// constants above, so a client and its server always agree on them.
 type Config struct {
 	// Transport provides unreliable packet I/O. Required.
 	Transport transport.Transport
@@ -95,31 +98,22 @@ type Config struct {
 	// CPUScale multiplies all cost charges (cluster CPU speed); 0
 	// means 1.0.
 	CPUScale float64
-	// Credits is the per-session credit limit C; 0 means
-	// DefaultCredits.
-	Credits int
-	// NumSlots is the number of concurrent requests per session; 0
-	// means DefaultNumSlots.
-	NumSlots int
 	// RTO is the retransmission timeout used until a session has RTT
 	// samples (then the adaptive per-session estimate takes over); 0
 	// means DefaultRTO.
 	RTO sim.Time
 	// RTOMin / RTOMax clamp the adaptive per-session RTO (srtt +
 	// 4*rttvar, Jacobson-style). Zero means DefaultRTOMin and 4*RTO
-	// respectively.
+	// respectively. RTO = RTOMin = RTOMax pins every session's RTO.
 	RTOMin sim.Time
 	RTOMax sim.Time
-	// DisableAdaptiveRTO pins every session's RTO to Config.RTO.
-	DisableAdaptiveRTO bool
 	// MaxRetransmits is the budget of consecutive timeouts without
-	// progress before a request fails with ErrTimeout. 0 means
-	// DefaultMaxRetransmits; negative means unlimited (retry forever,
-	// the pre-budget behavior).
+	// progress before a request fails with ErrTimeout; <= 0 means
+	// DefaultMaxRetransmits.
 	MaxRetransmits int
 	// MaxRejects is the budget of consecutive server rejections
-	// (PktReject) before a request fails with ErrServerOverloaded.
-	// 0 means DefaultMaxRejects; negative means unlimited.
+	// (PktReject) before a request fails with ErrServerOverloaded;
+	// <= 0 means DefaultMaxRejects.
 	MaxRejects int
 	// SrvInFlightLimit caps requests admitted server-wide (receiving or
 	// executing) across all server-mode sessions; past it new requests
@@ -128,40 +122,22 @@ type Config struct {
 	// RQSize is the receive queue size used for the session budget
 	// |RQ|/C; 0 means DefaultRQSize.
 	RQSize int
-	// MaxMsgSize bounds request and response sizes; 0 means 8 MB.
-	MaxMsgSize int
-	// BurstSize is the RX/TX burst: the number of frames moved per
-	// RecvBurst call and the TX-batch capacity flushed with one
-	// SendBurst per event-loop iteration (paper §4.2: RX/TX bursts of
-	// up to 16 packets, one DMA-queue flush per batch). 0 means the
-	// paper's DefaultBurstSize on an endpoint the scheduler drives
-	// (Sched set) and transport.SocketBurst (64) on one a goroutine
-	// drives: there a flush is a syscall, not an MMIO write, and 64
-	// frames are what one sendmmsg of the batched UDP engine takes.
-	BurstSize int
-	// LinkRateGbps is the host link rate, used by Timely; 0 means 25.
+	// LinkRateGbps is the host link rate, Timely's maximum rate; 0
+	// means 25.
 	LinkRateGbps float64
 	// TxPipeline is a per-packet send latency that does not occupy
 	// the CPU (doorbell MMIO + DMA fetch). Simulation mode only; use
 	// the cluster profile's SWPipeline value.
 	TxPipeline sim.Time
-	// TimelyParams overrides Timely parameters; LinkRate is filled
-	// from LinkRateGbps if zero.
-	TimelyParams timely.Params
+	// TimelyMinRTT is the fabric's base RTT, which normalizes Timely's
+	// RTT gradient; 0 means Timely's default (10 µs).
+	TimelyMinRTT sim.Time
 	// Opts toggles the common-case optimizations (Table 3).
 	Opts Opts
-	// Pool, when non-nil, runs RunInWorker handlers on a shared
-	// worker pool instead of one goroutine per request. A Server's
-	// endpoints share one pool (paper §3.2: worker threads are a
-	// process-wide resource). Real-transport mode only; ignored in
-	// simulation mode, where workers are modeled by the scheduler.
-	Pool *WorkerPool
 	// HeartbeatInterval enables session-management heartbeats for
-	// node failure detection when non-zero (Appendix B).
+	// node failure detection when non-zero (Appendix B): a peer silent
+	// for 5 × HeartbeatInterval is declared failed.
 	HeartbeatInterval sim.Time
-	// FailureTimeout declares a peer node failed after this much
-	// silence; 0 means 5 × HeartbeatInterval.
-	FailureTimeout sim.Time
 }
 
 func (c *Config) setDefaults() {
@@ -177,12 +153,6 @@ func (c *Config) setDefaults() {
 	if c.CPUScale == 0 {
 		c.CPUScale = 1.0
 	}
-	if c.Credits == 0 {
-		c.Credits = DefaultCredits
-	}
-	if c.NumSlots == 0 {
-		c.NumSlots = DefaultNumSlots
-	}
 	if c.RTO == 0 {
 		c.RTO = DefaultRTO
 	}
@@ -195,35 +165,17 @@ func (c *Config) setDefaults() {
 	if c.RTOMax < c.RTOMin {
 		c.RTOMax = c.RTOMin
 	}
-	if c.MaxRetransmits == 0 {
+	if c.MaxRetransmits <= 0 {
 		c.MaxRetransmits = DefaultMaxRetransmits
 	}
-	if c.MaxRejects == 0 {
+	if c.MaxRejects <= 0 {
 		c.MaxRejects = DefaultMaxRejects
 	}
 	if c.RQSize == 0 {
 		c.RQSize = DefaultRQSize
 	}
-	if c.MaxMsgSize == 0 {
-		c.MaxMsgSize = DefaultMaxMsg
-	}
-	if c.BurstSize == 0 {
-		c.BurstSize = DefaultBurstSize
-		if c.Sched == nil {
-			c.BurstSize = transport.SocketBurst
-		}
-	}
-	if c.BurstSize < 1 {
-		panic("erpc: Config.BurstSize must be positive")
-	}
 	if c.LinkRateGbps == 0 {
 		c.LinkRateGbps = 25
-	}
-	if c.TimelyParams.LinkRate == 0 {
-		c.TimelyParams.LinkRate = c.LinkRateGbps * 1e9 / 8
-	}
-	if c.HeartbeatInterval != 0 && c.FailureTimeout == 0 {
-		c.FailureTimeout = 5 * c.HeartbeatInterval
 	}
 }
 
@@ -316,13 +268,18 @@ type Rpc struct {
 	lastHeard map[uint16]sim.Time // per-node liveness (Appendix B)
 	lastHB    sim.Time
 
+	// pool runs RunInWorker handlers over a real transport: a Server's
+	// pool, shared by its endpoints (§3.2: worker threads are a
+	// process-wide resource); nil means a goroutine per handler.
+	pool *workerPool
+
 	draining    bool // Drain called: no new sessions or requests admitted
 	srvInFlight int  // server-wide requests admitted (receiving or executing)
 	deadClient  int  // failed client-mode sessions (excluded from the session budget)
 
 	// Burst datapath state (paper §4.2: RX/TX bursts, one DMA-queue
 	// flush per batch).
-	burst     int               // configured burst size
+	burst     int               // DefaultBurstSize in simulated time, transport.SocketBurst otherwise
 	rxFrames  []transport.Frame // RecvBurst scratch, len == burst
 	rxFull    bool              // last RX burst was full: more may be queued
 	txBatch   []transport.Frame // per-iteration TX batch, its frames in txArena
@@ -354,6 +311,14 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		panic("erpc: transport MTU too small for header")
 	}
 	unix, _ := cfg.Clock.(sim.UnixClock)
+	// The burst (§4.2: one DMA-queue flush per batch) is the paper's 16
+	// where the scheduler drives the loop and 64 where a goroutine does:
+	// there a flush is a syscall, not an MMIO write, and 64 frames are
+	// what one sendmmsg of the batched UDP engine takes.
+	burst := DefaultBurstSize
+	if cfg.Sched == nil {
+		burst = transport.SocketBurst
+	}
 	r := &Rpc{
 		nexus:       nexus,
 		tr:          cfg.Transport,
@@ -367,11 +332,11 @@ func NewRpc(nexus *Nexus, cfg Config) *Rpc {
 		srvSessions: map[sessKey]*Session{},
 		wheel:       carousel.New[wheelEntry](wheelSlots, wheelGran),
 		lastHeard:   map[uint16]sim.Time{},
-		burst:       cfg.BurstSize,
-		rxFrames:    make([]transport.Frame, cfg.BurstSize),
-		txBatch:     make([]transport.Frame, 0, cfg.BurstSize),
-		txArena:     make([]byte, cfg.BurstSize*cfg.Transport.MTU()),
-		txReplies:   make([]txReply, 0, cfg.BurstSize),
+		burst:       burst,
+		rxFrames:    make([]transport.Frame, burst),
+		txBatch:     make([]transport.Frame, 0, burst),
+		txArena:     make([]byte, burst*cfg.Transport.MTU()),
+		txReplies:   make([]txReply, 0, burst),
 	}
 	if cfg.Sched != nil {
 		r.cpu = newSimDriver(r, cfg.Sched)
@@ -458,7 +423,7 @@ func (r *Rpc) CreateSession(remote transport.Addr) (*Session, error) {
 		return nil, ErrDraining
 	}
 	live := len(r.sessions) - r.deadClient
-	if (live+len(r.srvSessions)+1)*r.cfg.Credits > r.cfg.RQSize {
+	if (live+len(r.srvSessions)+1)*DefaultCredits > r.cfg.RQSize {
 		return nil, ErrTooManySessions
 	}
 	if len(r.sessions) >= 1<<16 {
@@ -469,17 +434,17 @@ func (r *Rpc) CreateSession(remote transport.Addr) (*Session, error) {
 		num:      uint16(len(r.sessions)),
 		remote:   remote,
 		isClient: true,
-		credits:  r.cfg.Credits,
-		slots:    make([]sslot, r.cfg.NumSlots),
+		credits:  DefaultCredits,
+		slots:    make([]sslot, DefaultNumSlots),
 	}
 	for i := range s.slots {
-		// Request numbers advance by NumSlots per reuse so the server
-		// can derive the slot index as reqNum % NumSlots; starting at
-		// idx+NumSlots keeps reqNum 0 meaning "none".
+		// Request numbers advance by DefaultNumSlots per reuse so the
+		// server can derive the slot index as reqNum % DefaultNumSlots;
+		// starting at idx+DefaultNumSlots keeps reqNum 0 meaning "none".
 		s.slots[i].reqNum = uint64(i)
 	}
 	if !r.opts.DisableCC {
-		s.cc.timely = timely.New(r.cfg.TimelyParams)
+		s.cc.timely = timely.New(timely.Params{LinkRate: r.cfg.LinkRateGbps * 1e9 / 8, MinRTT: r.cfg.TimelyMinRTT})
 	}
 	r.sessions = append(r.sessions, s)
 	return s, nil
@@ -499,7 +464,7 @@ func (r *Rpc) EnqueueRequest(s *Session, reqType uint8, req, resp *msgbuf.Buf, c
 	}
 	r.apiEnter()
 	defer r.apiExit()
-	if req.MsgSize() > r.cfg.MaxMsgSize {
+	if req.MsgSize() > DefaultMaxMsg {
 		r.complete(cont, ErrReqTooBig)
 		return
 	}
@@ -519,7 +484,7 @@ func (r *Rpc) EnqueueRequest(s *Session, reqType uint8, req, resp *msgbuf.Buf, c
 		// slot is momentarily free (a continuation runs between a
 		// slot's reset and its popBacklog; letting its EnqueueRequest
 		// steal the slot starved the backlog head for the life of the
-		// workload — the window ≥ NumSlots cliff). Checked before the
+		// workload — the window ≥ DefaultNumSlots cliff). Checked before the
 		// slot scan: while a backlog exists the scan's answer is
 		// unusable anyway.
 		s.backlog = append(s.backlog, pendingReq{reqType: reqType, req: req, resp: resp, cont: cont})
@@ -546,7 +511,7 @@ func (r *Rpc) freeSlot(s *Session) int {
 
 func (r *Rpc) startRequest(s *Session, idx int, reqType uint8, req, resp *msgbuf.Buf, cont func(error)) {
 	ss := &s.slots[idx]
-	ss.reqNum += uint64(r.cfg.NumSlots)
+	ss.reqNum += DefaultNumSlots
 	ss.busy = true
 	ss.reqType = reqType
 	ss.req = req
@@ -711,7 +676,7 @@ func (r *Rpc) readLoopClock() {
 	r.loopTS = r.clock.Now()
 }
 
-// pollRX pulls one burst of up to BurstSize frames from the transport
+// pollRX pulls one burst of up to r.burst frames from the transport
 // and processes each packet, then releases the whole burst, which the
 // transport re-posts in bulk (the paper's RX descriptor re-post). A full
 // burst sets rxFull so the loop runs again immediately: packet arrivals

@@ -474,10 +474,10 @@ func TestResponseTooBig(t *testing.T) {
 }
 
 func TestRequestTooBig(t *testing.T) {
-	e := newEnv(t, 2, echoNexus(), func(c *Config) { c.MaxMsgSize = 1024 }, nil)
+	e := newEnv(t, 2, echoNexus(), nil, nil)
 	r := e.rpcs[0]
 	s, _ := r.CreateSession(e.rpcs[1].LocalAddr())
-	req := msgbuf.NewBuf(2048, r.DataPerPkt())
+	req := msgbuf.NewBuf(DefaultMaxMsg+1, r.DataPerPkt())
 	resp := r.Alloc(16)
 	var gotErr error
 	r.EnqueueRequest(s, echoType, req, resp, func(err error) { gotErr = err })
@@ -489,10 +489,7 @@ func TestRequestTooBig(t *testing.T) {
 
 func TestSessionLimit(t *testing.T) {
 	// |RQ|/C = 64/32 = 2 sessions max (§4.3.1).
-	e := newEnv(t, 2, echoNexus(), func(c *Config) {
-		c.RQSize = 64
-		c.Credits = 32
-	}, nil)
+	e := newEnv(t, 2, echoNexus(), func(c *Config) { c.RQSize = 64 }, nil)
 	r := e.rpcs[0]
 	remote := e.rpcs[1].LocalAddr()
 	if _, err := r.CreateSession(remote); err != nil {
@@ -557,9 +554,8 @@ func TestHeartbeatDetectsDeadPeer(t *testing.T) {
 	nx := NewNexus()
 	nx.Register(echoType, Handler{Fn: func(ctx *ReqContext) { /* black hole */ }})
 	e := newEnv(t, 2, nx, func(c *Config) {
-		c.RTO = 10 * sim.Second // RTO out of the way
-		c.HeartbeatInterval = 1 * sim.Millisecond
-		c.FailureTimeout = 5 * sim.Millisecond
+		c.RTO = 10 * sim.Second                   // RTO out of the way
+		c.HeartbeatInterval = 1 * sim.Millisecond // failure after 5 ms of silence
 	}, nil)
 	r := e.rpcs[0]
 	s, _ := r.CreateSession(e.rpcs[1].LocalAddr())

@@ -18,12 +18,12 @@ import (
 // across the server's dispatch threads the same way ECMP balances
 // flows across links.
 
-// WorkerPool is a fixed-size set of worker goroutines shared by the
+// workerPool is a fixed-size set of worker goroutines shared by the
 // endpoints of a process (the paper's worker threads, §3.2). Handlers
 // registered with RunInWorker execute here, keeping dispatch threads
 // responsive; sharing one pool across endpoints bounds the process's
 // total worker concurrency regardless of endpoint count.
-type WorkerPool struct {
+type workerPool struct {
 	ch   chan func()
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -37,12 +37,12 @@ type WorkerPool struct {
 // queue in the paper's worker model).
 const workerQueueCap = 4096
 
-// NewWorkerPool starts n worker goroutines; n <= 0 means GOMAXPROCS.
-func NewWorkerPool(n int) *WorkerPool {
+// newWorkerPool starts n worker goroutines; n <= 0 means GOMAXPROCS.
+func newWorkerPool(n int) *workerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &WorkerPool{ch: make(chan func(), workerQueueCap), done: make(chan struct{})}
+	p := &workerPool{ch: make(chan func(), workerQueueCap), done: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		p.wg.Add(1)
 		go func() {
@@ -76,7 +76,7 @@ func NewWorkerPool(n int) *WorkerPool {
 // shutdown drain is guaranteed to run it; a Submit blocked on a full
 // queue holds the mutex, delaying Close until workers (still live,
 // since done isn't closed yet) make room.
-func (p *WorkerPool) Submit(fn func()) {
+func (p *workerPool) Submit(fn func()) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -89,7 +89,7 @@ func (p *WorkerPool) Submit(fn func()) {
 
 // Close stops accepting work and waits for the workers to finish the
 // queued handlers. Idempotent.
-func (p *WorkerPool) Close() {
+func (p *workerPool) Close() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
@@ -110,22 +110,18 @@ type endpointGroup struct {
 	wg       sync.WaitGroup
 }
 
-func (g *endpointGroup) init(nexus *Nexus, cfgs []Config, pool *WorkerPool) {
+func (g *endpointGroup) init(nexus *Nexus, cfgs []Config, pool *workerPool) {
 	if len(cfgs) == 0 {
 		panic("erpc: endpoint group needs at least one Config")
 	}
 	g.stop = make(chan struct{})
-	for i := range cfgs {
-		cfg := cfgs[i]
+	for _, cfg := range cfgs {
 		if (cfg.Sched != nil) != (cfgs[0].Sched != nil) {
 			panic("erpc: endpoint group mixes simulation and real-transport configs")
 		}
-		if cfg.Pool == nil {
-			// A caller-supplied per-endpoint pool wins over the
-			// group's shared one.
-			cfg.Pool = pool
-		}
-		g.rpcs = append(g.rpcs, NewRpc(nexus, cfg))
+		r := NewRpc(nexus, cfg)
+		r.pool = pool
+		g.rpcs = append(g.rpcs, r)
 	}
 }
 
@@ -220,7 +216,7 @@ func (a *Stats) add(b *Stats) {
 // scaled-out counterpart of a single Rpc.
 type Server struct {
 	endpointGroup
-	pool *WorkerPool
+	pool *workerPool
 }
 
 // NewServer builds one Rpc endpoint per Config. Every Config must carry
@@ -231,7 +227,7 @@ type Server struct {
 func NewServer(nexus *Nexus, cfgs []Config, workers int) *Server {
 	s := &Server{}
 	if len(cfgs) > 0 && cfgs[0].Sched == nil {
-		s.pool = NewWorkerPool(workers)
+		s.pool = newWorkerPool(workers)
 	}
 	s.endpointGroup.init(nexus, cfgs, s.pool)
 	return s

@@ -19,7 +19,7 @@ func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
 		rpc:      r,
 		num:      num,
 		remote:   from,
-		srvSlots: make([]srvSlot, r.cfg.NumSlots),
+		srvSlots: make([]srvSlot, DefaultNumSlots),
 	}
 	r.srvSessions[key] = s
 	return s
@@ -27,11 +27,9 @@ func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
 
 // onReqPkt handles a request data packet at the server.
 func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
-	if int64(h.MsgSize) > int64(r.cfg.MaxMsgSize) {
+	if h.MsgSize > DefaultMaxMsg {
 		// A request claiming a size we never accept is malformed or
 		// hostile; drop it before it can size a buffer allocation.
-		// (Compare in int64: int(uint32) could go negative on 32-bit
-		// platforms if the decoder's 24-bit mask ever widens.)
 		r.Stats.StalePktsRx++
 		return
 	}
@@ -43,7 +41,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 		return
 	}
 	s := r.srvSession(from, h.DstSession)
-	idx := int(h.ReqNum % uint64(r.cfg.NumSlots))
+	idx := int(h.ReqNum % DefaultNumSlots)
 	ss := &s.srvSlots[idx]
 
 	switch {
@@ -108,8 +106,8 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 }
 
 // overloaded reports whether admitting one more request would exceed
-// the server-wide in-flight ceiling (a session is bounded by NumSlots
-// on its own).
+// the server-wide in-flight ceiling (a session is bounded by
+// DefaultNumSlots on its own).
 func (r *Rpc) overloaded() bool {
 	lim := r.cfg.SrvInFlightLimit
 	return lim > 0 && r.srvInFlight >= lim
@@ -307,7 +305,7 @@ func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 // onRFR handles a request-for-response packet.
 func (r *Rpc) onRFR(h *wire.Header, from transport.Addr) {
 	s := r.srvSession(from, h.DstSession)
-	idx := int(h.ReqNum % uint64(r.cfg.NumSlots))
+	idx := int(h.ReqNum % DefaultNumSlots)
 	ss := &s.srvSlots[idx]
 	if h.ReqNum != ss.curReqNum || ss.state != srvResponded {
 		r.Stats.StalePktsRx++
@@ -381,8 +379,8 @@ func (c *ReqContext) Rpc() *Rpc { return c.rpc }
 // dynamic allocation (§4.3).
 func (c *ReqContext) AllocResponse(n int) []byte {
 	r := c.rpc
-	if n > r.cfg.MaxMsgSize {
-		panic("erpc: response exceeds MaxMsgSize")
+	if n > DefaultMaxMsg {
+		panic("erpc: response exceeds DefaultMaxMsg")
 	}
 	ss := &c.sess.srvSlots[c.slotIdx]
 	usePrealloc := !r.opts.DisablePreallocResponses && n <= r.dataPerPkt && !c.inWorker

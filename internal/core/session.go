@@ -28,7 +28,7 @@ type Session struct {
 	failed   bool
 
 	// Client mode.
-	credits int // available session credits (starts at Config.Credits)
+	credits int // available session credits (starts at DefaultCredits)
 	slots   []sslot
 	backlog []pendingReq
 	cc      ccState

@@ -99,7 +99,7 @@ func (d *simDriver) runSim() {
 	d.busyUntil = d.cursor
 	if d.r.rxFull {
 		// The RX burst filled: more packets may be queued beyond this
-		// iteration's budget of BurstSize. Run again once the CPU is
+		// iteration's budget of one burst. Run again once the CPU is
 		// free (packet arrivals only wake an *empty* queue).
 		d.wake()
 	}

@@ -196,36 +196,41 @@ func TestZeroCopyTxTeardownReleasesRefs(t *testing.T) {
 }
 
 // TestTXFlushesAtBurstSize checks the mid-iteration flush: the TX
-// batch goes out as one SendBurst the moment it holds BurstSize frames,
-// and a shorter remainder waits for the end-of-iteration flush.
+// batch goes out as one SendBurst the moment it holds a burst of frames
+// (transport.SocketBurst, 64), and a shorter remainder waits for the
+// end-of-iteration flush. The 65 single-packet requests fill the slots
+// of nine sessions, 8 frames each at most, so no session reaches the
+// half-window flush (16 frames) first.
 func TestTXFlushesAtBurstSize(t *testing.T) {
 	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{BurstSize: 2})
-	s, err := r.CreateSession(transport.Addr{Node: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
+	r := newZCRpc(t, ct, Config{})
+	const n = transport.SocketBurst + 1
+	for i := 0; i < n; i++ {
+		if i%DefaultNumSlots == 0 {
+			if _, err := r.CreateSession(transport.Addr{Node: uint16(2 + i/DefaultNumSlots)}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		req, resp := r.Alloc(8), r.Alloc(8)
-		r.EnqueueRequest(s, echoType, req, resp, func(error) {})
+		r.EnqueueRequest(r.sessions[i/DefaultNumSlots], echoType, req, resp, func(error) {})
 	}
-	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 2 {
-		t.Fatalf("3 packets at BurstSize 2: %d SendBursts before the iteration ended, want one of 2 frames", len(ct.bursts))
+	if got := burstLens(ct.bursts); len(got) != 1 || got[0] != transport.SocketBurst {
+		t.Fatalf("%d packets: SendBursts of %v frames before the iteration ended, want one of %d", n, got, transport.SocketBurst)
 	}
 	r.flushTX()
-	if len(ct.bursts) != 2 || len(ct.bursts[1]) != 1 {
-		t.Fatalf("end-of-iteration flush: %d SendBursts, want a second one of 1 frame", len(ct.bursts))
+	if got := burstLens(ct.bursts); len(got) != 2 || got[1] != 1 {
+		t.Fatalf("end-of-iteration flush: SendBursts of %v frames, want a second one of 1", got)
 	}
 }
 
 // TestTXFlushesAtHalfSessionWindow: a flush carries at most half of one
-// session's credit window. With 8 credits a 6-packet request leaves as
-// a SendBurst of 4 the moment its fourth packet is queued, and the rest
-// at the end of the iteration; two other sessions' 3 packets each stay
-// under the bound and share one SendBurst of 6.
+// session's credit window. With 32 credits a 20-packet request leaves
+// as a SendBurst of 16 the moment its sixteenth packet is queued, and
+// the rest at the end of the iteration; two other sessions' 10 packets
+// each stay under the bound and share one SendBurst of 20.
 func TestTXFlushesAtHalfSessionWindow(t *testing.T) {
 	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{Credits: 8})
+	r := newZCRpc(t, ct, Config{})
 	var sess [3]*Session
 	for i := range sess {
 		s, err := r.CreateSession(transport.Addr{Node: uint16(2 + i)})
@@ -234,18 +239,18 @@ func TestTXFlushesAtHalfSessionWindow(t *testing.T) {
 		}
 		sess[i] = s
 	}
-	r.EnqueueRequest(sess[0], echoType, r.Alloc(6*r.DataPerPkt()), r.Alloc(8), func(error) {})
+	r.EnqueueRequest(sess[0], echoType, r.Alloc(20*r.DataPerPkt()), r.Alloc(8), func(error) {})
 	r.flushTX()
-	if len(ct.bursts) != 2 || len(ct.bursts[0]) != 4 || len(ct.bursts[1]) != 2 {
-		t.Fatalf("6 packets of one session at 8 credits: SendBursts of %v frames, want 4 then 2", burstLens(ct.bursts))
+	if len(ct.bursts) != 2 || len(ct.bursts[0]) != DefaultCredits/2 || len(ct.bursts[1]) != 4 {
+		t.Fatalf("20 packets of one session at %d credits: SendBursts of %v frames, want 16 then 4", DefaultCredits, burstLens(ct.bursts))
 	}
 	ct.bursts = nil
 	for _, s := range sess[1:] {
-		r.EnqueueRequest(s, echoType, r.Alloc(3*r.DataPerPkt()), r.Alloc(8), func(error) {})
+		r.EnqueueRequest(s, echoType, r.Alloc(10*r.DataPerPkt()), r.Alloc(8), func(error) {})
 	}
 	r.flushTX()
-	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 6 {
-		t.Fatalf("3 packets each of two sessions: SendBursts of %v frames, want one of 6", burstLens(ct.bursts))
+	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 20 {
+		t.Fatalf("10 packets each of two sessions: SendBursts of %v frames, want one of 20", burstLens(ct.bursts))
 	}
 }
 
@@ -257,10 +262,9 @@ func burstLens(bursts [][]transport.Frame) []int {
 	return n
 }
 
-// TestBurstSizeDefaultByDriver: left at 0, BurstSize is what one
-// sendmmsg takes (transport.SocketBurst, 64) on an endpoint a goroutine
-// drives and the paper's 16 on one the scheduler drives, for RX and TX
-// alike; a value set in the Config wins on both.
+// TestBurstSizeDefaultByDriver: the burst is what one sendmmsg takes
+// (transport.SocketBurst, 64) on an endpoint a goroutine drives and the
+// paper's 16 on one the scheduler drives, for RX and TX alike.
 func TestBurstSizeDefaultByDriver(t *testing.T) {
 	check := func(what string, r *Rpc, want int) {
 		t.Helper()
@@ -270,8 +274,6 @@ func TestBurstSizeDefaultByDriver(t *testing.T) {
 	}
 	check("goroutine-driven", newZCRpc(t, &captureTransport{}, Config{}), transport.SocketBurst)
 	check("scheduler-driven", newEnv(t, 1, echoNexus(), nil, nil).rpcs[0], DefaultBurstSize)
-	check("goroutine-driven, set", newZCRpc(t, &captureTransport{}, Config{BurstSize: 8}), 8)
-	check("scheduler-driven, set", newEnv(t, 1, echoNexus(), func(c *Config) { c.BurstSize = 8 }, nil).rpcs[0], 8)
 	if transport.SocketBurst != 64 || DefaultBurstSize != 16 {
 		t.Fatalf("defaults %d and %d, want 64 and 16", transport.SocketBurst, DefaultBurstSize)
 	}

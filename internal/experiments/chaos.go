@@ -18,7 +18,6 @@ package experiments
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -43,6 +42,9 @@ type ChaosResult struct {
 	TimedOut    int
 	Overloaded  int
 	OtherErrors int
+	// Unresolved counts requests still outstanding 30 s after the run
+	// window closed (must be zero: every request completes or fails).
+	Unresolved int
 
 	// Executions counts distinct requests the server ran;
 	// AtMostOnceViolations counts requests it ran more than once (must
@@ -81,10 +83,18 @@ type ChaosResult struct {
 // must complete, every caught-by-the-drain request must resolve with
 // an explicit error, and the server's pooled msgbufs must balance.
 type ChaosDrainResult struct {
-	Issued               int
-	Completed            int
-	Overloaded           int
-	TimedOut             int
+	Issued     int
+	Completed  int
+	Overloaded int
+	TimedOut   int
+	// OtherErrors counts requests that failed with anything but
+	// ErrServerOverloaded or ErrTimeout; Unresolved, requests that had
+	// neither completed nor failed 30 s after the drain.
+	OtherErrors int
+	Unresolved  int
+	// OKBeforeDrain is how many requests completed before the drain
+	// fired; the drain waits for chaosDrainMinOK of them, 30 s at most.
+	OKBeforeDrain        int
 	Drained              bool
 	Executions           int
 	AtMostOnceViolations int
@@ -166,18 +176,14 @@ func chaosPhaseDurations(opts Options) (pre, fault, post time.Duration) {
 	return scaled(200 * time.Millisecond), scaled(400 * time.Millisecond), scaled(600 * time.Millisecond)
 }
 
-// chaosMeasure runs one scenario: a window of concurrent echo RPCs
-// over real UDP loopback, the client's TX side wrapped in a
-// phase-scripted Chaos transport under the wall clock.
-func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
-	opts = opts.norm()
-	pre, faultDur, post := chaosPhaseDurations(opts)
-
+// chaosLoopback binds the server (node 1) and client (node 2) UDP
+// sockets of a chaos run on loopback, each mapped to the other.
+func chaosLoopback() (srvTr, cliTr *transport.UDP) {
 	srvTr, err := transport.NewUDP(transport.Addr{Node: 1, Port: 0}, "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
-	cliTr, err := transport.NewUDP(transport.Addr{Node: 2, Port: 0}, "127.0.0.1:0")
+	cliTr, err = transport.NewUDP(transport.Addr{Node: 2, Port: 0}, "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
@@ -187,6 +193,46 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 	if err := cliTr.AddPeer(srvTr.LocalAddr(), srvTr.BoundAddr().String()); err != nil {
 		panic(err)
 	}
+	return srvTr, cliTr
+}
+
+// execAudit is the at-most-once audit: the server records every
+// execution by the unique id stamped into the request's first 4 bytes.
+type execAudit struct {
+	mu    sync.Mutex
+	execs map[uint32]int
+}
+
+func newExecAudit() *execAudit { return &execAudit{execs: map[uint32]int{}} }
+
+// record counts one execution of req; handlers call it from any goroutine.
+func (a *execAudit) record(req []byte) {
+	id := binary.BigEndian.Uint32(req)
+	a.mu.Lock()
+	a.execs[id]++
+	a.mu.Unlock()
+}
+
+// tally returns the distinct requests executed and how many of them ran
+// more than once.
+func (a *execAudit) tally() (executions, violations int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, n := range a.execs {
+		if n > 1 {
+			violations++
+		}
+	}
+	return len(a.execs), violations
+}
+
+// chaosMeasure runs one scenario: a window of concurrent echo RPCs
+// over real UDP loopback, the client's TX side wrapped in a
+// phase-scripted Chaos transport under the wall clock.
+func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
+	opts = opts.norm()
+	pre, faultDur, post := chaosPhaseDurations(opts)
+	srvTr, cliTr := chaosLoopback()
 
 	// The chaos script's origin is construction time: a clean pre
 	// phase, then the fault window, then a clean wire for the rest of
@@ -204,17 +250,12 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 	faultEnd := faultStart.Add(faultDur)
 	runEnd := faultEnd.Add(post)
 
-	// The server records executions by the unique id stamped into each
-	// request: the at-most-once audit across retransmits, duplicated
-	// packets and reject/retry churn.
-	var mu sync.Mutex
-	execs := map[uint32]int{}
+	// The at-most-once audit across retransmits, duplicated packets and
+	// reject/retry churn.
+	audit := newExecAudit()
 	nx := core.NewNexus()
 	nx.Register(1, core.Handler{RunInWorker: sc.overload, Fn: func(ctx *core.ReqContext) {
-		id := binary.BigEndian.Uint32(ctx.Req)
-		mu.Lock()
-		execs[id]++
-		mu.Unlock()
+		audit.record(ctx.Req)
 		if sc.overload {
 			now := time.Now()
 			if now.After(faultStart) && now.Before(faultEnd) {
@@ -312,19 +353,11 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 	select {
 	case <-done:
 	case <-time.After(runEnd.Sub(t0) + 30*time.Second):
-		panic(fmt.Sprintf("chaos scenario %s: RPCs hung past the run window", sc.name))
+		// Hung RPCs: once the loop has stopped, outstanding counts them.
 	}
 	client.Stop()
 	server.Stop()
-
-	mu.Lock()
-	executions, violations := len(execs), 0
-	for _, n := range execs {
-		if n > 1 {
-			violations++
-		}
-	}
-	mu.Unlock()
+	executions, violations := audit.tally()
 
 	res := ChaosResult{
 		Scenario:             sc.name,
@@ -338,6 +371,7 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 		TimedOut:             timedOut,
 		Overloaded:           overloaded,
 		OtherErrors:          other,
+		Unresolved:           outstanding,
 		Executions:           executions,
 		AtMostOnceViolations: violations,
 		InjDrops:             chaos.Drops.Load(),
@@ -377,6 +411,10 @@ func chaosMeasure(sc chaosScenario, opts Options) ChaosResult {
 	return res
 }
 
+// chaosDrainMinOK is how many requests complete before the drain fires,
+// so that it catches the rest in flight.
+const chaosDrainMinOK = 4
+
 // chaosDrainMeasure runs the graceful-drain scenario: a burst of
 // multi-packet worker RPCs, Server.Drain fired with most still in
 // flight. Admitted work must complete, caught work must resolve with
@@ -386,39 +424,20 @@ func chaosDrainMeasure(opts Options) ChaosDrainResult {
 	opts = opts.norm()
 	const (
 		nreqs   = 32
-		minOK   = 4
 		reqSize = 4000 // 3 packets: exercises CRs and the pooled reqBuf path
 	)
 
-	var mu sync.Mutex
-	execs := map[uint32]int{}
+	audit := newExecAudit()
 	nx := core.NewNexus()
 	nx.Register(1, core.Handler{RunInWorker: true, Fn: func(ctx *core.ReqContext) {
-		id := binary.BigEndian.Uint32(ctx.Req)
-		mu.Lock()
-		execs[id]++
-		mu.Unlock()
+		audit.record(ctx.Req)
 		time.Sleep(time.Millisecond) // hold the request in flight
 		out := ctx.AllocResponse(len(ctx.Req))
 		copy(out, ctx.Req)
 		ctx.EnqueueResponse()
 	}})
 
-	srvTr, err := transport.NewUDP(transport.Addr{Node: 1, Port: 0}, "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	cliTr, err := transport.NewUDP(transport.Addr{Node: 2, Port: 0}, "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	if err := srvTr.AddPeer(cliTr.LocalAddr(), cliTr.BoundAddr().String()); err != nil {
-		panic(err)
-	}
-	if err := cliTr.AddPeer(srvTr.LocalAddr(), srvTr.BoundAddr().String()); err != nil {
-		panic(err)
-	}
-
+	srvTr, cliTr := chaosLoopback()
 	server := core.NewServer(nx, []core.Config{{Transport: srvTr, Clock: sim.NewWallClock()}}, 2)
 	client := core.NewClient(nx, []core.Config{{
 		Transport: cliTr,
@@ -438,8 +457,8 @@ func chaosDrainMeasure(opts Options) ChaosDrainResult {
 	client.Start()
 
 	var (
-		resolved, okCount, rejCount, toCount int
-		resolvedCh                           = make(chan int, nreqs)
+		resolved, okCount, rejCount, toCount, other int
+		resolvedCh                                  = make(chan int, nreqs)
 	)
 	finished := make(chan struct{})
 	r := client.Rpc(0)
@@ -459,7 +478,8 @@ func chaosDrainMeasure(opts Options) ChaosDrainResult {
 					toCount++
 					resolvedCh <- -1
 				default:
-					panic(fmt.Sprintf("chaos drain: unexpected error %v", err))
+					other++
+					resolvedCh <- -1
 				}
 				if resolved++; resolved == nreqs {
 					close(finished)
@@ -470,34 +490,27 @@ func chaosDrainMeasure(opts Options) ChaosDrainResult {
 
 	// Let a slice of the burst complete, then drain with the rest in
 	// flight. Drain stops the server when it returns (drained or not).
-	deadline := time.Now().Add(30 * time.Second)
+	// A drain that fires with fewer completions is reported, not waited
+	// for past the deadline.
+	deadline := time.After(30 * time.Second)
 	seenOK := 0
-	for seenOK < minOK {
+wait:
+	for seenOK < chaosDrainMinOK {
 		select {
 		case n := <-resolvedCh:
-			if n > seenOK {
-				seenOK = n
-			}
-		case <-time.After(time.Until(deadline)):
-			panic("chaos drain: too few RPCs completed before the drain trigger")
+			seenOK = max(seenOK, n)
+		case <-deadline:
+			break wait
 		}
 	}
 	drained := server.Drain(10 * time.Second)
 	select {
 	case <-finished:
 	case <-time.After(30 * time.Second):
-		panic("chaos drain: drain left RPCs unresolved")
+		// Unresolved RPCs: once the loop has stopped, resolved counts the rest.
 	}
 	client.Stop()
-
-	mu.Lock()
-	executions, violations := len(execs), 0
-	for _, n := range execs {
-		if n > 1 {
-			violations++
-		}
-	}
-	mu.Unlock()
+	executions, violations := audit.tally()
 	allocs, frees := server.Rpc(0).AllocBalance()
 
 	srvTr.Close()
@@ -507,6 +520,9 @@ func chaosDrainMeasure(opts Options) ChaosDrainResult {
 		Completed:            okCount,
 		Overloaded:           rejCount,
 		TimedOut:             toCount,
+		OtherErrors:          other,
+		Unresolved:           nreqs - resolved,
+		OKBeforeDrain:        seenOK,
 		Drained:              drained,
 		Executions:           executions,
 		AtMostOnceViolations: violations,
@@ -531,8 +547,8 @@ func ChaosSweep(opts Options, printf func(format string, a ...any)) ([]ChaosResu
 		results = append(results, m)
 	}
 	d := chaosDrainMeasure(opts)
-	printf("chaos drain       %d/%d completed, %d overloaded, %d timed out, drained=%v, msgbufs %d/%d, violations %d\n",
-		d.Completed, d.Issued, d.Overloaded, d.TimedOut, d.Drained,
+	printf("chaos drain       %d/%d completed, %d overloaded, %d timed out, %d other, %d unresolved, drained=%v, msgbufs %d/%d, violations %d\n",
+		d.Completed, d.Issued, d.Overloaded, d.TimedOut, d.OtherErrors, d.Unresolved, d.Drained,
 		d.MsgbufFrees, d.MsgbufAllocs, d.AtMostOnceViolations)
 	return results, d
 }

@@ -23,6 +23,12 @@ func chaosViolations(scenarios []ChaosResult, d ChaosDrainResult) []string {
 		if s.PostKrps <= 0 {
 			bad = append(bad, fmt.Sprintf("%s: no goodput after the fault window", s.Scenario))
 		}
+		if s.Unresolved != 0 {
+			bad = append(bad, fmt.Sprintf("%s: %d requests unresolved 30 s past the run window", s.Scenario, s.Unresolved))
+		}
+		if s.OtherErrors != 0 {
+			bad = append(bad, fmt.Sprintf("%s: %d requests failed with an unexpected error", s.Scenario, s.OtherErrors))
+		}
 		timedOut += s.TimedOut
 		overloaded += s.Overloaded
 	}
@@ -40,6 +46,15 @@ func chaosViolations(scenarios []ChaosResult, d ChaosDrainResult) []string {
 	}
 	if d.Completed == 0 {
 		bad = append(bad, "drain: no admitted request completed")
+	}
+	if d.OKBeforeDrain < chaosDrainMinOK {
+		bad = append(bad, fmt.Sprintf("drain: %d requests completed before the drain fired, want %d", d.OKBeforeDrain, chaosDrainMinOK))
+	}
+	if d.Unresolved != 0 {
+		bad = append(bad, fmt.Sprintf("drain: %d requests unresolved 30 s after the drain", d.Unresolved))
+	}
+	if d.OtherErrors != 0 {
+		bad = append(bad, fmt.Sprintf("drain: %d requests failed with an unexpected error", d.OtherErrors))
 	}
 	if d.MsgbufAllocs != d.MsgbufFrees {
 		bad = append(bad, fmt.Sprintf("drain: msgbuf leak (%d allocs, %d frees)", d.MsgbufAllocs, d.MsgbufFrees))
@@ -74,7 +89,7 @@ func TestChaosViolationsDetected(t *testing.T) {
 				{Scenario: "blackhole", PostMs: 600, RecoveryMs: 82, PostKrps: 6, TimedOut: 8},
 				{Scenario: "overload", PostMs: 600, RecoveryMs: 2, PostKrps: 5.9, Overloaded: 24},
 			}, ChaosDrainResult{
-				Issued: 32, Completed: 10, Overloaded: 22, Drained: true,
+				Issued: 32, Completed: 10, Overloaded: 22, OKBeforeDrain: 4, Drained: true,
 				Executions: 10, MsgbufAllocs: 10, MsgbufFrees: 10,
 			}
 	}
@@ -96,6 +111,11 @@ func TestChaosViolationsDetected(t *testing.T) {
 		{"double execution in the drain", func(_ []ChaosResult, d *ChaosDrainResult) { d.AtMostOnceViolations = 2 }, "drain: 2 requests"},
 		{"drain completed nothing", func(_ []ChaosResult, d *ChaosDrainResult) { d.Completed = 0 }, "no admitted request completed"},
 		{"msgbuf leak", func(_ []ChaosResult, d *ChaosDrainResult) { d.MsgbufFrees = 9 }, "msgbuf leak"},
+		{"hung requests", func(s []ChaosResult, _ *ChaosDrainResult) { s[0].Unresolved = 3 }, "blackhole: 3 requests unresolved"},
+		{"unexpected error", func(s []ChaosResult, _ *ChaosDrainResult) { s[1].OtherErrors = 1 }, "overload: 1 requests failed"},
+		{"drain fired early", func(_ []ChaosResult, d *ChaosDrainResult) { d.OKBeforeDrain = 1 }, "drain: 1 requests completed before the drain fired"},
+		{"drain left requests unresolved", func(_ []ChaosResult, d *ChaosDrainResult) { d.Unresolved = 5 }, "drain: 5 requests unresolved"},
+		{"unexpected error in the drain", func(_ []ChaosResult, d *ChaosDrainResult) { d.OtherErrors = 2 }, "drain: 2 requests failed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, d := sound()

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/timely"
 )
 
 // Cluster is a simulated testbed: a fabric plus one Rpc endpoint per
@@ -30,7 +29,7 @@ type ClusterSpec struct {
 	Seed           int64
 	// NetMut tweaks the fabric config (loss injection etc.).
 	NetMut func(*simnet.Config)
-	// CfgMut tweaks each endpoint's config (opts, credits etc.).
+	// CfgMut tweaks each endpoint's config (opts, RQ size etc.).
 	CfgMut func(node, thread int, cfg *core.Config)
 	// TimelyMinRTT overrides Timely's gradient-normalization RTT; 0
 	// keeps the default.
@@ -64,12 +63,7 @@ func BuildCluster(spec ClusterSpec) *Cluster {
 				LinkRateGbps: spec.Prof.LinkGbps,
 				CPUScale:     spec.Prof.CPUScale,
 				TxPipeline:   spec.Prof.SWPipeline,
-			}
-			if spec.TimelyMinRTT != 0 {
-				cfg.TimelyParams = timely.Params{
-					LinkRate: spec.Prof.LinkGbps * 1e9 / 8,
-					MinRTT:   spec.TimelyMinRTT,
-				}
+				TimelyMinRTT: spec.TimelyMinRTT,
 			}
 			if spec.CfgMut != nil {
 				spec.CfgMut(n, t, &cfg)

@@ -64,7 +64,7 @@ func (r *Rpc) FailPeer(node uint16) {
 	// from the new-peer grace period (Appendix B).
 	delete(r.lastHeard, node)
 	for key, s := range r.srvSessions {
-		if key.addr.Node != node {
+		if key.node() != node {
 			continue
 		}
 		for i := range s.srvSlots {

@@ -163,7 +163,8 @@ func (r *Rpc) completeSlot(s *Session, idx int) {
 	r.kickSession(s)
 }
 
-// failSlot finishes an RPC with an error.
+// failSlot finishes an RPC with an error. The credits it returns may
+// serve other slots.
 func (r *Rpc) failSlot(s *Session, idx int, err error) {
 	ss := &s.slots[idx]
 	cont := ss.cont
@@ -171,6 +172,7 @@ func (r *Rpc) failSlot(s *Session, idx int, err error) {
 	ss.reset()
 	r.complete(cont, err)
 	r.popBacklog(s, idx)
+	r.kickSession(s)
 }
 
 // popBacklog starts a queued request on a freed slot (§4.3:
@@ -309,13 +311,17 @@ func backoffRTO(base sim.Time, n int) sim.Time {
 	return base << uint(n)
 }
 
-// kickSession gives freed credits to other slots of the session.
+// kickSession gives freed credits to other slots of the session. It
+// scans them only when one may be waiting for credits (needKick), so a
+// credit that returns while no slot waits costs no scan.
 func (r *Rpc) kickSession(s *Session) {
-	if s.credits <= 0 {
+	if !s.needKick || s.credits <= 0 {
 		return
 	}
+	s.needKick = false
 	for i := range s.slots {
 		if s.credits <= 0 {
+			s.needKick = true // slots i and later were not visited
 			return
 		}
 		if s.slots[i].busy {
@@ -347,6 +353,9 @@ func (r *Rpc) trySendSlot(s *Session, idx int) {
 			ss.inFlight++
 			ss.lastProgress = r.now()
 		}
+	}
+	if s.credits <= 0 && (ss.reqSent < ss.numReqPkts || ss.rfrSent < ss.respNumPkts) {
+		s.needKick = true
 	}
 }
 
@@ -620,7 +629,6 @@ func (r *Rpc) onReject(h *wire.Header) {
 	if ss.rejects > r.cfg.MaxRejects {
 		r.Stats.OverloadFails++
 		r.failSlot(s, idx, ErrServerOverloaded)
-		r.kickSession(s)
 		return
 	}
 	base := s.rto

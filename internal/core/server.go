@@ -11,7 +11,7 @@ import (
 // client endpoint (lazy creation stands in for eRPC's sockets-based
 // session handshake, see sessKey).
 func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
-	key := sessKey{addr: from, num: num}
+	key := srvKey(from, num)
 	if s, ok := r.srvSessions[key]; ok {
 		return s
 	}
@@ -33,7 +33,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 		r.Stats.StalePktsRx++
 		return
 	}
-	if r.draining && r.srvSessions[sessKey{addr: from, num: h.DstSession}] == nil {
+	if r.draining && r.srvSessions[srvKey(from, h.DstSession)] == nil {
 		// Draining: requests from brand-new sessions are rejected
 		// before the session is even materialized (no new state during
 		// drain); existing sessions reject at admission below.

@@ -53,7 +53,7 @@ func TestServerRespZeroCopyAliasesMsgbuf(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xC7}, 24)
 	injectReq(r, from, echoType, 8, payload)
 
-	s := r.srvSessions[sessKey{addr: from, num: 0}]
+	s := r.srvSessions[srvKey(from, 0)]
 	if s == nil {
 		t.Fatal("no server session created")
 	}
@@ -88,7 +88,7 @@ func TestSrvSlotReuseDefersFree(t *testing.T) {
 	p2 := bytes.Repeat([]byte{0xB2}, 24)
 
 	injectReq(r, from, echoType, 8, p1) // response queued, not flushed
-	s := r.srvSessions[sessKey{addr: from, num: 0}]
+	s := r.srvSessions[srvKey(from, 0)]
 	ss := &s.srvSlots[0]
 	if ss.respBuf == nil || len(r.txBatch) != 1 {
 		t.Fatal("first response not queued")

@@ -8,14 +8,21 @@ import (
 )
 
 // sessKey identifies a server-mode session: the client endpoint's
-// address plus the client's session number. Server-mode sessions are
-// created lazily on the first packet of a new session, standing in for
-// eRPC's sockets-based session handshake (the transport's static peer
-// table stands in for its address exchange).
-type sessKey struct {
-	addr transport.Addr
-	num  uint16
+// address (node, port) plus the client's session number, packed into
+// one integer so that the per-packet lookup hashes a single word.
+// Server-mode sessions are created lazily on the first packet of a new
+// session, standing in for eRPC's sockets-based session handshake (the
+// transport's static peer table stands in for its address exchange).
+// Once a handshake assigns server session numbers (ROADMAP item 3),
+// the header's number can index a slice instead of this map.
+type sessKey uint64
+
+func srvKey(from transport.Addr, num uint16) sessKey {
+	return sessKey(from.Node)<<32 | sessKey(from.Port)<<16 | sessKey(num)
 }
+
+// node is the client endpoint's node.
+func (k sessKey) node() uint16 { return uint16(k >> 32) }
 
 // Session is a one-to-one connection between two Rpc endpoints
 // (paper §3.1). The same struct serves client mode (created by
@@ -32,6 +39,10 @@ type Session struct {
 	slots   []sslot
 	backlog []pendingReq
 	cc      ccState
+	// needKick: a slot may be waiting for credits. trySendSlot sets it
+	// when it stops with packets left, kickSession when it stops before
+	// the last slot; kickSession scans the slots only while it is set.
+	needKick bool
 
 	// Adaptive RTO state (Jacobson/Karels, fed from the same RTT
 	// samples Timely consumes): rto = srtt + 4*rttvar, clamped to

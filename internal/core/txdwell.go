@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // passLogLen is how many passes back txDwell can see. A sample arrives
 // a round trip after its packet left, a handful to a few dozen passes on
@@ -34,19 +30,29 @@ func (l *passLog) record(t sim.Time, backToBack bool) {
 // pass that stamped a packet tx, or 0 when it is unknown: the pass after
 // it had a park in between, or is older than the log, or has not begun.
 // Packets are stamped with one of their pass's clock reads, so the first
-// logged top read later than tx begins the next pass. A loop that logs
-// no pass (simulated time, a Clock that is not a sim.UnixClock) leaves
-// the newest entry 0 and skips the search.
+// logged top read later than tx begins the next pass. A sample comes a
+// handful of passes after its packet left, so the walk starts from the
+// newest entry. A loop that logs no pass (simulated time, a Clock that
+// is not a sim.UnixClock) leaves the newest entry 0, which no stamp
+// precedes.
 func (l *passLog) flushEnd(tx sim.Time) sim.Time {
-	if l.at[l.head] == 0 {
+	if l.at[l.head] <= tx || l.at[(l.head+1)%passLogLen] > tx {
+		return 0 // not ended yet, or begun before the oldest entry
+	}
+	// Walk back to the oldest entry later than tx; the log's oldest entry
+	// is not, so the walk stops inside the ring.
+	i := l.head
+	for {
+		j := (i + passLogLen - 1) % passLogLen
+		if l.at[j] <= tx {
+			break
+		}
+		i = j
+	}
+	if !l.backToBack[i] {
 		return 0
 	}
-	entry := func(i int) int { return (l.head + 1 + i) % passLogLen } // i-th oldest
-	i := sort.Search(passLogLen, func(i int) bool { return l.at[entry(i)] > tx })
-	if i == 0 || i == passLogLen || !l.backToBack[entry(i)] {
-		return 0
-	}
-	return l.at[entry(i)]
+	return l.at[i]
 }
 
 // txDwell is how long a client packet stamped tx stayed in this host

@@ -317,13 +317,15 @@ func runOrder(order []int, frames []Frame) []int {
 // a UDP_SEGMENT cmsg (GSO requires every segment but the last to be
 // exactly gso_size, which equal-size runs satisfy); a frame with a new
 // destination or size, and without offload every frame, opens a new
-// message. Unknown peers, oversized frames and address-family
+// message. A peer is resolved when the destination changes, once per
+// peer under offload. Unknown peers, oversized frames and address-family
 // mismatches are dropped, like the per-packet engine.
 func (e *batchEngine) sendBurst(frames []Frame) {
 	m := 0    // messages filled
 	off := 0  // arena cursor
 	run := -1 // message index of the open run (-1: none)
-	var runDest udpDest
+	var runDest, dst udpDest
+	var dstAddr Addr // the peer dst was resolved for
 
 	if e.offload {
 		e.order = runOrder(e.order, frames)
@@ -333,7 +335,11 @@ func (e *batchEngine) sendBurst(frames []Frame) {
 		if e.offload {
 			i = e.order[k]
 		}
-		dst := e.u.peers[frames[i].Addr]
+		if k == 0 || frames[i].Addr != dstAddr {
+			// runOrder groups a peer's frames: one lookup per peer.
+			dstAddr = frames[i].Addr
+			dst = e.u.peers[dstAddr]
+		}
 		ap := dst.ap
 		data := frames[i].Data
 		if !ap.IsValid() || len(data) > e.u.mtu {

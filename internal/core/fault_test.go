@@ -505,3 +505,27 @@ func TestDestroyMidBurstCreditConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstEchoSamplesRTT: in simulated time a request enqueued between
+// passes is stamped with the time of the call, so an endpoint's first
+// echo already feeds the RTT estimator, whether it is enqueued at t = 0
+// or later, before the loop has run a pass.
+func TestFirstEchoSamplesRTT(t *testing.T) {
+	for _, at := range []sim.Time{0, sim.Microsecond} {
+		e := newEnv(t, 2, echoNexus(), nil, nil)
+		r := e.rpcs[0]
+		s, _ := r.CreateSession(e.rpcs[1].LocalAddr())
+		var err error
+		done := false
+		e.sched.At(at, func() {
+			r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(e error) { done, err = true, e })
+		})
+		e.sched.Run()
+		if !done || err != nil {
+			t.Fatalf("enqueued at %v: done %v, err %v", at, done, err)
+		}
+		if s.SRTT() == 0 {
+			t.Errorf("enqueued at %v: SRTT 0 after one echo", at)
+		}
+	}
+}

@@ -217,7 +217,7 @@ func (r *Rpc) popBacklog(s *Session, idx int) {
 // estimator and RTTHook keep the whole rtt: a retransmission must wait
 // out the round trip, however it was spent.
 func (r *Rpc) rttSample(s *Session, txTime sim.Time, h *wire.Header) {
-	if txTime == 0 {
+	if txTime == noStamp {
 		return
 	}
 	rtt := r.now() - txTime

@@ -389,11 +389,13 @@ func (r *Rpc) now() sim.Time {
 
 // txStamp turns now() into a client packet's TX timestamp. Over a real
 // transport now() is a batched timestamp already; in simulated time,
-// where it is exact, the stamp is the cursor at the top of the pass
-// (§5.2.2 optimization 3) unless Opts.DisableBatchedTimestamps.
+// where it is exact, a packet sent in a pass takes the cursor at the top
+// of the pass (§5.2.2 optimization 3) unless
+// Opts.DisableBatchedTimestamps, and one sent by an API call between
+// passes the time of the call.
 func (r *Rpc) txStamp(now sim.Time) sim.Time {
-	if r.cpu != nil && !r.opts.DisableBatchedTimestamps {
-		return r.cpu.passStart
+	if c := r.cpu; c != nil && c.inPass && !r.opts.DisableBatchedTimestamps {
+		return c.passStart
 	}
 	return now
 }
@@ -531,13 +533,17 @@ func (r *Rpc) startRequest(s *Session, idx int, reqType uint8, req, resp *msgbuf
 	r.trySendSlot(s, idx)
 }
 
+// noStamp marks a TX timestamp slot whose packet has not been sent.
+const noStamp sim.Time = -1
+
+// growTimes returns ts resized to n entries of noStamp.
 func growTimes(ts []sim.Time, n int) []sim.Time {
 	if cap(ts) < n {
-		return make([]sim.Time, n)
+		ts = make([]sim.Time, n)
 	}
 	ts = ts[:n]
 	for i := range ts {
-		ts[i] = 0
+		ts[i] = noStamp
 	}
 	return ts
 }
@@ -646,7 +652,7 @@ func (r *Rpc) drainPosted() {
 // between takes its time from now().
 func (r *Rpc) runOnce() {
 	if c := r.cpu; c != nil {
-		c.passStart = c.cursor
+		c.passStart, c.inPass = c.cursor, true
 	} else if !r.opts.DisableBatchedTimestamps {
 		r.readLoopClock()
 		if r.unix != nil {
@@ -664,6 +670,9 @@ func (r *Rpc) runOnce() {
 	r.heartbeat()
 	r.flushTX()
 	r.loopTS, r.loopUnix = 0, 0
+	if c := r.cpu; c != nil {
+		c.inPass = false
+	}
 }
 
 // readLoopClock sets the loop clock, and where the Clock can say,

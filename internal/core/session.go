@@ -131,7 +131,8 @@ type sslot struct {
 
 	// txTimes[i] is the transmit timestamp of the client→server
 	// packet that will be acknowledged by pktNum i: request packets
-	// for the request phase, RFRs for the response phase.
+	// for the request phase, RFRs for the response phase; noStamp until
+	// it is sent. (Simulated time starts at 0, a valid stamp.)
 	reqTxTimes  []sim.Time
 	respTxTimes []sim.Time
 

@@ -16,6 +16,7 @@ type simDriver struct {
 
 	cursor       sim.Time // the CPU's clock: advances as work is charged
 	passStart    sim.Time // cursor at the top of the current pass (txStamp)
+	inPass       bool     // a pass is running: passStart is current
 	busyUntil    sim.Time // the CPU is committed until then
 	runScheduled bool
 	wakeAt       sim.Time

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race vet bench bench-smoke fuzz fmt-check ci test-debug
+.PHONY: build cross-build test race vet bench bench-once bench-smoke fuzz fmt-check ci test-debug
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,9 @@ test-debug:
 # bench runs the canonical benchmark (benchmark/README.md: results in
 # benchmark/out/), then BenchmarkGSOSend, the kernel-side price of the
 # batched engine's TX gather copy against iovec pairs (EXPERIMENTS.md,
-# "A syscall pays per iovec"), to re-decide it on another kernel. The
+# "A syscall pays per iovec"), to re-decide it on another kernel, and
+# BenchmarkEchoWindow, the core protocol loop's ns per RPC with no
+# kernel in the way (EXPERIMENTS.md, "Constant work per packet"). The
 # simulator's experiments and the chaos sweep are not benchmarks of
 # this host: `make test` holds the first to a recorded file and the
 # second to its invariants (internal/experiments: TestSimulatorGolden,
@@ -49,6 +51,13 @@ test-debug:
 bench:
 	$(GO) run ./benchmark
 	$(GO) test -run '^$$' -bench BenchmarkGSOSend -benchtime 300x -count 5 ./internal/transport
+	$(GO) test -run '^$$' -bench BenchmarkEchoWindow -count 5 ./internal/core
+
+# bench-once runs every Go benchmark of the module once, so one that
+# panics, or allocates where it asserts it does not, fails CI instead of
+# waiting for the next `make bench`.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-smoke keeps the two park-bound modes from coming back unseen.
 # A serial 32 B echo whose paced request waits for a ~1.1 ms timer runs
@@ -85,4 +94,4 @@ fuzz:
 	$(GO) test -fuzz FuzzSplitRxSegs -fuzztime 15s ./internal/transport/
 	$(GO) test -fuzz FuzzRunOrder -fuzztime 15s ./internal/transport/
 
-ci: fmt-check build cross-build vet race test-debug test bench-smoke
+ci: fmt-check build cross-build vet race test-debug test bench-once bench-smoke

@@ -23,9 +23,13 @@ func fuzzFrame(h wire.Header, payload []byte) []byte {
 // the test: frames pushed with inject are handed to the endpoint via
 // RecvBurst, so fuzz inputs travel the real burst RX path (pollRX →
 // RecvBurst → processPkt → Release). TX is counted and, unless the
-// transport has a peer to inject it into, discarded.
+// transport has a peer to inject it into, discarded. inject copies a
+// frame into a buffer that the next RecvBurst after the one that hands
+// the frame out recycles, so a steady exchange allocates nothing.
 type queueTransport struct {
 	rq   []transport.Frame
+	lent []transport.Frame // handed out by the last RecvBurst
+	free [][]byte
 	sent int
 	addr transport.Addr
 	peer *queueTransport
@@ -36,7 +40,11 @@ func newQueueTransport() *queueTransport {
 }
 
 func (q *queueTransport) inject(frame []byte, from transport.Addr) {
-	q.rq = append(q.rq, transport.Frame{Data: append([]byte(nil), frame...), Addr: from})
+	var buf []byte
+	if n := len(q.free); n > 0 {
+		buf, q.free = q.free[n-1], q.free[:n-1]
+	}
+	q.rq = append(q.rq, transport.Frame{Data: append(buf[:0], frame...), Addr: from})
 }
 
 func (q *queueTransport) MTU() int                  { return 1472 }
@@ -52,7 +60,11 @@ func (q *queueTransport) SendBurst(frames []transport.Frame) {
 	}
 }
 func (q *queueTransport) RecvBurst(frames []transport.Frame) int {
+	for _, f := range q.lent {
+		q.free = append(q.free, f.Data)
+	}
 	n := copy(frames, q.rq)
+	q.lent = append(q.lent[:0], q.rq[:n]...)
 	q.rq = q.rq[:copy(q.rq, q.rq[n:])]
 	return n
 }

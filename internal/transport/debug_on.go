@@ -13,8 +13,10 @@ import (
 
 // This file is the erpcdebug sanitizer: runtime assertions wired into
 // the pool and RX-frame lifecycles, compiled in only under -tags
-// erpcdebug (CI runs the full suite with it plus -race). The checks
-// catch the lifetime bugs the static analyzers cannot prove absent:
+// erpcdebug (CI runs the full suite with it plus -race). No static
+// check covers buffer lifetimes (the one in-tree analyzer, syscallptr,
+// checks syscall arguments), so these run-time checks are what catches
+// a lifetime bug:
 //
 //   - pool double-put: a buffer returned twice — which is also how a
 //     Frame double-release manifests when the frame was copied, since

@@ -66,7 +66,6 @@ func newStarveRig(t *testing.T) *starveRig {
 		if i == 0 {
 			size = (DefaultCredits + 1) * g.r.dataPerPkt
 		}
-		i := i
 		g.r.EnqueueRequest(s, echoType, g.r.Alloc(size), g.r.Alloc(8), func(err error) {
 			g.done[i], g.errs[i] = true, err
 		})

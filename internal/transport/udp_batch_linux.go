@@ -317,9 +317,9 @@ func runOrder(order []int, frames []Frame) []int {
 // a UDP_SEGMENT cmsg (GSO requires every segment but the last to be
 // exactly gso_size, which equal-size runs satisfy); a frame with a new
 // destination or size, and without offload every frame, opens a new
-// message. A peer is resolved when the destination changes, once per
-// peer under offload. Unknown peers, oversized frames and address-family
-// mismatches are dropped, like the per-packet engine.
+// message. A peer is resolved once per run of frames to it, which
+// runOrder makes long under offload. Unknown peers, oversized frames and
+// address-family mismatches are dropped, like the per-packet engine.
 func (e *batchEngine) sendBurst(frames []Frame) {
 	m := 0    // messages filled
 	off := 0  // arena cursor
@@ -336,7 +336,6 @@ func (e *batchEngine) sendBurst(frames []Frame) {
 			i = e.order[k]
 		}
 		if k == 0 || frames[i].Addr != dstAddr {
-			// runOrder groups a peer's frames: one lookup per peer.
 			dstAddr = frames[i].Addr
 			dst = e.u.peers[dstAddr]
 		}

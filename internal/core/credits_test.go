@@ -10,8 +10,8 @@ import (
 )
 
 // hdrTransport is a queueTransport that records the header of every
-// frame the endpoint sends, burst by burst; the test plays the peer
-// from them.
+// frame the endpoint sends, in order; the test plays the peer from
+// them.
 type hdrTransport struct {
 	queueTransport
 	sent []wire.Header

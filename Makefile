@@ -24,9 +24,9 @@ test:
 race:
 	GO="$(GO)" scripts/race-test.sh
 
-# vet runs the standard vet checks plus erpcvet, the in-tree analyzer
+# vet runs the standard vet checks plus erpcvet, the in-tree check
 # that keeps every uintptr(unsafe.Pointer) inline in its syscall
-# argument (syscallptr — see internal/analysis/).
+# argument (internal/analysis/syscallptr); a finding exits 1.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/erpcvet ./...
@@ -43,9 +43,10 @@ test-debug:
 # batched engine's TX gather copy against iovec pairs (EXPERIMENTS.md,
 # "A syscall pays per iovec"), to re-decide it on another kernel, and
 # BenchmarkEchoWindow, the core protocol loop's ns per RPC with no
-# kernel in the way (EXPERIMENTS.md, "Constant work per packet"). The
-# simulator's experiments and the chaos sweep are not benchmarks of
-# this host: `make test` holds the first to a recorded file and the
+# kernel in the way (EXPERIMENTS.md, "Constant work per packet"),
+# beside the paced share its spread follows ("What paces the in-memory
+# pair"). The simulator's experiments and the chaos sweep are not
+# benchmarks of this host: `make test` holds the first to a recorded file and the
 # second to its invariants (internal/experiments: TestSimulatorGolden,
 # TestChaosSweepInvariants).
 bench:

@@ -1,174 +1,90 @@
-// Package analysis is a self-contained static-analysis framework for
-// invariants of the eRPC datapath that the compiler cannot see. It
-// mirrors the golang.org/x/tools/go/analysis API (Analyzer, Pass,
-// Diagnostic) on the standard library alone — the build environment is
-// hermetic (no module downloads), the same constraint that put the
-// transport's batched engine on raw syscall numbers instead of x/sys.
+// Package analysis loads one package from source for cmd/erpcvet's one
+// check, syscallptr: an unsafe.Pointer/uintptr conversion never
+// outlives its syscall argument. It uses the standard library alone —
+// the build environment is hermetic (no module downloads), the same
+// constraint that put the transport's batched engine on raw syscall
+// numbers instead of x/sys.
 //
-// It hosts one analyzer, syscallptr (driven by cmd/erpcvet): an
-// unsafe.Pointer/uintptr conversion never outlives its syscall
-// argument. The buffer-ownership rules need no analyzer: a transport
-// reclaims an RX burst's buffers itself at the owner's next receive,
-// and only the owner sends, so a leaked, doubly returned or foreign
-// buffer cannot be written.
-//
-// # Directives
-//
-//	//erpc:ignore <why> suppress diagnostics on this line. The reason
-//	                    string is mandatory; a bare //erpc:ignore is
-//	                    itself reported.
+// The buffer-ownership rules need no check: a transport reclaims an RX
+// burst's buffers itself at the owner's next receive, and only the
+// owner sends, so a leaked, doubly returned or foreign buffer cannot be
+// written.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
+	"path/filepath"
 )
-
-// Analyzer describes one analysis: a name, documentation, and a run
-// function applied to one package at a time.
-type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
-}
 
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
-	Pos      token.Pos
-	Analyzer string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
-// Pass carries one package's syntax and type information through an
-// analyzer, exactly like go/analysis.Pass.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags    []Diagnostic
-	suppress map[string]map[int]string // filename -> line -> ignore reason
-}
-
-// Reportf records a diagnostic at pos unless an //erpc:ignore directive
-// suppresses that line.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if lines, ok := p.suppress[position.Filename]; ok {
-		if _, ok := lines[position.Line]; ok {
-			return
-		}
-	}
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-const directivePrefix = "//erpc:"
-
-// directive splits one comment into an erpc directive name and its
-// argument string ("" when the comment is not a directive).
-func directive(c *ast.Comment) (name, arg string) {
-	if !strings.HasPrefix(c.Text, directivePrefix) {
-		return "", ""
-	}
-	rest := strings.TrimPrefix(c.Text, directivePrefix)
-	name, arg, _ = strings.Cut(rest, " ")
-	return name, strings.TrimSpace(arg)
-}
-
-// buildSuppressions collects //erpc:ignore directives per file line and
-// reports (as regular diagnostics) any ignore that is missing its
-// mandatory reason. A directive suppresses findings on its own line
-// and, when it stands alone on a line, on the following line.
-func buildSuppressions(fset *token.FileSet, files []*ast.File) (map[string]map[int]string, []Diagnostic) {
-	sup := map[string]map[int]string{}
-	var bad []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				name, arg := directive(c)
-				if name != "ignore" {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if arg == "" {
-					bad = append(bad, Diagnostic{
-						Pos:      c.Pos(),
-						Analyzer: "directive",
-						Message:  "//erpc:ignore requires a reason string (//erpc:ignore <why>)",
-					})
-					continue
-				}
-				m := sup[pos.Filename]
-				if m == nil {
-					m = map[int]string{}
-					sup[pos.Filename] = m
-				}
-				m[pos.Line] = arg
-				m[pos.Line+1] = arg
-			}
-		}
-	}
-	return sup, bad
-}
-
-// Package bundles one type-checked package: what a driver loads and
-// analyzers consume.
+// Package is one type-checked package: its files, in go/build's order,
+// and the types of their expressions.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 }
 
-// Run applies the analyzers to pkg and returns their combined
-// diagnostics in source order. Malformed //erpc:ignore directives
-// (missing reason) are reported once, regardless of the analyzer list.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sup, bad := buildSuppressions(pkg.Fset, pkg.Files)
-	diags := bad
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Pkg,
-			TypesInfo: pkg.Info,
-			suppress:  sup,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		diags = append(diags, pass.diags...)
-	}
-	sortDiagnostics(pkg.Fset, diags)
-	return diags, nil
+// Loader parses and type-checks packages from source, sharing one
+// FileSet and one source importer so module-internal imports resolve
+// without a build cache or network access.
+type Loader struct {
+	Fset *token.FileSet
+	imp  types.Importer
 }
 
-func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
-	// Insertion sort by (file, offset): diagnostic counts are tiny.
-	for i := 1; i < len(diags); i++ {
-		for j := i; j > 0 && diagLess(fset, diags[j], diags[j-1]); j-- {
-			diags[j], diags[j-1] = diags[j-1], diags[j]
-		}
+// NewLoader returns a Loader backed by the source importer.
+func NewLoader() *Loader {
+	fset := token.NewFileSet()
+	return &Loader{
+		Fset: fset,
+		imp:  importer.ForCompiler(fset, "source", nil),
 	}
 }
 
-func diagLess(fset *token.FileSet, a, b Diagnostic) bool {
-	pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
+// LoadDir loads the package rooted at dir, test files excluded. File
+// selection goes through go/build so build tags and GOOS/GOARCH
+// constraints are honored — parsing a directory raw would pull both the
+// _linux.go and _other.go halves of the transport engines and fail on
+// redeclarations. A directory without Go files loads as nil.
+func (l *Loader) LoadDir(dir string) (*Package, error) {
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("resolve %s: %w", dir, err)
 	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
 	}
-	return pa.Column < pb.Column
+	if len(files) == 0 {
+		return nil, nil
+	}
+
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{
+		Importer: l.imp,
+		Error:    func(error) {}, // collect what we can; first error returned below
+	}
+	if _, err := conf.Check(bp.ImportPath, l.Fset, files, info); err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", dir, err)
+	}
+	return &Package{Fset: l.Fset, Files: files, Info: info}, nil
 }

@@ -11,21 +11,21 @@ package syscallptr
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
 )
 
-// Analyzer flags unsafe.Pointer/uintptr conversions that outlive their
-// statement.
-var Analyzer = &analysis.Analyzer{
-	Name: "syscallptr",
-	Doc:  "flag uintptr(unsafe.Pointer) values stored across statements",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
+// Check reports, in source order, every unsafe.Pointer/uintptr
+// conversion in pkg that outlives its statement.
+func Check(pkg *analysis.Package) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
+	report := func(pos token.Pos, msg string) {
+		diags = append(diags, analysis.Diagnostic{Pos: pos, Message: msg})
+	}
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		// parents[n] is the innermost enclosing node of n.
 		parents := map[ast.Node]ast.Node{}
 		var stack []ast.Node
@@ -47,30 +47,30 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			switch {
-			case isConversionTo(pass, call, types.Uintptr) && isUnsafePointer(pass, call.Args[0]):
+			case isConversionTo(info, call, types.Uintptr) && isUnsafePointer(info, call.Args[0]):
 				// uintptr(unsafe.Pointer(...)) — legal only as a call
 				// argument (or in arithmetic that stays one).
-				if dest := storeContext(pass, parents, call); dest != "" {
-					pass.Reportf(call.Pos(),
-						"uintptr(unsafe.Pointer(...)) %s: the uintptr does not keep the object alive; keep the conversion inline in the syscall argument", dest)
+				if dest := storeContext(info, parents, call); dest != "" {
+					report(call.Pos(), "uintptr(unsafe.Pointer(...)) "+dest+
+						": the uintptr does not keep the object alive; keep the conversion inline in the syscall argument")
 				}
-			case isConversionToUnsafePointer(pass, call) && isUintptr(pass, call.Args[0]):
+			case isConversionToUnsafePointer(info, call) && isUintptr(info, call.Args[0]):
 				// unsafe.Pointer(u) where u is uintptr — legal only when
 				// u is derived from uintptr(unsafe.Pointer(...)) within
 				// the same expression (pointer arithmetic pattern).
-				if !containsPtrToUintptr(pass, call.Args[0]) {
-					pass.Reportf(call.Pos(),
+				if !containsPtrToUintptr(info, call.Args[0]) {
+					report(call.Pos(),
 						"unsafe.Pointer converted from a uintptr not derived in the same expression: the original object may have moved or been freed")
 				}
 			}
 			return true
 		})
 	}
-	return nil
+	return diags
 }
 
-func isConversionTo(pass *analysis.Pass, call *ast.CallExpr, basic types.BasicKind) bool {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
+func isConversionTo(info *types.Info, call *ast.CallExpr, basic types.BasicKind) bool {
+	tv, ok := info.Types[call.Fun]
 	if !ok || !tv.IsType() {
 		return false
 	}
@@ -78,8 +78,8 @@ func isConversionTo(pass *analysis.Pass, call *ast.CallExpr, basic types.BasicKi
 	return ok && b.Kind() == basic
 }
 
-func isConversionToUnsafePointer(pass *analysis.Pass, call *ast.CallExpr) bool {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
+func isConversionToUnsafePointer(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
 	if !ok || !tv.IsType() {
 		return false
 	}
@@ -87,8 +87,8 @@ func isConversionToUnsafePointer(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return ok && b.Kind() == types.UnsafePointer
 }
 
-func typeKindOf(pass *analysis.Pass, e ast.Expr, kind types.BasicKind) bool {
-	tv, ok := pass.TypesInfo.Types[e]
+func typeKindOf(info *types.Info, e ast.Expr, kind types.BasicKind) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -96,12 +96,12 @@ func typeKindOf(pass *analysis.Pass, e ast.Expr, kind types.BasicKind) bool {
 	return ok && b.Kind() == kind
 }
 
-func isUnsafePointer(pass *analysis.Pass, e ast.Expr) bool {
-	return typeKindOf(pass, e, types.UnsafePointer)
+func isUnsafePointer(info *types.Info, e ast.Expr) bool {
+	return typeKindOf(info, e, types.UnsafePointer)
 }
 
-func isUintptr(pass *analysis.Pass, e ast.Expr) bool {
-	return typeKindOf(pass, e, types.Uintptr)
+func isUintptr(info *types.Info, e ast.Expr) bool {
+	return typeKindOf(info, e, types.Uintptr)
 }
 
 // storeContext climbs from the conversion through value-preserving
@@ -110,7 +110,7 @@ func isUintptr(pass *analysis.Pass, e ast.Expr) bool {
 // ancestor stores the value: an assignment, var declaration, composite
 // literal, return, or channel send. A call argument position — the
 // legal use — returns "".
-func storeContext(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node) string {
+func storeContext(info *types.Info, parents map[ast.Node]ast.Node, n ast.Node) string {
 	for {
 		p := parents[n]
 		if p == nil {
@@ -122,17 +122,17 @@ func storeContext(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node
 		case *ast.BinaryExpr, *ast.UnaryExpr:
 			// Arithmetic keeps the naked address flowing; a comparison
 			// or mask that yields a non-integer (bool) does not.
-			if !integerLike(pass, p.(ast.Expr)) {
+			if !integerLike(info, p.(ast.Expr)) {
 				return ""
 			}
 			n = p
 		case *ast.CallExpr:
-			if tv, ok := pass.TypesInfo.Types[p.Fun]; ok && tv.IsType() {
+			if tv, ok := info.Types[p.Fun]; ok && tv.IsType() {
 				// A further integer conversion (uint64(...)) preserves
 				// the naked address — keep climbing. A conversion back
 				// to a pointer type re-materializes a real reference,
 				// which rule 2 audits separately.
-				if !integerLike(pass, p) {
+				if !integerLike(info, p) {
 					return ""
 				}
 				n = p
@@ -163,8 +163,8 @@ func storeContext(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node
 
 // integerLike reports whether e's type is an integer (including
 // uintptr): the forms through which a naked address keeps flowing.
-func integerLike(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
+func integerLike(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -175,12 +175,12 @@ func integerLike(pass *analysis.Pass, e ast.Expr) bool {
 // containsPtrToUintptr reports whether e contains a
 // uintptr(unsafe.Pointer(...)) conversion — the marker that a
 // same-expression unsafe.Pointer round trip is in progress.
-func containsPtrToUintptr(pass *analysis.Pass, e ast.Expr) bool {
+func containsPtrToUintptr(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if ok && len(call.Args) == 1 &&
-			isConversionTo(pass, call, types.Uintptr) && isUnsafePointer(pass, call.Args[0]) {
+			isConversionTo(info, call, types.Uintptr) && isUnsafePointer(info, call.Args[0]) {
 			found = true
 			return false
 		}

@@ -1,7 +1,10 @@
 // Package a exercises the syscallptr analyzer's flagged cases.
 package a
 
-import "unsafe"
+import (
+	"syscall"
+	"unsafe"
+)
 
 var x int
 
@@ -43,8 +46,16 @@ type sqe struct {
 
 func storedInSqeWord(s *sqe) {
 	// The descriptor-ring idiom: an address parked in a submission-queue
-	// entry outlives the statement (the kernel reads it later), so the
-	// store is flagged unless the pointee's lifetime is argued with an
-	// //erpc:ignore (see the clean package).
+	// entry outlives the statement (the kernel reads it later).
 	s.addr = uint64(uintptr(unsafe.Pointer(&x))) // want `stored in a variable`
+}
+
+var hdrs [8]uint64
+
+func heldBeforeSyscall(fd uintptr, i int) {
+	// A send whose message header address sits in a local for one
+	// statement: the shape of a planted bug only this check caught
+	// (EXPERIMENTS.md, "Does syscallptr earn its place?").
+	p := uintptr(unsafe.Pointer(&hdrs[i])) // want `stored in a variable`
+	_, _, _ = syscall.Syscall6(syscall.SYS_SENDMSG, fd, p, 1, syscall.MSG_DONTWAIT, 0, 0)
 }

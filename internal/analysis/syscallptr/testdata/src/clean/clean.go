@@ -22,19 +22,3 @@ func arithmeticRoundTrip(i int) *byte {
 func comparedNotStored(p unsafe.Pointer) bool {
 	return uintptr(p) == uintptr(unsafe.Pointer(&buf[0]))
 }
-
-func ignored() uintptr {
-	return uintptr(unsafe.Pointer(&buf[0])) //erpc:ignore handed to the test harness which pins buf
-}
-
-type sqe struct {
-	addr uint64
-}
-
-func sqeWordIgnored(s *sqe) {
-	// The accepted shape of the descriptor-ring idiom: the store into
-	// the queue-entry word is centralized and the pointee's lifetime
-	// argued in one reasoned ignore.
-	//erpc:ignore the pointee is engine-owned preallocated memory that outlives the submission, and Go's GC does not move heap objects
-	s.addr = uint64(uintptr(unsafe.Pointer(&buf[0])))
-}

@@ -75,7 +75,24 @@ func BenchmarkEchoWindow(b *testing.B) {
 		b.Fatalf("%d allocations over %d RPCs", mallocs, window)
 	}
 
+	before := cli.Stats
 	b.ResetTimer()
 	run(b.N)
+	after := cli.Stats
 	b.ReportMetric(float64(mallocs)/window, "allocs/rpc")
+	// The timed window's share of client packets that left through the
+	// wheel and of RPCs that ran a Timely update: the pair has no kernel
+	// receive stamps, so the window's queueing can read as fabric delay
+	// and pace the client (EXPERIMENTS.md, "What paces the in-memory
+	// pair").
+	b.ReportMetric(share(after.PktsPaced-before.PktsPaced, after.PktsTx-before.PktsTx), "paced/pkt")
+	b.ReportMetric(share(after.TimelyUpdates-before.TimelyUpdates, after.ReqsCompleted-before.ReqsCompleted), "timely/rpc")
+}
+
+// share is n/of, or 0 when of is 0.
+func share(n, of uint64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(n) / float64(of)
 }

@@ -312,6 +312,41 @@ func TestClientDrainFailsNewKeepsInFlight(t *testing.T) {
 	}
 }
 
+func TestStrayRFRCreatesNoSession(t *testing.T) {
+	// An RFR asks for more of a response, so only a request packet
+	// creates a server session. 300 RFRs from one address naming
+	// distinct sessions would otherwise hold more than the |RQ|/C budget
+	// (256 sessions) and refuse the endpoint's own CreateSession. A
+	// draining endpoint creates no session for one either.
+	tr := newQueueTransport()
+	srv := NewRpc(echoNexus(), Config{Transport: tr, Clock: sim.NewWallClock()})
+	stranger := transport.Addr{Node: 7}
+	send := func(first, n int) {
+		for i := first; i < first+n; i++ {
+			tr.inject(fuzzFrame(wire.Header{PktType: wire.PktRFR, ReqType: echoType,
+				MsgSize: 5000, DstSession: uint16(i), PktNum: 1, ReqNum: 8}, nil), stranger)
+		}
+		for pass := 0; len(tr.rq) > 0 && pass < 1000; pass++ {
+			srv.RunEventLoopOnce()
+		}
+	}
+	const stray = 300
+	send(0, stray)
+	if n := len(srv.srvSessions); n != 0 || srv.Stats.StalePktsRx != stray {
+		t.Fatalf("after %d stray RFRs: %d server sessions, StalePktsRx = %d; want 0 and %d",
+			stray, n, srv.Stats.StalePktsRx, stray)
+	}
+	if _, err := srv.CreateSession(stranger); err != nil {
+		t.Fatalf("CreateSession after stray RFRs: %v", err)
+	}
+	srv.Drain()
+	send(stray, 1)
+	if n := len(srv.srvSessions); n != 0 || srv.Stats.StalePktsRx != stray+1 {
+		t.Fatalf("RFR while draining: %d server sessions, StalePktsRx = %d; want 0 and %d",
+			n, srv.Stats.StalePktsRx, stray+1)
+	}
+}
+
 func TestPeerChurnLivenessMapPruned(t *testing.T) {
 	// Repeated fail/reconnect cycles against one peer: the liveness map
 	// must not accumulate dead entries, and failed sessions must release

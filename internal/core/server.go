@@ -7,24 +7,6 @@ import (
 	"repro/internal/wire"
 )
 
-// srvSession finds or lazily creates the server-mode session for a
-// client endpoint (lazy creation stands in for eRPC's sockets-based
-// session handshake, see sessKey).
-func (r *Rpc) srvSession(from transport.Addr, num uint16) *Session {
-	key := srvKey(from, num)
-	if s, ok := r.srvSessions[key]; ok {
-		return s
-	}
-	s := &Session{
-		rpc:      r,
-		num:      num,
-		remote:   from,
-		srvSlots: make([]srvSlot, DefaultNumSlots),
-	}
-	r.srvSessions[key] = s
-	return s
-}
-
 // onReqPkt handles a request data packet at the server.
 func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 	if h.MsgSize > DefaultMaxMsg {
@@ -33,14 +15,25 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 		r.Stats.StalePktsRx++
 		return
 	}
-	if r.draining && r.srvSessions[srvKey(from, h.DstSession)] == nil {
-		// Draining: requests from brand-new sessions are rejected
-		// before the session is even materialized (no new state during
-		// drain); existing sessions reject at admission below.
-		r.sendReject(from, h)
-		return
+	key := srvKey(from, h.DstSession)
+	s := r.srvSessions[key]
+	if s == nil {
+		if r.draining {
+			// Draining: requests from brand-new sessions are rejected
+			// before the session is even materialized (no new state
+			// during drain); existing sessions reject at admission below.
+			r.sendReject(from, h)
+			return
+		}
+		// Only a request packet creates a server session (see sessKey).
+		s = &Session{
+			rpc:      r,
+			num:      h.DstSession,
+			remote:   from,
+			srvSlots: make([]srvSlot, DefaultNumSlots),
+		}
+		r.srvSessions[key] = s
 	}
-	s := r.srvSession(from, h.DstSession)
 	idx := int(h.ReqNum % DefaultNumSlots)
 	ss := &s.srvSlots[idx]
 
@@ -304,7 +297,13 @@ func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 
 // onRFR handles a request-for-response packet.
 func (r *Rpc) onRFR(h *wire.Header, from transport.Addr) {
-	s := r.srvSession(from, h.DstSession)
+	s := r.srvSessions[srvKey(from, h.DstSession)]
+	if s == nil {
+		// No request made this session: the RFR is stale or stray,
+		// and must not cost a session of the §4.3.1 budget.
+		r.Stats.StalePktsRx++
+		return
+	}
 	idx := int(h.ReqNum % DefaultNumSlots)
 	ss := &s.srvSlots[idx]
 	if h.ReqNum != ss.curReqNum || ss.state != srvResponded {

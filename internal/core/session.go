@@ -10,9 +10,10 @@ import (
 // sessKey identifies a server-mode session: the client endpoint's
 // address (node, port) plus the client's session number, packed into
 // one integer so that the per-packet lookup hashes a single word.
-// Server-mode sessions are created lazily on the first packet of a new
-// session, standing in for eRPC's sockets-based session handshake (the
-// transport's static peer table stands in for its address exchange).
+// Server-mode sessions are created lazily on the first request packet
+// of a new session, standing in for eRPC's sockets-based session
+// handshake (the transport's static peer table stands in for its
+// address exchange).
 // Once a handshake assigns server session numbers (ROADMAP item 3),
 // the header's number can index a slice instead of this map.
 type sessKey uint64
@@ -90,15 +91,6 @@ func (s *Session) CCRate() float64 {
 		return 0
 	}
 	return s.cc.timely.Rate()
-}
-
-// CCUpdates returns the number of Timely rate computations performed
-// for this session (bypassed samples excluded).
-func (s *Session) CCUpdates() uint64 {
-	if s.cc.timely == nil {
-		return 0
-	}
-	return s.cc.timely.Updates
 }
 
 type pendingReq struct {

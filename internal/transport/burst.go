@@ -108,8 +108,9 @@ type PoolStats struct {
 
 // Pool is a recycling pool of packet buffers, the software stand-in
 // for a NIC's registered RX/TX buffer ring. Get returns a zero-length
-// slice with at least BufCap capacity; Put recycles one. In steady
-// state a datapath running on a Pool performs no heap allocation.
+// slice with at least the capacity given to NewPool; Put recycles one.
+// In steady state a datapath running on a Pool performs no heap
+// allocation.
 //
 // # Ownership
 //
@@ -156,9 +157,6 @@ func NewPool(bufCap, limit int) *Pool {
 	return &Pool{bufCap: bufCap, limit: limit}
 }
 
-// BufCap reports the capacity of the pool's buffers.
-func (p *Pool) BufCap() int { return p.bufCap }
-
 // News reports how many buffers were created because the pool ran dry
 // (the steady-state datapath should stop adding to it).
 func (p *Pool) News() uint64 { return p.news.Load() }
@@ -183,7 +181,7 @@ func popLast(list *[][]byte) []byte {
 	return b[:0]
 }
 
-// Get returns a zero-length buffer with capacity BufCap. Owner only.
+// Get returns a zero-length buffer with the pool's capacity. Owner only.
 // The fast path (free list non-empty) is lock-free; a dry free list
 // swaps in the shared list under one lock before allocating.
 func (p *Pool) Get() []byte {

@@ -13,7 +13,9 @@ import (
 // kernel: 16 sessions × 8 slots of 32 B echoes kept outstanding between
 // a client and a server endpoint over an in-memory queueTransport pair.
 // The benchmark goroutine drives both loops with RunEventLoopOnce on the
-// wall clock, so the pass log and RTT sampling run as they do over UDP.
+// wall clock, and each side stamps what it delivers with the wall clock
+// as a kernel stamps a receive, so the pass log, RTT sampling and the
+// host-delay split run as they do over UDP.
 // One op is one RPC; the benchmark fails if the steady state allocates.
 func BenchmarkEchoWindow(b *testing.B) {
 	if transport.DebugEnabled {
@@ -23,6 +25,7 @@ func BenchmarkEchoWindow(b *testing.B) {
 	cliTr, srvTr := newQueueTransport(), newQueueTransport()
 	srvTr.addr = transport.Addr{Node: 2}
 	cliTr.peer, srvTr.peer = srvTr, cliTr
+	cliTr.stampRx, srvTr.stampRx = true, true
 	srv := NewRpc(echoNexus(), Config{Transport: srvTr, Clock: sim.NewWallClock()})
 	cli := NewRpc(echoNexus(), Config{Transport: cliTr, Clock: sim.NewWallClock()})
 
@@ -81,10 +84,9 @@ func BenchmarkEchoWindow(b *testing.B) {
 	after := cli.Stats
 	b.ReportMetric(float64(mallocs)/window, "allocs/rpc")
 	// The timed window's share of client packets that left through the
-	// wheel and of RPCs that ran a Timely update: the pair has no kernel
-	// receive stamps, so the window's queueing can read as fabric delay
-	// and pace the client (EXPERIMENTS.md, "What paces the in-memory
-	// pair").
+	// wheel and of RPCs that ran a Timely update: host delay the stamps
+	// miss reads as fabric delay and paces the client (EXPERIMENTS.md,
+	// "What paces the in-memory pair").
 	b.ReportMetric(share(after.PktsPaced-before.PktsPaced, after.PktsTx-before.PktsTx), "paced/pkt")
 	b.ReportMetric(share(after.TimelyUpdates-before.TimelyUpdates, after.ReqsCompleted-before.ReqsCompleted), "timely/rpc")
 }

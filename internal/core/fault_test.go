@@ -347,6 +347,33 @@ func TestStrayRFRCreatesNoSession(t *testing.T) {
 	}
 }
 
+func TestLateRequestPktAdmitsNothing(t *testing.T) {
+	// Only a request's first packet starts it. 300 request packets with
+	// PktNum 1 from one address, naming distinct sessions, would
+	// otherwise each create a server session and admit a request that
+	// the packet cannot start (it is dropped as reordered), holding the
+	// sessions, the slots and srvInFlight until FailPeer and refusing
+	// the endpoint's own CreateSession.
+	tr := newQueueTransport()
+	srv := NewRpc(echoNexus(), Config{Transport: tr, Clock: sim.NewWallClock()})
+	stranger := transport.Addr{Node: 7}
+	const stray = 300
+	for i := 0; i < stray; i++ {
+		tr.inject(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType,
+			MsgSize: 5000, DstSession: uint16(i), PktNum: 1, ReqNum: 8}, make([]byte, 16)), stranger)
+	}
+	for pass := 0; len(tr.rq) > 0 && pass < 1000; pass++ {
+		srv.RunEventLoopOnce()
+	}
+	if n := len(srv.srvSessions); n != 0 || srv.srvInFlight != 0 || srv.Stats.StalePktsRx != stray {
+		t.Fatalf("after %d stray request packets: %d server sessions, srvInFlight %d, StalePktsRx = %d; want 0, 0 and %d",
+			stray, n, srv.srvInFlight, srv.Stats.StalePktsRx, stray)
+	}
+	if _, err := srv.CreateSession(stranger); err != nil {
+		t.Fatalf("CreateSession after stray request packets: %v", err)
+	}
+}
+
 func TestPeerChurnLivenessMapPruned(t *testing.T) {
 	// Repeated fail/reconnect cycles against one peer: the liveness map
 	// must not accumulate dead entries, and failed sessions must release

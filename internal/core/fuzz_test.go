@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -33,6 +34,9 @@ type queueTransport struct {
 	sent int
 	addr transport.Addr
 	peer *queueTransport
+	// stampRx: SendBurst stamps what it hands the peer with the wall
+	// clock's Unix time, as a kernel stamps a receive.
+	stampRx bool
 }
 
 func newQueueTransport() *queueTransport {
@@ -54,8 +58,12 @@ func (q *queueTransport) Close() error              { return nil }
 func (q *queueTransport) SendBurst(frames []transport.Frame) {
 	q.sent += len(frames)
 	if q.peer != nil {
+		var stamp int64
+		if q.stampRx {
+			stamp = time.Now().UnixNano()
+		}
 		for _, f := range frames {
-			q.peer.inject(f.Data, q.addr)
+			q.peer.injectStamped(f.Data, q.addr, stamp)
 		}
 	}
 }

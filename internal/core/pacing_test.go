@@ -472,9 +472,10 @@ func TestRTTOneClockReadPerRxBurst(t *testing.T) {
 // more per RPC. A server's pass reads once more per TX flush that
 // carries a reply to a kernel-stamped packet, to stamp the replies'
 // endpoint delay, and no more where no reply answers a stamped packet:
-// the 17 CRs and first response packet of a stamped 18-packet echo
-// request go out in two flushes — the 16th frame of the session fills
-// half its credit window — and four reads.
+// a client request waits in the TX batch and a burst of 64 stamped
+// single-packet requests draws 64 responses, which leave in two flushes
+// — the socket burst fills with the 63rd, the last goes at the end of
+// the pass — and four reads.
 func TestLoopClockReadsPerPass(t *testing.T) {
 	const sessions = 2
 	pass := func(opts Opts) (reads int) {
@@ -529,24 +530,29 @@ func TestLoopClockReadsPerPass(t *testing.T) {
 		t.Fatalf("DisableBatchedTimestamps: the same pass read the clock %d times, want >= %d (a read per call)", got, want)
 	}
 
-	const pkts = DefaultCredits/2 + 2
+	const reqs = transport.SocketBurst
 	serve := func(stamped bool) (reads, flushes int) {
 		clk := &countingUnixClock{countingClock{t: sim.Second}}
 		tr := newQueueTransport()
 		r := NewRpc(echoNexus(), Config{Transport: tr, Clock: clk})
-		dpp := r.DataPerPkt()
-		for k := 0; k < pkts; k++ {
+		s, err := r.CreateSession(transport.Addr{Node: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.EnqueueRequest(s, echoType, r.Alloc(32), r.Alloc(32), func(error) {})
+		for k := 0; k < reqs; k++ {
 			var stamp int64
 			if stamped {
 				stamp = unixAt(clk.t)
 			}
-			tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: uint32(pkts * dpp),
-				PktNum: uint16(k), ReqNum: DefaultNumSlots}, make([]byte, dpp)), transport.Addr{Node: 2}, stamp)
+			tr.injectStamped(fuzzFrame(wire.Header{PktType: wire.PktReq, ReqType: echoType, MsgSize: 32,
+				DstSession: uint16(k / DefaultNumSlots), ReqNum: uint64(DefaultNumSlots + k%DefaultNumSlots)},
+				make([]byte, 32)), transport.Addr{Node: 2}, stamp)
 		}
 		before, bursts := clk.reads, r.Stats.TxBursts
 		r.RunEventLoopOnce()
-		if tr.sent != pkts {
-			t.Fatalf("sent %d packets, want %d", tr.sent, pkts)
+		if tr.sent != reqs+1 {
+			t.Fatalf("sent %d packets, want %d", tr.sent, reqs+1)
 		}
 		return clk.reads - before, int(r.Stats.TxBursts - bursts)
 	}

@@ -448,7 +448,6 @@ func (r *Rpc) txClientPkt(s *Session, idx int, kind wireKind, pktNum int) {
 			ReqNum:     ss.reqNum,
 		}, 0)
 	}
-	r.sessionQueued(s)
 }
 
 // sendCtrl transmits a header-only packet (CR, RFR, ping, pong —
@@ -495,26 +494,6 @@ func (r *Rpc) appendTX(dst transport.Addr, data []byte, rxAt sim.Time) {
 	r.txOff += len(data)
 	r.txQueued()
 	if len(r.txBatch) >= r.burst {
-		r.flushTX()
-	}
-}
-
-// sessionQueued counts a frame of s just queued on the TX batch and
-// flushes the batch once it holds half of s's credit window. A session
-// has at most DefaultCredits packets in flight, and the paper's burst
-// (16 of 32 credits) never let one flush carry more than half of them.
-// The socket burst would carry a whole window: its replies then wait in
-// one long send syscall, time no stamp sees, and Timely takes it for
-// congestion (EXPERIMENTS.md, "A doorbell is a syscall"). Sessions that
-// share a flush, as many small RPCs do, stay under the bound.
-func (r *Rpc) sessionQueued(s *Session) {
-	if len(r.txBatch) == 0 {
-		return // the frame left with a full batch
-	}
-	if s.txSince != r.Stats.TxBursts {
-		s.txSince, s.txQueued = r.Stats.TxBursts, 0
-	}
-	if s.txQueued++; s.txQueued >= DefaultCredits/2 {
 		r.flushTX()
 	}
 }

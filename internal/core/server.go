@@ -18,14 +18,11 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 	key := srvKey(from, h.DstSession)
 	s := r.srvSessions[key]
 	if s == nil {
-		if r.draining {
-			// Draining: requests from brand-new sessions are rejected
-			// before the session is even materialized (no new state
-			// during drain); existing sessions reject at admission below.
-			r.sendReject(from, h)
+		// Only an admitted request creates a server session (see
+		// sessKey): a rejected or stray packet materializes nothing.
+		if !r.admits(h, from) {
 			return
 		}
-		// Only a request packet creates a server session (see sessKey).
 		s = &Session{
 			rpc:      r,
 			num:      h.DstSession,
@@ -49,12 +46,7 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 			r.Stats.StalePktsRx++
 			return
 		}
-		if r.draining || r.overloaded() {
-			// Admission point for overload shedding and drain: every
-			// packet of an unadmitted request draws an explicit reject,
-			// and the client backs off instead of RTO-storming (§4.3's
-			// bounded slots made server memory safe; this bounds CPU).
-			r.sendReject(from, h)
+		if !r.admits(h, from) {
 			return
 		}
 		r.resetSrvSlot(ss)
@@ -96,6 +88,25 @@ func (r *Rpc) onReqPkt(h *wire.Header, from transport.Addr, payload []byte) {
 	default:
 		r.Stats.StalePktsRx++
 	}
+}
+
+// admits reports whether request packet h may start a new request.
+// It is the admission point for overload shedding and drain: every
+// packet of an unadmitted request draws an explicit reject, and the
+// client backs off instead of RTO-storming (§4.3's bounded slots made
+// server memory safe; this bounds CPU). Otherwise only a request's
+// first packet starts it: a later one would be dropped as reordered,
+// and admitted it would hold a slot and srvInFlight until FailPeer.
+func (r *Rpc) admits(h *wire.Header, from transport.Addr) bool {
+	switch {
+	case r.draining || r.overloaded():
+		r.sendReject(from, h)
+	case h.PktNum > 0:
+		r.Stats.StalePktsRx++
+	default:
+		return true
+	}
+	return false
 }
 
 // overloaded reports whether admitting one more request would exceed
@@ -277,7 +288,6 @@ func (r *Rpc) sendRespPkt(s *Session, ss *srvSlot, k int, rxAt sim.Time) {
 	}
 	r.charge(r.cost.PktTx)
 	r.sendPkt(s.remote, ss.respBuf, k, rxAt)
-	r.sessionQueued(s)
 }
 
 // sendCR transmits an explicit credit return for request packet n, the
@@ -292,7 +302,6 @@ func (r *Rpc) sendCR(s *Session, ss *srvSlot, n int) {
 		PktNum:     uint16(n),
 		ReqNum:     ss.curReqNum,
 	}, r.rxAt)
-	r.sessionQueued(s)
 }
 
 // onRFR handles a request-for-response packet.

@@ -53,12 +53,6 @@ type Session struct {
 	rttvar sim.Time
 	rto    sim.Time
 
-	// The session's share of the unflushed TX batch (sessionQueued):
-	// txQueued of its frames, counted since flush number txSince
-	// (Stats.TxBursts).
-	txSince  uint64
-	txQueued int
-
 	// Server mode.
 	srvSlots []srvSlot
 }

@@ -199,8 +199,7 @@ func TestZeroCopyTxTeardownReleasesRefs(t *testing.T) {
 // batch goes out as one SendBurst the moment it holds a burst of frames
 // (transport.SocketBurst, 64), and a shorter remainder waits for the
 // end-of-iteration flush. The 65 single-packet requests fill the slots
-// of nine sessions, 8 frames each at most, so no session reaches the
-// half-window flush (16 frames) first.
+// of nine sessions.
 func TestTXFlushesAtBurstSize(t *testing.T) {
 	ct := &captureTransport{}
 	r := newZCRpc(t, ct, Config{})
@@ -220,37 +219,6 @@ func TestTXFlushesAtBurstSize(t *testing.T) {
 	r.flushTX()
 	if got := burstLens(ct.bursts); len(got) != 2 || got[1] != 1 {
 		t.Fatalf("end-of-iteration flush: SendBursts of %v frames, want a second one of 1", got)
-	}
-}
-
-// TestTXFlushesAtHalfSessionWindow: a flush carries at most half of one
-// session's credit window. With 32 credits a 20-packet request leaves
-// as a SendBurst of 16 the moment its sixteenth packet is queued, and
-// the rest at the end of the iteration; two other sessions' 10 packets
-// each stay under the bound and share one SendBurst of 20.
-func TestTXFlushesAtHalfSessionWindow(t *testing.T) {
-	ct := &captureTransport{}
-	r := newZCRpc(t, ct, Config{})
-	var sess [3]*Session
-	for i := range sess {
-		s, err := r.CreateSession(transport.Addr{Node: uint16(2 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess[i] = s
-	}
-	r.EnqueueRequest(sess[0], echoType, r.Alloc(20*r.DataPerPkt()), r.Alloc(8), func(error) {})
-	r.flushTX()
-	if len(ct.bursts) != 2 || len(ct.bursts[0]) != DefaultCredits/2 || len(ct.bursts[1]) != 4 {
-		t.Fatalf("20 packets of one session at %d credits: SendBursts of %v frames, want 16 then 4", DefaultCredits, burstLens(ct.bursts))
-	}
-	ct.bursts = nil
-	for _, s := range sess[1:] {
-		r.EnqueueRequest(s, echoType, r.Alloc(10*r.DataPerPkt()), r.Alloc(8), func(error) {})
-	}
-	r.flushTX()
-	if len(ct.bursts) != 1 || len(ct.bursts[0]) != 20 {
-		t.Fatalf("10 packets each of two sessions: SendBursts of %v frames, want one of 20", burstLens(ct.bursts))
 	}
 }
 
